@@ -28,12 +28,12 @@ from .roots import (
     cubic_discriminant,
     cubic_roots,
     depressed_reduce,
+    escape_bound,
     mandelbric_attracting_root,
 )
 from .dynamics import (
     EscapeResult,
     IterationParams,
-    escape_bound,
     iterate_complex,
     iterate_hyperbolic,
     iterate_tricomplex,

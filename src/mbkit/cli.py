@@ -1,7 +1,7 @@
 """Command-line surface: 2D renders, 3D exports, verification, estimates.
 
-Every run writes a manifest recording the command, parameters, seed, tool
-version and sha256 digests of the outputs; `mbkit rerun` re-executes a
+Every run writes a manifest recording the command, parameters, tool version
+and sha256 digests of the outputs; `mbkit rerun` re-executes a
 manifest and checks the digests match.  Output bytes depend only on the
 command parameters, never on the worker count (MBK_THREADS).
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -22,15 +21,13 @@ import numpy as np
 from . import __version__
 from .dynamics import (
     IterationParams,
-    escape_bound,
     grid_counts_complex,
     grid_counts_hyperbolic,
     real_axis_extent,
 )
+from .roots import OCTAHEDRON_VOLUME_P3, real_extent_closed_form
 from .slices import SliceSpec, cell_centers, sample_slice
 from .suites import SUITE_NAMES, run_suites
-
-OCTAHEDRON_VOLUME_P3 = 32.0 / (243.0 * math.sqrt(3.0))
 
 
 def _threads() -> int:
@@ -48,12 +45,11 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_base: Path, command: str, parameters: dict, seed,
+def _write_manifest(out_base: Path, command: str, parameters: dict,
                     wall: float, outputs: list[Path]) -> Path:
     manifest = {
         "command": command,
         "parameters": parameters,
-        "seed": seed,
         "version": __version__,
         "wall_time_s": wall,
         "outputs": {p.name: _sha256(p) for p in outputs},
@@ -88,8 +84,7 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def cmd_render2d(set_name: str, p: int, window, res, max_iter: int,
-                 escape_radius, out, threads: int | None = None,
-                 seed: int = 0) -> Path:
+                 escape_radius, out, threads: int | None = None) -> Path:
     """Render a 2D escape-time set to a P5 graymap and write its manifest."""
     threads = _threads() if threads is None else threads
     (x0, x1), (y0, y1) = window
@@ -120,14 +115,13 @@ def cmd_render2d(set_name: str, p: int, window, res, max_iter: int,
         {"set": set_name, "p": p, "window": [list(window[0]), list(window[1])],
          "res": [w, h], "max_iter": max_iter,
          "escape_radius": params.escape_radius},
-        seed, wall, [out],
+        wall, [out],
     )
     return out
 
 
 def cmd_render3d(slice_spec, p: int, window, dims, max_iter: int, out,
-                 prune: bool = False, threads: int | None = None,
-                 seed: int = 0):
+                 prune: bool = False, threads: int | None = None):
     """Sample a 3D slice, write the voxel grid and member point cloud."""
     threads = _threads() if threads is None else threads
     spec = slice_spec if isinstance(slice_spec, SliceSpec) else SliceSpec.parse(slice_spec)
@@ -145,7 +139,7 @@ def cmd_render3d(slice_spec, p: int, window, dims, max_iter: int, out,
         {"slice": spec.label(), "p": p,
          "window": [list(ax) for ax in window], "dims": list(grid.dims),
          "max_iter": max_iter, "prune": prune},
-        seed, wall, [vox_path, cloud_path],
+        wall, [vox_path, cloud_path],
     )
     print(f"member_cells={grid.member_count()}")
     print(f"volume_estimate={grid.volume_estimate()!r}")
@@ -189,21 +183,20 @@ def cmd_verify(suite: str, seed: int = 0, out=None) -> int:
         json_path.write_text(json.dumps(
             {"suite": suite, "seed": seed, "version": __version__,
              "overall": overall, "checks": checks_json}, indent=2) + "\n")
-        _write_manifest(out, "verify", {"suite": suite}, seed, wall,
+        _write_manifest(out, "verify", {"suite": suite, "seed": seed}, wall,
                         [txt_path, json_path])
     return 0 if overall else 1
 
 
 def cmd_estimate(kind: str, p: int, precision=None, out=None,
-                 threads: int | None = None, seed: int = 0) -> dict:
+                 threads: int | None = None) -> dict:
     """Numeric estimate next to the closed-form value and relative error."""
     threads = _threads() if threads is None else threads
     t0 = time.perf_counter()
     if kind == "real-extent":
         tol = float(precision) if precision else 1e-4
         lo, hi = real_axis_extent(p, IterationParams(p, 2000), tol)
-        hi_ref = (p - 1) * p ** (-p / (p - 1))
-        lo_ref = -escape_bound(p) if p % 2 == 0 else -hi_ref
+        lo_ref, hi_ref = real_extent_closed_form(p)
         status = "theorem" if p in (2, 3) else _conjecture_status(
             abs(hi - hi_ref) <= 1e-3 and abs(lo - lo_ref) <= 1e-3)
         report = {
@@ -216,8 +209,7 @@ def cmd_estimate(kind: str, p: int, precision=None, out=None,
         }
     elif kind == "hyperbric-area":
         n = int(precision) if precision else 2000
-        hi_ref = (p - 1) * p ** (-p / (p - 1))
-        lo_ref = -escape_bound(p) if p % 2 == 0 else -hi_ref
+        lo_ref, hi_ref = real_extent_closed_form(p)
         area_ref = (hi_ref - lo_ref) ** 2 / 2.0
         half = max(abs(lo_ref), abs(hi_ref)) * 1.1
         xs = cell_centers(-half, half, n)
@@ -258,7 +250,7 @@ def cmd_estimate(kind: str, p: int, precision=None, out=None,
         out = Path(out)
         out.with_suffix(".txt").write_text(text)
         out.with_suffix(".json").write_text(json.dumps(report, indent=2) + "\n")
-        _write_manifest(out, "estimate", {"kind": kind, "p": p}, seed, wall,
+        _write_manifest(out, "estimate", {"kind": kind, "p": p}, wall,
                         [out.with_suffix(".txt"), out.with_suffix(".json")])
     return report
 
@@ -281,15 +273,14 @@ def cmd_rerun(manifest_path, out_dir=None) -> int:
         cmd_render2d(params["set"], params["p"],
                      tuple(tuple(ax) for ax in params["window"]),
                      tuple(params["res"]), params["max_iter"],
-                     params["escape_radius"], out, seed=manifest["seed"])
+                     params["escape_radius"], out)
         produced = {out.name: out}
     elif command == "render3d":
         stem = Path(next(iter(manifest["outputs"]))).stem
         _, vox, cloud = cmd_render3d(
             params["slice"], params["p"],
             tuple(tuple(ax) for ax in params["window"]), tuple(params["dims"]),
-            params["max_iter"], out_dir / stem, prune=params["prune"],
-            seed=manifest["seed"])
+            params["max_iter"], out_dir / stem, prune=params["prune"])
         produced = {p.name: p for p in (vox, cloud)}
     else:
         raise ValueError(f"cannot rerun command {command!r}")
@@ -353,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     r2.add_argument("--res", type=int, default=1000, help="pixels per side")
     r2.add_argument("--max-iter", type=int, default=1000)
     r2.add_argument("--escape-radius", type=float, default=None)
-    r2.add_argument("--seed", type=int, default=0)
     r2.add_argument("--out", required=True)
 
     r3 = sub.add_parser("render3d", help="export a 3D slice voxel grid + point cloud")
@@ -365,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     r3.add_argument("--max-iter", type=int, default=1000)
     r3.add_argument("--prune", action="store_true",
                     help="mark cells outside the bounding discus escaped at 1")
-    r3.add_argument("--seed", type=int, default=0)
     r3.add_argument("--out", required=True)
 
     vf = sub.add_parser("verify", help="run numeric verification suites")
@@ -379,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--p", type=int, default=3)
     es.add_argument("--precision", default=None,
                     help="bisection tolerance (real-extent) or grid size (others)")
-    es.add_argument("--seed", type=int, default=0)
     es.add_argument("--out", default=None)
 
     rr = sub.add_parser("rerun", help="re-execute a manifest and compare digests")
@@ -392,17 +380,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "render2d":
         cmd_render2d(args.set, args.p, args.window, args.res,
-                     args.max_iter, args.escape_radius, args.out, seed=args.seed)
+                     args.max_iter, args.escape_radius, args.out)
         return 0
     if args.command == "render3d":
         cmd_render3d(args.slice, args.p, args.window, args.dims,
-                     args.max_iter, args.out, prune=args.prune, seed=args.seed)
+                     args.max_iter, args.out, prune=args.prune)
         return 0
     if args.command == "verify":
         return cmd_verify(args.suite, seed=args.seed, out=args.out)
     if args.command == "estimate":
-        cmd_estimate(args.kind, args.p, precision=args.precision, out=args.out,
-                     seed=args.seed)
+        cmd_estimate(args.kind, args.p, precision=args.precision, out=args.out)
         return 0
     if args.command == "rerun":
         return cmd_rerun(args.manifest, args.out_dir)

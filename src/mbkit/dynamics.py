@@ -27,18 +27,11 @@ from .hypercomplex import (
     to_complex4,
     to_idempotent,
 )
-from .roots import MANDELBRIC_REAL_BOUND
+from .roots import MANDELBRIC_REAL_BOUND, escape_bound
 
 # Iteration aborts as escaped once the norm exceeds this, well before
 # float overflow can corrupt counts.
 OVERFLOW_NORM = 1e100
-
-
-def escape_bound(p: int) -> float:
-    """Sharp escape radius 2^(1/(p-1)) for exponent p >= 2."""
-    if p < 2:
-        raise ValueError("exponent p must be >= 2")
-    return 2.0 ** (1.0 / (p - 1))
 
 
 @dataclass(frozen=True)
@@ -119,25 +112,7 @@ def member_multibrot(c: complex, params: IterationParams) -> bool:
     return not iterate_complex(c, params).escaped
 
 
-# --- real-axis engine ---------------------------------------------------------
-
-
-def iterate_real(c: float, params: IterationParams) -> EscapeResult:
-    """Real-line specialization of iterate_complex (identical semantics)."""
-    p, max_iter = params.p, params.max_iter
-    r2 = params.escape_radius * params.escape_radius
-    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
-    x = 0.0
-    n2 = 0.0
-    for m in range(1, max_iter + 1):
-        xp = x
-        for _ in range(p - 1):
-            xp = xp * x
-        x = xp + c
-        n2 = x * x
-        if n2 > r2 or n2 > guard2 or not math.isfinite(n2):
-            return EscapeResult(True, m, abs(x))
-    return EscapeResult(False, max_iter, abs(x))
+# --- real axis ----------------------------------------------------------------
 
 
 def orbit_real(c: float, p: int, n: int, guard: float = OVERFLOW_NORM) -> list[float]:
@@ -167,7 +142,7 @@ def real_axis_extent(p: int, params: IterationParams, tol: float) -> tuple[float
     def member(c: float) -> bool:
         if abs(c) > params.escape_radius:
             return False
-        return not iterate_real(c, params).escaped
+        return not iterate_complex(complex(c), params).escaped
 
     outside = escape_bound(p) + 0.5
     hi = _bisect_boundary(member, 0.0, outside, tol)
@@ -321,19 +296,23 @@ def member_perplexbric_union_form(c1: float, c4: float, c6: float) -> bool:
 
 # --- vectorized grid engines ----------------------------------------------------
 #
-# Each engine takes flat batches, returns (counts uint32, member bool).  The
-# masked loop compacts the active set as points escape; per-point results
-# depend only on that point's value, so any partition of the input yields
-# identical output.
+# Each engine takes flat batches, returns (counts uint32, member bool).  All
+# four share one masked loop, which compacts the active set as points escape;
+# per-point results depend only on that point's value, so any partition of
+# the input yields identical output.
 
 
-def _counts_complex_kernel(c: np.ndarray, params: IterationParams):
+def _counts_kernel(c: np.ndarray, params: IterationParams):
+    # c: (n,) parameters, or (4, n) tricomplex components escaping on their
+    # combined RMS norm (the ring norm); real or complex either way.
     p, max_iter = params.p, params.max_iter
     r2 = params.escape_radius * params.escape_radius
     guard2 = OVERFLOW_NORM * OVERFLOW_NORM
-    counts = np.full(c.shape, max_iter, dtype=np.uint32)
-    member = np.zeros(c.shape, dtype=bool)
-    idx = np.arange(c.size)
+    is_complex = np.iscomplexobj(c)
+    n = c.shape[-1]
+    counts = np.full(n, max_iter, dtype=np.uint32)
+    member = np.zeros(n, dtype=bool)
+    idx = np.arange(n)
     z = np.zeros_like(c)
     cc = c
     for m in range(1, max_iter + 1):
@@ -341,60 +320,31 @@ def _counts_complex_kernel(c: np.ndarray, params: IterationParams):
         for _ in range(p - 1):
             zp = zp * z
         z = zp + cc
-        n2 = z.real * z.real + z.imag * z.imag
+        sq = z.real * z.real + z.imag * z.imag if is_complex else z * z
+        n2 = ((sq[0] + sq[1]) + (sq[2] + sq[3])) * 0.25 if z.ndim == 2 else sq
         esc = (n2 > r2) | (n2 > guard2) | ~np.isfinite(n2)
         if esc.any():
             counts[idx[esc]] = m
-            keep = ~esc
-            z = z[keep]
-            cc = cc[keep]
-            idx = idx[keep]
+            # take() on positions keeps numpy's fast 1-D path for both shapes;
+            # a boolean mask on the last axis of a 2-D array is much slower.
+            pos = np.flatnonzero(~esc)
+            z = z.take(pos, axis=-1)
+            cc = cc.take(pos, axis=-1)
+            idx = idx[pos]
             if idx.size == 0:
                 break
     member[idx] = True
     return counts, member
 
 
-def _counts_real_kernel(c: np.ndarray, params: IterationParams):
-    p, max_iter = params.p, params.max_iter
-    r2 = params.escape_radius * params.escape_radius
-    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
-    counts = np.full(c.shape, max_iter, dtype=np.uint32)
-    member = np.zeros(c.shape, dtype=bool)
-    idx = np.arange(c.size)
-    x = np.zeros_like(c)
-    cc = c
-    for m in range(1, max_iter + 1):
-        xp = x
-        for _ in range(p - 1):
-            xp = xp * x
-        x = xp + cc
-        n2 = x * x
-        esc = (n2 > r2) | (n2 > guard2) | ~np.isfinite(n2)
-        if esc.any():
-            counts[idx[esc]] = m
-            keep = ~esc
-            x = x[keep]
-            cc = cc[keep]
-            idx = idx[keep]
-            if idx.size == 0:
-                break
-    member[idx] = True
-    return counts, member
-
-
-def _run_blocks(kernel, arrays, params: IterationParams, threads: int):
-    n = arrays[0].shape[-1]
+def _run_blocks(c: np.ndarray, params: IterationParams, threads: int):
+    n = c.shape[-1]
     if threads <= 1 or n < 2 * threads:
-        return kernel(*arrays, params)
+        return _counts_kernel(c, params)
     bounds = [(k * n) // threads for k in range(threads + 1)]
-    blocks = [
-        tuple(a[..., lo:hi] for a in arrays)
-        for lo, hi in zip(bounds, bounds[1:])
-        if hi > lo
-    ]
+    blocks = [c[..., lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        parts = list(pool.map(lambda blk: kernel(*blk, params), blocks))
+        parts = list(pool.map(lambda blk: _counts_kernel(blk, params), blocks))
     counts = np.concatenate([p_[0] for p_ in parts])
     member = np.concatenate([p_[1] for p_ in parts])
     return counts, member
@@ -403,12 +353,12 @@ def _run_blocks(kernel, arrays, params: IterationParams, threads: int):
 def grid_counts_complex(c: np.ndarray, params: IterationParams, threads: int = 1):
     """Escape counts and member mask for a flat complex parameter batch."""
     c = np.ascontiguousarray(c, dtype=np.complex128).ravel()
-    return _run_blocks(_counts_complex_kernel, (c,), params, threads)
+    return _run_blocks(c, params, threads)
 
 
 def grid_counts_real(c: np.ndarray, params: IterationParams, threads: int = 1):
     c = np.ascontiguousarray(c, dtype=np.float64).ravel()
-    return _run_blocks(_counts_real_kernel, (c,), params, threads)
+    return _run_blocks(c, params, threads)
 
 
 def grid_counts_hyperbolic(
@@ -425,72 +375,10 @@ def grid_counts_hyperbolic(
     cm = a - b
     cp = a + b
     uniq, inverse = np.unique(np.concatenate([cm, cp]), return_inverse=True)
-    counts_u, member_u = _run_blocks(_counts_real_kernel, (uniq,), params, threads)
+    counts_u, member_u = _run_blocks(uniq, params, threads)
     n = a.size
     counts = np.minimum(counts_u[inverse[:n]], counts_u[inverse[n:]])
     member = member_u[inverse[:n]] & member_u[inverse[n:]]
-    return counts, member
-
-
-def _counts_complex4_kernel(w: np.ndarray, params: IterationParams):
-    # w: (4, n) complex parameter components; escape on the combined RMS norm.
-    p, max_iter = params.p, params.max_iter
-    r2 = params.escape_radius * params.escape_radius
-    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
-    n = w.shape[1]
-    counts = np.full(n, max_iter, dtype=np.uint32)
-    member = np.zeros(n, dtype=bool)
-    idx = np.arange(n)
-    z = np.zeros_like(w)
-    cc = w
-    for m in range(1, max_iter + 1):
-        zp = z
-        for _ in range(p - 1):
-            zp = zp * z
-        z = zp + cc
-        sq = z.real * z.real + z.imag * z.imag
-        n2 = ((sq[0] + sq[1]) + (sq[2] + sq[3])) * 0.25
-        esc = (n2 > r2) | (n2 > guard2) | ~np.isfinite(n2)
-        if esc.any():
-            counts[idx[esc]] = m
-            keep = ~esc
-            z = z[:, keep]
-            cc = cc[:, keep]
-            idx = idx[keep]
-            if idx.size == 0:
-                break
-    member[idx] = True
-    return counts, member
-
-
-def _counts_real4_kernel(w: np.ndarray, params: IterationParams):
-    # Same as above for parameter batches whose 4 components are all real.
-    p, max_iter = params.p, params.max_iter
-    r2 = params.escape_radius * params.escape_radius
-    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
-    n = w.shape[1]
-    counts = np.full(n, max_iter, dtype=np.uint32)
-    member = np.zeros(n, dtype=bool)
-    idx = np.arange(n)
-    x = np.zeros_like(w)
-    cc = w
-    for m in range(1, max_iter + 1):
-        xp = x
-        for _ in range(p - 1):
-            xp = xp * x
-        x = xp + cc
-        sq = x * x
-        n2 = ((sq[0] + sq[1]) + (sq[2] + sq[3])) * 0.25
-        esc = (n2 > r2) | (n2 > guard2) | ~np.isfinite(n2)
-        if esc.any():
-            counts[idx[esc]] = m
-            keep = ~esc
-            x = x[:, keep]
-            cc = cc[:, keep]
-            idx = idx[keep]
-            if idx.size == 0:
-                break
-    member[idx] = True
     return counts, member
 
 
@@ -506,5 +394,5 @@ def grid_counts_tricomplex(x8: np.ndarray, params: IterationParams, threads: int
         raise ValueError("expected an (8, n) coefficient batch")
     w = to_complex4(x8)
     if not w.imag.any():
-        return _run_blocks(_counts_real4_kernel, (w.real.copy(),), params, threads)
-    return _run_blocks(_counts_complex4_kernel, (w,), params, threads)
+        return _run_blocks(w.real.copy(), params, threads)
+    return _run_blocks(w, params, threads)

@@ -464,18 +464,6 @@ def _distinct_units(units: Sequence[UnitIndex]) -> tuple[UnitIndex, UnitIndex, U
 # back the grid engines and the bulk verification sweeps.
 
 
-def as_batch(values: Iterable[Tricomplex]) -> np.ndarray:
-    vs = list(values)
-    out = np.empty((8, len(vs)), dtype=np.float64)
-    for i, t in enumerate(vs):
-        out[:, i] = t.x
-    return out
-
-
-def batch_to_tricomplex(batch: np.ndarray, i: int) -> Tricomplex:
-    return Tricomplex(tuple(float(v) for v in batch[:, i]))
-
-
 def mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise tricomplex product of two (8, n) coefficient batches."""
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.float64)

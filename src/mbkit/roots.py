@@ -1,8 +1,9 @@
-"""Monic cubic root solving and discriminant classification.
+"""Monic cubic root solving, discriminant classification and closed forms.
 
 Backs the real-axis interval analysis of the degree-3 multibrot set: the
 boundary point of the real cross-section is the attracting real root of
-x^3 - x + c, extracted here in closed trigonometric form.
+x^3 - x + c, extracted here in closed trigonometric form.  The closed-form
+values that estimates and checks compare against also live here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from dataclasses import dataclass
 # Real-axis bound of the degree-3 multibrot set, 2 / (3*sqrt(3)).
 MANDELBRIC_REAL_BOUND = 2.0 / (3.0 * math.sqrt(3.0))
 
+# Volume of the degree-3 Perplexbric octahedron |c1| + |c4| + |c6| <= 2/(3*sqrt(3)).
+OCTAHEDRON_VOLUME_P3 = 32.0 / (243.0 * math.sqrt(3.0))
+
 ONE_REAL_TWO_COMPLEX = "one-real-two-complex"
 THREE_REAL_ONE_DOUBLE = "three-real-one-double"
 THREE_DISTINCT_REAL = "three-distinct-real"
@@ -21,6 +25,24 @@ THREE_DISTINCT_REAL = "three-distinct-real"
 _ZERO_BAND = 1e-9
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # primitive cube root of unity
+
+
+def escape_bound(p: int) -> float:
+    """Sharp escape radius 2^(1/(p-1)) for exponent p >= 2."""
+    if p < 2:
+        raise ValueError("exponent p must be >= 2")
+    return 2.0 ** (1.0 / (p - 1))
+
+
+def real_extent_closed_form(p: int) -> tuple[float, float]:
+    """Real-axis cross-section (lo, hi) of the degree-p multibrot set.
+
+    hi = (p-1) * p^(-p/(p-1)); lo = -2^(1/(p-1)) for even p, -hi for odd p.
+    Proven for p in {2, 3}, conjectured for higher degrees.
+    """
+    hi = (p - 1) * p ** (-p / (p - 1))
+    lo = -escape_bound(p) if p % 2 == 0 else -hi
+    return lo, hi
 
 
 @dataclass(frozen=True)

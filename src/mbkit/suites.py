@@ -409,21 +409,8 @@ def dynamics_suite(seed: int = 0) -> list[CheckResult]:
                            "p in {2,3,5}", witness))
 
     # T of the hyperbolic orbit equals the two real component orbits.
-    worst = 0.0
+    worst = _hyperbolic_decomposition_residual(rng, 10_000)
     exact_ok = True
-    for _ in range(10_000):
-        a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-        p = int(rng.integers(2, 5))
-        z = Hyperbolic(0.0, 0.0)
-        cm, cp = a - b, a + b
-        xm = xp_ = 0.0
-        for _m in range(6):
-            z = hyp_pow(z, p) + Hyperbolic(a, b)
-            xm = xm ** p + cm
-            xp_ = xp_ ** p + cp
-            t = hyp_T(z)
-            scale = max(1.0, abs(xm), abs(xp_))
-            worst = max(worst, abs(t[0] - xm) / scale, abs(t[1] - xp_) / scale)
     # Integer-coefficient orbits match exactly while values fit in 53 bits
     # (three cubing steps from |c| <= 4).
     for a in range(-2, 3):
@@ -499,10 +486,7 @@ def dynamics_suite(seed: int = 0) -> list[CheckResult]:
     ok, details = True, []
     for p in range(2, 7):
         lo, hi = dynamics.real_axis_extent(p, dynamics.IterationParams(p, 2000), 1e-4)
-        hi_ref = (p - 1) * p ** (-p / (p - 1))
-        lo_ref = -dynamics.escape_bound(p) if p % 2 == 0 else -hi_ref
-        if p == 2:
-            lo_ref, hi_ref = -2.0, 0.25
+        lo_ref, hi_ref = roots.real_extent_closed_form(p)
         good = abs(hi - hi_ref) <= 1e-3 and abs(lo - lo_ref) <= 1e-3
         ok = ok and good
         tag = "theorem" if p in (2, 3) else "conjecture consistent"
@@ -533,6 +517,33 @@ def dynamics_suite(seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("dynamics.perplexbric_reduction", ok, None,
                            "10000 algebraic + 400 escape-time samples", witness))
     return out
+
+
+def _hyperbolic_decomposition_residual(rng, n: int) -> float:
+    """Worst relative gap between T of n random hyperbolic orbits and the
+    two real component orbits, over six steps each.
+
+    An orbit stops once its components pass OVERFLOW_NORM^(1/p) / 1000, so
+    the next float ** p cannot overflow.
+    """
+    worst = 0.0
+    for _ in range(n):
+        a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        p = int(rng.integers(2, 5))
+        limit = dynamics.OVERFLOW_NORM ** (1.0 / p) * 1e-3
+        z = Hyperbolic(0.0, 0.0)
+        cm, cp = a - b, a + b
+        xm = xp_ = 0.0
+        for _m in range(6):
+            z = hyp_pow(z, p) + Hyperbolic(a, b)
+            xm = xm ** p + cm
+            xp_ = xp_ ** p + cp
+            t = hyp_T(z)
+            scale = max(1.0, abs(xm), abs(xp_))
+            worst = max(worst, abs(t[0] - xm) / scale, abs(t[1] - xp_) / scale)
+            if scale > limit:
+                break
+    return worst
 
 
 def _random_annulus_complex(rng, r_lo: float, r_hi: float) -> complex:

@@ -101,6 +101,12 @@ def test_render2d_manifest_digest_matches(tmp_path):
     manifest = json.loads((tmp_path / "img.pgm.manifest.json").read_text())
     assert manifest["command"] == "render2d"
     assert manifest["outputs"]["img.pgm"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert "seed" not in manifest
+    # Older manifests still carry the render seed, which had no effect.
+    manifest["seed"] = 7
+    old = tmp_path / "old.manifest.json"
+    old.write_text(json.dumps(manifest))
+    assert cmd_rerun(old, tmp_path / "redo") == 0
 
 
 def test_verify_exit_codes(tmp_path, capsys):
@@ -166,6 +172,16 @@ def test_parser_rejects_bad_window():
     ap = build_parser()
     with pytest.raises(SystemExit):
         ap.parse_args(["render2d", "--window", "0:1", "--out", "x.pgm"])
+
+
+def test_only_verify_takes_a_seed():
+    ap = build_parser()
+    for argv in (["render2d", "--out", "x.pgm"], ["render3d", "--out", "x"],
+                 ["estimate", "--kind", "real-extent"]):
+        ap.parse_args(argv)
+        with pytest.raises(SystemExit):
+            ap.parse_args(argv + ["--seed", "1"])
+    assert ap.parse_args(["verify", "--seed", "1"]).seed == 1
 
 
 def test_write_pgm_validates(tmp_path):

@@ -14,7 +14,6 @@ from mbkit.dynamics import (
     grid_counts_tricomplex,
     iterate_complex,
     iterate_hyperbolic,
-    iterate_real,
     iterate_tricomplex,
     member_hyperbric_analytic,
     member_multibrot,
@@ -24,8 +23,9 @@ from mbkit.dynamics import (
     orbit_real,
     real_axis_extent,
 )
-from mbkit.hypercomplex import Hyperbolic, Tricomplex, to_idempotent
+from mbkit.hypercomplex import Hyperbolic, Tricomplex, to_complex4, to_idempotent
 from mbkit.roots import MANDELBRIC_REAL_BOUND
+from mbkit.slices import SliceSpec, cell_centers
 
 
 def test_params_validation():
@@ -137,6 +137,15 @@ def test_hyperbolic_orbit_decomposition(rng):
             assert abs(tp - xp) <= 1e-12 * scale
 
 
+def test_hyperbolic_decomposition_check_survives_escaping_orbits():
+    from mbkit.suites import _hyperbolic_decomposition_residual
+
+    # Sample 430 of this stream (a, b near 1, p = 4) escapes far enough that
+    # the next float ** p would raise OverflowError; the check stops it first.
+    worst = _hyperbolic_decomposition_residual(np.random.default_rng(2), 430)
+    assert 0.0 < worst <= 1e-12
+
+
 def test_member_hyperbric_analytic_examples():
     assert member_hyperbric_analytic(0.0, 0.0)
     assert member_hyperbric_analytic(MANDELBRIC_REAL_BOUND, 0.0)  # vertex
@@ -212,6 +221,41 @@ def test_perplexbric_union_form_equivalence(rng):
 
 
 # --- grid engines ------------------------------------------------------------------
+#
+# Uniform samples mostly escape within a few steps, so the boundary-band checks
+# compare the grid engines with the scalar oracles where orbits run long: cells
+# of a rendered window escaping after 8 < count < max_iter steps, plus members.
+
+BAND_PARAMS = IterationParams(3, 200)
+
+
+def _plane(window, res):
+    """Render-order cell centers of a 2D window: (x, y) with the top row first."""
+    xs = cell_centers(*window[0], res)
+    ys = cell_centers(*window[1], res)[::-1]
+    gx, gy = np.meshgrid(xs, ys)
+    return gx.ravel(), gy.ravel()
+
+
+def _slice_batch(units, window, res):
+    """(8, res^3) coefficient batch over a 3D slice window."""
+    axes = [cell_centers(lo, hi, res) for lo, hi in window]
+    x8 = np.zeros((8, res ** 3))
+    for u, g in zip(SliceSpec.parse(units).units, np.meshgrid(*axes, indexing="ij")):
+        x8[u] = g.ravel()
+    return x8
+
+
+def _assert_band_matches(counts, member, oracle, rng):
+    max_iter = BAND_PARAMS.max_iter
+    band = np.flatnonzero((counts > 8) & (counts < max_iter))
+    members = np.flatnonzero(member)
+    assert band.size >= 150 and members.size >= 30
+    picks = np.concatenate([rng.choice(band, 150, replace=False),
+                            rng.choice(members, 30, replace=False)])
+    for k in picks:
+        ref = oracle(k)
+        assert (counts[k], member[k]) == (ref.iterations, not ref.escaped), k
 
 
 def test_grid_complex_matches_scalar_bitwise(rng):
@@ -222,6 +266,12 @@ def test_grid_complex_matches_scalar_bitwise(rng):
         ref = iterate_complex(complex(cs[k]), params)
         assert counts[k] == ref.iterations
         assert member[k] == (not ref.escaped)
+    # Multibrot boundary band.
+    x, y = _plane(((-1.5, 1.5), (-1.5, 1.5)), 96)
+    cs = x + 1j * y
+    counts, member = grid_counts_complex(cs, BAND_PARAMS)
+    _assert_band_matches(counts, member,
+                         lambda k: iterate_complex(complex(cs[k]), BAND_PARAMS), rng)
 
 
 def test_grid_real_matches_scalar(rng):
@@ -229,7 +279,7 @@ def test_grid_real_matches_scalar(rng):
     cs = rng.uniform(-2.2, 0.5, 300)
     counts, member = grid_counts_real(cs, params)
     for k in range(cs.size):
-        ref = iterate_real(float(cs[k]), params)
+        ref = iterate_complex(complex(cs[k]), params)
         assert counts[k] == ref.iterations
         assert member[k] == (not ref.escaped)
 
@@ -243,26 +293,40 @@ def test_grid_hyperbolic_matches_scalar(rng):
         ref = iterate_hyperbolic(Hyperbolic(a[k], b[k]), params, "decomposed")
         assert counts[k] == ref.iterations
         assert member[k] == (not ref.escaped)
+    # Hyperbrot boundary band, against the engine that never decomposes.
+    a, b = _plane(((-0.4, 0.4), (-0.4, 0.4)), 96)
+    counts, member = grid_counts_hyperbolic(a, b, BAND_PARAMS)
+    _assert_band_matches(
+        counts, member,
+        lambda k: iterate_hyperbolic(Hyperbolic(a[k], b[k]), BAND_PARAMS, "direct"), rng)
 
 
 def test_grid_tricomplex_matches_scalar(rng):
-    params = IterationParams(3, 250)
-    x8 = rng.uniform(-1.5, 1.5, (8, 250))
-    counts, member = grid_counts_tricomplex(x8, params)
-    for k in range(x8.shape[1]):
-        ref = iterate_tricomplex(Tricomplex(tuple(x8[:, k])), params, "direct")
-        assert counts[k] == ref.iterations
-        assert member[k] == (not ref.escaped)
+    # Perplexbric iterates real components, Tetrabric complex ones.
+    for units, half, real in (("1,j1,j2", 0.5, True), ("1,i1,i2", 1.5, False)):
+        x8 = _slice_batch(units, ((-half, half),) * 3, 24)
+        assert (not to_complex4(x8).imag.any()) == real
+        counts, member = grid_counts_tricomplex(x8, BAND_PARAMS)
+        _assert_band_matches(
+            counts, member,
+            lambda k: iterate_tricomplex(Tricomplex(tuple(x8[:, k])), BAND_PARAMS,
+                                         "direct"),
+            rng)
 
 
 def test_grid_threads_do_not_change_output(rng):
     params = IterationParams(3, 150)
     x8 = rng.uniform(-1.5, 1.5, (8, 500))
-    c1 = grid_counts_tricomplex(x8, params, threads=1)
-    c3 = grid_counts_tricomplex(x8, params, threads=3)
-    c8 = grid_counts_tricomplex(x8, params, threads=8)
-    assert np.array_equal(c1[0], c3[0]) and np.array_equal(c1[0], c8[0])
-    assert np.array_equal(c1[1], c3[1]) and np.array_equal(c1[1], c8[1])
+    cs = x8[0] + 1j * x8[1]
+    runs = {
+        threads: (grid_counts_tricomplex(x8, params, threads=threads),
+                  grid_counts_complex(cs, params, threads=threads),
+                  grid_counts_hyperbolic(x8[2], x8[3], params, threads=threads))
+        for threads in (1, 3, 8)
+    }
+    for threads in (3, 8):
+        for (c, m), (c1, m1) in zip(runs[threads], runs[1]):
+            assert np.array_equal(c, c1) and np.array_equal(m, m1)
 
 
 def test_divergence_amplification_lemma(rng):
