@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -31,10 +32,16 @@ from .suites import SUITE_NAMES, run_suites
 
 
 def _threads() -> int:
+    text = os.environ.get("MBK_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("MBK_THREADS", "1")))
+        value = int(text)
     except ValueError:
+        value = 0
+    if value < 1:
+        print(f"mbkit: warning: MBK_THREADS={text!r} is not a positive integer; "
+              "using 1 worker", file=sys.stderr)
         return 1
+    return value
 
 
 def _sha256(path: Path) -> str:
@@ -250,7 +257,10 @@ def cmd_estimate(kind: str, p: int, precision=None, out=None,
         out = Path(out)
         out.with_suffix(".txt").write_text(text)
         out.with_suffix(".json").write_text(json.dumps(report, indent=2) + "\n")
-        _write_manifest(out, "estimate", {"kind": kind, "p": p}, wall,
+        parameters = {"kind": kind, "p": p}
+        if precision is not None:
+            parameters["precision"] = precision
+        _write_manifest(out, "estimate", parameters, wall,
                         [out.with_suffix(".txt"), out.with_suffix(".json")])
     return report
 
@@ -264,6 +274,9 @@ def cmd_rerun(manifest_path, out_dir=None) -> int:
     """Re-execute a manifest's command and compare output digests."""
     manifest = json.loads(Path(manifest_path).read_text())
     params = manifest["parameters"]
+    if manifest.get("version") != __version__:
+        print(f"mbkit: warning: manifest written by mbkit {manifest.get('version')}, "
+              f"rerunning with {__version__}", file=sys.stderr)
     out_dir = Path(out_dir) if out_dir else Path(manifest_path).parent / "rerun"
     out_dir.mkdir(parents=True, exist_ok=True)
     command = manifest["command"]
@@ -282,6 +295,15 @@ def cmd_rerun(manifest_path, out_dir=None) -> int:
             tuple(tuple(ax) for ax in params["window"]), tuple(params["dims"]),
             params["max_iter"], out_dir / stem, prune=params["prune"])
         produced = {p.name: p for p in (vox, cloud)}
+    elif command in ("verify", "estimate"):
+        out = out_dir / Path(next(iter(manifest["outputs"]))).stem
+        if command == "verify":
+            cmd_verify(params["suite"], seed=params["seed"], out=out)
+        else:
+            cmd_estimate(params["kind"], params["p"],
+                         precision=params.get("precision"), out=out)
+        produced = {p.name: p
+                    for p in (out.with_suffix(".txt"), out.with_suffix(".json"))}
     else:
         raise ValueError(f"cannot rerun command {command!r}")
     ok = True
@@ -296,6 +318,23 @@ def cmd_rerun(manifest_path, out_dir=None) -> int:
 # --- argument parsing -----------------------------------------------------------
 
 
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return parse
+
+
+_exponent = _int_at_least(2)
+_positive_int = _int_at_least(1)
+
+
 def _parse_window(text: str, axes: int):
     parts = text.split(",")
     if len(parts) != axes:
@@ -305,9 +344,13 @@ def _parse_window(text: str, axes: int):
     for part in parts:
         lo, _, hi = part.partition(":")
         try:
-            window.append((float(lo), float(hi)))
+            lo, hi = float(lo), float(hi)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad range {part!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise argparse.ArgumentTypeError(
+                f"range {part!r} must be finite with lo < hi")
+        window.append((lo, hi))
     return tuple(window)
 
 
@@ -320,12 +363,28 @@ def _window3(text: str):
 
 
 def _parse_dims(text: str):
-    parts = [int(v) for v in text.split(",")]
+    parts = [_positive_int(v) for v in text.split(",")]
     if len(parts) == 1:
         parts = parts * 3
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("dims must be N or NX,NY,NZ")
     return tuple(parts)
+
+
+def _slice_spec(text: str) -> SliceSpec:
+    try:
+        return SliceSpec.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _precision(kind: str, text: str):
+    """Bisection tolerance (real-extent) or grid size (others); None if invalid."""
+    try:
+        value = float(text) if kind == "real-extent" else int(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) and value > 0 else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,34 +397,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     r2 = sub.add_parser("render2d", help="render a 2D set to a P5 graymap")
     r2.add_argument("--set", choices=("multibrot", "hyperbrot"), default="multibrot")
-    r2.add_argument("--p", type=int, default=3)
+    r2.add_argument("--p", type=_exponent, default=3)
     r2.add_argument("--window", type=_window2, default=((-1.5, 1.5), (-1.5, 1.5)),
                     help="x0:x1,y0:y1 (default -1.5:1.5 squared)")
-    r2.add_argument("--res", type=int, default=1000, help="pixels per side")
-    r2.add_argument("--max-iter", type=int, default=1000)
+    r2.add_argument("--res", type=_positive_int, default=1000, help="pixels per side")
+    r2.add_argument("--max-iter", type=_positive_int, default=1000)
     r2.add_argument("--escape-radius", type=float, default=None)
     r2.add_argument("--out", required=True)
 
     r3 = sub.add_parser("render3d", help="export a 3D slice voxel grid + point cloud")
-    r3.add_argument("--slice", default="1,j1,j2", help="three units, e.g. 1,i1,i2")
-    r3.add_argument("--p", type=int, default=3)
+    r3.add_argument("--slice", type=_slice_spec, default="1,j1,j2",
+                    help="three units, e.g. 1,i1,i2")
+    r3.add_argument("--p", type=_exponent, default=3)
     r3.add_argument("--window", type=_window3,
                     default=((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)))
     r3.add_argument("--dims", type=_parse_dims, default=(128, 128, 128))
-    r3.add_argument("--max-iter", type=int, default=1000)
+    r3.add_argument("--max-iter", type=_positive_int, default=1000)
     r3.add_argument("--prune", action="store_true",
                     help="mark cells outside the bounding discus escaped at 1")
     r3.add_argument("--out", required=True)
 
     vf = sub.add_parser("verify", help="run numeric verification suites")
     vf.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    vf.add_argument("--seed", type=int, default=0)
+    vf.add_argument("--seed", type=_int_at_least(0), default=0)
     vf.add_argument("--out", default=None)
 
     es = sub.add_parser("estimate", help="estimate a quantity with its closed form")
     es.add_argument("--kind", required=True,
                     choices=("real-extent", "hyperbric-area", "perplexbric-volume"))
-    es.add_argument("--p", type=int, default=3)
+    es.add_argument("--p", type=_exponent, default=3)
     es.add_argument("--precision", default=None,
                     help="bisection tolerance (real-extent) or grid size (others)")
     es.add_argument("--out", default=None)
@@ -377,8 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
     if args.command == "render2d":
+        try:
+            IterationParams(args.p, args.max_iter, args.escape_radius)
+        except ValueError as exc:
+            ap.error(f"argument --escape-radius: {exc}")
         cmd_render2d(args.set, args.p, args.window, args.res,
                      args.max_iter, args.escape_radius, args.out)
         return 0
@@ -389,7 +454,15 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return cmd_verify(args.suite, seed=args.seed, out=args.out)
     if args.command == "estimate":
-        cmd_estimate(args.kind, args.p, precision=args.precision, out=args.out)
+        precision = None
+        if args.precision is not None:
+            precision = _precision(args.kind, args.precision)
+            if precision is None:
+                ap.error(f"argument --precision: invalid value {args.precision!r} "
+                         f"for --kind {args.kind}")
+        if args.kind == "perplexbric-volume" and args.p != 3:
+            ap.error("argument --p: the perplexbric-volume closed form holds for p = 3")
+        cmd_estimate(args.kind, args.p, precision=precision, out=args.out)
         return 0
     if args.command == "rerun":
         return cmd_rerun(args.manifest, args.out_dir)

@@ -14,6 +14,7 @@ A point not escaped after max_iter counts as a member.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .hypercomplex import (
     Bicomplex,
     Hyperbolic,
     Tricomplex,
+    _mul_coeffs,
     hyp_diamond,
     to_complex4,
     to_idempotent,
@@ -242,14 +244,17 @@ def _iterate_tricomplex_direct(c: Tricomplex, params: IterationParams) -> Escape
     p, max_iter = params.p, params.max_iter
     r2 = params.escape_radius * params.escape_radius
     guard2 = OVERFLOW_NORM * OVERFLOW_NORM
-    eta = Tricomplex.zero()
+    # Plain 8-tuples with the tc_mul product and the Tricomplex add.
+    c0, c1, c2, c3, c4, c5, c6, c7 = c.x
+    eta = (0.0,) * 8
     n2 = 0.0
     for m in range(1, max_iter + 1):
         ep = eta
         for _ in range(p - 1):
-            ep = ep * eta
-        eta = ep + c
-        n2 = sum(v * v for v in eta.x)
+            ep = _mul_coeffs(ep, eta)
+        e0, e1, e2, e3, e4, e5, e6, e7 = ep
+        eta = (e0 + c0, e1 + c1, e2 + c2, e3 + c3, e4 + c4, e5 + c5, e6 + c6, e7 + c7)
+        n2 = sum(v * v for v in eta)
         if n2 > r2 or n2 > guard2 or not math.isfinite(n2):
             return EscapeResult(True, m, math.sqrt(n2))
     return EscapeResult(False, max_iter, math.sqrt(n2))
@@ -339,9 +344,10 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
 
 def _run_blocks(c: np.ndarray, params: IterationParams, threads: int):
     n = c.shape[-1]
-    if threads <= 1 or n < 2 * threads:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1 or n < 2 * workers:
         return _counts_kernel(c, params)
-    bounds = [(k * n) // threads for k in range(threads + 1)]
+    bounds = [(k * n) // workers for k in range(workers + 1)]
     blocks = [c[..., lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
         parts = list(pool.map(lambda blk: _counts_kernel(blk, params), blocks))

@@ -74,7 +74,8 @@ PRODUCT_TABLE: tuple[tuple[tuple[int, int], ...], ...] = (
     ((1, 7), (1, 4), (-1, 3), (-1, 2), (1, 1), (-1, 6), (-1, 5), (1, 0)),
 )
 
-# Flat (i, j, sign, k) view of the table, the inner loop of multiplication.
+# Flat (i, j, sign, k) view of the table, the inner loop of mul_batch; the
+# written-out scalar product _mul_coeffs sums its terms in this order.
 _MUL_TERMS: tuple[tuple[int, int, int, int], ...] = tuple(
     (i, j, s, k)
     for i in range(8)
@@ -172,11 +173,28 @@ def tc_add(a: Tricomplex, b: Tricomplex) -> Tricomplex:
 
 def tc_mul(a: Tricomplex, b: Tricomplex) -> Tricomplex:
     """Product via the 8x8 unit table; commutative, distributes over +."""
-    xa, xb = a.x, b.x
-    out = [0.0] * 8
-    for i, j, s, k in _MUL_TERMS:
-        out[k] += s * xa[i] * xb[j]
-    return Tricomplex(tuple(out))
+    return Tricomplex(_mul_coeffs(a.x, b.x))
+
+
+def _mul_coeffs(xa: Sequence[float], xb: Sequence[float]) -> tuple[float, ...]:
+    """Unit-table product of two 8-coefficient tuples, written out.
+
+    Each coefficient sums its 8 terms in _MUL_TERMS order (increasing i) with
+    the PRODUCT_TABLE signs, starting from 0.0, so the floats, signed zeros
+    included, equal those of accumulating the table term by term.
+    """
+    a0, a1, a2, a3, a4, a5, a6, a7 = xa
+    b0, b1, b2, b3, b4, b5, b6, b7 = xb
+    return (
+        0.0 + a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3 - a4 * b4 + a5 * b5 + a6 * b6 + a7 * b7,
+        0.0 + a0 * b1 + a1 * b0 - a2 * b5 - a3 * b6 + a4 * b7 - a5 * b2 - a6 * b3 + a7 * b4,
+        0.0 + a0 * b2 - a1 * b5 + a2 * b0 - a3 * b7 + a4 * b6 - a5 * b1 + a6 * b4 - a7 * b3,
+        0.0 + a0 * b3 - a1 * b6 - a2 * b7 + a3 * b0 + a4 * b5 + a5 * b4 - a6 * b1 - a7 * b2,
+        0.0 + a0 * b4 + a1 * b7 + a2 * b6 + a3 * b5 + a4 * b0 + a5 * b3 + a6 * b2 + a7 * b1,
+        0.0 + a0 * b5 + a1 * b2 + a2 * b1 - a3 * b4 - a4 * b3 + a5 * b0 - a6 * b7 - a7 * b6,
+        0.0 + a0 * b6 + a1 * b3 - a2 * b4 + a3 * b1 - a4 * b2 - a5 * b7 + a6 * b0 - a7 * b5,
+        0.0 + a0 * b7 - a1 * b4 + a2 * b3 + a3 * b2 - a4 * b1 - a5 * b6 - a6 * b5 + a7 * b0,
+    )
 
 
 def tc_pow(a: Tricomplex, m: int) -> Tricomplex:

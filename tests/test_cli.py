@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from mbkit import __version__
 from mbkit.cli import (
+    _threads,
     build_parser,
     cmd_estimate,
     cmd_render2d,
@@ -172,6 +174,67 @@ def test_parser_rejects_bad_window():
     ap = build_parser()
     with pytest.raises(SystemExit):
         ap.parse_args(["render2d", "--window", "0:1", "--out", "x.pgm"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["render2d", "--p", "1"],
+    ["render2d", "--res", "0"],
+    ["render2d", "--max-iter", "0"],
+    ["render2d", "--window=1:-1,-1:1"],
+    ["render2d", "--window=0:0,-1:1"],
+    ["render2d", "--escape-radius", "0.5"],
+    ["render3d", "--dims", "0"],
+    ["render3d", "--dims", "8,0,8"],
+    ["render3d", "--p", "1"],
+    ["render3d", "--max-iter", "0"],
+    ["render3d", "--slice", "1,1,j1"],
+    ["render3d", "--window=-1:1,1:-1,-1:1"],
+    ["verify", "--seed", "-1"],
+    ["estimate", "--kind", "real-extent", "--precision", "abc"],
+    ["estimate", "--kind", "real-extent", "--precision", "0"],
+    ["estimate", "--kind", "hyperbric-area", "--precision", "1e-4"],
+    ["estimate", "--kind", "perplexbric-volume", "--p", "2"],
+], ids=" ".join)
+def test_bad_cli_input_exits_2_with_one_line_error(argv, tmp_path, capsys):
+    if argv[0] in ("render2d", "render3d"):
+        argv = argv + ["--out", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_bad_mbk_threads_warns(monkeypatch, capsys):
+    for text in ("two", "0"):
+        monkeypatch.setenv("MBK_THREADS", text)
+        assert _threads() == 1
+        assert "MBK_THREADS" in capsys.readouterr().err
+    monkeypatch.setenv("MBK_THREADS", "3")
+    assert _threads() == 3
+    assert capsys.readouterr().err == ""
+
+
+def test_rerun_verify_and_estimate_manifests(tmp_path, capsys):
+    assert cmd_verify("algebra", seed=0, out=tmp_path / "alg") == 0
+    cmd_estimate("real-extent", 3, precision=1e-3, out=tmp_path / "ext")
+    for name in ("alg", "ext"):
+        manifest_path = tmp_path / f"{name}.manifest.json"
+        capsys.readouterr()
+        assert cmd_rerun(manifest_path, tmp_path / f"redo_{name}") == 0
+        out = capsys.readouterr()
+        assert out.out.count(": match") == 2 and "warning" not in out.err
+    # A manifest from another version still reruns, with a warning.
+    manifest_path = tmp_path / "alg.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["version"] == __version__
+    manifest["version"] = "0.0.0-other"
+    manifest_path.write_text(json.dumps(manifest))
+    assert cmd_rerun(manifest_path, tmp_path / "redo_old") == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and "0.0.0-other" in err
 
 
 def test_only_verify_takes_a_seed():

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from mbkit import dynamics
 from mbkit.dynamics import (
     OVERFLOW_NORM,
     EscapeResult,
@@ -23,9 +25,10 @@ from mbkit.dynamics import (
     orbit_real,
     real_axis_extent,
 )
-from mbkit.hypercomplex import Hyperbolic, Tricomplex, to_complex4, to_idempotent
+from mbkit.hypercomplex import Bicomplex, Hyperbolic, Tricomplex, to_complex4, to_idempotent
 from mbkit.roots import MANDELBRIC_REAL_BOUND
 from mbkit.slices import SliceSpec, cell_centers
+from mbkit.suites import _bicomplex_member
 
 
 def test_params_validation():
@@ -206,6 +209,79 @@ def test_tricomplex_membership_is_componentwise(rng):
         assert member == both
 
 
+def _direct_reference(c, params, table_mul):
+    """The direct engine on Tricomplex values with the term-by-term table product."""
+    r2 = params.escape_radius * params.escape_radius
+    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
+    eta = Tricomplex.zero()
+    n2 = 0.0
+    for m in range(1, params.max_iter + 1):
+        ep = eta
+        for _ in range(params.p - 1):
+            ep = Tricomplex(table_mul(ep.x, eta.x))
+        eta = ep + c
+        n2 = sum(v * v for v in eta.x)
+        if n2 > r2 or n2 > guard2 or not math.isfinite(n2):
+            return EscapeResult(True, m, math.sqrt(n2))
+    return EscapeResult(False, params.max_iter, math.sqrt(n2))
+
+
+def _bits(r):
+    return r.escaped, r.iterations, r.final_norm.hex()
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_direct_tricomplex_matches_dataclass_loop(p, rng, table_mul):
+    params = IterationParams(p, 120)
+    bound = escape_bound(p)
+    cs = []
+    # Perplexbric and Tetrabric: the latest escapes (the boundary band) and
+    # a few members; then full 8-coefficient parameters, mostly escaping.
+    for units in ("1,j1,j2", "1,i1,i2"):
+        x8 = _slice_batch(units, ((-bound, bound),) * 3, 24)
+        counts, member = grid_counts_tricomplex(x8, params)
+        outside = np.flatnonzero(~member)
+        picks = outside[np.argsort(-counts[outside], kind="stable")[:10]]
+        picks = np.concatenate([picks, np.flatnonzero(member)[:3]])
+        cs += [x8[:, k] for k in picks]
+    cs += list(rng.uniform(-0.3 * bound, 0.3 * bound, (20, 8)))
+    escaped = 0
+    for x in cs:
+        c = Tricomplex(tuple(x))
+        got = iterate_tricomplex(c, params, "direct")
+        assert _bits(got) == _bits(_direct_reference(c, params, table_mul)), c.x
+        escaped += got.escaped
+    assert 20 <= escaped < len(cs)
+
+
+def _bicomplex_member_reference(c, params):
+    """The parent loop on Bicomplex values."""
+    r2 = params.escape_radius * params.escape_radius
+    z = Bicomplex.zero()
+    for _ in range(params.max_iter):
+        zp = z
+        for _k in range(params.p - 1):
+            zp = zp * z
+        z = zp + c
+        n2 = z.norm_sq()
+        if n2 > r2 or not math.isfinite(n2):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_bicomplex_member_matches_dataclass_loop(p, rng):
+    params = IterationParams(p, 200)
+    half = 0.45 * escape_bound(p)
+    members = 0
+    for _ in range(300):
+        c = Bicomplex(tuple(rng.uniform(-half, half, 4)))
+        got = _bicomplex_member(c, params)
+        assert got == _bicomplex_member_reference(c, params), c.z
+        members += got
+    assert 10 <= members <= 290
+
+
 def test_member_perplexbric_examples():
     r = MANDELBRIC_REAL_BOUND
     assert member_perplexbric_analytic(0.0, 0.0, 0.0)
@@ -314,7 +390,10 @@ def test_grid_tricomplex_matches_scalar(rng):
             rng)
 
 
-def test_grid_threads_do_not_change_output(rng):
+def test_grid_threads_do_not_change_output(rng, monkeypatch):
+    # Workers are capped at the CPU count; pretend to have 8 so every
+    # requested count below gives its own partition.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     params = IterationParams(3, 150)
     x8 = rng.uniform(-1.5, 1.5, (8, 500))
     cs = x8[0] + 1j * x8[1]
@@ -327,6 +406,34 @@ def test_grid_threads_do_not_change_output(rng):
     for threads in (3, 8):
         for (c, m), (c1, m1) in zip(runs[threads], runs[1]):
             assert np.array_equal(c, c1) and np.array_equal(m, m1)
+
+
+def test_grid_workers_capped_at_cpu_count(rng, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor and runs the blocks in this thread."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(dynamics, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 4)
+    params = IterationParams(3, 60)
+    cs = rng.uniform(-1.5, 1.5, 400) + 1j * rng.uniform(-1.5, 1.5, 400)
+    counts, member = grid_counts_complex(cs, params, threads=10_000)
+    assert pools and all(w <= os.cpu_count() for w in pools)
+    ref_counts, ref_member = grid_counts_complex(cs, params)
+    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
 
 
 def test_divergence_amplification_lemma(rng):

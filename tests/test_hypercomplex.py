@@ -96,6 +96,25 @@ def test_mul_examples():
     assert tc_mul(gamma, gamma_bar) == Tricomplex.zero()
 
 
+def _mixed_coeffs(rng):
+    """8 coefficients over several magnitudes, about a third of them +-0.0 or +-1.0."""
+    x = rng.uniform(-3, 3, 8) * 10.0 ** rng.integers(-4, 5, 8)
+    special = rng.random(8) < 0.35
+    x[special] = rng.choice([0.0, -0.0, 1.0, -1.0], int(special.sum()))
+    return tuple(float(v) for v in x)
+
+
+def test_tc_mul_equals_table_loop_bitwise(rng, table_mul):
+    # Every sign pattern of zeros against constant +-0.0 and +-1.0 tuples.
+    zeros = [tuple(-0.0 if m >> i & 1 else 0.0 for i in range(8)) for m in range(256)]
+    edges = [(v,) * 8 for v in (0.0, -0.0, 1.0, -1.0)]
+    pairs = [(a, b) for a in zeros for b in edges]
+    pairs += [(_mixed_coeffs(rng), _mixed_coeffs(rng)) for _ in range(3000)]
+    for xa, xb in pairs:
+        got = tc_mul(Tricomplex(xa), Tricomplex(xb)).x
+        assert [v.hex() for v in got] == [v.hex() for v in table_mul(xa, xb)], (xa, xb)
+
+
 def test_pow_examples():
     j1, i3 = Tricomplex.unit(U.J1), Tricomplex.unit(U.I3)
     assert tc_pow(t(i1=0.3, j2=-1.2), 0) == Tricomplex.one()
