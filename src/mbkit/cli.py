@@ -270,9 +270,34 @@ def _conjecture_status(agrees: bool) -> str:
     return "conjecture consistent" if agrees else "conjecture inconsistent"
 
 
+_RERUNNABLE = ("render2d", "render3d", "verify", "estimate")
+
+
+class ManifestError(ValueError):
+    """A manifest that cannot be read or does not describe a rerunnable command."""
+
+
+def _load_manifest(manifest_path) -> dict:
+    """Read a manifest, raising ManifestError unless it names a command to rerun."""
+    name = str(manifest_path)
+    try:
+        manifest = json.loads(Path(manifest_path).read_text())
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest {name!r}: {exc.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ManifestError(f"manifest {name!r} is not JSON: {exc}") from None
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("parameters"), dict)
+            and isinstance(manifest.get("outputs"), dict) and manifest["outputs"]):
+        raise ManifestError(f"manifest {name!r} needs a command, parameters and outputs")
+    if manifest.get("command") not in _RERUNNABLE:
+        raise ManifestError(f"cannot rerun command {manifest.get('command')!r}")
+    return manifest
+
+
 def cmd_rerun(manifest_path, out_dir=None) -> int:
     """Re-execute a manifest's command and compare output digests."""
-    manifest = json.loads(Path(manifest_path).read_text())
+    manifest = _load_manifest(manifest_path)
     params = manifest["parameters"]
     if manifest.get("version") != __version__:
         print(f"mbkit: warning: manifest written by mbkit {manifest.get('version')}, "
@@ -304,8 +329,6 @@ def cmd_rerun(manifest_path, out_dir=None) -> int:
                          precision=params.get("precision"), out=out)
         produced = {p.name: p
                     for p in (out.with_suffix(".txt"), out.with_suffix(".json"))}
-    else:
-        raise ValueError(f"cannot rerun command {command!r}")
     ok = True
     for name, digest in manifest["outputs"].items():
         got = _sha256(produced[name]) if name in produced else "missing"
@@ -465,7 +488,11 @@ def main(argv=None) -> int:
         cmd_estimate(args.kind, args.p, precision=precision, out=args.out)
         return 0
     if args.command == "rerun":
-        return cmd_rerun(args.manifest, args.out_dir)
+        try:
+            return cmd_rerun(args.manifest, args.out_dir)
+        except ManifestError as exc:
+            print(f"mbkit: error: {exc}", file=sys.stderr)
+            return 2
     raise AssertionError("unreachable")
 
 

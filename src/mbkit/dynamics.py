@@ -302,9 +302,14 @@ def member_perplexbric_union_form(c1: float, c4: float, c6: float) -> bool:
 # --- vectorized grid engines ----------------------------------------------------
 #
 # Each engine takes flat batches, returns (counts uint32, member bool).  All
-# four share one masked loop, which compacts the active set as points escape;
-# per-point results depend only on that point's value, so any partition of
-# the input yields identical output.
+# four share one masked loop, which compacts the active set as points escape
+# or fall into an exact cycle; per-point results depend only on that point's
+# value, so any partition of the input yields identical output.
+
+# First step at which the kernel snapshots the active state for cycle
+# detection.  An earlier snapshot would copy the whole batch before the
+# escapes of the first steps have shrunk it, raising peak memory.
+_FIRST_SNAPSHOT = 16
 
 
 def _counts_kernel(c: np.ndarray, params: IterationParams):
@@ -320,6 +325,7 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
     idx = np.arange(n)
     z = np.zeros_like(c)
     cc = c
+    snap = None
     for m in range(1, max_iter + 1):
         zp = z
         for _ in range(p - 1):
@@ -328,16 +334,34 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
         sq = z.real * z.real + z.imag * z.imag if is_complex else z * z
         n2 = ((sq[0] + sq[1]) + (sq[2] + sq[3])) * 0.25 if z.ndim == 2 else sq
         esc = (n2 > r2) | (n2 > guard2) | ~np.isfinite(n2)
-        if esc.any():
+        done = esc
+        if snap is not None:
+            # A state equal to an earlier non-escaped one repeats forever, so
+            # the point is a member (count max_iter) without running out the
+            # budget.  The step is a fixed sequence of IEEE * and +, so equal
+            # states stay equal up to the sign of zeros, which no norm sees;
+            # NaN never compares equal.
+            cyc = z == snap
+            if z.ndim == 2:
+                cyc = cyc.all(axis=0)
+            done = esc | cyc
+        if done.any():
             counts[idx[esc]] = m
             # take() on positions keeps numpy's fast 1-D path for both shapes;
             # a boolean mask on the last axis of a 2-D array is much slower.
-            pos = np.flatnonzero(~esc)
+            pos = np.flatnonzero(~done)
+            if snap is not None:
+                member[idx[cyc]] = True
+                snap = snap.take(pos, axis=-1)
             z = z.take(pos, axis=-1)
             cc = cc.take(pos, axis=-1)
             idx = idx[pos]
             if idx.size == 0:
                 break
+        # Brent's cycle finder: re-take the snapshot at each power of two.
+        # z is rebound, never written in place, so no copy is needed.
+        if m >= _FIRST_SNAPSHOT and m & (m - 1) == 0:
+            snap = z
     member[idx] = True
     return counts, member
 

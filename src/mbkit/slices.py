@@ -453,11 +453,15 @@ class VoxelGrid:
 
     def write_pointcloud(self, path) -> None:
         """One "x y z" text line per member cell center."""
-        ox, oy, oz = self.origin
-        sx, sy, sz = self.spacing
+        # Each axis coordinate is formatted once: entry i is
+        # repr(origin + i * spacing), the float a per-line format would give.
+        xr, yr, zr = (
+            [repr(o + i * s) for i in range(n)]
+            for o, s, n in zip(self.origin, self.spacing, self.cells.shape)
+        )
         with open(path, "w", encoding="ascii") as fh:
-            for i, j, k in np.argwhere(self.member_mask()).tolist():
-                fh.write(f"{ox + i * sx!r} {oy + j * sy!r} {oz + k * sz!r}\n")
+            fh.writelines(f"{xr[i]} {yr[j]} {zr[k]}\n"
+                          for i, j, k in np.argwhere(self.member_mask()).tolist())
 
 
 def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:

@@ -18,3 +18,41 @@ def table_mul():
             out[k] += s * xa[i] * xb[j]
         return tuple(out)
     return mul
+
+
+@pytest.fixture
+def kernel_no_retirement():
+    """The escape-time kernel without cycle retirement: every non-escaping
+    point runs the full budget.  The reference for dynamics._counts_kernel."""
+    from mbkit.dynamics import OVERFLOW_NORM
+
+    def kernel(c, params):
+        p, max_iter = params.p, params.max_iter
+        r2 = params.escape_radius * params.escape_radius
+        guard2 = OVERFLOW_NORM * OVERFLOW_NORM
+        is_complex = np.iscomplexobj(c)
+        n = c.shape[-1]
+        counts = np.full(n, max_iter, dtype=np.uint32)
+        member = np.zeros(n, dtype=bool)
+        idx = np.arange(n)
+        z = np.zeros_like(c)
+        cc = c
+        for m in range(1, max_iter + 1):
+            zp = z
+            for _ in range(p - 1):
+                zp = zp * z
+            z = zp + cc
+            sq = z.real * z.real + z.imag * z.imag if is_complex else z * z
+            n2 = ((sq[0] + sq[1]) + (sq[2] + sq[3])) * 0.25 if z.ndim == 2 else sq
+            esc = (n2 > r2) | (n2 > guard2) | ~np.isfinite(n2)
+            if esc.any():
+                counts[idx[esc]] = m
+                pos = np.flatnonzero(~esc)
+                z = z.take(pos, axis=-1)
+                cc = cc.take(pos, axis=-1)
+                idx = idx[pos]
+                if idx.size == 0:
+                    break
+        member[idx] = True
+        return counts, member
+    return kernel

@@ -235,6 +235,39 @@ def test_rerun_verify_and_estimate_manifests(tmp_path, capsys):
     assert cmd_rerun(manifest_path, tmp_path / "redo_old") == 0
     err = capsys.readouterr().err
     assert "warning" in err and "0.0.0-other" in err
+    # Through the command line too.
+    assert main(["rerun", "--manifest", str(tmp_path / "ext.manifest.json"),
+                 "--out-dir", str(tmp_path / "redo_cli")]) == 0
+    assert capsys.readouterr().out.count(": match") == 2
+
+
+_GOOD_MANIFEST = {"command": "estimate", "parameters": {"kind": "real-extent", "p": 3},
+                  "outputs": {"ext.txt": "0" * 64}}
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    b"{not json",
+    b"\xff\xfe",
+    b"[1, 2]",
+    json.dumps({k: v for k, v in _GOOD_MANIFEST.items() if k != "command"}).encode(),
+    json.dumps({k: v for k, v in _GOOD_MANIFEST.items() if k != "parameters"}).encode(),
+    json.dumps({k: v for k, v in _GOOD_MANIFEST.items() if k != "outputs"}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "outputs": {}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "parameters": [3]}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render4d"}).encode(),
+], ids=["missing", "bad-json", "not-utf8", "list", "no-command", "no-parameters",
+        "no-outputs", "empty-outputs", "list-parameters", "unknown-command"])
+def test_rerun_bad_manifest_exits_2_with_one_line_error(content, tmp_path, capsys):
+    path = tmp_path / "m.manifest.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["rerun", "--manifest", str(path),
+                 "--out-dir", str(tmp_path / "redo")]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("mbkit: error: ")
+    assert not (tmp_path / "redo").exists()
 
 
 def test_only_verify_takes_a_seed():

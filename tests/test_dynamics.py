@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -434,6 +435,100 @@ def test_grid_workers_capped_at_cpu_count(rng, monkeypatch):
     assert pools and all(w <= os.cpu_count() for w in pools)
     ref_counts, ref_member = grid_counts_complex(cs, params)
     assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+
+
+# --- cycle retirement --------------------------------------------------------------
+#
+# The kernel retires a point whose state equals its last power-of-two snapshot
+# as a member.  These tests pin it to the kernel without retirement (the
+# kernel_no_retirement fixture), with budgets ending before, at and just after
+# the snapshot steps 16 and 32.
+
+# Parameters whose first iterate has an infinite or NaN norm.
+_OVERFLOWING = (1e200, -1e155, np.inf, -np.inf, np.nan)
+
+
+def _kernel_state(kind):
+    """A kernel input of each state shape, with overflowing points appended."""
+    edge4 = np.zeros((4, 2 * len(_OVERFLOWING)))
+    for k, v in enumerate(_OVERFLOWING):
+        edge4[k % 4, k] = v
+        edge4[:, len(_OVERFLOWING) + k] = v
+    if kind == "complex":  # multibrot window
+        x, y = _plane(((-1.5, 1.5), (-1.5, 1.5)), 96)
+        edge = [complex(v, w) for v in _OVERFLOWING for w in (0.0, v)]
+        return np.concatenate([x + 1j * y, edge, [1e300j]])
+    if kind == "real":  # the hyperbrot window's component parameters
+        a, b = _plane(((-0.4, 0.4), (-0.4, 0.4)), 96)
+        return np.concatenate([np.unique(np.concatenate([a - b, a + b])), _OVERFLOWING])
+    if kind == "real4":  # Perplexbric
+        w = to_complex4(_slice_batch("1,j1,j2", ((-0.5, 0.5),) * 3, 24))
+        assert not w.imag.any()
+        return np.concatenate([w.real, edge4], axis=1)
+    w = to_complex4(_slice_batch("1,i1,i2", ((-1.5, 1.5),) * 3, 24))  # Tetrabric
+    cedge4 = edge4.astype(np.complex128)
+    cedge4.imag = edge4[::-1]
+    return np.concatenate([w, cedge4], axis=1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])
+def test_cycle_retirement_matches_kernel_without_it(kind, p, kernel_no_retirement,
+                                                    monkeypatch):
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    c = _kernel_state(kind)
+    assert c.ndim == (2 if kind.endswith("4") else 1)
+    assert np.iscomplexobj(c) == kind.startswith("complex")
+    for max_iter in (10, 16, 17, 33, 300):
+        params = IterationParams(p, max_iter)
+        ref_counts, ref_member = kernel_no_retirement(c, params)
+        runs = {threads: dynamics._run_blocks(c, params, threads)
+                for threads in (1, 2, 3)}
+        assert ref_member.any() and not ref_member.all()
+        assert (ref_counts[-len(_OVERFLOWING):] == 1).all()
+        for threads, (counts, member) in runs.items():
+            assert counts.dtype == ref_counts.dtype
+            assert np.array_equal(counts, ref_counts), (max_iter, threads)
+            assert np.array_equal(member, ref_member), (max_iter, threads)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])
+def test_slow_escapes_near_parabolic_points_are_not_retired(kind, kernel_no_retirement):
+    # Just outside the cusp of each real interval the orbit creeps past the
+    # parabolic fixed point, moving less than 1e-5 per step for hundreds of
+    # steps before it escapes: nearly, but never exactly, periodic.
+    for p, cusp in ((2, 0.25), (3, MANDELBRIC_REAL_BOUND)):
+        params = IterationParams(p, 3500)
+        c = np.array([cusp + eps for eps in (1e-6, 2e-6, 5e-6)])
+        if kind.endswith("4"):
+            c = np.tile(c, (4, 1))
+        if kind.startswith("complex"):
+            c = c.astype(np.complex128)
+        ref_counts, ref_member = kernel_no_retirement(c, params)
+        assert not ref_member.any() and ref_counts.min() > 1000
+        counts, member = dynamics._counts_kernel(c, params)
+        assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+
+
+def test_exact_cycles_retire_early():
+    # Orbits of 0 falling into exact float cycles at p = 2: the fixed point 0
+    # (c = 0), 0 -> -1 -> 0 (c = -1) and i -> -1+i -> -i -> -1+i (c = i).
+    # Running the whole budget would take about ten seconds per call.
+    params = IterationParams(2, 10 ** 6)
+    x8 = np.zeros((8, 3))
+    x8[0, 1] = -1.0
+    y8 = x8.copy()
+    y8[1, 2] = 1.0  # i1 gives complex idempotent components
+    start = time.perf_counter()
+    runs = [grid_counts_complex(np.array([0.0, -1.0, 1j]), params),
+            grid_counts_real(np.array([0.0, -1.0]), params),
+            grid_counts_tricomplex(x8, params),
+            grid_counts_tricomplex(y8, params)]
+    elapsed = time.perf_counter() - start
+    for counts, member in runs:
+        assert member.all() and (counts == params.max_iter).all()
+    assert elapsed < 5.0
 
 
 def test_divergence_amplification_lemma(rng):

@@ -8,6 +8,7 @@ from mbkit.slices import (
     PRINCIPAL_SLICES,
     ConjugacyMap,
     SliceSpec,
+    VoxelGrid,
     cell_centers,
     classify_principal,
     conjugacy_catalog,
@@ -220,6 +221,15 @@ def test_pointcloud_export(tmp_path):
     assert len(lines) == g.member_count()
     x, y, z = (float(v) for v in lines[0].split())
     assert abs(x) <= 0.5 and abs(y) <= 0.5 and abs(z) <= 0.5
+    # Same bytes as formatting origin + index * spacing on every line, on
+    # distinct axes whose products round.
+    g = VoxelGrid(g.spec, (-0.3, 0.1, 0.7), (0.1, 0.03, 1 / 3), (4, 3, 5), 5,
+                  np.arange(60, dtype=np.uint32).reshape(4, 3, 5) % 6)
+    g.write_pointcloud(path)
+    (ox, oy, oz), (sx, sy, sz) = g.origin, g.spacing
+    assert path.read_text() == "".join(
+        f"{ox + i * sx!r} {oy + j * sy!r} {oz + k * sz!r}\n"
+        for i, j, k in np.argwhere(g.member_mask()).tolist())
 
 
 def test_exports_byte_deterministic(tmp_path):
