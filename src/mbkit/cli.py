@@ -270,7 +270,13 @@ def _conjecture_status(agrees: bool) -> str:
     return "conjecture consistent" if agrees else "conjecture inconsistent"
 
 
-_RERUNNABLE = ("render2d", "render3d", "verify", "estimate")
+# The manifest parameters each rerunnable command reads.
+_RERUN_PARAMETERS = {
+    "render2d": ("set", "p", "window", "res", "max_iter", "escape_radius"),
+    "render3d": ("slice", "p", "window", "dims", "max_iter", "prune"),
+    "verify": ("suite", "seed"),
+    "estimate": ("kind", "p"),
+}
 
 
 class ManifestError(ValueError):
@@ -290,8 +296,14 @@ def _load_manifest(manifest_path) -> dict:
             and isinstance(manifest.get("parameters"), dict)
             and isinstance(manifest.get("outputs"), dict) and manifest["outputs"]):
         raise ManifestError(f"manifest {name!r} needs a command, parameters and outputs")
-    if manifest.get("command") not in _RERUNNABLE:
-        raise ManifestError(f"cannot rerun command {manifest.get('command')!r}")
+    command = manifest.get("command")
+    needed = _RERUN_PARAMETERS.get(command) if isinstance(command, str) else None
+    if needed is None:
+        raise ManifestError(f"cannot rerun command {command!r}")
+    missing = [k for k in needed if k not in manifest["parameters"]]
+    if missing:
+        raise ManifestError(f"manifest {name!r} lacks {command} parameters: "
+                            f"{', '.join(missing)}")
     return manifest
 
 

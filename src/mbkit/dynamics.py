@@ -55,6 +55,8 @@ class IterationParams:
         bound = escape_bound(self.p)
         if self.escape_radius is None:
             object.__setattr__(self, "escape_radius", bound)
+        elif not math.isfinite(self.escape_radius):
+            raise ValueError(f"escape_radius must be finite, got {self.escape_radius}")
         elif self.escape_radius < bound * (1.0 - 1e-12):
             raise ValueError(
                 f"escape_radius {self.escape_radius} below the sharp bound {bound}"
@@ -316,8 +318,10 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
     # c: (n,) parameters, or (4, n) tricomplex components escaping on their
     # combined RMS norm (the ring norm); real or complex either way.
     p, max_iter = params.p, params.max_iter
-    r2 = params.escape_radius * params.escape_radius
-    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
+    # n2 > r2, n2 > guard2 or n2 NaN, in one comparison: a sum of squares
+    # is never -inf, and NaN fails every <=.
+    lim = min(params.escape_radius * params.escape_radius,
+              OVERFLOW_NORM * OVERFLOW_NORM)
     is_complex = np.iscomplexobj(c)
     n = c.shape[-1]
     counts = np.full(n, max_iter, dtype=np.uint32)
@@ -327,13 +331,25 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
     cc = c
     snap = None
     for m in range(1, max_iter + 1):
-        zp = z
-        for _ in range(p - 1):
-            zp = zp * z
-        z = zp + cc
-        sq = z.real * z.real + z.imag * z.imag if is_complex else z * z
-        n2 = ((sq[0] + sq[1]) + (sq[2] + sq[3])) * 0.25 if z.ndim == 2 else sq
-        esc = (n2 > r2) | (n2 > guard2) | ~np.isfinite(n2)
+        # The same products and sums, formed in place in fresh arrays: z
+        # itself is never written, because snap may be the same array.
+        zp = z * z
+        for _ in range(p - 2):
+            zp *= z
+        zp += cc
+        z = zp
+        if is_complex:
+            sq = z.real * z.real
+            sq += z.imag * z.imag
+        else:
+            sq = z * z
+        if z.ndim == 2:
+            n2 = sq[0] + sq[1]
+            n2 += sq[2] + sq[3]
+            n2 *= 0.25
+        else:
+            n2 = sq
+        esc = ~(n2 <= lim)
         done = esc
         if snap is not None:
             # A state equal to an earlier non-escaped one repeats forever, so
@@ -404,11 +420,13 @@ def grid_counts_hyperbolic(
     b = np.ascontiguousarray(b, dtype=np.float64).ravel()
     cm = a - b
     cp = a + b
-    uniq, inverse = np.unique(np.concatenate([cm, cp]), return_inverse=True)
+    # Sorting the values and searching them is much faster than the argsort
+    # behind return_inverse; -0.0 finds the entry of 0.0, which has its orbit.
+    uniq = np.unique(np.concatenate([cm, cp]))
+    im, ip = np.searchsorted(uniq, cm), np.searchsorted(uniq, cp)
     counts_u, member_u = _run_blocks(uniq, params, threads)
-    n = a.size
-    counts = np.minimum(counts_u[inverse[:n]], counts_u[inverse[n:]])
-    member = member_u[inverse[:n]] & member_u[inverse[n:]]
+    counts = np.minimum(counts_u[im], counts_u[ip])
+    member = member_u[im] & member_u[ip]
     return counts, member
 
 

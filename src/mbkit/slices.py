@@ -474,6 +474,11 @@ def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return frac * width + mid
 
 
+# Cells per sampling slab.  sample_slice holds one slab's batch and kernel
+# state at a time, so its memory beyond the 4-byte counts stays flat in dims.
+_SLAB_CELLS = 1 << 18
+
+
 def sample_slice(
     spec: SliceSpec,
     window,
@@ -486,7 +491,9 @@ def sample_slice(
 
     With prune=True, cells outside the closed discus of radius 2^(1/(p-1))
     cannot be members and are marked escaped at iteration 1 without
-    iterating.
+    iterating.  The window is sampled in slabs of consecutive row-major
+    cells; every per-cell operation is elementwise, so the counts do not
+    depend on the slab size.
     """
     (x0, x1), (y0, y1), (z0, z1) = window
     nx, ny, nz = (int(d) for d in dims)
@@ -497,20 +504,24 @@ def sample_slice(
     xs = cell_centers(x0, x1, nx)
     ys = cell_centers(y0, y1, ny)
     zs = cell_centers(z0, z1, nz)
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    coords = (gx.ravel(), gy.ravel(), gz.ravel())
-    x8 = np.zeros((8, nx * ny * nz))
-    for u, vals in zip(spec.units, coords):
-        x8[u] = vals
-
-    if prune:
-        keep = _inside_discus_batch(x8, escape_bound(params.p))
-        counts = np.ones(x8.shape[1], dtype=np.uint32)
-        if keep.any():
-            inner, _ = grid_counts_tricomplex(x8[:, keep], params, threads=threads)
-            counts[keep] = inner
-    else:
-        counts, _ = grid_counts_tricomplex(x8, params, threads=threads)
+    radius = escape_bound(params.p)
+    counts = np.ones(nx * ny * nz, dtype=np.uint32)  # pruned cells escape at 1
+    for lo in range(0, counts.size, _SLAB_CELLS):
+        hi = min(lo + _SLAB_CELLS, counts.size)
+        # Gathering the cell_centers entries gives the floats a meshgrid
+        # would copy, so symmetric windows still mirror exactly.
+        cell = np.unravel_index(np.arange(lo, hi), (nx, ny, nz))
+        x8 = np.zeros((8, hi - lo))
+        for u, axis, k in zip(spec.units, (xs, ys, zs), cell):
+            x8[u] = axis[k]
+        out = counts[lo:hi]
+        if prune:
+            keep = _inside_discus_batch(x8, radius)
+            if keep.any():
+                out[keep], _ = grid_counts_tricomplex(x8[:, keep], params,
+                                                      threads=threads)
+        else:
+            out[:], _ = grid_counts_tricomplex(x8, params, threads=threads)
 
     origin = (float(xs[0]), float(ys[0]), float(zs[0]))
     spacing = (
@@ -534,6 +545,8 @@ def _inside_discus_batch(x8: np.ndarray, radius: float) -> np.ndarray:
     u1 = np.stack([x[0] + x[7], x[1] + x[4], x[2] - x[3], x[5] - x[6]])
     u2 = np.stack([x[0] - x[7], x[1] - x[4], x[2] + x[3], x[5] + x[6]])
     r2 = radius * radius
-    n1 = np.einsum("ij,ij->j", u1, u1)
-    n2 = np.einsum("ij,ij->j", u2, u2)
+    # Summed in einsum's full-batch order, but elementwise: einsum adds the
+    # four terms in another order when the batch holds a single column.
+    n1 = ((u1[0] * u1[0] + u1[1] * u1[1]) + u1[2] * u1[2]) + u1[3] * u1[3]
+    n2 = ((u2[0] * u2[0] + u2[1] * u2[1]) + u2[2] * u2[2]) + u2[3] * u2[3]
     return (n1 <= r2) & (n2 <= r2)

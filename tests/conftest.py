@@ -56,3 +56,38 @@ def kernel_no_retirement():
         member[idx] = True
         return counts, member
     return kernel
+
+
+@pytest.fixture
+def sample_slice_whole_window():
+    """slices.sample_slice building the whole window's batch in one piece:
+    meshgrid coordinates and one kernel call.  The reference for the
+    slab-streamed sampling."""
+    from mbkit.dynamics import escape_bound, grid_counts_tricomplex
+    from mbkit.slices import VoxelGrid, _inside_discus_batch, cell_centers
+
+    def sample(spec, window, dims, params, prune=False, threads=1):
+        (x0, x1), (y0, y1), (z0, z1) = window
+        nx, ny, nz = (int(d) for d in dims)
+        xs = cell_centers(x0, x1, nx)
+        ys = cell_centers(y0, y1, ny)
+        zs = cell_centers(z0, z1, nz)
+        gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
+        coords = (gx.ravel(), gy.ravel(), gz.ravel())
+        x8 = np.zeros((8, nx * ny * nz))
+        for u, vals in zip(spec.units, coords):
+            x8[u] = vals
+        if prune:
+            keep = _inside_discus_batch(x8, escape_bound(params.p))
+            counts = np.ones(x8.shape[1], dtype=np.uint32)
+            if keep.any():
+                inner, _ = grid_counts_tricomplex(x8[:, keep], params, threads=threads)
+                counts[keep] = inner
+        else:
+            counts, _ = grid_counts_tricomplex(x8, params, threads=threads)
+        origin = (float(xs[0]), float(ys[0]), float(zs[0]))
+        spacing = (float((x1 - x0) / nx), float((y1 - y0) / ny),
+                   float((z1 - z0) / nz))
+        return VoxelGrid(spec, origin, spacing, (nx, ny, nz), params.max_iter,
+                         counts.reshape(nx, ny, nz))
+    return sample

@@ -183,6 +183,8 @@ def test_parser_rejects_bad_window():
     ["render2d", "--window=1:-1,-1:1"],
     ["render2d", "--window=0:0,-1:1"],
     ["render2d", "--escape-radius", "0.5"],
+    ["render2d", "--escape-radius", "nan"],
+    ["render2d", "--escape-radius", "inf"],
     ["render3d", "--dims", "0"],
     ["render3d", "--dims", "8,0,8"],
     ["render3d", "--p", "1"],
@@ -256,8 +258,12 @@ _GOOD_MANIFEST = {"command": "estimate", "parameters": {"kind": "real-extent", "
     json.dumps({**_GOOD_MANIFEST, "outputs": {}}).encode(),
     json.dumps({**_GOOD_MANIFEST, "parameters": [3]}).encode(),
     json.dumps({**_GOOD_MANIFEST, "command": "render4d"}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": ["estimate"]}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "parameters": {"kind": "real-extent"}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render3d"}).encode(),
 ], ids=["missing", "bad-json", "not-utf8", "list", "no-command", "no-parameters",
-        "no-outputs", "empty-outputs", "list-parameters", "unknown-command"])
+        "no-outputs", "empty-outputs", "list-parameters", "unknown-command",
+        "list-command", "estimate-without-p", "render3d-with-estimate-parameters"])
 def test_rerun_bad_manifest_exits_2_with_one_line_error(content, tmp_path, capsys):
     path = tmp_path / "m.manifest.json"
     if content is not None:

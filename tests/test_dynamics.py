@@ -42,6 +42,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         IterationParams(3, 100, 1.0)  # below the sharp bound
     assert IterationParams(3, 100, 2.0).escape_radius == 2.0
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            IterationParams(3, 10, radius)
 
 
 def test_iterate_complex_examples():
@@ -491,6 +494,22 @@ def test_cycle_retirement_matches_kernel_without_it(kind, p, kernel_no_retiremen
             assert counts.dtype == ref_counts.dtype
             assert np.array_equal(counts, ref_counts), (max_iter, threads)
             assert np.array_equal(member, ref_member), (max_iter, threads)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])
+def test_escape_radius_beyond_the_overflow_guard(kind, kernel_no_retirement):
+    # The squared radius 1e300 exceeds the squared guard, which then decides
+    # every escape.
+    c = _kernel_state(kind)
+    params = IterationParams(3, 100, 1e150)
+    assert params.escape_radius ** 2 > OVERFLOW_NORM ** 2
+    ref_counts, ref_member = kernel_no_retirement(c, params)
+    assert ref_member.any() and (ref_counts[-len(_OVERFLOWING):] == 1).all()
+    assert not np.array_equal(ref_counts,
+                              kernel_no_retirement(c, IterationParams(3, 100))[0])
+    counts, member = dynamics._counts_kernel(c, params)
+    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])

@@ -1,7 +1,11 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mbkit.dynamics import IterationParams, grid_counts_complex
+from mbkit import slices
+from mbkit.dynamics import IterationParams, escape_bound, grid_counts_complex
 from mbkit.hypercomplex import Tricomplex, UnitIndex
 from mbkit.roots import MANDELBRIC_REAL_BOUND
 from mbkit.slices import (
@@ -262,3 +266,66 @@ def test_window_outside_bounding_discus_is_empty():
     g = sample_slice(PRINCIPAL_SLICES["Tetrabric"], ((5.0, 6.0),) * 3,
                      (8, 8, 8), params)
     assert g.member_count() == 0
+
+
+# --- slab streaming ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("prune", [False, True], ids=["full", "prune"])
+@pytest.mark.parametrize("name", list(PRINCIPAL_SLICES))
+def test_streamed_sampling_matches_whole_window(name, prune, monkeypatch,
+                                                sample_slice_whole_window):
+    # Pretend to have 8 CPUs so threads 2 and 3 split each slab.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    params = IterationParams(3, 40)
+    spec = PRINCIPAL_SLICES[name]
+    dims = (13, 7, 11)  # 1001 cells, 77 per x-plane
+    # A symmetric window puts cell centers on 0 in every axis; the other is not.
+    for window in (((-1.5, 1.5),) * 3, ((-1.3, 0.4), (-0.2, 1.1), (-0.9, 0.7))):
+        ref = sample_slice_whole_window(spec, window, dims, params, prune=prune)
+        assert 0 < ref.member_count() < ref.cells.size
+        # One cell per slab, less than one x-plane, a size that does not
+        # divide the cell count, and the whole window in one slab.
+        for slab, threads in ((1, 1), (50, 1), (50, 2), (173, 3), (1 << 18, 2)):
+            monkeypatch.setattr(slices, "_SLAB_CELLS", slab)
+            g = sample_slice(spec, window, dims, params, prune=prune, threads=threads)
+            assert g == ref
+            assert g.cells.dtype == ref.cells.dtype
+            assert np.array_equal(g.cells, ref.cells), (window, slab, threads)
+
+
+def test_discus_mask_does_not_depend_on_batch_size(rng):
+    # Points scaled onto the discus boundary, where the last bit of the
+    # component norms decides membership.
+    radius = escape_bound(3)
+    x8 = rng.standard_normal((8, 2000))
+    x8 *= radius / np.sqrt(np.maximum(
+        ((x8[0] + x8[7]) ** 2 + (x8[1] + x8[4]) ** 2 + (x8[2] - x8[3]) ** 2
+         + (x8[5] - x8[6]) ** 2),
+        ((x8[0] - x8[7]) ** 2 + (x8[1] - x8[4]) ** 2 + (x8[2] + x8[3]) ** 2
+         + (x8[5] + x8[6]) ** 2)))
+    whole = slices._inside_discus_batch(x8, radius)
+    assert whole.any() and not whole.all()
+    single = [slices._inside_discus_batch(x8[:, k:k + 1], radius)[0]
+              for k in range(x8.shape[1])]
+    assert np.array_equal(whole, single)
+
+
+def _sampling_peak(n):
+    params = IterationParams(3, 8)
+    tracemalloc.start()
+    try:
+        g = sample_slice(PRINCIPAL_SLICES["Perplexbric"], ((-0.5, 0.5),) * 3,
+                         (n, n, n), params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.cells.shape == (n, n, n)
+    return peak
+
+
+def test_sample_slice_memory_is_flat_in_dims():
+    # Beyond the 4-byte counts, sampling holds one slab at a time; the
+    # whole-window batch took about 368 bytes per cell.
+    small, large = _sampling_peak(64), _sampling_peak(128)
+    assert large - small <= 8 * (128 ** 3 - 64 ** 3)
