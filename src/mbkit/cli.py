@@ -270,15 +270,6 @@ def _conjecture_status(agrees: bool) -> str:
     return "conjecture consistent" if agrees else "conjecture inconsistent"
 
 
-# The manifest parameters each rerunnable command reads.
-_RERUN_PARAMETERS = {
-    "render2d": ("set", "p", "window", "res", "max_iter", "escape_radius"),
-    "render3d": ("slice", "p", "window", "dims", "max_iter", "prune"),
-    "verify": ("suite", "seed"),
-    "estimate": ("kind", "p"),
-}
-
-
 class ManifestError(ValueError):
     """A manifest that cannot be read or does not describe a rerunnable command."""
 
@@ -300,11 +291,38 @@ def _load_manifest(manifest_path) -> dict:
     needed = _RERUN_PARAMETERS.get(command) if isinstance(command, str) else None
     if needed is None:
         raise ManifestError(f"cannot rerun command {command!r}")
-    missing = [k for k in needed if k not in manifest["parameters"]]
+    params = manifest["parameters"]
+    missing = [k for k in needed if k not in params]
     if missing:
         raise ManifestError(f"manifest {name!r} lacks {command} parameters: "
                             f"{', '.join(missing)}")
+    # Each value goes through the converter of the matching command-line
+    # option, so a bad one is rejected as the command line would reject it.
+    for key, convert in needed.items():
+        try:
+            params[key] = convert(params[key])
+        except (argparse.ArgumentTypeError, ValueError, TypeError) as exc:
+            raise ManifestError(f"manifest {name!r} parameter {key}: {exc}") from None
+    try:
+        _check_combination(command, params)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise ManifestError(f"manifest {name!r}: {exc}") from None
     return manifest
+
+
+def _check_combination(command: str, params: dict) -> None:
+    # The checks main makes across options.
+    if command == "render2d":
+        IterationParams(params["p"], params["max_iter"], params["escape_radius"])
+    elif command == "estimate":
+        precision = params.get("precision")
+        if precision is not None:
+            params["precision"] = _precision(params["kind"], _text(precision))
+            if params["precision"] is None:
+                raise ValueError(f"invalid precision {precision!r} for kind "
+                                 f"{params['kind']}")
+        if params["kind"] == "perplexbric-volume" and params["p"] != 3:
+            raise ValueError("the perplexbric-volume closed form holds for p = 3")
 
 
 def cmd_rerun(manifest_path, out_dir=None) -> int:
@@ -422,6 +440,73 @@ def _precision(kind: str, text: str):
     return value if math.isfinite(value) and value > 0 else None
 
 
+def _from_text(parse):
+    # A manifest value through a command-line converter, as its text.
+    def convert(value):
+        if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+            raise argparse.ArgumentTypeError(f"invalid value {value!r}")
+        return parse(str(value))
+    return convert
+
+
+def _choice(*names):
+    def convert(value):
+        if value not in names:
+            raise argparse.ArgumentTypeError(f"invalid choice {value!r}")
+        return value
+    return convert
+
+
+def _ranges(axes: int):
+    def convert(value):
+        if not (isinstance(value, list)
+                and all(isinstance(ax, list) and len(ax) == 2 for ax in value)):
+            raise argparse.ArgumentTypeError(f"expected [lo, hi] ranges, got {value!r}")
+        return _parse_window(",".join(f"{_text(lo)}:{_text(hi)}" for lo, hi in value),
+                             axes)
+    return convert
+
+
+def _sizes(count: int):
+    def convert(value):
+        if not (isinstance(value, list) and len(value) == count):
+            raise argparse.ArgumentTypeError(f"expected {count} sizes, got {value!r}")
+        return tuple(_from_text(_positive_int)(v) for v in value)
+    return convert
+
+
+def _text(value) -> str:
+    return _from_text(str)(value)
+
+
+def _flag(value):
+    if not isinstance(value, bool):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _radius(value):
+    return None if value is None else _from_text(float)(value)
+
+
+_SETS = ("multibrot", "hyperbrot")
+_ESTIMATE_KINDS = ("real-extent", "hyperbric-area", "perplexbric-volume")
+
+# The manifest parameters each rerunnable command reads, with the converter
+# of the matching command-line option.
+_RERUN_PARAMETERS = {
+    "render2d": {"set": _choice(*_SETS), "p": _from_text(_exponent),
+                 "window": _ranges(2), "res": _sizes(2),
+                 "max_iter": _from_text(_positive_int), "escape_radius": _radius},
+    "render3d": {"slice": _from_text(_slice_spec), "p": _from_text(_exponent),
+                 "window": _ranges(3), "dims": _sizes(3),
+                 "max_iter": _from_text(_positive_int), "prune": _flag},
+    "verify": {"suite": _choice(*SUITE_NAMES, "all"),
+               "seed": _from_text(_int_at_least(0))},
+    "estimate": {"kind": _choice(*_ESTIMATE_KINDS), "p": _from_text(_exponent)},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mbkit",
@@ -431,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     r2 = sub.add_parser("render2d", help="render a 2D set to a P5 graymap")
-    r2.add_argument("--set", choices=("multibrot", "hyperbrot"), default="multibrot")
+    r2.add_argument("--set", choices=_SETS, default="multibrot")
     r2.add_argument("--p", type=_exponent, default=3)
     r2.add_argument("--window", type=_window2, default=((-1.5, 1.5), (-1.5, 1.5)),
                     help="x0:x1,y0:y1 (default -1.5:1.5 squared)")
@@ -458,8 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--out", default=None)
 
     es = sub.add_parser("estimate", help="estimate a quantity with its closed form")
-    es.add_argument("--kind", required=True,
-                    choices=("real-extent", "hyperbric-area", "perplexbric-volume"))
+    es.add_argument("--kind", required=True, choices=_ESTIMATE_KINDS)
     es.add_argument("--p", type=_exponent, default=3)
     es.add_argument("--precision", default=None,
                     help="bisection tolerance (real-extent) or grid size (others)")

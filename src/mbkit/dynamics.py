@@ -26,7 +26,6 @@ from .hypercomplex import (
     Tricomplex,
     _mul_coeffs,
     hyp_diamond,
-    to_complex4,
     to_idempotent,
 )
 from .roots import MANDELBRIC_REAL_BOUND, escape_bound
@@ -430,17 +429,16 @@ def grid_counts_hyperbolic(
     return counts, member
 
 
-def grid_counts_tricomplex(x8: np.ndarray, params: IterationParams, threads: int = 1):
-    """Counts/member for an (8, n) tricomplex coefficient batch.
+def grid_counts_tricomplex(w: np.ndarray, params: IterationParams, threads: int = 1):
+    """Counts/member for a (4, n) batch of tricomplex idempotent components.
 
-    Iterates the four complex components (multiplication is componentwise
-    there) and escapes on the combined ring norm, which matches the direct
-    engine's criterion.
+    w holds the four complex components of hypercomplex.to_complex4, as a
+    float64 batch when they are real (the parameters have no i-unit) and
+    complex128 otherwise.  Multiplication is componentwise there, and the
+    escape test uses the combined ring norm, the direct engine's criterion.
     """
-    x8 = np.ascontiguousarray(x8, dtype=np.float64)
-    if x8.ndim != 2 or x8.shape[0] != 8:
-        raise ValueError("expected an (8, n) coefficient batch")
-    w = to_complex4(x8)
-    if not w.imag.any():
-        return _run_blocks(w.real.copy(), params, threads)
-    return _run_blocks(w, params, threads)
+    w = np.asarray(w)
+    if w.ndim != 2 or w.shape[0] != 4:
+        raise ValueError("expected a (4, n) component batch")
+    dtype = np.complex128 if np.iscomplexobj(w) else np.float64
+    return _run_blocks(np.ascontiguousarray(w, dtype=dtype), params, threads)

@@ -517,18 +517,62 @@ def to_complex4(batch: np.ndarray) -> np.ndarray:
     splits into two complex ones; multiplication is componentwise on the
     result and the squared ring norm is the mean of the 4 squared moduli.
     """
-    x = batch
-    re1 = (x[0] + x[7]) + (x[5] - x[6])
-    im1 = (x[1] + x[4]) - (x[2] - x[3])
-    re2 = (x[0] + x[7]) - (x[5] - x[6])
-    im2 = (x[1] + x[4]) + (x[2] - x[3])
-    re3 = (x[0] - x[7]) + (x[5] + x[6])
-    im3 = (x[1] - x[4]) - (x[2] + x[3])
-    re4 = (x[0] - x[7]) - (x[5] + x[6])
-    im4 = (x[1] - x[4]) + (x[2] + x[3])
-    out = np.empty((4,) + x.shape[1:], dtype=np.complex128)
-    out[0] = re1 + 1j * im1
-    out[1] = re2 + 1j * im2
-    out[2] = re3 + 1j * im3
-    out[3] = re4 + 1j * im4
+    out = np.empty((4,) + batch.shape[1:], dtype=np.complex128)
+    complex4_rows(list(batch), out)
+    return out
+
+
+def complex4_rows(x, out: np.ndarray):
+    """Write to_complex4's components of 8 coefficient rows x into out.
+
+    A row of x may be None, standing for a zero row; terms with it are
+    dropped (x + 0 -> x, 0 - x -> -x), which changes no value beyond the
+    sign of a zero.  out is (4, n) complex, or real when every imaginary
+    part is absent (x has no i-unit row).  Returns the rows of the two
+    bicomplex idempotent components (x0±x7, x1±x4, x2∓x3, x5∓x6), None
+    where absent.
+    """
+    p07, m07 = _add(x[0], x[7]), _sub(x[0], x[7])
+    p14, m14 = _add(x[1], x[4]), _sub(x[1], x[4])
+    p23, m23 = _add(x[2], x[3]), _sub(x[2], x[3])
+    p56, m56 = _add(x[5], x[6]), _sub(x[5], x[6])
+    parts = (
+        (_add, p07, m56, _sub, p14, m23),
+        (_sub, p07, m56, _add, p14, m23),
+        (_add, m07, p56, _sub, m14, p23),
+        (_sub, m07, p56, _add, m14, p23),
+    )
+    is_complex = np.iscomplexobj(out)
+    for k, (re_op, a, b, im_op, c, d) in enumerate(parts):
+        if is_complex:
+            re_op(a, b, out=out[k].real)
+            im_op(c, d, out=out[k].imag)
+        elif c is None and d is None:
+            re_op(a, b, out=out[k])
+        else:
+            raise ValueError("components with an imaginary part need a complex out")
+    return (p07, p14, m23, m56), (m07, m14, p23, p56)
+
+
+def _add(a, b, out=None):
+    return _combine(np.add, a, b, out)
+
+
+def _sub(a, b, out=None):
+    return _combine(np.subtract, a, b, out)
+
+
+def _combine(op, a, b, out):
+    # op(a, b) with None a zero row; with out given, the result lands there.
+    if a is not None and b is not None:
+        return op(a, b, out=out)
+    if a is None and b is not None and op is np.subtract:
+        return np.negative(b, out=out)
+    r = a if b is None else b
+    if out is None:
+        return r
+    if r is None:
+        out.fill(0.0)
+    else:
+        np.copyto(out, r)
     return out

@@ -23,6 +23,7 @@ from .dynamics import IterationParams, escape_bound, grid_counts_tricomplex
 from .hypercomplex import (
     Tricomplex,
     UnitIndex,
+    complex4_rows,
     iteration_span_units,
     parse_unit,
     pow_batch,
@@ -63,6 +64,12 @@ class SliceSpec:
     def span4(self) -> tuple[UnitIndex, ...]:
         """The 4 units spanning the iteration space of this slice."""
         return iteration_span_units(self.units)
+
+    @property
+    def real_components(self) -> bool:
+        """True when no unit is an i-unit: only the i-unit coefficients give
+        the idempotent components (to_complex4) an imaginary part."""
+        return not any(U.I1 <= u <= U.I4 for u in self.units)
 
     def label(self) -> str:
         return ",".join(u.label for u in self.units)
@@ -447,9 +454,10 @@ class VoxelGrid:
                 self.max_iter,
             )
         )
+        cells = np.ascontiguousarray(self.cells, dtype="<u4")
         with open(path, "wb") as fh:
             fh.write(header.encode("ascii"))
-            fh.write(np.ascontiguousarray(self.cells, dtype="<u4").tobytes())
+            fh.write(memoryview(cells).cast("B"))
 
     def write_pointcloud(self, path) -> None:
         """One "x y z" text line per member cell center."""
@@ -459,9 +467,12 @@ class VoxelGrid:
             [repr(o + i * s) for i in range(n)]
             for o, s, n in zip(self.origin, self.spacing, self.cells.shape)
         )
+        # One x-plane at a time, in row-major order: the member indices of
+        # a single plane are held, never those of the whole grid.
         with open(path, "w", encoding="ascii") as fh:
-            fh.writelines(f"{xr[i]} {yr[j]} {zr[k]}\n"
-                          for i, j, k in np.argwhere(self.member_mask()).tolist())
+            for x, plane in zip(xr, self.cells):
+                fh.writelines(f"{x} {yr[j]} {zr[k]}\n" for j, k in
+                              np.argwhere(plane == self.max_iter).tolist())
 
 
 def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
@@ -505,23 +516,28 @@ def sample_slice(
     ys = cell_centers(y0, y1, ny)
     zs = cell_centers(z0, z1, nz)
     radius = escape_bound(params.p)
+    dtype = np.float64 if spec.real_components else np.complex128
     counts = np.ones(nx * ny * nz, dtype=np.uint32)  # pruned cells escape at 1
     for lo in range(0, counts.size, _SLAB_CELLS):
         hi = min(lo + _SLAB_CELLS, counts.size)
         # Gathering the cell_centers entries gives the floats a meshgrid
         # would copy, so symmetric windows still mirror exactly.
         cell = np.unravel_index(np.arange(lo, hi), (nx, ny, nz))
-        x8 = np.zeros((8, hi - lo))
+        x = [None] * 8  # the five coefficients outside the slice are zero
         for u, axis, k in zip(spec.units, (xs, ys, zs), cell):
-            x8[u] = axis[k]
+            x[u] = axis[k]
+        # A fresh batch per slab: a caller of grid_counts_tricomplex may keep
+        # its argument (the benchmark tracer replays every call).
+        w = np.empty((4, hi - lo), dtype=dtype)
+        u1, u2 = complex4_rows(x, w)
         out = counts[lo:hi]
         if prune:
-            keep = _inside_discus_batch(x8, radius)
+            keep = _inside_discus(u1, u2, radius)
             if keep.any():
-                out[keep], _ = grid_counts_tricomplex(x8[:, keep], params,
+                out[keep], _ = grid_counts_tricomplex(w[:, keep], params,
                                                       threads=threads)
         else:
-            out[:], _ = grid_counts_tricomplex(x8, params, threads=threads)
+            out[:], _ = grid_counts_tricomplex(w, params, threads=threads)
 
     origin = (float(xs[0]), float(ys[0]), float(zs[0]))
     spacing = (
@@ -539,14 +555,23 @@ def sample_slice(
     )
 
 
-def _inside_discus_batch(x8: np.ndarray, radius: float) -> np.ndarray:
-    """Closed-discus membership (both idempotent component norms <= radius)."""
-    x = x8
-    u1 = np.stack([x[0] + x[7], x[1] + x[4], x[2] - x[3], x[5] - x[6]])
-    u2 = np.stack([x[0] - x[7], x[1] - x[4], x[2] + x[3], x[5] + x[6]])
+def _inside_discus(u1, u2, radius: float) -> np.ndarray:
+    """Closed-discus membership (both idempotent component norms <= radius).
+
+    u1 and u2 are the rows of the two bicomplex components, None where a
+    row is zero (complex4_rows).
+    """
     r2 = radius * radius
-    # Summed in einsum's full-batch order, but elementwise: einsum adds the
-    # four terms in another order when the batch holds a single column.
-    n1 = ((u1[0] * u1[0] + u1[1] * u1[1]) + u1[2] * u1[2]) + u1[3] * u1[3]
-    n2 = ((u2[0] * u2[0] + u2[1] * u2[1]) + u2[2] * u2[2]) + u2[3] * u2[3]
-    return (n1 <= r2) & (n2 <= r2)
+    return (_norm_sq(u1) <= r2) & (_norm_sq(u2) <= r2)
+
+
+def _norm_sq(rows) -> np.ndarray:
+    # ((a0² + a1²) + a2²) + a3², einsum's full-batch order, but elementwise:
+    # einsum adds the four terms in another order when the batch holds a
+    # single column.  Absent rows are dropped; adding +0.0 to a sum of
+    # squares is exact.
+    total = None
+    for r in rows:
+        if r is not None:
+            total = r * r if total is None else total + r * r
+    return total

@@ -58,13 +58,62 @@ def kernel_no_retirement():
     return kernel
 
 
+def complex4_reference(x8):
+    """The idempotent components of an (8, n) batch as to_complex4 first
+    formed them: all eight rows summed, then re + 1j * im."""
+    x = x8
+    re1 = (x[0] + x[7]) + (x[5] - x[6])
+    im1 = (x[1] + x[4]) - (x[2] - x[3])
+    re2 = (x[0] + x[7]) - (x[5] - x[6])
+    im2 = (x[1] + x[4]) + (x[2] - x[3])
+    re3 = (x[0] - x[7]) + (x[5] + x[6])
+    im3 = (x[1] - x[4]) - (x[2] + x[3])
+    re4 = (x[0] - x[7]) - (x[5] + x[6])
+    im4 = (x[1] - x[4]) + (x[2] + x[3])
+    out = np.empty((4,) + x.shape[1:], dtype=np.complex128)
+    out[0] = re1 + 1j * im1
+    out[1] = re2 + 1j * im2
+    out[2] = re3 + 1j * im3
+    out[3] = re4 + 1j * im4
+    return out
+
+
+def components_by_scan(x8):
+    """The (4, n) batch grid_counts_tricomplex takes for an (8, n) batch,
+    real exactly when a scan finds no imaginary part."""
+    w = complex4_reference(np.asarray(x8, dtype=np.float64))
+    return w if w.imag.any() else w.real.copy()
+
+
+def inside_discus_reference(x8, radius):
+    """Closed-discus membership of an (8, n) batch from all eight rows."""
+    x = x8
+    u1 = np.stack([x[0] + x[7], x[1] + x[4], x[2] - x[3], x[5] - x[6]])
+    u2 = np.stack([x[0] - x[7], x[1] - x[4], x[2] + x[3], x[5] + x[6]])
+    r2 = radius * radius
+    n1 = ((u1[0] * u1[0] + u1[1] * u1[1]) + u1[2] * u1[2]) + u1[3] * u1[3]
+    n2 = ((u2[0] * u2[0] + u2[1] * u2[1]) + u2[2] * u2[2]) + u2[3] * u2[3]
+    return (n1 <= r2) & (n2 <= r2)
+
+
+@pytest.fixture
+def tricomplex_components():
+    return components_by_scan
+
+
+@pytest.fixture
+def discus_reference():
+    return inside_discus_reference
+
+
 @pytest.fixture
 def sample_slice_whole_window():
     """slices.sample_slice building the whole window's batch in one piece:
-    meshgrid coordinates and one kernel call.  The reference for the
-    slab-streamed sampling."""
+    meshgrid coordinates, an (8, n) coefficient batch, the components of
+    all eight rows with a scan for realness, and one kernel call.  The
+    reference for the slab-streamed, slice-native sampling."""
     from mbkit.dynamics import escape_bound, grid_counts_tricomplex
-    from mbkit.slices import VoxelGrid, _inside_discus_batch, cell_centers
+    from mbkit.slices import VoxelGrid, cell_centers
 
     def sample(spec, window, dims, params, prune=False, threads=1):
         (x0, x1), (y0, y1), (z0, z1) = window
@@ -77,14 +126,15 @@ def sample_slice_whole_window():
         x8 = np.zeros((8, nx * ny * nz))
         for u, vals in zip(spec.units, coords):
             x8[u] = vals
+        w = components_by_scan(x8)
         if prune:
-            keep = _inside_discus_batch(x8, escape_bound(params.p))
+            keep = inside_discus_reference(x8, escape_bound(params.p))
             counts = np.ones(x8.shape[1], dtype=np.uint32)
             if keep.any():
-                inner, _ = grid_counts_tricomplex(x8[:, keep], params, threads=threads)
+                inner, _ = grid_counts_tricomplex(w[:, keep], params, threads=threads)
                 counts[keep] = inner
         else:
-            counts, _ = grid_counts_tricomplex(x8, params, threads=threads)
+            counts, _ = grid_counts_tricomplex(w, params, threads=threads)
         origin = (float(xs[0]), float(ys[0]), float(zs[0]))
         spacing = (float((x1 - x0) / nx), float((y1 - y0) / ny),
                    float((z1 - z0) / nz))

@@ -245,6 +245,8 @@ def test_rerun_verify_and_estimate_manifests(tmp_path, capsys):
 
 _GOOD_MANIFEST = {"command": "estimate", "parameters": {"kind": "real-extent", "p": 3},
                   "outputs": {"ext.txt": "0" * 64}}
+_GOOD_RENDER3D = {"slice": "1,j1,j2", "p": 3, "window": [[-0.5, 0.5]] * 3,
+                  "dims": [4, 4, 4], "max_iter": 10, "prune": False}
 
 
 @pytest.mark.parametrize("content", [
@@ -261,9 +263,33 @@ _GOOD_MANIFEST = {"command": "estimate", "parameters": {"kind": "real-extent", "
     json.dumps({**_GOOD_MANIFEST, "command": ["estimate"]}).encode(),
     json.dumps({**_GOOD_MANIFEST, "parameters": {"kind": "real-extent"}}).encode(),
     json.dumps({**_GOOD_MANIFEST, "command": "render3d"}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "parameters": {"kind": "real-extent", "p": "x"}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "parameters": {"kind": "real-extent", "p": 1}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "parameters": {"kind": "real-extent", "p": 3,
+                                                 "precision": -1.0}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "parameters": {"kind": "perplexbric-volume",
+                                                 "p": 4}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render3d",
+                "parameters": {**_GOOD_RENDER3D, "dims": [0, 4, 4]}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render3d", "parameters": {
+        **_GOOD_RENDER3D, "window": [[0.5, -0.5], [-0.5, 0.5], [-0.5, 0.5]]}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render3d",
+                "parameters": {**_GOOD_RENDER3D, "slice": "1,j1,k9"}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render3d",
+                "parameters": {**_GOOD_RENDER3D, "max_iter": 0}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render3d",
+                "parameters": {**_GOOD_RENDER3D, "prune": "no"}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render2d", "parameters": {
+        "set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5]],
+        "res": [8, 8], "max_iter": 10, "escape_radius": 0.5}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "verify",
+                "parameters": {"suite": "algebra", "seed": -1}}).encode(),
 ], ids=["missing", "bad-json", "not-utf8", "list", "no-command", "no-parameters",
         "no-outputs", "empty-outputs", "list-parameters", "unknown-command",
-        "list-command", "estimate-without-p", "render3d-with-estimate-parameters"])
+        "list-command", "estimate-without-p", "render3d-with-estimate-parameters",
+        "p-not-a-number", "p-below-2", "bad-precision", "volume-with-p-4",
+        "zero-dims", "inverted-window", "bad-slice", "zero-max-iter", "prune-not-bool",
+        "radius-below-bound", "negative-seed"])
 def test_rerun_bad_manifest_exits_2_with_one_line_error(content, tmp_path, capsys):
     path = tmp_path / "m.manifest.json"
     if content is not None:

@@ -235,7 +235,8 @@ def _bits(r):
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
-def test_direct_tricomplex_matches_dataclass_loop(p, rng, table_mul):
+def test_direct_tricomplex_matches_dataclass_loop(p, rng, table_mul,
+                                                  tricomplex_components):
     params = IterationParams(p, 120)
     bound = escape_bound(p)
     cs = []
@@ -243,7 +244,7 @@ def test_direct_tricomplex_matches_dataclass_loop(p, rng, table_mul):
     # a few members; then full 8-coefficient parameters, mostly escaping.
     for units in ("1,j1,j2", "1,i1,i2"):
         x8 = _slice_batch(units, ((-bound, bound),) * 3, 24)
-        counts, member = grid_counts_tricomplex(x8, params)
+        counts, member = grid_counts_tricomplex(tricomplex_components(x8), params)
         outside = np.flatnonzero(~member)
         picks = outside[np.argsort(-counts[outside], kind="stable")[:10]]
         picks = np.concatenate([picks, np.flatnonzero(member)[:3]])
@@ -381,12 +382,13 @@ def test_grid_hyperbolic_matches_scalar(rng):
         lambda k: iterate_hyperbolic(Hyperbolic(a[k], b[k]), BAND_PARAMS, "direct"), rng)
 
 
-def test_grid_tricomplex_matches_scalar(rng):
+def test_grid_tricomplex_matches_scalar(rng, tricomplex_components):
     # Perplexbric iterates real components, Tetrabric complex ones.
     for units, half, real in (("1,j1,j2", 0.5, True), ("1,i1,i2", 1.5, False)):
         x8 = _slice_batch(units, ((-half, half),) * 3, 24)
-        assert (not to_complex4(x8).imag.any()) == real
-        counts, member = grid_counts_tricomplex(x8, BAND_PARAMS)
+        w = tricomplex_components(x8)
+        assert (w.dtype == np.float64) == real
+        counts, member = grid_counts_tricomplex(w, BAND_PARAMS)
         _assert_band_matches(
             counts, member,
             lambda k: iterate_tricomplex(Tricomplex(tuple(x8[:, k])), BAND_PARAMS,
@@ -394,7 +396,7 @@ def test_grid_tricomplex_matches_scalar(rng):
             rng)
 
 
-def test_grid_threads_do_not_change_output(rng, monkeypatch):
+def test_grid_threads_do_not_change_output(rng, monkeypatch, tricomplex_components):
     # Workers are capped at the CPU count; pretend to have 8 so every
     # requested count below gives its own partition.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
@@ -402,7 +404,8 @@ def test_grid_threads_do_not_change_output(rng, monkeypatch):
     x8 = rng.uniform(-1.5, 1.5, (8, 500))
     cs = x8[0] + 1j * x8[1]
     runs = {
-        threads: (grid_counts_tricomplex(x8, params, threads=threads),
+        threads: (grid_counts_tricomplex(tricomplex_components(x8), params,
+                                         threads=threads),
                   grid_counts_complex(cs, params, threads=threads),
                   grid_counts_hyperbolic(x8[2], x8[3], params, threads=threads))
         for threads in (1, 3, 8)
@@ -530,7 +533,7 @@ def test_slow_escapes_near_parabolic_points_are_not_retired(kind, kernel_no_reti
         assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
 
 
-def test_exact_cycles_retire_early():
+def test_exact_cycles_retire_early(tricomplex_components):
     # Orbits of 0 falling into exact float cycles at p = 2: the fixed point 0
     # (c = 0), 0 -> -1 -> 0 (c = -1) and i -> -1+i -> -i -> -1+i (c = i).
     # Running the whole budget would take about ten seconds per call.
@@ -542,8 +545,8 @@ def test_exact_cycles_retire_early():
     start = time.perf_counter()
     runs = [grid_counts_complex(np.array([0.0, -1.0, 1j]), params),
             grid_counts_real(np.array([0.0, -1.0]), params),
-            grid_counts_tricomplex(x8, params),
-            grid_counts_tricomplex(y8, params)]
+            grid_counts_tricomplex(tricomplex_components(x8), params),
+            grid_counts_tricomplex(tricomplex_components(y8), params)]
     elapsed = time.perf_counter() - start
     for counts, member in runs:
         assert member.all() and (counts == params.max_iter).all()

@@ -6,7 +6,7 @@ import pytest
 
 from mbkit import slices
 from mbkit.dynamics import IterationParams, escape_bound, grid_counts_complex
-from mbkit.hypercomplex import Tricomplex, UnitIndex
+from mbkit.hypercomplex import Tricomplex, UnitIndex, complex4_rows, to_complex4
 from mbkit.roots import MANDELBRIC_REAL_BOUND
 from mbkit.slices import (
     PRINCIPAL_SLICES,
@@ -236,6 +236,26 @@ def test_pointcloud_export(tmp_path):
         for i, j, k in np.argwhere(g.member_mask()).tolist())
 
 
+def test_pointcloud_writer_holds_one_plane(tmp_path):
+    # Every cell a member; the writer holds one 1,024-member x-plane at a
+    # time.  Collecting the whole grid's index triples took about 107 bytes
+    # per member.
+    dims = (64, 32, 32)
+    g = VoxelGrid(PRINCIPAL_SLICES["Perplexbric"], (-0.5, -0.5, -0.5),
+                  (1 / 64, 1 / 32, 1 / 32), dims, 5, np.full(dims, 5, dtype=np.uint32))
+    path = tmp_path / "cloud.xyz"
+    tracemalloc.start()
+    try:
+        g.write_pointcloud(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    members = g.member_count()
+    assert members == 64 * 32 * 32
+    assert path.read_text().count("\n") == members
+    assert peak <= 16 * members
+
+
 def test_exports_byte_deterministic(tmp_path):
     params = IterationParams(3, 60)
     blobs = []
@@ -304,11 +324,52 @@ def test_discus_mask_does_not_depend_on_batch_size(rng):
          + (x8[5] - x8[6]) ** 2),
         ((x8[0] - x8[7]) ** 2 + (x8[1] - x8[4]) ** 2 + (x8[2] + x8[3]) ** 2
          + (x8[5] + x8[6]) ** 2)))
-    whole = slices._inside_discus_batch(x8, radius)
+    u1, u2 = complex4_rows(list(x8), np.empty((4, x8.shape[1]), dtype=np.complex128))
+    whole = slices._inside_discus(u1, u2, radius)
     assert whole.any() and not whole.all()
-    single = [slices._inside_discus_batch(x8[:, k:k + 1], radius)[0]
+    single = [slices._inside_discus([r[k:k + 1] for r in u1],
+                                    [r[k:k + 1] for r in u2], radius)[0]
               for k in range(x8.shape[1])]
     assert np.array_equal(whole, single)
+
+
+def test_four_spans_have_real_components():
+    real = [s.label() for s in enumerate_slices() if s.real_components]
+    assert real == ["1,j1,j2", "1,j1,j3", "1,j2,j3", "j1,j2,j3"]
+
+
+@pytest.mark.parametrize("spec", enumerate_slices(), ids=SliceSpec.label)
+def test_slice_native_components_match_the_full_batch(spec, rng, tricomplex_components,
+                                                      discus_reference):
+    # The component rows sample_slice builds from the three axis rows alone
+    # against those of the embedded (8, n) batch: signed zeros, and points
+    # scaled onto the discus boundary, where the last bit decides pruning.
+    radius = escape_bound(3)
+    coords = rng.standard_normal((3, 3000))
+    coords[:, :600] = rng.choice([-0.0, 0.0, 0.25, -1.0], (3, 600))
+    x8 = np.zeros((8, coords.shape[1]))
+    x8[list(spec.units)] = coords
+    ref = to_complex4(x8)
+    n1, n2 = (np.abs(ref[0]) ** 2 + np.abs(ref[1]) ** 2,
+              np.abs(ref[2]) ** 2 + np.abs(ref[3]) ** 2)
+    scale = np.ones(coords.shape[1])
+    scale[600:] = radius / np.sqrt(np.maximum(n1, n2)[600:] / 2.0)
+    coords *= scale
+    x8 *= scale
+    x = [None] * 8
+    for u, row in zip(spec.units, coords):
+        x[u] = row
+    w = np.empty((4, coords.shape[1]),
+                 dtype=np.float64 if spec.real_components else np.complex128)
+    u1, u2 = complex4_rows(x, w)
+    # Equal under ==, the way no norm, power or comparison can tell apart.
+    ref = to_complex4(x8)
+    assert np.array_equal(w, ref.real if spec.real_components else ref)
+    scan = tricomplex_components(x8)
+    assert w.dtype == scan.dtype and np.array_equal(w, scan)
+    keep = slices._inside_discus(u1, u2, radius)
+    assert np.array_equal(keep, discus_reference(x8, radius))
+    assert keep[600:].any() and not keep[600:].all()
 
 
 def _sampling_peak(n):

@@ -1,0 +1,47 @@
+"""The benchmark tracer (perfbench/tracing.py) wraps mbkit functions by name
+and binds some of their arguments by name.  These checks fail when a rename
+or a signature change would silently break a traced benchmark run."""
+
+import importlib
+import inspect
+import types
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    # Executed from its source text, so no bytecode is written next to it.
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def _resolve(layer, dotted):
+    obj = importlib.import_module(f"mbkit.{layer}")
+    for part in dotted.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_wrapped_name_resolves(tracing):
+    names = [(layer, name) for table in (tracing.SPANS, tracing.COUNTERS)
+             for layer, names in table.items() for name in names]
+    assert len(names) > 30
+    for layer, name in names:
+        assert callable(_resolve(layer, name)), f"{layer}.{name}"
+
+
+def test_hooked_functions_keep_the_parameters_their_hooks_bind(tracing):
+    hooked = {name: ("params", "threads") for name in tracing.GRID_KERNELS}
+    hooked["dynamics.grid_counts_hyperbolic"] += ("a", "b")
+    hooked.update({name: ("path",) for name in tracing.WRITERS})
+    assert set(hooked) <= set(tracing._HOOKS)
+    for name, needed in hooked.items():
+        layer, dotted = name.split(".", 1)
+        parameters = inspect.signature(_resolve(layer, dotted)).parameters
+        assert set(needed) <= set(parameters), name
