@@ -274,94 +274,100 @@ class ManifestError(ValueError):
     """A manifest that cannot be read or does not describe a rerunnable command."""
 
 
+class _ManifestParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ManifestError(message)
+
+
 def _load_manifest(manifest_path) -> dict:
     """Read a manifest, raising ManifestError unless it names a command to rerun."""
-    name = str(manifest_path)
     try:
         manifest = json.loads(Path(manifest_path).read_text())
     except OSError as exc:
-        raise ManifestError(f"cannot read manifest {name!r}: {exc.strerror}") from None
+        raise ManifestError(f"cannot read: {exc.strerror}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"manifest {name!r} is not JSON: {exc}") from None
+        raise ManifestError(f"not JSON: {exc}") from None
     if not (isinstance(manifest, dict)
             and isinstance(manifest.get("parameters"), dict)
             and isinstance(manifest.get("outputs"), dict) and manifest["outputs"]):
-        raise ManifestError(f"manifest {name!r} needs a command, parameters and outputs")
+        raise ManifestError("needs a command, parameters and outputs")
     command = manifest.get("command")
-    needed = _RERUN_PARAMETERS.get(command) if isinstance(command, str) else None
-    if needed is None:
+    if not (isinstance(command, str) and command in _RERUN_OPTIONS):
         raise ManifestError(f"cannot rerun command {command!r}")
-    params = manifest["parameters"]
-    missing = [k for k in needed if k not in params]
-    if missing:
-        raise ManifestError(f"manifest {name!r} lacks {command} parameters: "
-                            f"{', '.join(missing)}")
-    # Each value goes through the converter of the matching command-line
-    # option, so a bad one is rejected as the command line would reject it.
-    for key, convert in needed.items():
-        try:
-            params[key] = convert(params[key])
-        except (argparse.ArgumentTypeError, ValueError, TypeError) as exc:
-            raise ManifestError(f"manifest {name!r} parameter {key}: {exc}") from None
-    try:
-        _check_combination(command, params)
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        raise ManifestError(f"manifest {name!r}: {exc}") from None
+    for name in manifest["outputs"]:
+        # A path would let the digest check read outside the output directory.
+        if Path(name).name != name or name in ("", ".."):
+            raise ManifestError(f"output {name!r} is not a bare file name")
     return manifest
 
 
-def _check_combination(command: str, params: dict) -> None:
-    # The checks main makes across options.
-    if command == "render2d":
-        IterationParams(params["p"], params["max_iter"], params["escape_radius"])
-    elif command == "estimate":
-        precision = params.get("precision")
-        if precision is not None:
-            params["precision"] = _precision(params["kind"], _text(precision))
-            if params["precision"] is None:
-                raise ValueError(f"invalid precision {precision!r} for kind "
-                                 f"{params['kind']}")
-        if params["kind"] == "perplexbric-volume" and params["p"] != 3:
-            raise ValueError("the perplexbric-volume closed form holds for p = 3")
+def _scalar(key: str, value) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ManifestError(f"parameter {key}: invalid value {value!r}")
+    return str(value)
+
+
+def _tokens(key: str, shape, value) -> list[str]:
+    """A recorded value as its command-line option, or none for an unset one."""
+    option = "--" + key.replace("_", "-")
+    if shape == "flag":
+        if not isinstance(value, bool):
+            raise ManifestError(f"parameter {key}: expected true or false, got {value!r}")
+        return [option] if value else []
+    if shape == "nullable" and value is None:
+        return []
+    if not isinstance(shape, tuple):
+        text = _scalar(key, value)
+    else:
+        kind, count = shape
+        if not (isinstance(value, list) and len(value) == count
+                and (kind == "sizes"
+                     or all(isinstance(ax, list) and len(ax) == 2 for ax in value))):
+            raise ManifestError(f"parameter {key}: expected {count} {kind}, "
+                                f"got {value!r}")
+        if kind == "ranges":
+            value = [f"{_scalar(key, lo)}:{_scalar(key, hi)}" for lo, hi in value]
+        text = ",".join(_scalar(key, v) for v in value)
+    # Attached with '=', as a window such as -1.5:1.5 starts with '-'.
+    return [f"{option}={text}"]
+
+
+def _rerun_argv(manifest: dict, out_dir: Path) -> list[str]:
+    """The command line that wrote a manifest, with its outputs going to out_dir."""
+    command, params = manifest["command"], manifest["parameters"]
+    options = _RERUN_OPTIONS[command]
+    missing = [k for k, shape in options.items()
+               if k not in params and shape != "optional"]
+    if missing:
+        raise ManifestError(f"lacks {command} parameters: {', '.join(missing)}")
+    first = Path(next(iter(manifest["outputs"])))
+    out = out_dir / (first.name if command == "render2d" else first.stem)
+    argv = [command, f"--out={out}"]
+    for key, shape in options.items():
+        if key in params:
+            argv += _tokens(key, shape, params[key])
+    return argv
 
 
 def cmd_rerun(manifest_path, out_dir=None) -> int:
-    """Re-execute a manifest's command and compare output digests."""
-    manifest = _load_manifest(manifest_path)
-    params = manifest["parameters"]
+    """Re-execute a manifest's command line and compare output digests."""
+    out_dir = Path(out_dir) if out_dir else Path(manifest_path).parent / "rerun"
+    try:
+        manifest = _load_manifest(manifest_path)
+        # The command line's own parser and checks, so a rerun accepts
+        # exactly what the command line accepts.
+        args = _parse_args(_ManifestParser, _rerun_argv(manifest, out_dir))
+    except ManifestError as exc:
+        raise ManifestError(f"manifest {str(manifest_path)!r}: {exc}") from None
     if manifest.get("version") != __version__:
         print(f"mbkit: warning: manifest written by mbkit {manifest.get('version')}, "
               f"rerunning with {__version__}", file=sys.stderr)
-    out_dir = Path(out_dir) if out_dir else Path(manifest_path).parent / "rerun"
     out_dir.mkdir(parents=True, exist_ok=True)
-    command = manifest["command"]
-    produced: dict[str, Path] = {}
-    if command == "render2d":
-        out = out_dir / next(iter(manifest["outputs"]))
-        cmd_render2d(params["set"], params["p"],
-                     tuple(tuple(ax) for ax in params["window"]),
-                     tuple(params["res"]), params["max_iter"],
-                     params["escape_radius"], out)
-        produced = {out.name: out}
-    elif command == "render3d":
-        stem = Path(next(iter(manifest["outputs"]))).stem
-        _, vox, cloud = cmd_render3d(
-            params["slice"], params["p"],
-            tuple(tuple(ax) for ax in params["window"]), tuple(params["dims"]),
-            params["max_iter"], out_dir / stem, prune=params["prune"])
-        produced = {p.name: p for p in (vox, cloud)}
-    elif command in ("verify", "estimate"):
-        out = out_dir / Path(next(iter(manifest["outputs"]))).stem
-        if command == "verify":
-            cmd_verify(params["suite"], seed=params["seed"], out=out)
-        else:
-            cmd_estimate(params["kind"], params["p"],
-                         precision=params.get("precision"), out=out)
-        produced = {p.name: p
-                    for p in (out.with_suffix(".txt"), out.with_suffix(".json"))}
+    _run(args)  # a failing verify still writes the reports compared below
     ok = True
     for name, digest in manifest["outputs"].items():
-        got = _sha256(produced[name]) if name in produced else "missing"
+        path = out_dir / name
+        got = _sha256(path) if path.is_file() else "missing"
         match = got == digest
         ok &= match
         print(f"{name}: {'match' if match else 'MISMATCH'}")
@@ -415,13 +421,17 @@ def _window3(text: str):
     return _parse_window(text, 3)
 
 
-def _parse_dims(text: str):
-    parts = [_positive_int(v) for v in text.split(",")]
-    if len(parts) == 1:
-        parts = parts * 3
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("dims must be N or NX,NY,NZ")
-    return tuple(parts)
+def _sizes(count: int):
+    """N, meaning N per axis, or exactly `count` comma-separated sizes."""
+    def parse(text: str):
+        parts = [_positive_int(v) for v in text.split(",")]
+        if len(parts) == 1:
+            parts *= count
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(
+                f"expected N or {count} comma-separated sizes, got {text!r}")
+        return tuple(parts)
+    return parse
 
 
 def _slice_spec(text: str) -> SliceSpec:
@@ -440,75 +450,26 @@ def _precision(kind: str, text: str):
     return value if math.isfinite(value) and value > 0 else None
 
 
-def _from_text(parse):
-    # A manifest value through a command-line converter, as its text.
-    def convert(value):
-        if not isinstance(value, (str, int, float)) or isinstance(value, bool):
-            raise argparse.ArgumentTypeError(f"invalid value {value!r}")
-        return parse(str(value))
-    return convert
-
-
-def _choice(*names):
-    def convert(value):
-        if value not in names:
-            raise argparse.ArgumentTypeError(f"invalid choice {value!r}")
-        return value
-    return convert
-
-
-def _ranges(axes: int):
-    def convert(value):
-        if not (isinstance(value, list)
-                and all(isinstance(ax, list) and len(ax) == 2 for ax in value)):
-            raise argparse.ArgumentTypeError(f"expected [lo, hi] ranges, got {value!r}")
-        return _parse_window(",".join(f"{_text(lo)}:{_text(hi)}" for lo, hi in value),
-                             axes)
-    return convert
-
-
-def _sizes(count: int):
-    def convert(value):
-        if not (isinstance(value, list) and len(value) == count):
-            raise argparse.ArgumentTypeError(f"expected {count} sizes, got {value!r}")
-        return tuple(_from_text(_positive_int)(v) for v in value)
-    return convert
-
-
-def _text(value) -> str:
-    return _from_text(str)(value)
-
-
-def _flag(value):
-    if not isinstance(value, bool):
-        raise argparse.ArgumentTypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _radius(value):
-    return None if value is None else _from_text(float)(value)
-
-
 _SETS = ("multibrot", "hyperbrot")
 _ESTIMATE_KINDS = ("real-extent", "hyperbric-area", "perplexbric-volume")
 
-# The manifest parameters each rerunnable command reads, with the converter
-# of the matching command-line option.
-_RERUN_PARAMETERS = {
-    "render2d": {"set": _choice(*_SETS), "p": _from_text(_exponent),
-                 "window": _ranges(2), "res": _sizes(2),
-                 "max_iter": _from_text(_positive_int), "escape_radius": _radius},
-    "render3d": {"slice": _from_text(_slice_spec), "p": _from_text(_exponent),
-                 "window": _ranges(3), "dims": _sizes(3),
-                 "max_iter": _from_text(_positive_int), "prune": _flag},
-    "verify": {"suite": _choice(*SUITE_NAMES, "all"),
-               "seed": _from_text(_int_at_least(0))},
-    "estimate": {"kind": _choice(*_ESTIMATE_KINDS), "p": _from_text(_exponent)},
+# The parameters each rerunnable command records, by how each is written back
+# as its option: a scalar; one that may be absent ("optional") or None
+# ("nullable", leaving the option out); a bare "flag"; or a list of exactly
+# `count` sizes or lo:hi ranges.
+_RERUN_OPTIONS = {
+    "render2d": {"set": "scalar", "p": "scalar", "window": ("ranges", 2),
+                 "res": ("sizes", 2), "max_iter": "scalar",
+                 "escape_radius": "nullable"},
+    "render3d": {"slice": "scalar", "p": "scalar", "window": ("ranges", 3),
+                 "dims": ("sizes", 3), "max_iter": "scalar", "prune": "flag"},
+    "verify": {"suite": "scalar", "seed": "scalar"},
+    "estimate": {"kind": "scalar", "p": "scalar", "precision": "optional"},
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    ap = parser_class(
         prog="mbkit",
         description="Multibrot renders, 3D slice exports and numeric verification.",
     )
@@ -520,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     r2.add_argument("--p", type=_exponent, default=3)
     r2.add_argument("--window", type=_window2, default=((-1.5, 1.5), (-1.5, 1.5)),
                     help="x0:x1,y0:y1 (default -1.5:1.5 squared)")
-    r2.add_argument("--res", type=_positive_int, default=1000, help="pixels per side")
+    r2.add_argument("--res", type=_sizes(2), default=(1000, 1000),
+                    help="N or W,H pixels (default 1000)")
     r2.add_argument("--max-iter", type=_positive_int, default=1000)
     r2.add_argument("--escape-radius", type=float, default=None)
     r2.add_argument("--out", required=True)
@@ -531,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     r3.add_argument("--p", type=_exponent, default=3)
     r3.add_argument("--window", type=_window3,
                     default=((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)))
-    r3.add_argument("--dims", type=_parse_dims, default=(128, 128, 128))
+    r3.add_argument("--dims", type=_sizes(3), default=(128, 128, 128))
     r3.add_argument("--max-iter", type=_positive_int, default=1000)
     r3.add_argument("--prune", action="store_true",
                     help="mark cells outside the bounding discus escaped at 1")
@@ -555,41 +517,50 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    ap = build_parser()
+def _parse_args(parser_class, argv) -> argparse.Namespace:
+    """Parse a command line and make the checks that span several options."""
+    ap = build_parser(parser_class)
     args = ap.parse_args(argv)
     if args.command == "render2d":
         try:
             IterationParams(args.p, args.max_iter, args.escape_radius)
         except ValueError as exc:
             ap.error(f"argument --escape-radius: {exc}")
-        cmd_render2d(args.set, args.p, args.window, args.res,
-                     args.max_iter, args.escape_radius, args.out)
-        return 0
-    if args.command == "render3d":
-        cmd_render3d(args.slice, args.p, args.window, args.dims,
-                     args.max_iter, args.out, prune=args.prune)
-        return 0
-    if args.command == "verify":
-        return cmd_verify(args.suite, seed=args.seed, out=args.out)
-    if args.command == "estimate":
-        precision = None
+    elif args.command == "estimate":
         if args.precision is not None:
             precision = _precision(args.kind, args.precision)
             if precision is None:
                 ap.error(f"argument --precision: invalid value {args.precision!r} "
                          f"for --kind {args.kind}")
+            args.precision = precision
         if args.kind == "perplexbric-volume" and args.p != 3:
             ap.error("argument --p: the perplexbric-volume closed form holds for p = 3")
-        cmd_estimate(args.kind, args.p, precision=precision, out=args.out)
-        return 0
-    if args.command == "rerun":
+    return args
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the command that parsed arguments name; return its exit code."""
+    if args.command == "render2d":
+        cmd_render2d(args.set, args.p, args.window, args.res,
+                     args.max_iter, args.escape_radius, args.out)
+    elif args.command == "render3d":
+        cmd_render3d(args.slice, args.p, args.window, args.dims,
+                     args.max_iter, args.out, prune=args.prune)
+    elif args.command == "verify":
+        return cmd_verify(args.suite, seed=args.seed, out=args.out)
+    elif args.command == "estimate":
+        cmd_estimate(args.kind, args.p, precision=args.precision, out=args.out)
+    else:
         try:
             return cmd_rerun(args.manifest, args.out_dir)
         except ManifestError as exc:
             print(f"mbkit: error: {exc}", file=sys.stderr)
             return 2
-    raise AssertionError("unreachable")
+    return 0
+
+
+def main(argv=None) -> int:
+    return _run(_parse_args(argparse.ArgumentParser, argv))
 
 
 if __name__ == "__main__":

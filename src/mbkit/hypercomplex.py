@@ -233,10 +233,6 @@ class Bicomplex:
             object.__setattr__(self, "z", tuple(float(v) for v in self.z))
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable[float]) -> "Bicomplex":
-        return Bicomplex(tuple(coeffs))
-
-    @staticmethod
     def zero() -> "Bicomplex":
         return Bicomplex((0.0, 0.0, 0.0, 0.0))
 
@@ -378,9 +374,6 @@ class Hyperbolic:
 
     u: float
     v: float
-
-    def vector(self) -> tuple[float, float]:
-        return (self.u, self.v)
 
     def __add__(self, other: "Hyperbolic") -> "Hyperbolic":
         return Hyperbolic(self.u + other.u, self.v + other.v)

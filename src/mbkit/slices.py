@@ -132,31 +132,9 @@ class ConjugacyMap:
             raise ValueError("phi must map slice units onto slice units")
         object.__setattr__(self, "phi", tuple(sorted(self.phi)))
 
-    @property
-    def c_map(self) -> tuple[tuple[UnitIndex, int, UnitIndex], ...]:
-        """Restriction of phi to the three parameter units."""
-        keep = set(self.source.units)
-        return tuple(e for e in self.phi if e[0] in keep)
-
-    def _table(self) -> dict[UnitIndex, tuple[int, UnitIndex]]:
-        return {u: (s, v) for u, s, v in self.phi}
-
     def inverse(self) -> "ConjugacyMap":
         inv = tuple((v, s, u) for u, s, v in self.phi)
         return ConjugacyMap(self.target, self.source, inv)
-
-    def apply(self, t: Tricomplex) -> Tricomplex:
-        tab = self._table()
-        out = [0.0] * 8
-        for k, val in enumerate(t.x):
-            if val == 0.0:
-                continue
-            u = UnitIndex(k)
-            if u not in tab:
-                raise ValueError(f"{t} has support outside the source span")
-            s, v = tab[u]
-            out[v] += s * val
-        return Tricomplex(tuple(out))
 
     def apply_batch(self, x8: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x8)

@@ -39,15 +39,10 @@ class CheckResult:
     detail: str = ""
     witness: str | None = None
 
-    def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        extra = f" residual={self.max_residual:.3e}" if self.max_residual is not None else ""
-        return f"{self.name}: {status}{extra} {self.detail}".rstrip()
 
-
-def run_suite(name: str, seed: int = 0, product_table=None) -> list[CheckResult]:
+def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     if name == "algebra":
-        return algebra_suite(seed, product_table=product_table)
+        return algebra_suite(seed)
     if name == "roots":
         return roots_suite(seed)
     if name == "dynamics":

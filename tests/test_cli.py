@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mbkit import __version__
 from mbkit.cli import (
+    _RERUN_OPTIONS,
     _threads,
     build_parser,
     cmd_estimate,
@@ -179,6 +181,8 @@ def test_parser_rejects_bad_window():
 @pytest.mark.parametrize("argv", [
     ["render2d", "--p", "1"],
     ["render2d", "--res", "0"],
+    ["render2d", "--res", "8,0"],
+    ["render2d", "--res", "1,2,3"],
     ["render2d", "--max-iter", "0"],
     ["render2d", "--window=1:-1,-1:1"],
     ["render2d", "--window=0:0,-1:1"],
@@ -247,6 +251,8 @@ _GOOD_MANIFEST = {"command": "estimate", "parameters": {"kind": "real-extent", "
                   "outputs": {"ext.txt": "0" * 64}}
 _GOOD_RENDER3D = {"slice": "1,j1,j2", "p": 3, "window": [[-0.5, 0.5]] * 3,
                   "dims": [4, 4, 4], "max_iter": 10, "prune": False}
+_GOOD_RENDER2D = {"set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5]],
+                  "res": [8, 8], "max_iter": 10, "escape_radius": None}
 
 
 @pytest.mark.parametrize("content", [
@@ -284,12 +290,26 @@ _GOOD_RENDER3D = {"slice": "1,j1,j2", "p": 3, "window": [[-0.5, 0.5]] * 3,
         "res": [8, 8], "max_iter": 10, "escape_radius": 0.5}}).encode(),
     json.dumps({**_GOOD_MANIFEST, "command": "verify",
                 "parameters": {"suite": "algebra", "seed": -1}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "parameters": {"kind": "real-extent", "p": [3]}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render2d",
+                "parameters": {**_GOOD_RENDER2D, "res": [8]}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render2d",
+                "parameters": {**_GOOD_RENDER2D, "window": "x"}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render2d",
+                "parameters": {**_GOOD_RENDER2D, "set": "julia"}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "outputs": {"../x.pgm": "0" * 64}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "outputs": {"sub/x.pgm": "0" * 64}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "outputs": {"..": "0" * 64}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render2d", "parameters": _GOOD_RENDER2D,
+                "outputs": {"": "0" * 64}}).encode(),
 ], ids=["missing", "bad-json", "not-utf8", "list", "no-command", "no-parameters",
         "no-outputs", "empty-outputs", "list-parameters", "unknown-command",
         "list-command", "estimate-without-p", "render3d-with-estimate-parameters",
         "p-not-a-number", "p-below-2", "bad-precision", "volume-with-p-4",
         "zero-dims", "inverted-window", "bad-slice", "zero-max-iter", "prune-not-bool",
-        "radius-below-bound", "negative-seed"])
+        "radius-below-bound", "negative-seed", "p-a-list", "res-one-entry",
+        "window-not-a-list", "unknown-set", "output-in-parent-dir", "output-in-subdir",
+        "output-dot-dot", "output-empty-name"])
 def test_rerun_bad_manifest_exits_2_with_one_line_error(content, tmp_path, capsys):
     path = tmp_path / "m.manifest.json"
     if content is not None:
@@ -300,6 +320,54 @@ def test_rerun_bad_manifest_exits_2_with_one_line_error(content, tmp_path, capsy
     assert out.out == "" and "Traceback" not in out.err
     assert len(out.err.splitlines()) == 1 and out.err.startswith("mbkit: error: ")
     assert not (tmp_path / "redo").exists()
+
+
+def _write_hyperbrot(out):
+    cmd_render2d("hyperbrot", 3, ((-0.5, 0.5), (-0.4, 0.4)), (40, 20), 60, None,
+                 out / "h.pgm")
+    return out / "h.pgm.manifest.json"
+
+
+def _write_pruned_tetrabric(out):
+    cmd_render3d("1,i1,i2", 3, ((-1.5, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (10, 8, 6), 40,
+                 out / "tet", prune=True)
+    return out / "tet.manifest.json"
+
+
+def _write_hyperbric_area(out):
+    cmd_estimate("hyperbric-area", 3, precision=60, out=out / "area")
+    return out / "area.manifest.json"
+
+
+def _write_real_extent(out):
+    cmd_estimate("real-extent", 3, out=out / "ext")
+    return out / "ext.manifest.json"
+
+
+@pytest.mark.parametrize("write", [_write_hyperbrot, _write_pruned_tetrabric,
+                                   _write_hyperbric_area, _write_real_extent],
+                         ids=["render2d-hyperbrot-40x20", "render3d-tetrabric-pruned",
+                              "estimate-area-int-precision",
+                              "estimate-extent-no-precision"])
+def test_rerun_replays_every_command_shape(write, tmp_path, capsys):
+    manifest_path = write(tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(manifest_path),
+                 "--out-dir", str(tmp_path / "redo")]) == 0
+    assert capsys.readouterr().out.count(": match") == len(manifest["outputs"])
+    # The rerun records the same parameters, so none was dropped or converted.
+    redo = json.loads((tmp_path / "redo" / manifest_path.name).read_text())
+    assert redo["parameters"] == manifest["parameters"]
+
+
+def test_rerun_table_covers_every_option():
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    for command, options in _RERUN_OPTIONS.items():
+        dests = {a.dest for a in sub.choices[command]._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        assert set(options) == dests - {"out"}, command
 
 
 def test_only_verify_takes_a_seed():
