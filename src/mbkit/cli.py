@@ -52,6 +52,12 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _named(out_base, suffix: str) -> Path:
+    # Appended, not Path.with_suffix: a dotted base such as run.1 keeps its
+    # whole name, so run.1 and run.2 write different files.
+    return Path(f"{out_base}{suffix}")
+
+
 def _write_manifest(out_base: Path, command: str, parameters: dict,
                     wall: float, outputs: list[Path]) -> Path:
     manifest = {
@@ -61,7 +67,7 @@ def _write_manifest(out_base: Path, command: str, parameters: dict,
         "wall_time_s": wall,
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
-    path = Path(f"{out_base}.manifest.json")
+    path = _named(out_base, ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -135,9 +141,8 @@ def cmd_render3d(slice_spec, p: int, window, dims, max_iter: int, out,
     params = IterationParams(p, max_iter)
     t0 = time.perf_counter()
     grid = sample_slice(spec, window, dims, params, prune=prune, threads=threads)
-    out = Path(out)
-    vox_path = out.with_suffix(".mbv1")
-    cloud_path = out.with_suffix(".xyz")
+    vox_path = _named(out, ".mbv1")
+    cloud_path = _named(out, ".xyz")
     grid.write_mbv1(vox_path)
     grid.write_pointcloud(cloud_path)
     wall = time.perf_counter() - t0
@@ -183,9 +188,8 @@ def cmd_verify(suite: str, seed: int = 0, out=None) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if out is not None:
-        out = Path(out)
-        txt_path = out.with_suffix(".txt")
-        json_path = out.with_suffix(".json")
+        txt_path = _named(out, ".txt")
+        json_path = _named(out, ".json")
         txt_path.write_text(text)
         json_path.write_text(json.dumps(
             {"suite": suite, "seed": seed, "version": __version__,
@@ -254,14 +258,14 @@ def cmd_estimate(kind: str, p: int, precision=None, out=None,
                    for k, v in report.items())
     print(text, end="")
     if out is not None:
-        out = Path(out)
-        out.with_suffix(".txt").write_text(text)
-        out.with_suffix(".json").write_text(json.dumps(report, indent=2) + "\n")
+        txt_path = _named(out, ".txt")
+        json_path = _named(out, ".json")
+        txt_path.write_text(text)
+        json_path.write_text(json.dumps(report, indent=2) + "\n")
         parameters = {"kind": kind, "p": p}
         if precision is not None:
             parameters["precision"] = precision
-        _write_manifest(out, "estimate", parameters, wall,
-                        [out.with_suffix(".txt"), out.with_suffix(".json")])
+        _write_manifest(out, "estimate", parameters, wall, [txt_path, json_path])
     return report
 
 
@@ -341,6 +345,7 @@ def _rerun_argv(manifest: dict, out_dir: Path) -> list[str]:
     if missing:
         raise ManifestError(f"lacks {command} parameters: {', '.join(missing)}")
     first = Path(next(iter(manifest["outputs"])))
+    # render2d writes --out itself, the others --out plus one suffix.
     out = out_dir / (first.name if command == "render2d" else first.stem)
     argv = [command, f"--out={out}"]
     for key, shape in options.items():
@@ -535,7 +540,31 @@ def _parse_args(parser_class, argv) -> argparse.Namespace:
             args.precision = precision
         if args.kind == "perplexbric-volume" and args.p != 3:
             ap.error("argument --p: the perplexbric-volume closed form holds for p = 3")
+    grid = _grid(args)
+    if grid is not None:
+        option, sizes, itemsize = grid
+        # An array numpy cannot even describe: rejected before any allocation.
+        if math.prod(sizes) * itemsize > np.iinfo(np.intp).max:
+            ap.error(f"argument {option}: {'x'.join(map(str, sizes))} cells exceed "
+                     "numpy's maximum array size")
     return args
+
+
+def _grid(args: argparse.Namespace):
+    """The option giving a command's grid size, the sizes, and the bytes per
+    cell of its largest array: render2d's complex128 parameters,
+    hyperbric-area's two float64 component parameters, and the uint32
+    counts of render3d and perplexbric-volume."""
+    if args.command == "render2d":
+        return "--res", args.res, 16
+    if args.command == "render3d":
+        return "--dims", args.dims, 4
+    if args.command == "estimate" and args.precision is not None:
+        if args.kind == "hyperbric-area":
+            return "--precision", (args.precision,) * 2, 16
+        if args.kind == "perplexbric-volume":
+            return "--precision", (args.precision,) * 3, 4
+    return None
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -560,7 +589,20 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    return _run(_parse_args(argparse.ArgumentParser, argv))
+    args = _parse_args(argparse.ArgumentParser, argv)
+    # Checked here, not by the parser: rerun parses its command line before
+    # it makes the output directory.
+    out = getattr(args, "out", None)
+    if out is not None and not Path(out).parent.is_dir():
+        print(f"mbkit: error: argument --out: no directory {str(Path(out).parent)!r}",
+              file=sys.stderr)
+        return 2
+    try:
+        return _run(args)
+    except MemoryError as exc:
+        print(f"mbkit: error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -315,7 +315,11 @@ _FIRST_SNAPSHOT = 16
 
 def _counts_kernel(c: np.ndarray, params: IterationParams):
     # c: (n,) parameters, or (4, n) tricomplex components escaping on their
-    # combined RMS norm (the ring norm); real or complex either way.
+    # combined RMS norm (the ring norm); real or complex either way.  A
+    # (2, n) batch holds the distinct rows of components that repeat in
+    # pairs: 0.5 * (s0 + s1) is the four-row 0.25 * ((s0 + s1) + (s2 + s3))
+    # bit for bit then (x + x = 2x and power-of-two scaling are exact, and
+    # the sum commutes), and repeated rows stay equal at every step.
     p, max_iter = params.p, params.max_iter
     # n2 > r2, n2 > guard2 or n2 NaN, in one comparison: a sum of squares
     # is never -inf, and NaN fails every <=.
@@ -344,8 +348,11 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
             sq = z * z
         if z.ndim == 2:
             n2 = sq[0] + sq[1]
-            n2 += sq[2] + sq[3]
-            n2 *= 0.25
+            if len(sq) == 4:
+                n2 += sq[2] + sq[3]
+                n2 *= 0.25
+            else:
+                n2 *= 0.5
         else:
             n2 = sq
         esc = ~(n2 <= lim)
@@ -436,9 +443,12 @@ def grid_counts_tricomplex(w: np.ndarray, params: IterationParams, threads: int 
     float64 batch when they are real (the parameters have no i-unit) and
     complex128 otherwise.  Multiplication is componentwise there, and the
     escape test uses the combined ring norm, the direct engine's criterion.
+    A (2, n) batch holds only the two distinct components of parameters in
+    a bicomplex subalgebra (hypercomplex.distinct_components), whose other
+    two repeat them; it gives the counts of the four-row batch.
     """
     w = np.asarray(w)
-    if w.ndim != 2 or w.shape[0] != 4:
-        raise ValueError("expected a (4, n) component batch")
+    if w.ndim != 2 or w.shape[0] not in (2, 4):
+        raise ValueError("expected a (4, n) or (2, n) component batch")
     dtype = np.complex128 if np.iscomplexobj(w) else np.float64
     return _run_blocks(np.ascontiguousarray(w, dtype=dtype), params, threads)

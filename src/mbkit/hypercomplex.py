@@ -515,15 +515,41 @@ def to_complex4(batch: np.ndarray) -> np.ndarray:
     return out
 
 
+# The bicomplex subalgebras on which to_complex4 rows repeat in pairs, with
+# the rows that stay distinct.  Rows 0 and 2 differ by 2(x7 - x6) + 2(x4 + x3)i
+# and rows 1 and 3 by 2(x7 + x6) + 2(x4 - x3)i, so both pairs are equal for
+# every parameter with no i3, i4, j2 or j3 part; likewise rows (0, 3)(1, 2)
+# without i2, i4, j1, j3 and rows (0, 1)(2, 3) without i2, i3, j1, j2.
+_REPEATING_ROWS = (
+    ((0, 1, 2, 5), (0, 1)),  # 1, i1, i2, j1: rows 2, 3 repeat rows 0, 1
+    ((0, 1, 3, 6), (0, 1)),  # 1, i1, i3, j2: rows 3, 2 repeat rows 0, 1
+    ((0, 1, 4, 7), (0, 2)),  # 1, i1, i4, j3: rows 1, 3 repeat rows 0, 2
+)
+
+
+def distinct_components(units) -> tuple[int, ...]:
+    """The to_complex4 rows that can differ for parameters spanned by units.
+
+    Two rows when the units lie in a bicomplex subalgebra above, where the
+    other two rows repeat them; all four otherwise.
+    """
+    present = {int(u) for u in units}
+    for algebra, rows in _REPEATING_ROWS:
+        if present <= set(algebra):
+            return rows
+    return (0, 1, 2, 3)
+
+
 def complex4_rows(x, out: np.ndarray):
     """Write to_complex4's components of 8 coefficient rows x into out.
 
     A row of x may be None, standing for a zero row; terms with it are
     dropped (x + 0 -> x, 0 - x -> -x), which changes no value beyond the
-    sign of a zero.  out is (4, n) complex, or real when every imaginary
-    part is absent (x has no i-unit row).  Returns the rows of the two
-    bicomplex idempotent components (x0±x7, x1±x4, x2∓x3, x5∓x6), None
-    where absent.
+    sign of a zero.  out is (4, n), or (2, n) holding only the distinct rows
+    (distinct_components) when the rows of x lie in a bicomplex subalgebra;
+    complex, or real when every imaginary part is absent (x has no i-unit
+    row).  Returns the rows of the two bicomplex idempotent components
+    (x0±x7, x1±x4, x2∓x3, x5∓x6), None where absent.
     """
     p07, m07 = _add(x[0], x[7]), _sub(x[0], x[7])
     p14, m14 = _add(x[1], x[4]), _sub(x[1], x[4])
@@ -535,8 +561,13 @@ def complex4_rows(x, out: np.ndarray):
         (_add, m07, p56, _sub, m14, p23),
         (_sub, m07, p56, _add, m14, p23),
     )
+    rows = (0, 1, 2, 3) if len(out) == 4 else distinct_components(
+        k for k, r in enumerate(x) if r is not None)
+    if len(rows) != len(out):
+        raise ValueError(f"{len(out)} rows out for {len(rows)} distinct components")
     is_complex = np.iscomplexobj(out)
-    for k, (re_op, a, b, im_op, c, d) in enumerate(parts):
+    for k, row in enumerate(rows):
+        re_op, a, b, im_op, c, d = parts[row]
         if is_complex:
             re_op(a, b, out=out[k].real)
             im_op(c, d, out=out[k].imag)

@@ -24,6 +24,7 @@ from .hypercomplex import (
     Tricomplex,
     UnitIndex,
     complex4_rows,
+    distinct_components,
     iteration_span_units,
     parse_unit,
     pow_batch,
@@ -495,6 +496,9 @@ def sample_slice(
     zs = cell_centers(z0, z1, nz)
     radius = escape_bound(params.p)
     dtype = np.float64 if spec.real_components else np.complex128
+    # Two rows for the 12 spans inside a bicomplex subalgebra, whose other
+    # two components repeat them.
+    rows = len(distinct_components(spec.units))
     counts = np.ones(nx * ny * nz, dtype=np.uint32)  # pruned cells escape at 1
     for lo in range(0, counts.size, _SLAB_CELLS):
         hi = min(lo + _SLAB_CELLS, counts.size)
@@ -506,7 +510,7 @@ def sample_slice(
             x[u] = axis[k]
         # A fresh batch per slab: a caller of grid_counts_tricomplex may keep
         # its argument (the benchmark tracer replays every call).
-        w = np.empty((4, hi - lo), dtype=dtype)
+        w = np.empty((rows, hi - lo), dtype=dtype)
         u1, u2 = complex4_rows(x, w)
         out = counts[lo:hi]
         if prune:

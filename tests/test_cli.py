@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mbkit import __version__
+from mbkit import __version__, cli
 from mbkit.cli import (
     _RERUN_OPTIONS,
     _threads,
@@ -211,6 +211,122 @@ def test_bad_cli_input_exits_2_with_one_line_error(argv, tmp_path, capsys):
     assert "Traceback" not in err
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
     assert not any(tmp_path.iterdir())
+
+
+# Grid sizes whose largest array numpy rejects before allocating, as more
+# bytes than its maximum array size: the shape and dtype of that array.
+_TOO_LARGE = [
+    (["render3d", "--dims", "2000000"], (2000000,) * 3, np.uint32),
+    (["render3d", "--dims", "1,4000000000,4000000000"], (1, 4000000000, 4000000000),
+     np.uint32),
+    (["render2d", "--res", "3000000000"], (3000000000,) * 2, np.complex128),
+    (["render2d", "--res", "4,9000000000000000000"], (9000000000000000000, 4),
+     np.complex128),
+    (["estimate", "--kind", "hyperbric-area", "--precision", "3000000000"],
+     (2, 3000000000 ** 2), np.float64),
+    (["estimate", "--kind", "perplexbric-volume", "--precision", "3000000"],
+     (3000000,) * 3, np.uint32),
+]
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command started its work")
+
+
+def _forbid_work(monkeypatch):
+    for name in ("cell_centers", "sample_slice", "grid_counts_complex",
+                 "grid_counts_hyperbolic", "run_suites", "real_axis_extent"):
+        monkeypatch.setattr(cli, name, _no_work)
+
+
+def _assert_one_error_line(err):
+    assert "Traceback" not in err
+    lines = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(lines) == 1 and lines[0].startswith("mbkit: error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv, shape, dtype", _TOO_LARGE,
+                         ids=[" ".join(case[0]) for case in _TOO_LARGE])
+def test_grid_too_large_for_numpy_exits_2_before_allocating(argv, shape, dtype, tmp_path,
+                                                            capsys, monkeypatch):
+    with pytest.raises(ValueError, match="too big"):
+        np.empty(shape, dtype=dtype)
+    _forbid_work(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    line = _assert_one_error_line(capsys.readouterr().err)
+    assert "maximum array size" in line
+    assert not any(tmp_path.iterdir())
+
+
+def _run_out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 58.2 TiB for an array")
+
+
+@pytest.mark.parametrize("argv, allocation", [
+    (["render2d", "--res", "8"], "cell_centers"),
+    (["render3d", "--dims", "4"], "sample_slice"),
+    (["estimate", "--kind", "hyperbric-area", "--precision", "8"], "cell_centers"),
+], ids=["render2d", "render3d", "estimate"])
+def test_out_of_memory_exits_2_with_one_line_error(argv, allocation, tmp_path, capsys,
+                                                   monkeypatch):
+    # The grid allocation is made to fail; no grid that large is ever asked for.
+    monkeypatch.setattr(cli, allocation, _run_out_of_memory)
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    out = capsys.readouterr()
+    line = _assert_one_error_line(out.err)
+    assert "out of memory" in line and "58.2 TiB" in line
+    assert out.out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["render2d", "--res", "8"],
+    ["render3d", "--dims", "4"],
+    ["verify", "--suite", "roots"],
+    ["estimate", "--kind", "real-extent"],
+], ids=lambda argv: argv[0])
+def test_missing_output_directory_exits_2_before_the_work(argv, tmp_path, capsys,
+                                                          monkeypatch):
+    _forbid_work(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "nodir" / "x")]) == 2
+    out = capsys.readouterr()
+    line = _assert_one_error_line(out.err)
+    assert "nodir" in line and out.out == ""
+    assert not any(tmp_path.iterdir())
+    # A file where the directory should be is refused the same way.
+    (tmp_path / "file").write_text("")
+    assert main(argv + ["--out", str(tmp_path / "file" / "x")]) == 2
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+def test_dotted_out_names_keep_their_files(tmp_path, capsys):
+    # Each suffix is appended to the whole name, so run.1 and run.2 do not
+    # both write run.mbv1.
+    for name, max_iter in (("run.1", 30), ("run.2", 40)):
+        cmd_render3d("1,i1,i2", 3, ((-1.5, 1.5),) * 3, (6, 6, 6), max_iter,
+                     tmp_path / name)
+    cmd_verify("roots", seed=0, out=tmp_path / "rep.v1")
+    cmd_estimate("real-extent", 3, precision=1e-3, out=tmp_path / "ext.v1")
+    capsys.readouterr()
+    outputs = {"run.1": ["run.1.mbv1", "run.1.xyz"], "run.2": ["run.2.mbv1", "run.2.xyz"],
+               "rep.v1": ["rep.v1.json", "rep.v1.txt"],
+               "ext.v1": ["ext.v1.json", "ext.v1.txt"]}
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted([f"{name}.manifest.json" for name in outputs]
+                             + [f for files in outputs.values() for f in files])
+    assert (tmp_path / "run.1.mbv1").read_bytes() != (tmp_path / "run.2.mbv1").read_bytes()
+    for name, files in outputs.items():
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == files
+        # A rerun writes the same names.
+        redo = tmp_path / f"redo_{name}"
+        assert main(["rerun", "--manifest", str(tmp_path / f"{name}.manifest.json"),
+                     "--out-dir", str(redo)]) == 0
+        assert capsys.readouterr().out.count(": match") == 2
+        assert sorted(p.name for p in redo.iterdir()) == sorted(
+            files + [f"{name}.manifest.json"])
 
 
 def test_bad_mbk_threads_warns(monkeypatch, capsys):

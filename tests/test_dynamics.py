@@ -533,6 +533,72 @@ def test_slow_escapes_near_parabolic_points_are_not_retired(kind, kernel_no_reti
         assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
 
 
+# --- two distinct components -----------------------------------------------------
+#
+# Parameters in a bicomplex subalgebra have four components that repeat in
+# pairs, and the kernel then iterates the two distinct rows.  These tests pin
+# a (2, n) batch to the four-row batch that repeats its rows, in the three
+# pairings of hypercomplex.distinct_components: (0, 2)(1, 3), (0, 3)(1, 2)
+# and (0, 1)(2, 3).
+
+_PAIRINGS = ((0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1))
+
+
+def _assert_two_rows_match_the_repeated_four(c2, params, kernel_no_retirement):
+    ref_counts, ref_member = kernel_no_retirement(c2[list(_PAIRINGS[0])], params)
+    for pairing in _PAIRINGS:
+        c4 = c2[list(pairing)]
+        counts, member = kernel_no_retirement(c4, params)
+        assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+        counts, member = dynamics._counts_kernel(c4, params)
+        assert np.array_equal(counts, ref_counts), pairing
+        assert np.array_equal(member, ref_member), pairing
+    for threads in (1, 2, 3):
+        counts, member = dynamics._run_blocks(c2, params, threads)
+        assert counts.dtype == ref_counts.dtype
+        assert np.array_equal(counts, ref_counts), threads
+        assert np.array_equal(member, ref_member), threads
+    return ref_counts, ref_member
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["real4", "complex4"])
+def test_two_distinct_components_match_the_four_repeated(kind, kernel_no_retirement,
+                                                        monkeypatch):
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    # The first two rows: Tetrabric's distinct components, whose rows 2 and
+    # 3 repeat them, and two of Perplexbric's real ones; the overflowing
+    # points have inf or NaN first iterates.
+    c2 = np.ascontiguousarray(_kernel_state(kind)[:2])
+    assert np.iscomplexobj(c2) == (kind == "complex4")
+    budgets = [IterationParams(p, max_iter) for p in (2, 3)
+               for max_iter in (16, 17, 33, 300)]
+    # A squared radius beyond the squared guard: the guard decides escapes.
+    budgets.append(IterationParams(3, 100, 1e150))
+    for params in budgets:
+        counts, member = _assert_two_rows_match_the_repeated_four(
+            c2, params, kernel_no_retirement)
+        assert member.any() and not member.all()
+        assert (counts[-len(_OVERFLOWING):] == 1).all()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_two_distinct_components_slow_escapes(kind, kernel_no_retirement, monkeypatch):
+    # The near-parabolic points of the retirement test, in one row and in
+    # both, next to a member in each row.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    for p, cusp in ((2, 0.25), (3, MANDELBRIC_REAL_BOUND)):
+        slow = [cusp + eps for eps in (1e-6, 2e-6, 5e-6)]
+        c2 = np.array([slow + slow + [0.0, 0.0, 0.1],
+                       slow + [0.0, 0.0, 0.0] + [0.1, 0.2, 0.0]])
+        if kind == "complex":
+            c2 = c2.astype(np.complex128)
+        counts, member = _assert_two_rows_match_the_repeated_four(
+            c2, IterationParams(p, 3500), kernel_no_retirement)
+        assert not member[:6].any() and counts[:6].min() > 1000
+        assert member[6:].all()
+
+
 def test_exact_cycles_retire_early(tricomplex_components):
     # Orbits of 0 falling into exact float cycles at p = 2: the fixed point 0
     # (c = 0), 0 -> -1 -> 0 (c = -1) and i -> -1+i -> -i -> -1+i (c = i).

@@ -6,7 +6,13 @@ import pytest
 
 from mbkit import slices
 from mbkit.dynamics import IterationParams, escape_bound, grid_counts_complex
-from mbkit.hypercomplex import Tricomplex, UnitIndex, complex4_rows, to_complex4
+from mbkit.hypercomplex import (
+    Tricomplex,
+    UnitIndex,
+    complex4_rows,
+    distinct_components,
+    to_complex4,
+)
 from mbkit.roots import MANDELBRIC_REAL_BOUND
 from mbkit.slices import (
     PRINCIPAL_SLICES,
@@ -292,13 +298,16 @@ def test_window_outside_bounding_discus_is_empty():
 
 
 @pytest.mark.parametrize("prune", [False, True], ids=["full", "prune"])
-@pytest.mark.parametrize("name", list(PRINCIPAL_SLICES))
+# The principal slices, and a span from each bicomplex subalgebra other than
+# Tetrabric's, sampled on their two distinct components; the reference
+# iterates all four.
+@pytest.mark.parametrize("name", list(PRINCIPAL_SLICES) + ["1,i1,i3", "1,i4,j3"])
 def test_streamed_sampling_matches_whole_window(name, prune, monkeypatch,
                                                 sample_slice_whole_window):
     # Pretend to have 8 CPUs so threads 2 and 3 split each slab.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     params = IterationParams(3, 40)
-    spec = PRINCIPAL_SLICES[name]
+    spec = PRINCIPAL_SLICES.get(name) or SliceSpec.parse(name)
     dims = (13, 7, 11)  # 1001 cells, 77 per x-plane
     # A symmetric window puts cell centers on 0 in every axis; the other is not.
     for window in (((-1.5, 1.5),) * 3, ((-1.3, 0.4), (-0.2, 1.1), (-0.9, 0.7))):
@@ -338,6 +347,33 @@ def test_four_spans_have_real_components():
     assert real == ["1,j1,j2", "1,j1,j3", "1,j2,j3", "j1,j2,j3"]
 
 
+# The bicomplex subalgebras, each with the row of to_complex4 that each of
+# its four rows repeats.
+_REPEATS = {
+    frozenset((U.ONE, U.I1, U.I2, U.J1)): (0, 1, 0, 1),
+    frozenset((U.ONE, U.I1, U.I3, U.J2)): (0, 1, 1, 0),
+    frozenset((U.ONE, U.I1, U.I4, U.J3)): (0, 0, 2, 2),
+}
+
+
+def _repeats(spec):
+    return next((rows for algebra, rows in _REPEATS.items()
+                 if set(spec.units) <= algebra), (0, 1, 2, 3))
+
+
+def test_twelve_spans_iterate_two_components():
+    reduced = [s.label() for s in enumerate_slices()
+               if len(distinct_components(s.units)) == 2]
+    assert reduced == ["1,i1,i2", "1,i1,i3", "1,i1,i4", "1,i1,j1", "1,i1,j2",
+                       "1,i1,j3", "1,i2,j1", "1,i3,j2", "1,i4,j3", "i1,i2,j1",
+                       "i1,i3,j2", "i1,i4,j3"]
+    # Tetrabric and Hourglassbric lie in {1, i1, i2, j1}.
+    for name in ("Tetrabric", "Hourglassbric"):
+        assert distinct_components(PRINCIPAL_SLICES[name].units) == (0, 1)
+    for name in ("Perplexbric", "Metabric"):
+        assert distinct_components(PRINCIPAL_SLICES[name].units) == (0, 1, 2, 3)
+
+
 @pytest.mark.parametrize("spec", enumerate_slices(), ids=SliceSpec.label)
 def test_slice_native_components_match_the_full_batch(spec, rng, tricomplex_components,
                                                       discus_reference):
@@ -370,6 +406,25 @@ def test_slice_native_components_match_the_full_batch(spec, rng, tricomplex_comp
     keep = slices._inside_discus(u1, u2, radius)
     assert np.array_equal(keep, discus_reference(x8, radius))
     assert keep[600:].any() and not keep[600:].all()
+    # Exactly the spans inside a bicomplex subalgebra iterate fewer rows:
+    # each dropped row equals the kept row it repeats, and no two kept rows
+    # are equal, so no other span could drop one.
+    repeats = _repeats(spec)
+    components = distinct_components(spec.units)
+    assert components == tuple(sorted(set(repeats)))
+    for row, kept in enumerate(repeats):
+        assert np.array_equal(ref[row], ref[kept]), (row, kept)
+    for a in components:
+        for b in components:
+            assert a == b or not np.array_equal(ref[a], ref[b]), (a, b)
+    if len(components) == 2:
+        w2 = np.empty((2, coords.shape[1]), dtype=w.dtype)
+        v1, v2 = complex4_rows(x, w2)
+        assert np.array_equal(w2, w[list(components)])
+        assert np.array_equal(slices._inside_discus(v1, v2, radius), keep)
+    else:
+        with pytest.raises(ValueError):
+            complex4_rows(x, np.empty((2, coords.shape[1]), dtype=w.dtype))
 
 
 def _sampling_peak(n):
