@@ -153,8 +153,10 @@ def cmd_render3d(slice_spec, p: int, window, dims, max_iter: int, out,
          "max_iter": max_iter, "prune": prune},
         wall, [vox_path, cloud_path],
     )
-    print(f"member_cells={grid.member_count()}")
-    print(f"volume_estimate={grid.volume_estimate()!r}")
+    # Counted once; volume_estimate() would count the members again.
+    members = grid.member_count()
+    print(f"member_cells={members}")
+    print(f"volume_estimate={members * grid.cell_volume()!r}")
     return grid, vox_path, cloud_path
 
 
@@ -276,6 +278,15 @@ def _conjecture_status(agrees: bool) -> str:
 
 class ManifestError(ValueError):
     """A manifest that cannot be read or does not describe a rerunnable command."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports every error, a subcommand's too, under the one prefix
+    `mbkit: error:` (argparse would name the subcommand in it)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"mbkit: error: {message}\n")
 
 
 class _ManifestParser(argparse.ArgumentParser):
@@ -473,7 +484,7 @@ _RERUN_OPTIONS = {
 }
 
 
-def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+def build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
     ap = parser_class(
         prog="mbkit",
         description="Multibrot renders, 3D slice exports and numeric verification.",
@@ -589,7 +600,7 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argparse.ArgumentParser, argv)
+    args = _parse_args(_Parser, argv)
     # Checked here, not by the parser: rerun parses its command line before
     # it makes the output directory.
     out = getattr(args, "out", None)

@@ -254,8 +254,11 @@ def _iterate_tricomplex_direct(c: Tricomplex, params: IterationParams) -> Escape
         for _ in range(p - 1):
             ep = _mul_coeffs(ep, eta)
         e0, e1, e2, e3, e4, e5, e6, e7 = ep
-        eta = (e0 + c0, e1 + c1, e2 + c2, e3 + c3, e4 + c4, e5 + c5, e6 + c6, e7 + c7)
-        n2 = sum(v * v for v in eta)
+        eta = e0, e1, e2, e3, e4, e5, e6, e7 = (
+            e0 + c0, e1 + c1, e2 + c2, e3 + c3, e4 + c4, e5 + c5, e6 + c6, e7 + c7)
+        # Left to right on every Python version (sum() compensates from 3.12).
+        n2 = (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
+              + e4 * e4 + e5 * e5 + e6 * e6 + e7 * e7)
         if n2 > r2 or n2 > guard2 or not math.isfinite(n2):
             return EscapeResult(True, m, math.sqrt(n2))
     return EscapeResult(False, max_iter, math.sqrt(n2))
@@ -303,14 +306,22 @@ def member_perplexbric_union_form(c1: float, c4: float, c6: float) -> bool:
 # --- vectorized grid engines ----------------------------------------------------
 #
 # Each engine takes flat batches, returns (counts uint32, member bool).  All
-# four share one masked loop, which compacts the active set as points escape
-# or fall into an exact cycle; per-point results depend only on that point's
-# value, so any partition of the input yields identical output.
+# four share one masked loop.  A point is done when it escapes or falls into
+# an exact cycle; its outcome is recorded at that step and a live mask keeps
+# it from being recorded again.  Done points keep iterating (harmlessly, to
+# inf or NaN) until there are enough of them to compact the active set, so a
+# late run of few escapes per step does not copy the whole surviving state
+# at every step.  Per-point results depend only on that point's value, so
+# any partition of the input yields identical output.
 
 # First step at which the kernel snapshots the active state for cycle
 # detection.  An earlier snapshot would copy the whole batch before the
 # escapes of the first steps have shrunk it, raising peak memory.
 _FIRST_SNAPSHOT = 16
+# The active arrays are compacted once done points make up at least
+# 1 / _COMPACT_FRACTION of them: waiting points cost at most that share of
+# extra arithmetic, and each compaction copy drops at least that share.
+_COMPACT_FRACTION = 8
 
 
 def _counts_kernel(c: np.ndarray, params: IterationParams):
@@ -325,67 +336,94 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
     # is never -inf, and NaN fails every <=.
     lim = min(params.escape_radius * params.escape_radius,
               OVERFLOW_NORM * OVERFLOW_NORM)
-    is_complex = np.iscomplexobj(c)
     n = c.shape[-1]
     counts = np.full(n, max_iter, dtype=np.uint32)
     member = np.zeros(n, dtype=bool)
     idx = np.arange(n)
+    live = np.ones(n, dtype=bool)
+    dead = 0
     z = np.zeros_like(c)
     cc = c
     snap = None
-    for m in range(1, max_iter + 1):
-        # The same products and sums, formed in place in fresh arrays: z
-        # itself is never written, because snap may be the same array.
-        zp = z * z
-        for _ in range(p - 2):
-            zp *= z
-        zp += cc
-        z = zp
-        if is_complex:
-            sq = z.real * z.real
-            sq += z.imag * z.imag
-        else:
-            sq = z * z
-        if z.ndim == 2:
-            n2 = sq[0] + sq[1]
-            if len(sq) == 4:
-                n2 += sq[2] + sq[3]
-                n2 *= 0.25
-            else:
-                n2 *= 0.5
-        else:
-            n2 = sq
-        esc = ~(n2 <= lim)
-        done = esc
-        if snap is not None:
-            # A state equal to an earlier non-escaped one repeats forever, so
-            # the point is a member (count max_iter) without running out the
-            # budget.  The step is a fixed sequence of IEEE * and +, so equal
-            # states stay equal up to the sign of zeros, which no norm sees;
-            # NaN never compares equal.
-            cyc = z == snap
-            if z.ndim == 2:
-                cyc = cyc.all(axis=0)
-            done = esc | cyc
-        if done.any():
-            counts[idx[esc]] = m
-            # take() on positions keeps numpy's fast 1-D path for both shapes;
-            # a boolean mask on the last axis of a 2-D array is much slower.
-            pos = np.flatnonzero(~done)
+    # Done points waiting for the next compaction overflow freely.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, max_iter + 1):
+            # The helpers hold their temporaries only while they run, so no
+            # array of an earlier step outlives a compaction.
+            z = _step(z, cc, p)
+            esc = _norm2(z) <= lim
+            np.greater(live, esc, out=esc)  # live and not inside
+            done = esc
             if snap is not None:
-                member[idx[cyc]] = True
-                snap = snap.take(pos, axis=-1)
-            z = z.take(pos, axis=-1)
-            cc = cc.take(pos, axis=-1)
-            idx = idx[pos]
-            if idx.size == 0:
-                break
-        # Brent's cycle finder: re-take the snapshot at each power of two.
-        # z is rebound, never written in place, so no copy is needed.
-        if m >= _FIRST_SNAPSHOT and m & (m - 1) == 0:
-            snap = z
-    member[idx] = True
+                # A state equal to an earlier non-escaped one repeats forever,
+                # so the point is a member (count max_iter) without running
+                # out the budget.  The step is a fixed sequence of IEEE * and
+                # +, so equal states stay equal up to the sign of zeros, which
+                # no norm sees; NaN never compares equal.  A point live now
+                # was live at the snapshot, so its snapshot did not escape.
+                cyc = z == snap
+                if z.ndim == 2:
+                    cyc = cyc.all(axis=0)
+                cyc &= live
+                done = esc | cyc
+            k = np.count_nonzero(done)
+            if k:
+                counts[idx[esc]] = m
+                if snap is not None:
+                    member[idx[cyc]] = True
+                live ^= done
+                dead += k
+                if dead * _COMPACT_FRACTION >= idx.size:
+                    # take() on positions keeps numpy's fast 1-D path for both
+                    # shapes; a boolean mask on the last axis of a 2-D array
+                    # is much slower.
+                    pos = np.flatnonzero(live)
+                    if pos.size == 0:
+                        break
+                    if snap is not None:
+                        snap = snap.take(pos, axis=-1)
+                    z = z.take(pos, axis=-1)
+                    cc = cc.take(pos, axis=-1)
+                    idx = idx[pos]
+                    live = np.ones(pos.size, dtype=bool)
+                    dead = 0
+            # Brent's cycle finder: re-take the snapshot at each power of
+            # two.  z is rebound, never written in place, so no copy is
+            # needed.
+            if m >= _FIRST_SNAPSHOT and m & (m - 1) == 0:
+                snap = z
+    member[idx[live]] = True
     return counts, member
+
+
+def _step(z: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
+    """z^p + c by the scalar engines' multiply chain, formed in place in a
+    fresh array: z itself is never written, because the cycle snapshot may
+    be the same array."""
+    zp = z * z
+    for _ in range(p - 2):
+        zp *= z
+    zp += c
+    return zp
+
+
+def _norm2(z: np.ndarray) -> np.ndarray:
+    """Squared norm of each point of a kernel state: the ring norm of a
+    (4, n) or (2, n) batch."""
+    if np.iscomplexobj(z):
+        sq = z.real * z.real
+        sq += z.imag * z.imag
+    else:
+        sq = z * z
+    if z.ndim == 1:
+        return sq
+    n2 = sq[0] + sq[1]
+    if len(sq) == 4:
+        n2 += sq[2] + sq[3]
+        n2 *= 0.25
+    else:
+        n2 *= 0.5
+    return n2
 
 
 def _run_blocks(c: np.ndarray, params: IterationParams, threads: int):

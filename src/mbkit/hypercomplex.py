@@ -340,8 +340,10 @@ def from_idempotent(p: IdempotentPair) -> Tricomplex:
 
 
 def norm3(t: Tricomplex) -> float:
-    """Euclidean norm of the 8 coefficients."""
-    return math.sqrt(sum(v * v for v in t.x))
+    """Euclidean norm of the 8 coefficients, squares summed left to right."""
+    x0, x1, x2, x3, x4, x5, x6, x7 = t.x
+    return math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+                     + x4 * x4 + x5 * x5 + x6 * x6 + x7 * x7)
 
 
 @dataclass(frozen=True)

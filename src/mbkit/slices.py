@@ -417,7 +417,8 @@ class VoxelGrid:
         return self.cells == self.max_iter
 
     def member_count(self) -> int:
-        return int(self.member_mask().sum())
+        # One x-plane at a time: no full-grid mask is built.
+        return sum(int(np.count_nonzero(plane == self.max_iter)) for plane in self.cells)
 
     def cell_volume(self) -> float:
         return self.spacing[0] * self.spacing[1] * self.spacing[2]

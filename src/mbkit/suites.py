@@ -289,7 +289,7 @@ def roots_suite(seed: int = 0, n: int = 10_000) -> list[CheckResult]:
         flat = [r for r, mult in rs.roots for _ in range(mult)]
         worst_vieta = max(
             worst_vieta,
-            abs(sum(flat) + cc.b) / max(1.0, abs(cc.b)),
+            abs(flat[0] + flat[1] + flat[2] + cc.b) / max(1.0, abs(cc.b)),
             abs(flat[0] * flat[1] * flat[2] + cc.d) / max(1.0, abs(cc.d)),
         )
         nreal, dbl = _root_count_oracle(cc)

@@ -85,6 +85,7 @@ def test_render3d_outputs_and_rerun(tmp_path, capsys):
                                     120, base)
     printed = capsys.readouterr().out
     assert f"member_cells={grid.member_count()}" in printed
+    assert f"volume_estimate={grid.volume_estimate()!r}" in printed
     assert vox.exists() and cloud.exists()
     manifest_path = tmp_path / "perp.manifest.json"
     assert manifest_path.exists()
@@ -183,6 +184,7 @@ def test_parser_rejects_bad_window():
     ["render2d", "--res", "0"],
     ["render2d", "--res", "8,0"],
     ["render2d", "--res", "1,2,3"],
+    ["render2d", "--res", "abc"],
     ["render2d", "--max-iter", "0"],
     ["render2d", "--window=1:-1,-1:1"],
     ["render2d", "--window=0:0,-1:1"],
@@ -191,11 +193,14 @@ def test_parser_rejects_bad_window():
     ["render2d", "--escape-radius", "inf"],
     ["render3d", "--dims", "0"],
     ["render3d", "--dims", "8,0,8"],
+    ["render3d", "--dims", "abc"],
     ["render3d", "--p", "1"],
     ["render3d", "--max-iter", "0"],
     ["render3d", "--slice", "1,1,j1"],
     ["render3d", "--window=-1:1,1:-1,-1:1"],
     ["verify", "--seed", "-1"],
+    ["verify", "--suite", "nope"],
+    ["frobnicate"],
     ["estimate", "--kind", "real-extent", "--precision", "abc"],
     ["estimate", "--kind", "real-extent", "--precision", "0"],
     ["estimate", "--kind", "hyperbric-area", "--precision", "1e-4"],
@@ -207,9 +212,8 @@ def test_bad_cli_input_exits_2_with_one_line_error(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    # Subcommand errors too carry the one documented prefix.
+    _assert_one_error_line(capsys.readouterr().err)
     assert not any(tmp_path.iterdir())
 
 

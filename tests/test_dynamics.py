@@ -1,6 +1,7 @@
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,17 @@ def test_iterate_tricomplex_examples():
     r_tc = iterate_tricomplex(Tricomplex.real(0.5), params, "direct")
     r_c = iterate_complex(0.5 + 0j, params)
     assert r_tc.escaped and (r_tc.escaped, r_tc.iterations) == (r_c.escaped, r_c.iterations)
+
+
+def test_direct_tricomplex_escape_norm_sums_left_to_right():
+    # c's squared norm is 1e16 left to right (1e16 absorbs each 1), exactly
+    # the squared radius, so c stays inside at step 1 and escapes at step 2;
+    # a compensated sum (1e16 + 8) would escape at step 1.
+    c = Tricomplex((1e8,) + (1.0,) * 7)
+    params = IterationParams(3, 10, 1e8)
+    assert math.fsum(v * v for v in c.x) > params.escape_radius ** 2
+    r = iterate_tricomplex(c, params, mode="direct")
+    assert r.escaped and r.iterations == 2
 
 
 def test_tricomplex_modes_agree(rng):
@@ -531,6 +543,92 @@ def test_slow_escapes_near_parabolic_points_are_not_retired(kind, kernel_no_reti
         assert not ref_member.any() and ref_counts.min() > 1000
         counts, member = dynamics._counts_kernel(c, params)
         assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+
+
+# --- deferred compaction ---------------------------------------------------------
+#
+# The kernel records a done point at its step and compacts it away only once
+# done points are 1 / _COMPACT_FRACTION of the arrays.  These tests run it with
+# the fraction at 1 (no compaction until every point is done), at its default
+# and at 2^30, more than any batch here holds (a compaction at every step
+# with a done point).
+
+_FRACTIONS = (1, dynamics._COMPACT_FRACTION, 1 << 30)
+
+
+def _trickle(p):
+    """Real parameters just beyond the cusp, each escaping at its own step
+    between the snapshots 16 and 512."""
+    cusp = 0.25 if p == 2 else MANDELBRIC_REAL_BOUND
+    return cusp + np.geomspace(2e-5, 2e-2, 24)
+
+
+def _as_kind(c, kind):
+    c = np.tile(c, (4, 1)) if kind.endswith("4") else c
+    return c.astype(np.complex128) if kind.startswith("complex") else c
+
+
+def _assert_fractions_and_threads_match(c, params, kernel_no_retirement, monkeypatch):
+    ref_counts, ref_member = kernel_no_retirement(c, params)
+    for fraction in _FRACTIONS:
+        monkeypatch.setattr(dynamics, "_COMPACT_FRACTION", fraction)
+        for threads in (1, 2, 3):
+            counts, member = dynamics._run_blocks(c, params, threads)
+            assert np.array_equal(counts, ref_counts), (fraction, threads)
+            assert np.array_equal(member, ref_member), (fraction, threads)
+    return ref_counts, ref_member
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])
+def test_trickling_escapes_wait_across_snapshots(kind, p, kernel_no_retirement,
+                                                 monkeypatch):
+    # Members, which fall into exact cycles, interleaved with escapes that
+    # come one distinct step at a time, so done points wait across several
+    # snapshots; the budgets end before, between and after the escapes.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    trickle = _trickle(p)
+    members = np.linspace(-0.2, 0.2, 4 * len(trickle))
+    c = np.concatenate([members.reshape(len(trickle), 4), trickle[:, None]], axis=1)
+    c = _as_kind(c.ravel(), kind)
+    for max_iter in (12, 100, 1000):
+        counts, member = _assert_fractions_and_threads_match(
+            c, IterationParams(p, max_iter), kernel_no_retirement, monkeypatch)
+        assert member.reshape(-1, 5)[:, :4].all()
+    escaped = counts[~member]
+    assert len(escaped) == len(trickle) == len(np.unique(escaped))
+    assert len(np.unique(np.log2(escaped).astype(int))) >= 4
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])
+def test_every_point_escapes(kind, kernel_no_retirement, monkeypatch):
+    # Nothing stays live: the kernel stops at the last escape, whether or not
+    # the done points ever reached the compaction threshold before it.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    c = _as_kind(_trickle(3), kind)
+    params = IterationParams(3, 1000)
+    counts, member = _assert_fractions_and_threads_match(
+        c, params, kernel_no_retirement, monkeypatch)
+    assert not member.any() and counts.max() < params.max_iter
+
+
+@pytest.mark.parametrize("fraction", _FRACTIONS)
+@pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])
+def test_waiting_overflows_raise_no_warning(kind, fraction, kernel_no_retirement,
+                                            monkeypatch):
+    # The overflowing points are done at step 1 and, unless the fraction
+    # compacts at every step, keep iterating through inf and NaN.
+    monkeypatch.setattr(dynamics, "_COMPACT_FRACTION", fraction)
+    c = _kernel_state(kind)
+    params = IterationParams(3, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref_counts, ref_member = kernel_no_retirement(c, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, member = dynamics._counts_kernel(c, params)
+    assert (counts[-len(_OVERFLOWING):] == 1).all()
+    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
 
 
 # --- two distinct components -----------------------------------------------------

@@ -199,6 +199,16 @@ def test_norm_examples():
     assert norm3(t(u1=1, i1=1, i2=1, j1=1)) == 2.0
 
 
+def test_norm3_sums_squares_left_to_right():
+    # Left to right, 1e16 absorbs each of the seven 1s (1e16 + 1 rounds to
+    # even); a compensated sum such as math.fsum keeps them.
+    x = (1e8,) + (1.0,) * 7
+    squares = [v * v for v in x]
+    assert math.fsum(squares) > 1e16
+    assert norm3(Tricomplex(x)) == 1e8
+    assert math.sqrt(math.fsum(squares)) > 1e8
+
+
 @settings(max_examples=150, deadline=None)
 @given(tricomplexes)
 def test_norm_matches_component_form(a):

@@ -262,6 +262,25 @@ def test_pointcloud_writer_holds_one_plane(tmp_path):
     assert peak <= 16 * members
 
 
+def test_member_count_holds_one_plane():
+    # Every other x-plane all members: a full-grid mask would take one byte
+    # per cell, 262,144 here; one x-plane's mask takes 4,096.
+    dims = (64, 64, 64)
+    cells = np.full(dims, 5, dtype=np.uint32)
+    cells[::2] = 4
+    g = VoxelGrid(PRINCIPAL_SLICES["Perplexbric"], (-0.5, -0.5, -0.5),
+                  (1 / 64, 1 / 64, 1 / 64), dims, 5, cells)
+    tracemalloc.start()
+    try:
+        members = g.member_count()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert members == 32 * 64 * 64 == int(np.sum(cells == 5))
+    assert g.volume_estimate() == members * (1 / 64) ** 3
+    assert peak <= cells.size // 16
+
+
 def test_exports_byte_deterministic(tmp_path):
     params = IterationParams(3, 60)
     blobs = []
