@@ -114,9 +114,8 @@ def cmd_render2d(set_name: str, p: int, window, res, max_iter: int,
         grid = xs[None, :] + 1j * ys[:, None]
         counts, member = grid_counts_complex(grid.ravel(), params, threads=threads)
     elif set_name == "hyperbrot":
-        ga, gb = np.meshgrid(xs, ys)
-        counts, member = grid_counts_hyperbolic(ga.ravel(), gb.ravel(), params,
-                                                threads=threads)
+        ga, gb = np.meshgrid(xs, ys, copy=False)
+        counts, member = grid_counts_hyperbolic(ga, gb, params, threads=threads)
     else:
         raise ValueError(f"unknown set {set_name!r}")
     image = shade(counts, member, max_iter).reshape(h, w)
@@ -226,10 +225,9 @@ def cmd_estimate(kind: str, p: int, precision=None, out=None,
         area_ref = (hi_ref - lo_ref) ** 2 / 2.0
         half = max(abs(lo_ref), abs(hi_ref)) * 1.1
         xs = cell_centers(-half, half, n)
-        ga, gb = np.meshgrid(xs, xs)
+        ga, gb = np.meshgrid(xs, xs, copy=False)
         params = IterationParams(p, 2000)
-        _, member = grid_counts_hyperbolic(ga.ravel(), gb.ravel(), params,
-                                           threads=threads)
+        _, member = grid_counts_hyperbolic(ga, gb, params, threads=threads)
         cell = (2.0 * half / n) ** 2
         area = float(member.sum()) * cell
         status = "theorem" if p == 3 else _conjecture_status(
@@ -563,16 +561,15 @@ def _parse_args(parser_class, argv) -> argparse.Namespace:
 
 def _grid(args: argparse.Namespace):
     """The option giving a command's grid size, the sizes, and the bytes per
-    cell of its largest array: render2d's complex128 parameters,
-    hyperbric-area's two float64 component parameters, and the uint32
-    counts of render3d and perplexbric-volume."""
+    cell of its largest array: render2d's complex128 parameters, and the
+    uint32 counts of hyperbric-area, render3d and perplexbric-volume."""
     if args.command == "render2d":
         return "--res", args.res, 16
     if args.command == "render3d":
         return "--dims", args.dims, 4
     if args.command == "estimate" and args.precision is not None:
         if args.kind == "hyperbric-area":
-            return "--precision", (args.precision,) * 2, 16
+            return "--precision", (args.precision,) * 2, 4
         if args.kind == "perplexbric-volume":
             return "--precision", (args.precision,) * 3, 4
     return None

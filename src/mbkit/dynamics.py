@@ -339,6 +339,8 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
     n = c.shape[-1]
     counts = np.full(n, max_iter, dtype=np.uint32)
     member = np.zeros(n, dtype=bool)
+    if n == 0:
+        return counts, member
     idx = np.arange(n)
     live = np.ones(n, dtype=bool)
     dead = 0
@@ -451,26 +453,62 @@ def grid_counts_real(c: np.ndarray, params: IterationParams, threads: int = 1):
     return _run_blocks(c, params, threads)
 
 
+# Points per chunk of the streamed hyperbolic path: beyond its flat outputs
+# it holds a few arrays of this length at a time, whatever the grid size.
+_CHUNK = 1 << 18
+
+
 def grid_counts_hyperbolic(
     a: np.ndarray, b: np.ndarray, params: IterationParams, threads: int = 1
 ):
     """Counts/member for hyperbolic parameters via the two real component orbits.
 
+    a and b must have equal shapes.  They may have any strides, broadcast
+    views such as np.meshgrid(..., copy=False) included, and are read in C
+    order; counts and member are flat in that order.
+
     The component parameters a - b and a + b repeat heavily on lattice
     windows, so each distinct value is iterated once and results gathered
-    back; this is exact (identical floats share identical orbits).
+    back; this is exact (identical floats share identical orbits).  The
+    inputs are read in chunks of at most _CHUNK points, twice: once to
+    collect the distinct components, once to gather their results.  Beyond
+    the 5 B/cell outputs, only the distinct components grow with the grid,
+    and a lattice window has few of them.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64).ravel()
-    b = np.ascontiguousarray(b, dtype=np.float64).ravel()
-    cm = a - b
-    cp = a + b
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"a and b must have equal shapes, got {a.shape} and {b.shape}")
+
+    def components():
+        for ca, cb in np.nditer([a, b], flags=["external_loop", "buffered", "zerosize_ok"],
+                                buffersize=_CHUNK, order="C"):
+            yield ca - cb, ca + cb
+
     # Sorting the values and searching them is much faster than the argsort
-    # behind return_inverse; -0.0 finds the entry of 0.0, which has its orbit.
-    uniq = np.unique(np.concatenate([cm, cp]))
-    im, ip = np.searchsorted(uniq, cm), np.searchsorted(uniq, cp)
+    # behind return_inverse.  np.unique keeps one of 0.0 and -0.0; both find
+    # it, and their orbits are the same.  Each chunk's distinct values wait
+    # until they outnumber the merged set, so the merges sort each value
+    # O(log n) times even when few values repeat, and the waiting values
+    # never outgrow the distinct set.
+    uniq, pieces, held = np.empty(0), [], 0
+    for cm, cp in components():
+        pieces.append(np.unique(np.concatenate([cm, cp])))
+        held += pieces[-1].size
+        if held >= uniq.size:
+            uniq = np.unique(np.concatenate([uniq] + pieces))
+            pieces, held = [], 0
+    uniq = np.unique(np.concatenate([uniq] + pieces))
     counts_u, member_u = _run_blocks(uniq, params, threads)
-    counts = np.minimum(counts_u[im], counts_u[ip])
-    member = member_u[im] & member_u[ip]
+    counts = np.empty(a.size, dtype=np.uint32)
+    member = np.empty(a.size, dtype=bool)
+    start = 0
+    for cm, cp in components():
+        im, ip = np.searchsorted(uniq, cm), np.searchsorted(uniq, cp)
+        stop = start + cm.size
+        np.minimum(counts_u[im], counts_u[ip], out=counts[start:stop])
+        np.logical_and(member_u[im], member_u[ip], out=member[start:stop])
+        start = stop
     return counts, member
 
 

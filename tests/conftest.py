@@ -58,6 +58,25 @@ def kernel_no_retirement():
     return kernel
 
 
+@pytest.fixture
+def hyperbolic_whole_grid():
+    """dynamics.grid_counts_hyperbolic building every array over the whole
+    grid: one np.unique over both components of every point, and two
+    searchsorted into it.  The reference for the chunk-streamed path."""
+    from mbkit.dynamics import _run_blocks
+
+    def counts(a, b, params, threads=1):
+        a = np.ascontiguousarray(a, dtype=np.float64).ravel()
+        b = np.ascontiguousarray(b, dtype=np.float64).ravel()
+        cm = a - b
+        cp = a + b
+        uniq = np.unique(np.concatenate([cm, cp]))
+        im, ip = np.searchsorted(uniq, cm), np.searchsorted(uniq, cp)
+        counts_u, member_u = _run_blocks(uniq, params, threads)
+        return np.minimum(counts_u[im], counts_u[ip]), member_u[im] & member_u[ip]
+    return counts
+
+
 def complex4_reference(x8):
     """The idempotent components of an (8, n) batch as to_complex4 first
     formed them: all eight rows summed, then re + 1j * im."""

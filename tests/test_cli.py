@@ -227,7 +227,7 @@ _TOO_LARGE = [
     (["render2d", "--res", "4,9000000000000000000"], (9000000000000000000, 4),
      np.complex128),
     (["estimate", "--kind", "hyperbric-area", "--precision", "3000000000"],
-     (2, 3000000000 ** 2), np.float64),
+     (3000000000,) * 2, np.uint32),
     (["estimate", "--kind", "perplexbric-volume", "--precision", "3000000"],
      (3000000,) * 3, np.uint32),
 ]

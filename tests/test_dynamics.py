@@ -1,6 +1,8 @@
 import math
 import os
+import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -453,6 +455,110 @@ def test_grid_workers_capped_at_cpu_count(rng, monkeypatch):
     assert pools and all(w <= os.cpu_count() for w in pools)
     ref_counts, ref_member = grid_counts_complex(cs, params)
     assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+
+
+# --- streamed hyperbolic path ----------------------------------------------------
+#
+# grid_counts_hyperbolic reads its inputs in chunks of at most _CHUNK points.
+# These tests pin it to the whole-grid body (the hyperbolic_whole_grid
+# fixture) with chunks that split rows and leave a partial last chunk.
+
+
+def _hyperbolic_inputs(case, rng):
+    # Asymmetric in both axes, so a flipped or transposed read shows.
+    xs = cell_centers(-0.41, 0.43, 103)
+    ys = cell_centers(-0.37, 0.42, 97)
+    if case == "meshgrid view":
+        return np.meshgrid(xs, ys, copy=False)
+    if case == "reversed-y view":  # as render2d builds it
+        return np.meshgrid(xs, ys[::-1], copy=False)
+    if case == "contiguous":
+        return rng.uniform(-0.6, 0.6, 4001), rng.uniform(-0.6, 0.6, 4001)
+    if case == "strided columns":
+        pts = rng.uniform(-0.6, 0.6, (4001, 2))
+        return pts[:, 0], pts[:, 1]
+    # Signed zeros (a - b and a + b of +-0.0 give both signs) and exact
+    # duplicates, within a chunk and across chunks.
+    values = np.array([0.0, -0.0, 0.1, -0.1, 0.25, 0.3849, -0.3849, 0.5])
+    return rng.choice(values, 4001), rng.choice(values, 4001)
+
+
+_HYPERBOLIC_CASES = ["meshgrid view", "reversed-y view", "contiguous",
+                     "strided columns", "signed zeros and duplicates"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunk", [37, 1000])
+@pytest.mark.parametrize("case", _HYPERBOLIC_CASES)
+def test_streamed_hyperbolic_matches_whole_grid(case, chunk, threads, rng, monkeypatch,
+                                                hyperbolic_whole_grid):
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    a, b = _hyperbolic_inputs(case, rng)
+    params = IterationParams(3, 300)
+    counts, member = grid_counts_hyperbolic(a, b, params, threads=threads)
+    ref_counts, ref_member = hyperbolic_whole_grid(a, b, params, threads=threads)
+    assert counts.shape == member.shape == (a.size,)
+    assert counts.dtype == np.uint32 and member.dtype == bool
+    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+    assert member.any() and not member.all()
+
+
+@pytest.mark.parametrize("chunk, sizes", [(None, (1000, 2000)), (1 << 12, (500, 1000))])
+def test_streamed_hyperbolic_memory_is_flat_in_grid_size(chunk, sizes, monkeypatch):
+    # Beyond the 5 B/cell outputs the path holds a few chunk-sized arrays
+    # and the distinct components (7,359 at 1000^2, 14,547 at 2000^2).  The
+    # whole-grid body took about 64 B/cell: 192 MB more at 2000^2.  With
+    # small chunks, holding every chunk's distinct values until the end
+    # would add about 12 MB from 500^2 to 1000^2.
+    if chunk is not None:
+        monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    params = IterationParams(3, 8)
+    extra = []
+    for n in sizes:
+        xs = cell_centers(-0.4, 0.4, n)
+        a, b = np.meshgrid(xs, xs[::-1], copy=False)
+        tracemalloc.start()
+        try:
+            grid_counts_hyperbolic(a, b, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - 5 * n * n)
+    assert extra[1] <= extra[0] + 2_000_000
+
+
+def test_hyperbolic_inputs_must_have_equal_shapes():
+    params = IterationParams(3, 50)
+    # A size-1 b used to broadcast silently to three results.
+    for a, b in (([0.0, 0.1, 0.3], [0.05]), (np.zeros(3), np.zeros(4)),
+                 (np.zeros((2, 3)), np.zeros(6)), (np.zeros((2, 3)), np.zeros((3, 2)))):
+        shapes = f"{np.shape(a)} and {np.shape(b)}"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            grid_counts_hyperbolic(a, b, params)
+    counts, member = grid_counts_hyperbolic(np.zeros((2, 3)), np.zeros((2, 3)), params)
+    assert counts.shape == member.shape == (6,) and member.all()
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("the kernel stepped an empty batch")
+
+
+def test_empty_batches_return_without_iterating(monkeypatch):
+    monkeypatch.setattr(dynamics, "_step", _no_step)
+    params = IterationParams(3, 100_000)
+    results = [
+        grid_counts_complex(np.empty(0, complex), params, threads=2),
+        grid_counts_real(np.empty(0), params, threads=2),
+        grid_counts_hyperbolic(np.empty(0), np.empty(0), params, threads=2),
+        grid_counts_hyperbolic(*np.meshgrid(np.empty(0), np.arange(3.0), copy=False),
+                               params),
+        grid_counts_tricomplex(np.empty((4, 0)), params, threads=2),
+        grid_counts_tricomplex(np.empty((2, 0), complex), params),
+    ]
+    for counts, member in results:
+        assert counts.shape == member.shape == (0,)
+        assert counts.dtype == np.uint32 and member.dtype == bool
 
 
 # --- cycle retirement --------------------------------------------------------------

@@ -7,7 +7,11 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mbkit import dynamics
+from mbkit.slices import cell_centers
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,3 +49,24 @@ def test_hooked_functions_keep_the_parameters_their_hooks_bind(tracing):
         layer, dotted = name.split(".", 1)
         parameters = inspect.signature(_resolve(layer, dotted)).parameters
         assert set(needed) <= set(parameters), name
+
+
+def test_hyperbolic_hook_records_a_meshgrid_view_call(tracing):
+    # The commands pass 2-D np.meshgrid(copy=False) views; the hook flattens
+    # them in C order, like grid_counts_hyperbolic, to rebuild the counts
+    # of the distinct component parameters and check the returned ones.
+    xs = cell_centers(-0.4, 0.4, 60)
+    a, b = np.meshgrid(xs, xs[::-1][:45], copy=False)
+    params = dynamics.IterationParams(3, 200)
+    fn = dynamics.grid_counts_hyperbolic
+    bound = inspect.signature(fn).bind(a, b, params, threads=1)
+    result = fn(*bound.args, **bound.kwargs)
+    tracer = tracing.Tracer()
+    tracer.command = "hyperbrot"
+    tracing._record_grid("dynamics.grid_counts_hyperbolic")(tracer, fn, bound, result, 0.0)
+    [rec] = tracer.grid_calls["hyperbrot"]
+    assert rec["consistent"] is True
+    assert rec["cells"] == a.size == 60 * 45
+    assert rec["kernel_points"] == np.unique(np.concatenate([(a - b).ravel(),
+                                                             (a + b).ravel()])).size
+    assert tracer.replay_grid_calls() == []
