@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    MAX_ITER_LIMIT,
     IterationParams,
     grid_counts_complex,
     grid_counts_hyperbolic,
@@ -74,13 +75,18 @@ def _write_manifest(out_base: Path, command: str, parameters: dict,
 
 def shade(counts: np.ndarray, member: np.ndarray, max_iter: int) -> np.ndarray:
     """Monotone grayscale ramp: members black, fast escape bright."""
-    counts = counts.astype(np.int64)
     if max_iter > 1:
-        vals = 255 - ((counts - 1) * 254) // (max_iter - 1)
+        # 255 - ((counts - 1) * 254) // (max_iter - 1), in one int64 array.
+        ramp = counts.astype(np.int64)
+        ramp -= 1
+        ramp *= 254
+        ramp //= max_iter - 1
+        np.subtract(255, ramp, out=ramp)
+        image = ramp.astype(np.uint8)
     else:
-        vals = np.full_like(counts, 255)
-    vals[member] = 0
-    return vals.astype(np.uint8)
+        image = np.full(counts.shape, 255, dtype=np.uint8)
+    image[member] = 0
+    return image
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -391,7 +397,7 @@ def cmd_rerun(manifest_path, out_dir=None) -> int:
 # --- argument parsing -----------------------------------------------------------
 
 
-def _int_at_least(lo: int):
+def _int_between(lo: int, hi: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -400,12 +406,15 @@ def _int_at_least(lo: int):
                 f"expected an integer, got {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
     return parse
 
 
-_exponent = _int_at_least(2)
-_positive_int = _int_at_least(1)
+_exponent = _int_between(2)
+_positive_int = _int_between(1)
+_max_iter = _int_between(1, MAX_ITER_LIMIT)
 
 
 def _parse_window(text: str, axes: int):
@@ -497,7 +506,7 @@ def build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
                     help="x0:x1,y0:y1 (default -1.5:1.5 squared)")
     r2.add_argument("--res", type=_sizes(2), default=(1000, 1000),
                     help="N or W,H pixels (default 1000)")
-    r2.add_argument("--max-iter", type=_positive_int, default=1000)
+    r2.add_argument("--max-iter", type=_max_iter, default=1000)
     r2.add_argument("--escape-radius", type=float, default=None)
     r2.add_argument("--out", required=True)
 
@@ -508,14 +517,14 @@ def build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
     r3.add_argument("--window", type=_window3,
                     default=((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)))
     r3.add_argument("--dims", type=_sizes(3), default=(128, 128, 128))
-    r3.add_argument("--max-iter", type=_positive_int, default=1000)
+    r3.add_argument("--max-iter", type=_max_iter, default=1000)
     r3.add_argument("--prune", action="store_true",
                     help="mark cells outside the bounding discus escaped at 1")
     r3.add_argument("--out", required=True)
 
     vf = sub.add_parser("verify", help="run numeric verification suites")
     vf.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    vf.add_argument("--seed", type=_int_at_least(0), default=0)
+    vf.add_argument("--seed", type=_int_between(0), default=0)
     vf.add_argument("--out", default=None)
 
     es = sub.add_parser("estimate", help="estimate a quantity with its closed form")
@@ -536,8 +545,10 @@ def _parse_args(parser_class, argv) -> argparse.Namespace:
     ap = build_parser(parser_class)
     args = ap.parse_args(argv)
     if args.command == "render2d":
+        # The radius is checked against --p's sharp bound; --max-iter has
+        # been checked by its type.
         try:
-            IterationParams(args.p, args.max_iter, args.escape_radius)
+            IterationParams(args.p, escape_radius=args.escape_radius)
         except ValueError as exc:
             ap.error(f"argument --escape-radius: {exc}")
     elif args.command == "estimate":

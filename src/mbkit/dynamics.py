@@ -4,7 +4,9 @@ Scalar engines iterate a single parameter and report an EscapeResult; grid
 engines iterate flat numpy batches and report iteration-count arrays with a
 member mask.  Scalar and grid paths share primitive operation order (powers
 as left-to-right multiply chains, squared-norm comparisons), so counts agree
-bitwise wherever the same orbit values arise.
+bitwise wherever the same orbit values arise.  Each is one loop, the scalar
+_escape_time driving a per-system step and the grid _counts_kernel, and both
+stop an orbit whose state repeats exactly, which changes no result.
 
 Escape uses the sharp bound 2^(1/(p-1)): an orbit that ever exceeds it
 diverges, so a point is a member exactly when the whole orbit stays inside.
@@ -33,6 +35,8 @@ from .roots import MANDELBRIC_REAL_BOUND, escape_bound
 # Iteration aborts as escaped once the norm exceeds this, well before
 # float overflow can corrupt counts.
 OVERFLOW_NORM = 1e100
+# The largest iteration budget: the most a uint32 count can hold.
+MAX_ITER_LIMIT = 2 ** 32 - 1
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,12 @@ class IterationParams:
         object.__setattr__(self, "p", int(self.p))
         if self.p < 2:
             raise ValueError("p must be an integer >= 2")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, (int, np.integer))
+                or not 1 <= self.max_iter <= MAX_ITER_LIMIT):
+            raise ValueError(f"max_iter must be an integer in [1, {MAX_ITER_LIMIT}], "
+                             f"got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
         bound = escape_bound(self.p)
         if self.escape_radius is None:
             object.__setattr__(self, "escape_radius", bound)
@@ -71,25 +79,49 @@ class EscapeResult:
     final_norm: float
 
 
+def _escape_time(step, z0, params: IterationParams) -> EscapeResult:
+    """The escape-time loop of every scalar engine; step(z) returns the
+    next state and its squared norm.
+
+    A state equal to the snapshot of step s (Brent: snapshots at steps 1,
+    2, 4, 8, ...) repeats with period m - s, so whole periods are skipped.
+    Equal states stay equal up to the sign of zeros, which no norm sees, and
+    a live state is finite, so the result is that of running every step.
+    """
+    max_iter = params.max_iter
+    # n2 > r2, n2 > guard2 or n2 NaN, in one comparison.
+    lim = min(params.escape_radius * params.escape_radius,
+              OVERFLOW_NORM * OVERFLOW_NORM)
+    z, n2 = z0, 0.0
+    snap, s, nxt = None, 0, 1
+    for m in range(1, max_iter + 1):
+        z, n2 = step(z)
+        if not n2 <= lim:
+            return EscapeResult(True, m, math.sqrt(n2))
+        if z == snap:
+            for _ in range((max_iter - m) % (m - s)):
+                z, n2 = step(z)
+            break
+        if m == nxt:
+            snap, s, nxt = z, m, 2 * m
+    return EscapeResult(False, max_iter, math.sqrt(n2))
+
+
 # --- complex engine -----------------------------------------------------------
 
 
 def iterate_complex(c: complex, params: IterationParams) -> EscapeResult:
     """Iterate z -> z^p + c from 0; stop at the first norm above the radius."""
-    p, max_iter = params.p, params.max_iter
-    r2 = params.escape_radius * params.escape_radius
-    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
-    z = complex(0.0, 0.0)
-    n2 = 0.0
-    for m in range(1, max_iter + 1):
+    chain = range(params.p - 1)
+
+    def step(z):
         zp = z
-        for _ in range(p - 1):
+        for _ in chain:
             zp = zp * z
         z = zp + c
-        n2 = z.real * z.real + z.imag * z.imag
-        if n2 > r2 or n2 > guard2 or not math.isfinite(n2):
-            return EscapeResult(True, m, math.sqrt(n2))
-    return EscapeResult(False, max_iter, math.sqrt(n2))
+        return z, z.real * z.real + z.imag * z.imag
+
+    return _escape_time(step, complex(0.0, 0.0), params)
 
 
 def orbit_complex(c: complex, p: int, n: int, guard: float = OVERFLOW_NORM) -> list[complex]:
@@ -176,51 +208,34 @@ def _bisect_boundary(member, inside: float, outside: float, tol: float) -> float
 def iterate_hyperbolic(
     c: Hyperbolic, params: IterationParams, mode: str = "decomposed"
 ) -> EscapeResult:
+    chain = range(params.p - 1)
     if mode == "decomposed":
-        return _iterate_hyperbolic_decomposed(c, params)
+        cm, cp = c.u - c.v, c.u + c.v
+
+        def step(x):
+            xm, xp_ = x
+            t = xm
+            for _ in chain:
+                t = t * xm
+            xm = t + cm
+            t = xp_
+            for _ in chain:
+                t = t * xp_
+            xp_ = t + cp
+            return (xm, xp_), max(xm * xm, xp_ * xp_)
+
+        return _escape_time(step, (0.0, 0.0), params)
     if mode == "direct":
-        return _iterate_hyperbolic_direct(c, params)
+        def step(z):
+            zp = z
+            for _ in chain:
+                zp = hyp_diamond(zp, z)
+            z = zp + c
+            tm, tp = z.u - z.v, z.u + z.v
+            return z, max(tm * tm, tp * tp)
+
+        return _escape_time(step, Hyperbolic(0.0, 0.0), params)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _iterate_hyperbolic_decomposed(c: Hyperbolic, params: IterationParams) -> EscapeResult:
-    p, max_iter = params.p, params.max_iter
-    r2 = params.escape_radius * params.escape_radius
-    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
-    cm, cp = c.u - c.v, c.u + c.v
-    xm = xp_ = 0.0
-    n2 = 0.0
-    for m in range(1, max_iter + 1):
-        t = xm
-        for _ in range(p - 1):
-            t = t * xm
-        xm = t + cm
-        t = xp_
-        for _ in range(p - 1):
-            t = t * xp_
-        xp_ = t + cp
-        n2 = max(xm * xm, xp_ * xp_)
-        if n2 > r2 or n2 > guard2 or not math.isfinite(n2):
-            return EscapeResult(True, m, math.sqrt(n2))
-    return EscapeResult(False, max_iter, math.sqrt(n2))
-
-
-def _iterate_hyperbolic_direct(c: Hyperbolic, params: IterationParams) -> EscapeResult:
-    p, max_iter = params.p, params.max_iter
-    r2 = params.escape_radius * params.escape_radius
-    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
-    z = Hyperbolic(0.0, 0.0)
-    n2 = 0.0
-    for m in range(1, max_iter + 1):
-        zp = z
-        for _ in range(p - 1):
-            zp = hyp_diamond(zp, z)
-        z = zp + c
-        tm, tp = z.u - z.v, z.u + z.v
-        n2 = max(tm * tm, tp * tp)
-        if n2 > r2 or n2 > guard2 or not math.isfinite(n2):
-            return EscapeResult(True, m, math.sqrt(n2))
-    return EscapeResult(False, max_iter, math.sqrt(n2))
 
 
 def member_hyperbric_analytic(a: float, b: float) -> bool:
@@ -234,58 +249,52 @@ def member_hyperbric_analytic(a: float, b: float) -> bool:
 def iterate_tricomplex(
     c: Tricomplex, params: IterationParams, mode: str = "direct"
 ) -> EscapeResult:
+    chain = range(params.p - 1)
     if mode == "direct":
-        return _iterate_tricomplex_direct(c, params)
+        # Plain 8-tuples with the tc_mul product and the Tricomplex add.
+        c0, c1, c2, c3, c4, c5, c6, c7 = c.x
+
+        def step(eta):
+            ep = eta
+            for _ in chain:
+                ep = _mul_coeffs(ep, eta)
+            e0, e1, e2, e3, e4, e5, e6, e7 = ep
+            eta = e0, e1, e2, e3, e4, e5, e6, e7 = (
+                e0 + c0, e1 + c1, e2 + c2, e3 + c3, e4 + c4, e5 + c5, e6 + c6, e7 + c7)
+            # Left to right on every Python version (sum() compensates from 3.12).
+            return eta, (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
+                         + e4 * e4 + e5 * e5 + e6 * e6 + e7 * e7)
+
+        return _escape_time(step, (0.0,) * 8, params)
     if mode == "idempotent":
-        return _iterate_tricomplex_idempotent(c, params)
+        pair = to_idempotent(c)
+        step1, step2 = (_bicomplex_step(u, params.p) for u in (pair.u1, pair.u2))
+
+        def step(u):
+            u1, n1 = step1(u[0])
+            u2, n2 = step2(u[1])
+            # Combined ring norm: ||eta||^2 = (||u1||^2 + ||u2||^2) / 2.
+            return (u1, u2), (n1 + n2) / 2.0
+
+        return _escape_time(step, ((0j, 0j), (0j, 0j)), params)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _iterate_tricomplex_direct(c: Tricomplex, params: IterationParams) -> EscapeResult:
-    p, max_iter = params.p, params.max_iter
-    r2 = params.escape_radius * params.escape_radius
-    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
-    # Plain 8-tuples with the tc_mul product and the Tricomplex add.
-    c0, c1, c2, c3, c4, c5, c6, c7 = c.x
-    eta = (0.0,) * 8
-    n2 = 0.0
-    for m in range(1, max_iter + 1):
-        ep = eta
-        for _ in range(p - 1):
-            ep = _mul_coeffs(ep, eta)
-        e0, e1, e2, e3, e4, e5, e6, e7 = ep
-        eta = e0, e1, e2, e3, e4, e5, e6, e7 = (
-            e0 + c0, e1 + c1, e2 + c2, e3 + c3, e4 + c4, e5 + c5, e6 + c6, e7 + c7)
-        # Left to right on every Python version (sum() compensates from 3.12).
-        n2 = (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
-              + e4 * e4 + e5 * e5 + e6 * e6 + e7 * e7)
-        if n2 > r2 or n2 > guard2 or not math.isfinite(n2):
-            return EscapeResult(True, m, math.sqrt(n2))
-    return EscapeResult(False, max_iter, math.sqrt(n2))
+def _bicomplex_step(c: Bicomplex, p: int):
+    """The step z -> z^p + c of a bicomplex state held as its complex pair
+    (z1, z2), with the Bicomplex product, add and norm_sq."""
+    c1, c2 = c.complex_pair()
+    chain = range(p - 1)
 
+    def step(z):
+        z1, z2 = t1, t2 = z
+        for _ in chain:
+            t1, t2 = t1 * z1 - t2 * z2, t1 * z2 + t2 * z1
+        z1, z2 = t1 + c1, t2 + c2
+        return (z1, z2), (z1.real * z1.real + z1.imag * z1.imag
+                          + z2.real * z2.real + z2.imag * z2.imag)
 
-def _iterate_tricomplex_idempotent(c: Tricomplex, params: IterationParams) -> EscapeResult:
-    p, max_iter = params.p, params.max_iter
-    r2 = params.escape_radius * params.escape_radius
-    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
-    cpair = to_idempotent(c)
-    u1 = Bicomplex.zero()
-    u2 = Bicomplex.zero()
-    n2 = 0.0
-    for m in range(1, max_iter + 1):
-        t = u1
-        for _ in range(p - 1):
-            t = t * u1
-        u1 = t + cpair.u1
-        t = u2
-        for _ in range(p - 1):
-            t = t * u2
-        u2 = t + cpair.u2
-        # Combined ring norm: ||eta||^2 = (||u1||^2 + ||u2||^2) / 2.
-        n2 = (u1.norm_sq() + u2.norm_sq()) / 2.0
-        if n2 > r2 or n2 > guard2 or not math.isfinite(n2):
-            return EscapeResult(True, m, math.sqrt(n2))
-    return EscapeResult(False, max_iter, math.sqrt(n2))
+    return step
 
 
 def member_perplexbric_analytic(c1: float, c4: float, c6: float) -> bool:

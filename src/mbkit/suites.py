@@ -548,19 +548,8 @@ def _random_annulus_complex(rng, r_lo: float, r_hi: float) -> complex:
 
 
 def _bicomplex_member(c: Bicomplex, params: dynamics.IterationParams) -> bool:
-    # The complex pair (z1, z2) with the Bicomplex product, add and norm_sq.
-    r2 = params.escape_radius * params.escape_radius
-    c1, c2 = c.complex_pair()
-    z1 = z2 = complex(0.0, 0.0)
-    for _ in range(params.max_iter):
-        t1, t2 = z1, z2
-        for _k in range(params.p - 1):
-            t1, t2 = t1 * z1 - t2 * z2, t1 * z2 + t2 * z1
-        z1, z2 = t1 + c1, t2 + c2
-        n2 = z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
-        if n2 > r2 or not math.isfinite(n2):
-            return False
-    return True
+    step = dynamics._bicomplex_step(c, params.p)
+    return not dynamics._escape_time(step, (0j, 0j), params).escaped
 
 
 # --- slices ------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import argparse
+import hashlib
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mbkit import __version__, cli
+from mbkit import __version__, cli, dynamics
 from mbkit.cli import (
     _RERUN_OPTIONS,
     _threads,
@@ -39,6 +42,43 @@ def test_shade_ramp_monotone():
     assert (np.diff(vals.astype(int)) <= 0).all()
     member[-1] = True
     assert shade(counts, member, 100)[-1] == 0
+
+
+def _shade_whole_array(counts, member, max_iter):
+    """The ramp formula on whole-array int64 temporaries: the reference
+    for shade."""
+    counts = counts.astype(np.int64)
+    if max_iter > 1:
+        vals = 255 - ((counts - 1) * 254) // (max_iter - 1)
+    else:
+        vals = np.full_like(counts, 255)
+    vals[member] = 0
+    return vals.astype(np.uint8)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 1000, 2 ** 32 - 1])
+def test_shade_matches_the_whole_array_formula(max_iter, rng):
+    counts = rng.integers(1, max_iter, 20_000, endpoint=True).astype(np.uint32)
+    counts[:2] = 1, max_iter
+    member = rng.random(counts.size) < 0.3
+    image = shade(counts, member, max_iter)
+    assert image.dtype == np.uint8
+    assert image.tobytes() == _shade_whole_array(counts, member, max_iter).tobytes()
+
+
+def test_shade_holds_one_int64_array_and_the_image(rng):
+    # 8 B/cell of int64 ramp plus the 1 B/cell image; the whole-array
+    # formula peaked at 24 B/cell.
+    n = 1000 * 1000
+    counts = rng.integers(1, 1000, n, endpoint=True).astype(np.uint32)
+    member = counts == 1000
+    tracemalloc.start()
+    try:
+        shade(counts, member, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n
 
 
 def test_render2d_single_pixel(tmp_path):
@@ -124,6 +164,29 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert "overall=pass" in text
 
 
+def test_dynamics_suite_reports_and_oracle_steps_are_pinned(tmp_path, monkeypatch, capsys):
+    # The digests the benchmark checks (read, never written here), and the
+    # iterations the direct oracle reports, summed over the suite.
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "reference.json").read_text())
+    iterate = dynamics.iterate_tricomplex
+    steps = []
+
+    def counted(*args, **kwargs):
+        result = iterate(*args, **kwargs)
+        steps.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(dynamics, "iterate_tricomplex", counted)
+    assert cmd_verify("dynamics", seed=0, out=tmp_path / "verify_dynamics") == 0
+    capsys.readouterr()
+    for name in ("verify_dynamics.json", "verify_dynamics.txt"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == reference["digests"][name], name
+    # 481,929 at the time of writing.
+    assert sum(steps) == reference["counts"]["check"]["verify"]["iterate_tricomplex_steps"]
+
+
 def test_corrupted_unit_table_fails_with_witness():
     table = [list(row) for row in PRODUCT_TABLE]
     table[1][2] = (-1, 5)  # flip the sign of i1 * i2
@@ -186,6 +249,8 @@ def test_parser_rejects_bad_window():
     ["render2d", "--res", "1,2,3"],
     ["render2d", "--res", "abc"],
     ["render2d", "--max-iter", "0"],
+    ["render2d", "--max-iter", "5000000000"],
+    ["render2d", "--max-iter", "4294967296", "--escape-radius", "2"],
     ["render2d", "--window=1:-1,-1:1"],
     ["render2d", "--window=0:0,-1:1"],
     ["render2d", "--escape-radius", "0.5"],
@@ -196,6 +261,7 @@ def test_parser_rejects_bad_window():
     ["render3d", "--dims", "abc"],
     ["render3d", "--p", "1"],
     ["render3d", "--max-iter", "0"],
+    ["render3d", "--max-iter", "4294967296"],
     ["render3d", "--slice", "1,1,j1"],
     ["render3d", "--window=-1:1,1:-1,-1:1"],
     ["verify", "--seed", "-1"],
@@ -215,6 +281,23 @@ def test_bad_cli_input_exits_2_with_one_line_error(argv, tmp_path, capsys):
     # Subcommand errors too carry the one documented prefix.
     _assert_one_error_line(capsys.readouterr().err)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["render2d", "--max-iter", "4294967296"],
+    ["render2d", "--max-iter", "5000000000", "--escape-radius", "2"],
+    ["render3d", "--max-iter", "4294967296"],
+], ids=" ".join)
+def test_max_iter_beyond_uint32_names_the_option(argv, tmp_path, capsys):
+    # The counts are uint32: a larger budget used to reach np.full and raise
+    # OverflowError with a traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    line = _assert_one_error_line(capsys.readouterr().err)
+    assert line.startswith("mbkit: error: argument --max-iter: must be <= 4294967295")
+    args = build_parser().parse_args([argv[0], "--max-iter", "4294967295", "--out", "x"])
+    assert args.max_iter == 2 ** 32 - 1
 
 
 # Grid sizes whose largest array numpy rejects before allocating, as more
@@ -422,6 +505,8 @@ _GOOD_RENDER2D = {"set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5
     json.dumps({**_GOOD_MANIFEST, "outputs": {"..": "0" * 64}}).encode(),
     json.dumps({**_GOOD_MANIFEST, "command": "render2d", "parameters": _GOOD_RENDER2D,
                 "outputs": {"": "0" * 64}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render3d",
+                "parameters": {**_GOOD_RENDER3D, "max_iter": 2 ** 32}}).encode(),
 ], ids=["missing", "bad-json", "not-utf8", "list", "no-command", "no-parameters",
         "no-outputs", "empty-outputs", "list-parameters", "unknown-command",
         "list-command", "estimate-without-p", "render3d-with-estimate-parameters",
@@ -429,7 +514,7 @@ _GOOD_RENDER2D = {"set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5
         "zero-dims", "inverted-window", "bad-slice", "zero-max-iter", "prune-not-bool",
         "radius-below-bound", "negative-seed", "p-a-list", "res-one-entry",
         "window-not-a-list", "unknown-set", "output-in-parent-dir", "output-in-subdir",
-        "output-dot-dot", "output-empty-name"])
+        "output-dot-dot", "output-empty-name", "max-iter-beyond-uint32"])
 def test_rerun_bad_manifest_exits_2_with_one_line_error(content, tmp_path, capsys):
     path = tmp_path / "m.manifest.json"
     if content is not None:

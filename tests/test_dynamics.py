@@ -29,8 +29,15 @@ from mbkit.dynamics import (
     orbit_real,
     real_axis_extent,
 )
-from mbkit.hypercomplex import Bicomplex, Hyperbolic, Tricomplex, to_complex4, to_idempotent
-from mbkit.roots import MANDELBRIC_REAL_BOUND
+from mbkit.hypercomplex import (
+    Bicomplex,
+    Hyperbolic,
+    Tricomplex,
+    hyp_diamond,
+    to_complex4,
+    to_idempotent,
+)
+from mbkit.roots import MANDELBRIC_REAL_BOUND, real_extent_closed_form
 from mbkit.slices import SliceSpec, cell_centers
 from mbkit.suites import _bicomplex_member
 
@@ -40,8 +47,12 @@ def test_params_validation():
     assert IterationParams(2).escape_radius == 2.0
     with pytest.raises(ValueError):
         IterationParams(1)
-    with pytest.raises(ValueError):
-        IterationParams(3, 0)
+    for max_iter in (0, -1, 2 ** 32, True, 10.0, "10", None):
+        with pytest.raises(ValueError, match="max_iter"):
+            IterationParams(3, max_iter)
+    for max_iter in (1, 2 ** 32 - 1, np.uint32(2 ** 32 - 1)):
+        params = IterationParams(3, max_iter)
+        assert params.max_iter == max_iter and type(params.max_iter) is int
     with pytest.raises(ValueError):
         IterationParams(3, 100, 1.0)  # below the sharp bound
     assert IterationParams(3, 100, 2.0).escape_radius == 2.0
@@ -238,7 +249,9 @@ def _direct_reference(c, params, table_mul):
         for _ in range(params.p - 1):
             ep = Tricomplex(table_mul(ep.x, eta.x))
         eta = ep + c
-        n2 = sum(v * v for v in eta.x)
+        n2 = 0.0
+        for v in eta.x:  # left to right: sum() compensates from Python 3.12
+            n2 += v * v
         if n2 > r2 or n2 > guard2 or not math.isfinite(n2):
             return EscapeResult(True, m, math.sqrt(n2))
     return EscapeResult(False, params.max_iter, math.sqrt(n2))
@@ -299,6 +312,182 @@ def test_bicomplex_member_matches_dataclass_loop(p, rng):
         assert got == _bicomplex_member_reference(c, params), c.z
         members += got
     assert 10 <= members <= 290
+
+
+# --- scalar escape-time driver ----------------------------------------------------
+#
+# Every scalar engine runs on dynamics._escape_time, which skips whole periods
+# once a state repeats a snapshot.  These tests pin each engine bit for bit to
+# a plain loop that runs every step, with each engine's arithmetic written
+# out on the algebra's own types (Hyperbolic, Bicomplex).
+
+
+def _every_step(step, z0, params):
+    """The scalar escape-time loop without cycle retirement."""
+    r2 = params.escape_radius * params.escape_radius
+    guard2 = OVERFLOW_NORM * OVERFLOW_NORM
+    z, n2 = z0, 0.0
+    for m in range(1, params.max_iter + 1):
+        z, n2 = step(z)
+        if n2 > r2 or n2 > guard2 or not math.isfinite(n2):
+            return EscapeResult(True, m, math.sqrt(n2))
+    return EscapeResult(False, params.max_iter, math.sqrt(n2))
+
+
+def _complex_reference(c, params):
+    def step(z):
+        zp = z
+        for _ in range(params.p - 1):
+            zp = zp * z
+        z = zp + c
+        return z, z.real * z.real + z.imag * z.imag
+    return _every_step(step, complex(0.0, 0.0), params)
+
+
+def _hyperbolic_decomposed_reference(c, params):
+    cm, cp = c.u - c.v, c.u + c.v
+
+    def step(x):
+        xm, xp = x
+        t = xm
+        for _ in range(params.p - 1):
+            t = t * xm
+        xm = t + cm
+        t = xp
+        for _ in range(params.p - 1):
+            t = t * xp
+        xp = t + cp
+        return (xm, xp), max(xm * xm, xp * xp)
+    return _every_step(step, (0.0, 0.0), params)
+
+
+def _hyperbolic_direct_reference(c, params):
+    def step(z):
+        zp = z
+        for _ in range(params.p - 1):
+            zp = hyp_diamond(zp, z)
+        z = zp + c
+        tm, tp = z.u - z.v, z.u + z.v
+        return z, max(tm * tm, tp * tp)
+    return _every_step(step, Hyperbolic(0.0, 0.0), params)
+
+
+def _idempotent_reference(c, params):
+    pair = to_idempotent(c)
+
+    def step(u):
+        u1, u2 = u
+        t = u1
+        for _ in range(params.p - 1):
+            t = t * u1
+        u1 = t + pair.u1
+        t = u2
+        for _ in range(params.p - 1):
+            t = t * u2
+        u2 = t + pair.u2
+        return (u1, u2), (u1.norm_sq() + u2.norm_sq()) / 2.0
+    return _every_step(step, (Bicomplex.zero(), Bicomplex.zero()), params)
+
+
+# Exact cycles of p = 2: -1 has period 2, the airplane and rabbit centres
+# period 3, i period 2 after one step (p = 3: period 2; p = 4: -1, period 2).
+_CYCLES = (-1.0, -1.7548776662466927, complex(-0.1225611668766536, 0.7448617666197442),
+           1j, 0.2, complex(-0.1, 0.1))
+_BUDGETS = (1, 2, 3, 17, 33, 1000)
+
+
+def _pin_parameters(p):
+    """Complex parameters for the pins at exponent p: signed zeros, exact
+    cycles and fixed points, and slow escapers just outside the real-axis
+    extent, escaping before and after the largest budget."""
+    lo, hi = real_extent_closed_form(p)
+    return [0.0, -0.0, complex(-0.0, -0.0), *_CYCLES,
+            hi + 1e-3, hi + 1e-4, hi + 1e-5, hi + 1e-6, lo - 1e-6]
+
+
+def _assert_pinned(engine, reference, values, p):
+    for max_iter in _BUDGETS:
+        params = IterationParams(p, max_iter)
+        refs = [reference(c, params) for c in values]
+        for c, ref in zip(values, refs):
+            assert _bits(engine(c, params)) == _bits(ref), (c, max_iter)
+    # At the largest budget: members, and escapes as late as step 300.
+    escapes = [r.iterations for r in refs if r.escaped]
+    assert len(escapes) < len(refs) and max(escapes) > 300
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_complex_engine_matches_every_step(p):
+    values = [complex(c) for c in _pin_parameters(p)]
+    _assert_pinned(iterate_complex, _complex_reference, values, p)
+
+
+@pytest.mark.parametrize("mode", ["decomposed", "direct"])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_hyperbolic_engines_match_every_step(mode, p):
+    # (x, 0) iterates x in both components; (x/2, x/2) holds the first at
+    # the fixed point 0 while the second runs x.
+    values = []
+    for x in (complex(c).real for c in _pin_parameters(p)):
+        values += [Hyperbolic(x, 0.0), Hyperbolic(x / 2, x / 2), Hyperbolic(x / 2, -x / 2)]
+    reference = {"decomposed": _hyperbolic_decomposed_reference,
+                 "direct": _hyperbolic_direct_reference}[mode]
+    _assert_pinned(lambda c, params: iterate_hyperbolic(c, params, mode), reference,
+                   values, p)
+
+
+def _tricomplex_pins(p):
+    # c in the i1 plane, and (x/2, ..., -x/2), whose idempotent components
+    # are 0, held at its fixed point, and x.
+    values = []
+    for c in _pin_parameters(p):
+        c = complex(c)
+        values.append(Tricomplex((c.real, c.imag) + (0.0,) * 6))
+        values.append(Tricomplex((c.real / 2,) + (0.0,) * 6 + (-c.real / 2,)))
+    return values
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_idempotent_tricomplex_matches_every_step(p):
+    _assert_pinned(lambda c, params: iterate_tricomplex(c, params, "idempotent"),
+                   _idempotent_reference, _tricomplex_pins(p), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_direct_tricomplex_matches_every_step(p, table_mul):
+    _assert_pinned(lambda c, params: iterate_tricomplex(c, params, "direct"),
+                   lambda c, params: _direct_reference(c, params, table_mul),
+                   _tricomplex_pins(p), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_bicomplex_member_matches_every_step(p):
+    values = []
+    for c in _pin_parameters(p):
+        c = complex(c)
+        values += [Bicomplex((c.real, c.imag, 0.0, 0.0)), Bicomplex((0.0, 0.0, c.real, 0.0))]
+    for max_iter in _BUDGETS:
+        params = IterationParams(p, max_iter)
+        for c in values:
+            assert _bicomplex_member(c, params) == _bicomplex_member_reference(c, params), \
+                (c, max_iter)
+
+
+def test_escape_time_skips_whole_periods():
+    # 0 -> -1 -> 0 -> ... (z^2 - 1): the states at even and odd budgets
+    # differ, so the remainder after the skipped periods must be stepped.
+    calls = []
+
+    def step(z):
+        calls.append(z)
+        z = z * z - 1.0
+        return z, z * z
+
+    for max_iter, final in ((10 ** 9, 0.0), (10 ** 9 + 1, 1.0), (2 ** 32 - 1, 1.0)):
+        calls.clear()
+        r = dynamics._escape_time(step, 0.0, IterationParams(2, max_iter))
+        assert (r.escaped, r.iterations, r.final_norm) == (False, max_iter, final)
+        assert len(calls) <= 5
 
 
 def test_member_perplexbric_examples():
