@@ -25,11 +25,10 @@ from .dynamics import (
     IterationParams,
     grid_counts_complex,
     grid_counts_hyperbolic,
-    real_axis_extent,
 )
 from .roots import OCTAHEDRON_VOLUME_P3, real_extent_closed_form
 from .slices import SliceSpec, cell_centers, sample_slice
-from .suites import SUITE_NAMES, run_suites
+from .suites import SUITE_NAMES, real_extent_check, run_suites
 
 
 def _threads() -> int:
@@ -213,10 +212,8 @@ def cmd_estimate(kind: str, p: int, precision=None, out=None,
     t0 = time.perf_counter()
     if kind == "real-extent":
         tol = float(precision) if precision else 1e-4
-        lo, hi = real_axis_extent(p, IterationParams(p, 2000), tol)
-        lo_ref, hi_ref = real_extent_closed_form(p)
-        status = "theorem" if p in (2, 3) else _conjecture_status(
-            abs(hi - hi_ref) <= 1e-3 and abs(lo - lo_ref) <= 1e-3)
+        (lo, hi), (lo_ref, hi_ref), agrees, proven = real_extent_check(p, tol)
+        status = "theorem" if proven else _conjecture_status(agrees)
         report = {
             "kind": kind, "p": p,
             "measured_lo": lo, "measured_hi": hi,
@@ -432,6 +429,9 @@ def _parse_window(text: str, axes: int):
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise argparse.ArgumentTypeError(
                 f"range {part!r} must be finite with lo < hi")
+        if not (math.isfinite(hi - lo) and math.isfinite(hi + lo)):
+            raise argparse.ArgumentTypeError(
+                f"range {part!r} overflows: hi - lo and hi + lo must be finite")
         window.append((lo, hi))
     return tuple(window)
 

@@ -167,7 +167,8 @@ def orbit_real(c: float, p: int, n: int, guard: float = OVERFLOW_NORM) -> list[f
 def real_axis_extent(p: int, params: IterationParams, tol: float) -> tuple[float, float]:
     """Bisect the real-line membership boundary on each side of 0.
 
-    Returns (lo, hi) with each endpoint resolved to a bracket of width <= tol.
+    Returns (lo, hi) with each endpoint resolved to a bracket of width <= tol,
+    or to two adjacent floats when tol is finer than their spacing.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -190,6 +191,8 @@ def _bisect_boundary(member, inside: float, outside: float, tol: float) -> float
         raise ValueError("bisection bracket does not straddle the boundary")
     while abs(outside - inside) > tol:
         mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:  # adjacent floats: no narrower bracket
+            break
         if member(mid):
             inside = mid
         else:

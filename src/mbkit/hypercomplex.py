@@ -74,15 +74,6 @@ PRODUCT_TABLE: tuple[tuple[tuple[int, int], ...], ...] = (
     ((1, 7), (1, 4), (-1, 3), (-1, 2), (1, 1), (-1, 6), (-1, 5), (1, 0)),
 )
 
-# Flat (i, j, sign, k) view of the table, the inner loop of mul_batch; the
-# written-out scalar product _mul_coeffs sums its terms in this order.
-_MUL_TERMS: tuple[tuple[int, int, int, int], ...] = tuple(
-    (i, j, s, k)
-    for i in range(8)
-    for j, (s, k) in enumerate(PRODUCT_TABLE[i])
-)
-
-
 def unit_product(a: UnitIndex, b: UnitIndex) -> tuple[int, UnitIndex]:
     """Product of two basis units as (sign, unit)."""
     s, k = PRODUCT_TABLE[a][b]
@@ -176,12 +167,13 @@ def tc_mul(a: Tricomplex, b: Tricomplex) -> Tricomplex:
     return Tricomplex(_mul_coeffs(a.x, b.x))
 
 
-def _mul_coeffs(xa: Sequence[float], xb: Sequence[float]) -> tuple[float, ...]:
-    """Unit-table product of two 8-coefficient tuples, written out.
+def _mul_coeffs(xa: Sequence, xb: Sequence) -> tuple:
+    """Unit-table product of two 8-coefficient sequences, written out.
 
-    Each coefficient sums its 8 terms in _MUL_TERMS order (increasing i) with
-    the PRODUCT_TABLE signs, starting from 0.0, so the floats, signed zeros
-    included, equal those of accumulating the table term by term.
+    Coefficients are floats or broadcasting numpy rows (mul_batch).  Row k
+    sums the terms a_i * b_j with PRODUCT_TABLE[i][j] = (sign, k) in increasing
+    i, starting from 0.0, so the floats, signed zeros included, equal those of
+    accumulating the table term by term.
     """
     a0, a1, a2, a3, a4, a5, a6, a7 = xa
     b0, b1, b2, b3, b4, b5, b6, b7 = xb
@@ -199,13 +191,18 @@ def _mul_coeffs(xa: Sequence[float], xb: Sequence[float]) -> tuple[float, ...]:
 
 def tc_pow(a: Tricomplex, m: int) -> Tricomplex:
     """m-fold product, m >= 0, evaluated as a left-to-right chain."""
+    return _chain_pow(a, m, _ONE, tc_mul)
+
+
+def _chain_pow(a, m: int, one, mul):
+    """a**m, m >= 0, as the left-to-right chain mul(...mul(a, a)..., a); one at m = 0."""
     if m < 0:
         raise ValueError("exponent must be nonnegative")
     if m == 0:
-        return _ONE
+        return one
     r = a
     for _ in range(m - 1):
-        r = tc_mul(r, a)
+        r = mul(r, a)
     return r
 
 
@@ -271,14 +268,7 @@ class Bicomplex:
     __rmul__ = __mul__
 
     def __pow__(self, m: int) -> "Bicomplex":
-        if m < 0:
-            raise ValueError("exponent must be nonnegative")
-        if m == 0:
-            return Bicomplex((1.0, 0.0, 0.0, 0.0))
-        r = self
-        for _ in range(m - 1):
-            r = r * self
-        return r
+        return _chain_pow(self, m, _BICOMPLEX_ONE, Bicomplex.__mul__)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -290,6 +280,9 @@ class Bicomplex:
     def to_tricomplex(self) -> Tricomplex:
         a, b, c, d = self.z
         return Tricomplex((a, b, c, 0.0, 0.0, d, 0.0, 0.0))
+
+
+_BICOMPLEX_ONE = Bicomplex((1.0, 0.0, 0.0, 0.0))
 
 
 def split_pair(t: Tricomplex) -> tuple[Bicomplex, Bicomplex]:
@@ -397,6 +390,9 @@ class Hyperbolic:
         return Tricomplex(tuple(c))
 
 
+_HYPERBOLIC_ONE = Hyperbolic(1.0, 0.0)
+
+
 def hyp_diamond(a: Hyperbolic, b: Hyperbolic) -> Hyperbolic:
     """Hyperbolic product: (u,v) diamond (x,y) = (ux + vy, vx + uy)."""
     return Hyperbolic(a.u * b.u + a.v * b.v, a.v * b.u + a.u * b.v)
@@ -413,14 +409,7 @@ def hyp_T(a: Hyperbolic) -> tuple[float, float]:
 
 
 def hyp_pow(a: Hyperbolic, m: int) -> Hyperbolic:
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
-    if m == 0:
-        return Hyperbolic(1.0, 0.0)
-    r = a
-    for _ in range(m - 1):
-        r = hyp_diamond(r, a)
-    return r
+    return _chain_pow(a, m, _HYPERBOLIC_ONE, hyp_diamond)
 
 
 # --- span structure of unit triples -----------------------------------------
@@ -479,26 +468,13 @@ def _distinct_units(units: Sequence[UnitIndex]) -> tuple[UnitIndex, UnitIndex, U
 
 def mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise tricomplex product of two (8, n) coefficient batches."""
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.float64)
-    for i, j, s, k in _MUL_TERMS:
-        if s > 0:
-            out[k] += a[i] * b[j]
-        else:
-            out[k] -= a[i] * b[j]
-    return out
+    return np.array(_mul_coeffs(a, b))
 
 
 def pow_batch(a: np.ndarray, m: int) -> np.ndarray:
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
-    if m == 0:
-        out = np.zeros_like(a)
-        out[0] = 1.0
-        return out
-    r = a
-    for _ in range(m - 1):
-        r = mul_batch(r, a)
-    return r
+    one = np.zeros_like(a)
+    one[0] = 1.0
+    return _chain_pow(a, m, one, mul_batch)
 
 
 def norm_sq_batch(a: np.ndarray) -> np.ndarray:

@@ -144,10 +144,7 @@ class ConjugacyMap:
         return out
 
     def apply_inverse_batch(self, x8: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x8)
-        for u, s, v in self.phi:
-            out[u] = s * x8[v]
-        return out
+        return self.inverse().apply_batch(x8)
 
 
 @dataclass(frozen=True)
@@ -205,36 +202,32 @@ def _conjugacy_residuals(m: ConjugacyMap, p: int, eta: np.ndarray, c: np.ndarray
     return np.sqrt(np.einsum("ij,ij->j", diff, diff))
 
 
-def _phi_from_pairs(source, target, unit_pairs) -> ConjugacyMap:
-    return ConjugacyMap(source, target, tuple((u, s, v) for u, s, v in unit_pairs))
-
-
 def _fixed_bridge_maps() -> list[ConjugacyMap]:
     # Explicit conjugacies linking the slice families; plain-coefficient form.
     return [
         # T(1,i1,i2) ~ T(i1,i2,j1): swap the 1 and j1 coefficients.
-        _phi_from_pairs(
+        ConjugacyMap(
             SliceSpec.of(U.ONE, U.I1, U.I2),
             SliceSpec.of(U.I1, U.I2, U.J1),
-            [(U.ONE, 1, U.J1), (U.I1, 1, U.I1), (U.I2, 1, U.I2), (U.J1, 1, U.ONE)],
+            ((U.ONE, 1, U.J1), (U.I1, 1, U.I1), (U.I2, 1, U.I2), (U.J1, 1, U.ONE)),
         ),
         # T(1,i1,i2) ~ T(i1,i2,j2): 1 -> j2, j1 -> -j3.
-        _phi_from_pairs(
+        ConjugacyMap(
             SliceSpec.of(U.ONE, U.I1, U.I2),
             SliceSpec.of(U.I1, U.I2, U.J2),
-            [(U.ONE, 1, U.J2), (U.I1, 1, U.I1), (U.I2, 1, U.I2), (U.J1, -1, U.J3)],
+            ((U.ONE, 1, U.J2), (U.I1, 1, U.I1), (U.I2, 1, U.I2), (U.J1, -1, U.J3)),
         ),
         # T(1,i1,j1) ~ T(i1,j1,j2): 1 -> j2, i2 -> i4.
-        _phi_from_pairs(
+        ConjugacyMap(
             SliceSpec.of(U.ONE, U.I1, U.J1),
             SliceSpec.of(U.I1, U.J1, U.J2),
-            [(U.ONE, 1, U.J2), (U.I1, 1, U.I1), (U.I2, 1, U.I4), (U.J1, 1, U.J1)],
+            ((U.ONE, 1, U.J2), (U.I1, 1, U.I1), (U.I2, 1, U.I4), (U.J1, 1, U.J1)),
         ),
         # T(1,j1,j2) ~ T(j1,j2,j3): cyclic shift 1 -> j1 -> j2 -> j3 -> 1.
-        _phi_from_pairs(
+        ConjugacyMap(
             SliceSpec.of(U.ONE, U.J1, U.J2),
             SliceSpec.of(U.J1, U.J2, U.J3),
-            [(U.ONE, 1, U.J1), (U.J1, 1, U.J2), (U.J2, 1, U.J3), (U.J3, 1, U.ONE)],
+            ((U.ONE, 1, U.J1), (U.J1, 1, U.J2), (U.J2, 1, U.J3), (U.J3, 1, U.ONE)),
         ),
     ]
 
@@ -469,6 +462,9 @@ def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
         raise ValueError("need at least one cell")
     mid = (hi + lo) / 2.0
     width = hi - lo
+    if not (np.isfinite(mid) and np.isfinite(width)):
+        raise ValueError(f"window [{lo!r}, {hi!r}] overflows: hi - lo and hi + lo "
+                         "must be finite")
     frac = (2.0 * np.arange(n) + 1.0 - n) / (2.0 * n)
     return frac * width + mid
 

@@ -326,6 +326,19 @@ def roots_suite(seed: int = 0, n: int = 10_000) -> list[CheckResult]:
 # --- dynamics ----------------------------------------------------------------------
 
 
+def real_extent_check(p: int, tol: float = 1e-4):
+    """The bisected real-axis extent of the degree-p set against its closed form.
+
+    Returns (lo, hi), the closed form (lo_ref, hi_ref), whether both
+    endpoints agree to 1e-3, and whether the closed form is proven (p in
+    {2, 3}) rather than conjectured.
+    """
+    lo, hi = dynamics.real_axis_extent(p, dynamics.IterationParams(p, 2000), tol)
+    lo_ref, hi_ref = roots.real_extent_closed_form(p)
+    agrees = abs(hi - hi_ref) <= 1e-3 and abs(lo - lo_ref) <= 1e-3
+    return (lo, hi), (lo_ref, hi_ref), agrees, p in (2, 3)
+
+
 def dynamics_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -480,11 +493,9 @@ def dynamics_suite(seed: int = 0) -> list[CheckResult]:
     # conjecture consistency for p in {4,5,6}.
     ok, details = True, []
     for p in range(2, 7):
-        lo, hi = dynamics.real_axis_extent(p, dynamics.IterationParams(p, 2000), 1e-4)
-        lo_ref, hi_ref = roots.real_extent_closed_form(p)
-        good = abs(hi - hi_ref) <= 1e-3 and abs(lo - lo_ref) <= 1e-3
+        _, _, good, proven = real_extent_check(p)
         ok = ok and good
-        tag = "theorem" if p in (2, 3) else "conjecture consistent"
+        tag = "theorem" if proven else "conjecture consistent"
         details.append(f"p={p}:{tag if good else 'MISMATCH'}")
     out.append(CheckResult("dynamics.real_axis_extents", ok, None, " ".join(details)))
 

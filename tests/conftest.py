@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbkit.hypercomplex import _MUL_TERMS
+from mbkit.hypercomplex import PRODUCT_TABLE
 
 
 @pytest.fixture
@@ -11,11 +11,14 @@ def rng():
 
 @pytest.fixture
 def table_mul():
-    """Term-by-term unit-table product of two 8-tuples, the reference for tc_mul."""
+    """Term-by-term unit-table product of two 8-coefficient sequences, floats
+    or numpy rows, read off PRODUCT_TABLE row by row.  The reference for
+    tc_mul and mul_batch."""
     def mul(xa, xb):
         out = [0.0] * 8
-        for i, j, s, k in _MUL_TERMS:
-            out[k] += s * xa[i] * xb[j]
+        for i, row in enumerate(PRODUCT_TABLE):
+            for j, (s, k) in enumerate(row):
+                out[k] += s * xa[i] * xb[j]
         return tuple(out)
     return mul
 

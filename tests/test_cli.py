@@ -164,9 +164,20 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert "overall=pass" in text
 
 
-def test_dynamics_suite_reports_and_oracle_steps_are_pinned(tmp_path, monkeypatch, capsys):
+# The report commands of the benchmark's check workload at seed 0, by label.
+_PINNED_REPORTS = {
+    **{f"verify_{suite}": ["verify", "--suite", suite, "--seed", "0"]
+       for suite in ("algebra", "roots", "dynamics", "slices")},
+    **{f"real_extent_p{p}": ["estimate", "--kind", "real-extent", "--p", str(p)]
+       for p in range(2, 7)},
+    "hyperbric_area_p3": ["estimate", "--kind", "hyperbric-area", "--p", "3"],
+}
+
+
+@pytest.mark.parametrize("label", list(_PINNED_REPORTS))
+def test_reports_and_oracle_steps_are_pinned(label, tmp_path, monkeypatch, capsys):
     # The digests the benchmark checks (read, never written here), and the
-    # iterations the direct oracle reports, summed over the suite.
+    # iterations the direct oracle reports, summed over the command.
     reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                             / "reference.json").read_text())
     iterate = dynamics.iterate_tricomplex
@@ -178,13 +189,45 @@ def test_dynamics_suite_reports_and_oracle_steps_are_pinned(tmp_path, monkeypatc
         return result
 
     monkeypatch.setattr(dynamics, "iterate_tricomplex", counted)
-    assert cmd_verify("dynamics", seed=0, out=tmp_path / "verify_dynamics") == 0
+    assert main(_PINNED_REPORTS[label] + ["--out", str(tmp_path / label)]) == 0
     capsys.readouterr()
-    for name in ("verify_dynamics.json", "verify_dynamics.txt"):
+    for name in (f"{label}.json", f"{label}.txt"):
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == reference["digests"][name], name
-    # 481,929 at the time of writing.
-    assert sum(steps) == reference["counts"]["check"]["verify"]["iterate_tricomplex_steps"]
+    # Only the dynamics suite calls the direct oracle: 481,929 at the time
+    # of writing, the whole of the verify commands' count.
+    want = reference["counts"]["check"]["verify"]["iterate_tricomplex_steps"]
+    assert sum(steps) == (want if label == "verify_dynamics" else 0)
+
+
+def test_estimate_real_extent_below_float_spacing_stops_at_adjacent_floats(
+        tmp_path, monkeypatch, capsys):
+    # A tolerance finer than the float spacing used to loop forever once the
+    # bracket was two adjacent floats; a bisection needs ~60 calls a side.
+    iterate = dynamics.iterate_complex
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        assert len(calls) < 1000, "the bisection does not stop"
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "iterate_complex", counted)
+    out = tmp_path / "re"
+    assert main(["estimate", "--kind", "real-extent", "--p", "3",
+                 "--precision", "1e-300", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "re.json").read_text())
+    params = dynamics.IterationParams(3, 2000)
+
+    def member(c):
+        return not iterate(complex(c), params).escaped
+
+    for end in (report["measured_lo"], report["measured_hi"]):
+        # Each endpoint is one end of a member / escaping pair of adjacent floats.
+        near = {member(np.nextafter(end, -1.0)), member(end), member(np.nextafter(end, 1.0))}
+        assert near == {True, False}, end
+    assert abs(report["measured_hi"] - MANDELBRIC_REAL_BOUND) <= 1e-3
 
 
 def test_corrupted_unit_table_fails_with_witness():
@@ -253,6 +296,7 @@ def test_parser_rejects_bad_window():
     ["render2d", "--max-iter", "4294967296", "--escape-radius", "2"],
     ["render2d", "--window=1:-1,-1:1"],
     ["render2d", "--window=0:0,-1:1"],
+    ["render2d", "--window=-1e308:1e308,-1:1"],
     ["render2d", "--escape-radius", "0.5"],
     ["render2d", "--escape-radius", "nan"],
     ["render2d", "--escape-radius", "inf"],
@@ -264,6 +308,7 @@ def test_parser_rejects_bad_window():
     ["render3d", "--max-iter", "4294967296"],
     ["render3d", "--slice", "1,1,j1"],
     ["render3d", "--window=-1:1,1:-1,-1:1"],
+    ["render3d", "--window=-1:1,1.7e308:1.79e308,-1:1"],
     ["verify", "--seed", "-1"],
     ["verify", "--suite", "nope"],
     ["frobnicate"],
@@ -322,7 +367,7 @@ def _no_work(*args, **kwargs):
 
 def _forbid_work(monkeypatch):
     for name in ("cell_centers", "sample_slice", "grid_counts_complex",
-                 "grid_counts_hyperbolic", "run_suites", "real_axis_extent"):
+                 "grid_counts_hyperbolic", "run_suites", "real_extent_check"):
         monkeypatch.setattr(cli, name, _no_work)
 
 
@@ -507,6 +552,10 @@ _GOOD_RENDER2D = {"set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5
                 "outputs": {"": "0" * 64}}).encode(),
     json.dumps({**_GOOD_MANIFEST, "command": "render3d",
                 "parameters": {**_GOOD_RENDER3D, "max_iter": 2 ** 32}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render2d", "parameters": {
+        **_GOOD_RENDER2D, "window": [[-1e308, 1e308], [-1.5, 1.5]]}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render3d", "parameters": {
+        **_GOOD_RENDER3D, "window": [[-0.5, 0.5], [1.7e308, 1.79e308], [-0.5, 0.5]]}}).encode(),
 ], ids=["missing", "bad-json", "not-utf8", "list", "no-command", "no-parameters",
         "no-outputs", "empty-outputs", "list-parameters", "unknown-command",
         "list-command", "estimate-without-p", "render3d-with-estimate-parameters",
@@ -514,7 +563,8 @@ _GOOD_RENDER2D = {"set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5
         "zero-dims", "inverted-window", "bad-slice", "zero-max-iter", "prune-not-bool",
         "radius-below-bound", "negative-seed", "p-a-list", "res-one-entry",
         "window-not-a-list", "unknown-set", "output-in-parent-dir", "output-in-subdir",
-        "output-dot-dot", "output-empty-name", "max-iter-beyond-uint32"])
+        "output-dot-dot", "output-empty-name", "max-iter-beyond-uint32",
+        "window-width-overflows", "window-sum-overflows"])
 def test_rerun_bad_manifest_exits_2_with_one_line_error(content, tmp_path, capsys):
     path = tmp_path / "m.manifest.json"
     if content is not None:

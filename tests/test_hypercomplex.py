@@ -362,13 +362,32 @@ def test_text_round_trip(rng):
     assert len(a.to_text().split()) == 8
 
 
-def test_mul_batch_matches_scalar(rng):
-    A = rng.uniform(-3, 3, (8, 40))
-    B = rng.uniform(-3, 3, (8, 40))
-    C = mul_batch(A, B)
-    for k in range(40):
-        ref = tc_mul(Tricomplex(tuple(A[:, k])), Tricomplex(tuple(B[:, k])))
-        assert np.allclose(C[:, k], ref.x, rtol=0, atol=1e-12)
+def _float_bits(x):
+    # Bit patterns with every NaN made one: signed zeros and infinities are
+    # compared exactly, NaN payloads and signs are not.
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+def test_mul_batch_matches_scalar(rng, table_mul):
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    A = rng.uniform(-3, 3, (8, 200))
+    B = rng.uniform(-3, 3, (8, 200))
+    for X in (A, B):
+        # No special values in the first columns, nine in ten in the last.
+        pick = rng.random((8, 200)) < np.linspace(0.0, 0.9, 200)
+        X[pick] = rng.choice(special, pick.sum())
+    A[:, :2] = -0.0
+    B[:, 0], B[:, 1] = -0.0, 0.0
+    with np.errstate(invalid="ignore"):
+        C = mul_batch(A, B)
+        assert (_float_bits(C) == _float_bits(np.array(table_mul(A, B)))).all()
+        assert (C == 0.0).any() and np.isinf(C).any() and np.isnan(C).any()
+        # An (8, 1) operand broadcasts over the other's columns, on either side.
+        for x, y in ((A, B[:, 7:8]), (B[:, 7:8], A)):
+            want = _float_bits(np.array(table_mul(x, y)))
+            assert (_float_bits(mul_batch(x, y)) == want).all()
+    with pytest.raises(ValueError):
+        mul_batch(A, B[:, :3])
 
 
 def test_complex4_components_multiplicative(rng):

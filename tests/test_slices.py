@@ -144,6 +144,12 @@ def test_cell_centers_symmetric_windows_mirror_exactly():
     assert np.array_equal(xs, -xs[::-1])
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (1.7e308, 1.79e308)])
+def test_cell_centers_rejects_windows_whose_width_or_midpoint_overflows(lo, hi):
+    with pytest.raises(ValueError, match="overflows"):
+        cell_centers(lo, hi, 3)
+
+
 def test_origin_cell_is_member_for_any_spec():
     params = IterationParams(3, 60)
     for spec in (PRINCIPAL_SLICES["Tetrabric"], PRINCIPAL_SLICES["Metabric"],
