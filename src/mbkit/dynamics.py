@@ -534,6 +534,8 @@ def grid_counts_tricomplex(w: np.ndarray, params: IterationParams, threads: int 
     A (2, n) batch holds only the two distinct components of parameters in
     a bicomplex subalgebra (hypercomplex.distinct_components), whose other
     two repeat them; it gives the counts of the four-row batch.
+    hypercomplex.complex4_rows builds the batch in this layout from the
+    coefficient rows that are present.
     """
     w = np.asarray(w)
     if w.ndim != 2 or w.shape[0] not in (2, 4):

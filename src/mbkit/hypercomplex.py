@@ -488,9 +488,7 @@ def to_complex4(batch: np.ndarray) -> np.ndarray:
     splits into two complex ones; multiplication is componentwise on the
     result and the squared ring norm is the mean of the 4 squared moduli.
     """
-    out = np.empty((4,) + batch.shape[1:], dtype=np.complex128)
-    complex4_rows(list(batch), out)
-    return out
+    return complex4_rows(list(batch))[0]
 
 
 # The bicomplex subalgebras on which to_complex4 rows repeat in pairs, with
@@ -518,17 +516,23 @@ def distinct_components(units) -> tuple[int, ...]:
     return (0, 1, 2, 3)
 
 
-def complex4_rows(x, out: np.ndarray):
-    """Write to_complex4's components of 8 coefficient rows x into out.
+def complex4_rows(x):
+    """to_complex4's components of 8 coefficient rows x, in a fresh array.
 
     A row of x may be None, standing for a zero row; terms with it are
     dropped (x + 0 -> x, 0 - x -> -x), which changes no value beyond the
-    sign of a zero.  out is (4, n), or (2, n) holding only the distinct rows
-    (distinct_components) when the rows of x lie in a bicomplex subalgebra;
-    complex, or real when every imaginary part is absent (x has no i-unit
-    row).  Returns the rows of the two bicomplex idempotent components
-    (x0±x7, x1±x4, x2∓x3, x5∓x6), None where absent.
+    sign of a zero.  The array holds the distinct_components rows of the
+    units whose rows are present: two when they lie in a bicomplex
+    subalgebra, all four otherwise.  It is float64 when the i-unit rows
+    (1-4), the only source of an imaginary part, are all absent, and
+    complex128 otherwise.  Returns it with the rows of the two bicomplex
+    idempotent components (x0±x7, x1±x4, x2∓x3, x5∓x6), None where absent.
     """
+    present = [k for k, r in enumerate(x) if r is not None]
+    rows = distinct_components(present)
+    real = all(r is None for r in x[1:5])
+    w = np.empty((len(rows),) + np.broadcast(*(x[k] for k in present)).shape,
+                 dtype=np.float64 if real else np.complex128)
     p07, m07 = _add(x[0], x[7]), _sub(x[0], x[7])
     p14, m14 = _add(x[1], x[4]), _sub(x[1], x[4])
     p23, m23 = _add(x[2], x[3]), _sub(x[2], x[3])
@@ -539,21 +543,12 @@ def complex4_rows(x, out: np.ndarray):
         (_add, m07, p56, _sub, m14, p23),
         (_sub, m07, p56, _add, m14, p23),
     )
-    rows = (0, 1, 2, 3) if len(out) == 4 else distinct_components(
-        k for k, r in enumerate(x) if r is not None)
-    if len(rows) != len(out):
-        raise ValueError(f"{len(out)} rows out for {len(rows)} distinct components")
-    is_complex = np.iscomplexobj(out)
     for k, row in enumerate(rows):
         re_op, a, b, im_op, c, d = parts[row]
-        if is_complex:
-            re_op(a, b, out=out[k].real)
-            im_op(c, d, out=out[k].imag)
-        elif c is None and d is None:
-            re_op(a, b, out=out[k])
-        else:
-            raise ValueError("components with an imaginary part need a complex out")
-    return (p07, p14, m23, m56), (m07, m14, p23, p56)
+        re_op(a, b, out=w[k].real)  # w[k] itself when w is real
+        if not real:
+            im_op(c, d, out=w[k].imag)
+    return w, ((p07, p14, m23, m56), (m07, m14, p23, p56))
 
 
 def _add(a, b, out=None):

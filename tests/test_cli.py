@@ -251,6 +251,22 @@ def test_estimate_real_extent(capsys):
     assert abs(report["measured_hi"] - 4 * 5 ** -1.25) <= 1e-3
 
 
+@pytest.mark.parametrize("kind, p, precision, status", [
+    ("real-extent", 3, "1", "theorem inconsistent"),
+    ("hyperbric-area", 3, "3", "theorem inconsistent"),
+    ("perplexbric-volume", 3, "4", "theorem inconsistent"),
+    ("real-extent", 5, "1", "conjecture inconsistent"),
+])
+def test_estimate_status_reports_the_measurement(kind, p, precision, status, capsys):
+    # A coarse measurement misses even a proven closed form, and says so.
+    assert main(["estimate", "--kind", kind, "--p", str(p),
+                 "--precision", precision]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"status={status}"
+    rel_error = float(next(ln for ln in lines if ln.startswith("rel_error="))[10:])
+    assert rel_error > 0.2
+
+
 def test_estimate_hyperbric_area(capsys):
     report = cmd_estimate("hyperbric-area", 3, precision=300)
     capsys.readouterr()
@@ -316,16 +332,31 @@ def test_parser_rejects_bad_window():
     ["estimate", "--kind", "real-extent", "--precision", "0"],
     ["estimate", "--kind", "hyperbric-area", "--precision", "1e-4"],
     ["estimate", "--kind", "perplexbric-volume", "--p", "2"],
+    # Output paths that cannot be written, found only when the command
+    # writes: {file} is a file, {dir} a directory holding a directory x.txt.
+    ["rerun", "--manifest", "{manifest}", "--out-dir", "{file}"],
+    ["rerun", "--manifest", "{manifest}", "--out-dir", "{file}/sub"],
+    ["render2d", "--res", "4", "--out", "{dir}"],
+    ["verify", "--suite", "roots", "--out", "{dir}/x"],
 ], ids=" ".join)
 def test_bad_cli_input_exits_2_with_one_line_error(argv, tmp_path, capsys):
-    if argv[0] in ("render2d", "render3d"):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "x.txt").mkdir(parents=True)
+    manifest = tmp_path / "ext.manifest.json"
+    manifest.write_text(json.dumps({**_GOOD_MANIFEST, "version": __version__}))
+    before = sorted(tmp_path.rglob("*"))
+    argv = [a.format(file=tmp_path / "file", dir=tmp_path / "dir", manifest=manifest)
+            for a in argv]
+    if argv[0] in ("render2d", "render3d") and "--out" not in argv:
         argv = argv + ["--out", str(tmp_path / "x")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     # Subcommand errors too carry the one documented prefix.
     _assert_one_error_line(capsys.readouterr().err)
-    assert not any(tmp_path.iterdir())
+    assert sorted(tmp_path.rglob("*")) == before  # no output, no manifest
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import tracemalloc
 
@@ -98,6 +99,17 @@ def test_wrong_sign_is_reported_with_witness():
     assert report.witness is not None
     eta, c, residual = report.witness
     assert residual == report.max_residual > 1e-9
+
+
+def test_catalog_is_pinned():
+    # The sources, targets and signed unit maps of every catalog map, in
+    # catalog order: a change to the search, or to what it accepts, moves it.
+    text = repr([(m.source.label(), m.target.label(),
+                  tuple((u.label, s, v.label) for u, s, v in m.phi))
+                 for m in conjugacy_catalog(3)])
+    assert len(conjugacy_catalog(3)) == 52
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "de728dccfb84e69663bc2aa870fc422751bb3cf77cd48fe542a63fccdcca6c56")
 
 
 def test_catalog_requires_p3():
@@ -358,7 +370,7 @@ def test_discus_mask_does_not_depend_on_batch_size(rng):
          + (x8[5] - x8[6]) ** 2),
         ((x8[0] - x8[7]) ** 2 + (x8[1] - x8[4]) ** 2 + (x8[2] + x8[3]) ** 2
          + (x8[5] + x8[6]) ** 2)))
-    u1, u2 = complex4_rows(list(x8), np.empty((4, x8.shape[1]), dtype=np.complex128))
+    _, (u1, u2) = complex4_rows(list(x8))
     whole = slices._inside_discus(u1, u2, radius)
     assert whole.any() and not whole.all()
     single = [slices._inside_discus([r[k:k + 1] for r in u1],
@@ -367,9 +379,24 @@ def test_discus_mask_does_not_depend_on_batch_size(rng):
     assert np.array_equal(whole, single)
 
 
+def _slice_rows(spec, coords):
+    # The coefficient rows sample_slice passes: the slice's three, None
+    # for the five zero ones.
+    x = [None] * 8
+    for u, row in zip(spec.units, coords):
+        x[u] = row
+    return x
+
+
 def test_four_spans_have_real_components():
-    real = [s.label() for s in enumerate_slices() if s.real_components]
+    # complex4_rows decides the dtype from the rows present: float64 for
+    # exactly the spans without an i-unit.
+    coords = np.ones((3, 5))
+    real = [s.label() for s in enumerate_slices()
+            if complex4_rows(_slice_rows(s, coords))[0].dtype == np.float64]
     assert real == ["1,j1,j2", "1,j1,j3", "1,j2,j3", "j1,j2,j3"]
+    assert all(complex4_rows(_slice_rows(s, coords))[0].dtype == np.complex128
+               for s in enumerate_slices() if s.label() not in real)
 
 
 # The bicomplex subalgebras, each with the row of to_complex4 that each of
@@ -417,17 +444,22 @@ def test_slice_native_components_match_the_full_batch(spec, rng, tricomplex_comp
     scale[600:] = radius / np.sqrt(np.maximum(n1, n2)[600:] / 2.0)
     coords *= scale
     x8 *= scale
-    x = [None] * 8
-    for u, row in zip(spec.units, coords):
-        x[u] = row
-    w = np.empty((4, coords.shape[1]),
-                 dtype=np.float64 if spec.real_components else np.complex128)
-    u1, u2 = complex4_rows(x, w)
+    x = _slice_rows(spec, coords)
+    w, (u1, u2) = complex4_rows(x)
+    # The layout follows from the units: the distinct rows, float64 exactly
+    # when no unit is an i-unit, in an array of its own.
+    components = distinct_components(spec.units)
+    real = not any(U.I1 <= u <= U.I4 for u in spec.units)
+    assert w.shape == (len(components), coords.shape[1])
+    assert w.dtype == (np.float64 if real else np.complex128)
+    assert not any(np.shares_memory(w, r) for r in coords)
+    assert not np.shares_memory(w, complex4_rows(x)[0])
     # Equal under ==, the way no norm, power or comparison can tell apart.
     ref = to_complex4(x8)
-    assert np.array_equal(w, ref.real if spec.real_components else ref)
+    kept = ref[list(components)]
+    assert np.array_equal(w, kept.real if real else kept)
     scan = tricomplex_components(x8)
-    assert w.dtype == scan.dtype and np.array_equal(w, scan)
+    assert w.dtype == scan.dtype and np.array_equal(w, scan[list(components)])
     keep = slices._inside_discus(u1, u2, radius)
     assert np.array_equal(keep, discus_reference(x8, radius))
     assert keep[600:].any() and not keep[600:].all()
@@ -435,21 +467,12 @@ def test_slice_native_components_match_the_full_batch(spec, rng, tricomplex_comp
     # each dropped row equals the kept row it repeats, and no two kept rows
     # are equal, so no other span could drop one.
     repeats = _repeats(spec)
-    components = distinct_components(spec.units)
     assert components == tuple(sorted(set(repeats)))
     for row, kept in enumerate(repeats):
         assert np.array_equal(ref[row], ref[kept]), (row, kept)
     for a in components:
         for b in components:
             assert a == b or not np.array_equal(ref[a], ref[b]), (a, b)
-    if len(components) == 2:
-        w2 = np.empty((2, coords.shape[1]), dtype=w.dtype)
-        v1, v2 = complex4_rows(x, w2)
-        assert np.array_equal(w2, w[list(components)])
-        assert np.array_equal(slices._inside_discus(v1, v2, radius), keep)
-    else:
-        with pytest.raises(ValueError):
-            complex4_rows(x, np.empty((2, coords.shape[1]), dtype=w.dtype))
 
 
 def _sampling_peak(n):
