@@ -58,6 +58,19 @@ def _named(out_base, suffix: str) -> Path:
     return Path(f"{out_base}{suffix}")
 
 
+# The files each command writes from its --out name, besides the manifest.
+_OUTPUT_SUFFIXES = {"render2d": ("",), "render3d": (".mbv1", ".xyz"),
+                    "verify": (".txt", ".json"), "estimate": (".txt", ".json")}
+
+
+def _outputs(command: str, out_base) -> list[Path]:
+    return [_named(out_base, suffix) for suffix in _OUTPUT_SUFFIXES[command]]
+
+
+def _manifest_path(out_base) -> Path:
+    return _named(out_base, ".manifest.json")
+
+
 def _write_manifest(out_base: Path, command: str, parameters: dict,
                     wall: float, outputs: list[Path]) -> Path:
     manifest = {
@@ -67,7 +80,7 @@ def _write_manifest(out_base: Path, command: str, parameters: dict,
         "wall_time_s": wall,
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
-    path = _named(out_base, ".manifest.json")
+    path = _manifest_path(out_base)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -124,7 +137,7 @@ def cmd_render2d(set_name: str, p: int, window, res, max_iter: int,
     else:
         raise ValueError(f"unknown set {set_name!r}")
     image = shade(counts, member, max_iter).reshape(h, w)
-    out = Path(out)
+    [out] = _outputs("render2d", out)
     write_pgm(out, image)
     wall = time.perf_counter() - t0
     _write_manifest(
@@ -145,8 +158,7 @@ def cmd_render3d(slice_spec, p: int, window, dims, max_iter: int, out,
     params = IterationParams(p, max_iter)
     t0 = time.perf_counter()
     grid = sample_slice(spec, window, dims, params, prune=prune, threads=threads)
-    vox_path = _named(out, ".mbv1")
-    cloud_path = _named(out, ".xyz")
+    vox_path, cloud_path = _outputs("render3d", out)
     grid.write_mbv1(vox_path)
     grid.write_pointcloud(cloud_path)
     wall = time.perf_counter() - t0
@@ -194,8 +206,7 @@ def cmd_verify(suite: str, seed: int = 0, out=None) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if out is not None:
-        txt_path = _named(out, ".txt")
-        json_path = _named(out, ".json")
+        txt_path, json_path = _outputs("verify", out)
         txt_path.write_text(text)
         json_path.write_text(json.dumps(
             {"suite": suite, "seed": seed, "version": __version__,
@@ -263,8 +274,7 @@ def cmd_estimate(kind: str, p: int, precision=None, out=None,
                    for k, v in report.items())
     print(text, end="")
     if out is not None:
-        txt_path = _named(out, ".txt")
-        json_path = _named(out, ".json")
+        txt_path, json_path = _outputs("estimate", out)
         txt_path.write_text(text)
         json_path.write_text(json.dumps(report, indent=2) + "\n")
         parameters = {"kind": kind, "p": p}
@@ -609,10 +619,16 @@ def main(argv=None) -> int:
     # Checked here, not by the parser: rerun parses its command line before
     # it makes the output directory.
     out = getattr(args, "out", None)
-    if out is not None and not Path(out).parent.is_dir():
-        print(f"mbkit: error: argument --out: no directory {str(Path(out).parent)!r}",
-              file=sys.stderr)
-        return 2
+    if out is not None:
+        if not Path(out).parent.is_dir():
+            print(f"mbkit: error: argument --out: no directory {str(Path(out).parent)!r}",
+                  file=sys.stderr)
+            return 2
+        for path in _outputs(args.command, out) + [_manifest_path(out)]:
+            if path.is_dir():
+                print(f"mbkit: error: argument --out: {str(path)!r} is a directory",
+                      file=sys.stderr)
+                return 2
     try:
         return _run(args)
     except MemoryError as exc:

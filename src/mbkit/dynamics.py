@@ -440,15 +440,27 @@ def _norm2(z: np.ndarray) -> np.ndarray:
     return n2
 
 
+def _ranges(n: int, threads: int) -> list[tuple[int, int]]:
+    """The nonempty (lo, hi) ranges that split range(n) between the workers:
+    min(threads, os.cpu_count()) of them, fewer when n is smaller."""
+    workers = min(threads, os.cpu_count() or 1)
+    bounds = [(k * n) // workers for k in range(workers + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def _each_range(fn, ranges: list[tuple[int, int]]) -> list:
+    """fn(lo, hi) for each range, each on its own worker thread.  A worker's
+    exception is raised here once every worker has stopped."""
+    with ThreadPoolExecutor(max_workers=max(len(ranges), 1)) as pool:
+        return list(pool.map(lambda r: fn(*r), ranges))
+
+
 def _run_blocks(c: np.ndarray, params: IterationParams, threads: int):
     n = c.shape[-1]
-    workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1 or n < 2 * workers:
+    ranges = _ranges(n, threads)
+    if len(ranges) <= 1 or n < 2 * len(ranges):
         return _counts_kernel(c, params)
-    bounds = [(k * n) // workers for k in range(workers + 1)]
-    blocks = [c[..., lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        parts = list(pool.map(lambda blk: _counts_kernel(blk, params), blocks))
+    parts = _each_range(lambda lo, hi: _counts_kernel(c[..., lo:hi], params), ranges)
     counts = np.concatenate([p_[0] for p_ in parts])
     member = np.concatenate([p_[1] for p_ in parts])
     return counts, member
@@ -465,8 +477,9 @@ def grid_counts_real(c: np.ndarray, params: IterationParams, threads: int = 1):
     return _run_blocks(c, params, threads)
 
 
-# Points per chunk of the streamed hyperbolic path: beyond its flat outputs
-# it holds a few arrays of this length at a time, whatever the grid size.
+# Points read at a time by the streamed hyperbolic path, shared between its
+# workers: beyond its flat outputs it holds a few arrays of this total length
+# at a time, whatever the grid size and the worker count.
 _CHUNK = 1 << 18
 
 
@@ -482,45 +495,58 @@ def grid_counts_hyperbolic(
     The component parameters a - b and a + b repeat heavily on lattice
     windows, so each distinct value is iterated once and results gathered
     back; this is exact (identical floats share identical orbits).  The
-    inputs are read in chunks of at most _CHUNK points, twice: once to
-    collect the distinct components, once to gather their results.  Beyond
-    the 5 B/cell outputs, only the distinct components grow with the grid,
-    and a lattice window has few of them.
+    inputs are read twice: once to collect the distinct components, once to
+    gather their results.  Each pass splits the C-order cells into one range
+    per worker (as for the kernel, min(threads, os.cpu_count()) of them), and
+    each worker reads its range in chunks of _CHUNK // workers points, so
+    together they hold one _CHUNK.  Beyond the 5 B/cell outputs, only the
+    distinct components grow with the grid, and a lattice window has few of
+    them.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"a and b must have equal shapes, got {a.shape} and {b.shape}")
+    ranges = _ranges(a.size, threads)
+    chunk = _CHUNK // max(len(ranges), 1)
 
-    def components():
-        for ca, cb in np.nditer([a, b], flags=["external_loop", "buffered", "zerosize_ok"],
-                                buffersize=_CHUNK, order="C"):
+    def components(lo, hi):
+        it = np.nditer([a, b], flags=["external_loop", "buffered", "ranged"],
+                       buffersize=chunk, order="C")
+        it.iterrange = (lo, hi)
+        for ca, cb in it:
             yield ca - cb, ca + cb
 
     # Sorting the values and searching them is much faster than the argsort
     # behind return_inverse.  np.unique keeps one of 0.0 and -0.0; both find
     # it, and their orbits are the same.  Each chunk's distinct values wait
-    # until they outnumber the merged set, so the merges sort each value
-    # O(log n) times even when few values repeat, and the waiting values
-    # never outgrow the distinct set.
-    uniq, pieces, held = np.empty(0), [], 0
-    for cm, cp in components():
-        pieces.append(np.unique(np.concatenate([cm, cp])))
-        held += pieces[-1].size
-        if held >= uniq.size:
-            uniq = np.unique(np.concatenate([uniq] + pieces))
-            pieces, held = [], 0
-    uniq = np.unique(np.concatenate([uniq] + pieces))
+    # until they outnumber the range's merged set, so the merges sort each
+    # value O(log n) times even when few values repeat, and the waiting
+    # values never outgrow the distinct set.
+    def distinct(lo, hi):
+        uniq, pieces, held = np.empty(0), [], 0
+        for cm, cp in components(lo, hi):
+            pieces.append(np.unique(np.concatenate([cm, cp])))
+            held += pieces[-1].size
+            if held >= uniq.size:
+                uniq = np.unique(np.concatenate([uniq] + pieces))
+                pieces, held = [], 0
+        return np.unique(np.concatenate([uniq] + pieces))
+
+    uniq = np.unique(np.concatenate([np.empty(0)] + _each_range(distinct, ranges)))
     counts_u, member_u = _run_blocks(uniq, params, threads)
     counts = np.empty(a.size, dtype=np.uint32)
     member = np.empty(a.size, dtype=bool)
-    start = 0
-    for cm, cp in components():
-        im, ip = np.searchsorted(uniq, cm), np.searchsorted(uniq, cp)
-        stop = start + cm.size
-        np.minimum(counts_u[im], counts_u[ip], out=counts[start:stop])
-        np.logical_and(member_u[im], member_u[ip], out=member[start:stop])
-        start = stop
+
+    def gather(lo, hi):
+        for cm, cp in components(lo, hi):
+            im, ip = np.searchsorted(uniq, cm), np.searchsorted(uniq, cp)
+            stop = lo + cm.size
+            np.minimum(counts_u[im], counts_u[ip], out=counts[lo:stop])
+            np.logical_and(member_u[im], member_u[ip], out=member[lo:stop])
+            lo = stop
+
+    _each_range(gather, ranges)
     return counts, member
 
 

@@ -1,8 +1,10 @@
 import argparse
 import hashlib
 import json
+import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -332,8 +334,8 @@ def test_parser_rejects_bad_window():
     ["estimate", "--kind", "real-extent", "--precision", "0"],
     ["estimate", "--kind", "hyperbric-area", "--precision", "1e-4"],
     ["estimate", "--kind", "perplexbric-volume", "--p", "2"],
-    # Output paths that cannot be written, found only when the command
-    # writes: {file} is a file, {dir} a directory holding a directory x.txt.
+    # Output paths that cannot be written: {file} is a file, {dir} a
+    # directory holding a directory x.txt.
     ["rerun", "--manifest", "{manifest}", "--out-dir", "{file}"],
     ["rerun", "--manifest", "{manifest}", "--out-dir", "{file}/sub"],
     ["render2d", "--res", "4", "--out", "{dir}"],
@@ -462,6 +464,58 @@ def test_missing_output_directory_exits_2_before_the_work(argv, tmp_path, capsys
     (tmp_path / "file").write_text("")
     assert main(argv + ["--out", str(tmp_path / "file" / "x")]) == 2
     _assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["render2d", "--res", "8"], "x"),
+    (["render2d", "--res", "8"], "x.manifest.json"),
+    (["render3d", "--dims", "4"], "x.mbv1"),
+    (["render3d", "--dims", "4"], "x.xyz"),
+    (["render3d", "--dims", "4"], "x.manifest.json"),
+    (["verify", "--suite", "roots"], "x.txt"),
+    (["verify", "--suite", "roots"], "x.json"),
+    (["verify", "--suite", "roots"], "x.manifest.json"),
+    (["estimate", "--kind", "real-extent"], "x.txt"),
+    (["estimate", "--kind", "real-extent"], "x.json"),
+    (["estimate", "--kind", "real-extent"], "x.manifest.json"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_output_name_taken_by_a_directory_exits_2_before_the_work(argv, name, tmp_path,
+                                                                  capsys, monkeypatch):
+    _forbid_work(monkeypatch)
+    (tmp_path / name).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    out = capsys.readouterr()
+    line = _assert_one_error_line(out.err)
+    assert repr(str(tmp_path / name)) in line and "is a directory" in line
+    assert out.out == "" and sorted(tmp_path.rglob("*")) == before
+
+
+def _search_out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 58.2 TiB for an array")
+
+
+def test_error_in_a_hyperbolic_worker_exits_2_and_stops_the_workers(tmp_path, capsys,
+                                                                    monkeypatch):
+    # np.searchsorted runs on the worker threads of the hyperbolic path's
+    # second pass; as dynamics sees it, it fails there.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("MBK_THREADS", "2")
+    monkeypatch.setattr(dynamics, "np", SimpleNamespace(
+        **{**vars(np), "searchsorted": _search_out_of_memory}))
+    before = threading.active_count()
+    codes = []
+    run = threading.Thread(target=lambda: codes.append(main(
+        ["render2d", "--set", "hyperbrot", "--res", "64", "--max-iter", "50",
+         "--window=-0.4:0.4,-0.4:0.4", "--out", str(tmp_path / "h.pgm")])))
+    run.start()
+    run.join(timeout=60)
+    assert not run.is_alive() and codes == [2]
+    out = capsys.readouterr()
+    line = _assert_one_error_line(out.err)
+    assert line.startswith("mbkit: error: out of memory") and "58.2 TiB" in line
+    assert out.out == "" and not any(tmp_path.iterdir())
+    assert threading.active_count() == before
 
 
 def test_dotted_out_names_keep_their_files(tmp_path, capsys):

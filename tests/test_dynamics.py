@@ -622,7 +622,7 @@ def test_grid_workers_capped_at_cpu_count(rng, monkeypatch):
     pools = []
 
     class RecordingPool:
-        """Stands in for ThreadPoolExecutor and runs the blocks in this thread."""
+        """Stands in for ThreadPoolExecutor and runs the work in this thread."""
 
         def __init__(self, max_workers):
             pools.append(max_workers)
@@ -644,13 +644,20 @@ def test_grid_workers_capped_at_cpu_count(rng, monkeypatch):
     assert pools and all(w <= os.cpu_count() for w in pools)
     ref_counts, ref_member = grid_counts_complex(cs, params)
     assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+    # The hyperbolic path's two passes over the input use the same cap.
+    pools.clear()
+    counts, member = grid_counts_hyperbolic(cs.real, cs.imag, params, threads=10_000)
+    assert len(pools) >= 2 and all(w <= os.cpu_count() for w in pools)
+    ref_counts, ref_member = grid_counts_hyperbolic(cs.real, cs.imag, params)
+    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
 
 
 # --- streamed hyperbolic path ----------------------------------------------------
 #
-# grid_counts_hyperbolic reads its inputs in chunks of at most _CHUNK points.
-# These tests pin it to the whole-grid body (the hyperbolic_whole_grid
-# fixture) with chunks that split rows and leave a partial last chunk.
+# grid_counts_hyperbolic splits its inputs into one range per worker and
+# reads each range in chunks of _CHUNK // workers points.  These tests pin it
+# to the whole-grid body (the hyperbolic_whole_grid fixture) with ranges and
+# chunks that split rows and leave a partial last chunk.
 
 
 def _hyperbolic_inputs(case, rng):
@@ -676,7 +683,7 @@ _HYPERBOLIC_CASES = ["meshgrid view", "reversed-y view", "contiguous",
                      "strided columns", "signed zeros and duplicates"]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [37, 1000])
 @pytest.mark.parametrize("case", _HYPERBOLIC_CASES)
 def test_streamed_hyperbolic_matches_whole_grid(case, chunk, threads, rng, monkeypatch,
@@ -699,22 +706,27 @@ def test_streamed_hyperbolic_memory_is_flat_in_grid_size(chunk, sizes, monkeypat
     # and the distinct components (7,359 at 1000^2, 14,547 at 2000^2).  The
     # whole-grid body took about 64 B/cell: 192 MB more at 2000^2.  With
     # small chunks, holding every chunk's distinct values until the end
-    # would add about 12 MB from 500^2 to 1000^2.
+    # would add about 12 MB from 500^2 to 1000^2, at any worker count.  Two
+    # workers share one _CHUNK between them: a full chunk each would add
+    # about 17 MB.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     if chunk is not None:
         monkeypatch.setattr(dynamics, "_CHUNK", chunk)
     params = IterationParams(3, 8)
-    extra = []
-    for n in sizes:
-        xs = cell_centers(-0.4, 0.4, n)
-        a, b = np.meshgrid(xs, xs[::-1], copy=False)
-        tracemalloc.start()
-        try:
-            grid_counts_hyperbolic(a, b, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        extra.append(peak - 5 * n * n)
-    assert extra[1] <= extra[0] + 2_000_000
+    extra = {}
+    for threads in (1, 2):
+        for n in sizes:
+            xs = cell_centers(-0.4, 0.4, n)
+            a, b = np.meshgrid(xs, xs[::-1], copy=False)
+            tracemalloc.start()
+            try:
+                grid_counts_hyperbolic(a, b, params, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra[threads, n] = peak - 5 * n * n
+        assert extra[threads, sizes[1]] <= extra[threads, sizes[0]] + 2_000_000, threads
+    assert extra[2, sizes[1]] <= extra[1, sizes[1]] + 2_000_000
 
 
 def test_hyperbolic_inputs_must_have_equal_shapes():

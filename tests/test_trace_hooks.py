@@ -51,22 +51,26 @@ def test_hooked_functions_keep_the_parameters_their_hooks_bind(tracing):
         assert set(needed) <= set(parameters), name
 
 
-def test_hyperbolic_hook_records_a_meshgrid_view_call(tracing):
+def test_hyperbolic_hook_records_a_meshgrid_view_call(tracing, monkeypatch):
     # The commands pass 2-D np.meshgrid(copy=False) views; the hook flattens
     # them in C order, like grid_counts_hyperbolic, to rebuild the counts
     # of the distinct component parameters and check the returned ones.
+    # With two threads the path's workers run inside the span, which the
+    # tracer times on the calling thread only.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     xs = cell_centers(-0.4, 0.4, 60)
     a, b = np.meshgrid(xs, xs[::-1][:45], copy=False)
     params = dynamics.IterationParams(3, 200)
-    fn = dynamics.grid_counts_hyperbolic
-    bound = inspect.signature(fn).bind(a, b, params, threads=1)
-    result = fn(*bound.args, **bound.kwargs)
-    tracer = tracing.Tracer()
-    tracer.command = "hyperbrot"
-    tracing._record_grid("dynamics.grid_counts_hyperbolic")(tracer, fn, bound, result, 0.0)
-    [rec] = tracer.grid_calls["hyperbrot"]
-    assert rec["consistent"] is True
-    assert rec["cells"] == a.size == 60 * 45
-    assert rec["kernel_points"] == np.unique(np.concatenate([(a - b).ravel(),
-                                                             (a + b).ravel()])).size
-    assert tracer.replay_grid_calls() == []
+    name = "dynamics.grid_counts_hyperbolic"
+    for threads in (1, 2):
+        tracer = tracing.Tracer()
+        tracer.command = "hyperbrot"
+        spanned = tracer._span(name)(dynamics.grid_counts_hyperbolic)
+        spanned(a, b, params, threads=threads)
+        assert tracer.spans[("hyperbrot", name)][0] == 1
+        [rec] = tracer.grid_calls["hyperbrot"]
+        assert rec["consistent"] is True
+        assert rec["cells"] == a.size == 60 * 45
+        assert rec["kernel_points"] == np.unique(np.concatenate([(a - b).ravel(),
+                                                                 (a + b).ravel()])).size
+        assert tracer.replay_grid_calls() == []
