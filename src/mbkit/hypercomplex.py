@@ -449,14 +449,15 @@ def iteration_span_units(units: Sequence[UnitIndex]) -> tuple[UnitIndex, ...]:
     s2, k2 = unit_product(k, us[2])
     fourth = k2
     if fourth in us:
-        raise ValueError(f"degenerate unit triple {us}")
+        raise ValueError("degenerate unit triple " + ",".join(u.label for u in us))
     return tuple(sorted((*us, fourth)))
 
 
 def _distinct_units(units: Sequence[UnitIndex]) -> tuple[UnitIndex, UnitIndex, UnitIndex]:
     us = tuple(UnitIndex(u) for u in units)
     if len(us) != 3 or len(set(us)) != 3:
-        raise ValueError(f"need three distinct units, got {units!r}")
+        raise ValueError("need three distinct units, got "
+                         + ",".join(u.label for u in us))
     return us
 
 

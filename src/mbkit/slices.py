@@ -7,8 +7,9 @@ connects all 56 into exactly four classes (Tetrabric, Perplexbric,
 Hourglassbric, Metabric).
 
 Four catalog maps are fixed explicit permutations; the rest of the catalog
-is found by a bounded deterministic search over signed unit permutations and
-every map is validated numerically before classification uses it.
+is found by a bounded deterministic search over signed unit permutations.
+Every catalog map is proved a conjugacy once, exactly, by _is_conjugacy;
+verify_conjugacy stays as the independent numeric check on random (eta, c).
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ class SliceSpec:
     units: tuple[UnitIndex, UnitIndex, UnitIndex]
 
     def __post_init__(self):
-        us = tuple(UnitIndex(u) for u in self.units)
-        if len(set(us)) != 3:
-            raise ValueError(f"slice units must be distinct, got {self.units}")
-        object.__setattr__(self, "units", us)
+        object.__setattr__(self, "units", tuple(UnitIndex(u) for u in self.units))
+        if len(set(self.units)) != 3:
+            raise ValueError(f"slice units must be distinct, got {self.label()}")
 
     @staticmethod
     def of(*units: UnitIndex) -> "SliceSpec":
@@ -163,6 +163,8 @@ def verify_conjugacy(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if n_samples < 1:
+        raise ValueError(f"n_samples < 1: need at least one sample, got {n_samples}")
     rng = np.random.default_rng(seed)
     eta = np.zeros((8, n_samples))
     for u in m.target.span4:
@@ -190,6 +192,26 @@ def _conjugacy_residuals(m: ConjugacyMap, p: int, eta: np.ndarray, c: np.ndarray
     rhs = pow_batch(eta, p) + m.apply_batch(c)
     diff = lhs - rhs
     return np.sqrt(np.einsum("ij,ij->j", diff, diff))
+
+
+def _is_conjugacy(m: ConjugacyMap, p: int) -> bool:
+    """Exact proof that m conjugates eta**p + c, with no sampling and no tolerance.
+
+    phi is linear, so c cancels and the identity is
+    phi(phi^-1(eta)**p) = eta**p.  It is checked at the (p+1)**4 points
+    whose coordinates on the target's four span units lie in 0..p, with
+    c = 0, and m is accepted only when every residual is exactly 0.0:
+    - Each coefficient of the difference is a polynomial of degree <= p in
+      each span coordinate, so vanishing on that grid makes it zero
+      everywhere (the grid lemma of Alon's Combinatorial Nullstellensatz).
+    - On these small integers every float product and sum is exact: at
+      p = 3 no coefficient exceeds 1,728.
+    - Odd powers of a span stay inside it (algebra.span_power_closure), so
+      apply_batch drops no term of phi^-1(eta)**p.
+    """
+    eta = np.zeros((8, (p + 1) ** 4))
+    eta[list(m.target.span4)] = np.indices((p + 1,) * 4).reshape(4, -1)
+    return not _conjugacy_residuals(m, p, eta, np.zeros_like(eta)).any()
 
 
 def _fixed_bridge_maps() -> list[ConjugacyMap]:
@@ -261,8 +283,8 @@ def _search_phi(source: SliceSpec, target: SliceSpec, p: int) -> ConjugacyMap | 
     """Deterministic bounded search for a signed-permutation conjugacy.
 
     Candidates map slice units onto slice units (so parameters stay valid)
-    and the fourth span unit onto the fourth.  Acceptance is numeric: the
-    identity must hold on a fixed batch of 8 random samples (seed 2024).
+    and the fourth span unit onto the fourth.  The first candidate that
+    _is_conjugacy proves exact is returned.
     """
     src4 = [u for u in source.span4 if u not in source.units][0]
     tgt4 = [u for u in target.span4 if u not in target.units][0]
@@ -272,7 +294,7 @@ def _search_phi(source: SliceSpec, target: SliceSpec, p: int) -> ConjugacyMap | 
                 (source.units[k], signs[k], perm[k]) for k in range(3)
             ] + [(src4, signs[3], tgt4)]
             cand = ConjugacyMap(source, target, tuple(pairs))
-            if verify_conjugacy(cand, p, n_samples=8, seed=2024).passed:
+            if _is_conjugacy(cand, p):
                 return cand
     return None
 
@@ -304,12 +326,16 @@ def conjugacy_catalog(p: int = 3) -> tuple[ConjugacyMap, ...]:
     """Conjugacy maps sufficient to connect the 56 slices into their classes.
 
     Holds the four fixed bridge maps plus searched spanning maps inside each
-    family.  A family member that cannot be reached by any signed-permutation
-    map is an error: the stated symmetry failed numeric validation.
+    family, every one proved exact by _is_conjugacy.  A bridge map that fails
+    the proof, or a family member that no signed-permutation map reaches, is
+    an error: the stated symmetry does not hold.
     """
     if p != 3:
         raise ValueError("the conjugacy catalog is established for p = 3 only")
     maps = list(_fixed_bridge_maps())
+    for m in maps:
+        if not _is_conjugacy(m, p):
+            raise RuntimeError(f"bridge map {m.source} -> {m.target} is not a conjugacy")
     for family in _slice_families():
         keys = [s.canonical_key for s in family]
         uf = _UnionFind(keys)
@@ -355,16 +381,12 @@ class SliceClassification:
         return None
 
 
-def classify_principal(
-    p: int = 3, n_samples: int = 1000, tol: float = 1e-9, seed: int = 0
-) -> SliceClassification:
-    """Union-find closure over the numerically verified conjugacy catalog."""
+def classify_principal(p: int = 3) -> SliceClassification:
+    """Union-find closure over the conjugacy catalog, whose maps are proved exact."""
     specs = enumerate_slices()
     uf = _UnionFind([s.canonical_key for s in specs])
     for m in conjugacy_catalog(p):
-        report = verify_conjugacy(m, p, n_samples=n_samples, tol=tol, seed=seed)
-        if report.passed:
-            uf.union(m.source.canonical_key, m.target.canonical_key)
+        uf.union(m.source.canonical_key, m.target.canonical_key)
     by_key = {s.canonical_key: s for s in specs}
     classes = tuple(
         tuple(by_key[k] for k in cls)

@@ -595,7 +595,7 @@ def slices_suite(seed: int = 0, n_samples: int = 2000) -> list[CheckResult]:
     out.append(CheckResult("slices.relation_closure", worst <= 1e-9, worst,
                            "inverses and a composition"))
 
-    cl = slices.classify_principal(3, n_samples=500, seed=seed)
+    cl = slices.classify_principal(3)
     names = {name: cl.name_of(rep) for name, rep in slices.PRINCIPAL_SLICES.items()}
     ok = cl.class_count == 4 and all(v == k for k, v in names.items())
     meta = cl.class_of(slices.PRINCIPAL_SLICES["Metabric"])

@@ -158,7 +158,7 @@ def test_acceptance_07_conjugacy_residuals_and_classes():
     for m in catalog:
         report = verify_conjugacy(m, 3, n_samples=10_000, tol=1e-9, seed=707)
         worst = max(worst, report.max_residual)
-    cl = classify_principal(3, n_samples=1000, seed=707)
+    cl = classify_principal(3)
     names_ok = all(cl.name_of(rep) == name
                    for name, rep in PRINCIPAL_SLICES.items())
     _report(7, "conjugacy catalog and principal classes",

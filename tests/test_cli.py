@@ -202,6 +202,29 @@ def test_reports_and_oracle_steps_are_pinned(label, tmp_path, monkeypatch, capsy
     assert sum(steps) == (want if label == "verify_dynamics" else 0)
 
 
+# The slices report at seeds the benchmark does not run, by seed: (txt, json).
+_SLICES_REPORTS = {
+    3: ("659efde49634abf99f4921c4437289063c67ba4c85ca94b84c964f9c55865f19",
+        "a0b266a869fc743e6927ed5ee430a58f311d52f648e392607b89ae1e23e0447b"),
+    7: ("99738cea094161fedb08e25a8b5dcc2441d2563964d528d7b982cb08f19b15bf",
+        "42cc904825a683c71e143020544b5d1c054d43f4016df86abc68a366d7def9a1"),
+}
+
+
+@pytest.mark.parametrize("seed", list(_SLICES_REPORTS))
+def test_slices_report_is_pinned_at_other_seeds(seed, tmp_path, capsys):
+    out = tmp_path / "slices"
+    assert main(["verify", "--suite", "slices", "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f"slices.{ext}").read_bytes()).hexdigest()
+                    for ext in ("txt", "json"))
+    assert digests == _SLICES_REPORTS[seed]
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(tmp_path / "slices.manifest.json"),
+                 "--out-dir", str(tmp_path / "redo")]) == 0
+    assert capsys.readouterr().out.count(": match") == 2
+
+
 def test_estimate_real_extent_below_float_spacing_stops_at_adjacent_floats(
         tmp_path, monkeypatch, capsys):
     # A tolerance finer than the float spacing used to loop forever once the
@@ -376,6 +399,23 @@ def test_max_iter_beyond_uint32_names_the_option(argv, tmp_path, capsys):
     assert line.startswith("mbkit: error: argument --max-iter: must be <= 4294967295")
     args = build_parser().parse_args([argv[0], "--max-iter", "4294967295", "--out", "x"])
     assert args.max_iter == 2 ** 32 - 1
+
+
+def test_repeated_slice_unit_error_shows_the_labels(tmp_path, capsys):
+    # The units used to print as (<UnitIndex.ONE: 0>, <UnitIndex.J1: 5>, ...).
+    with pytest.raises(SystemExit) as exc:
+        main(["render3d", "--slice", "1,j1,j1", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    line = _assert_one_error_line(capsys.readouterr().err)
+    assert line == ("mbkit: error: argument --slice: "
+                    "slice units must be distinct, got 1,j1,j1")
+    path = tmp_path / "m.manifest.json"
+    path.write_text(json.dumps({**_GOOD_MANIFEST, "command": "render3d", "parameters": {
+        **_GOOD_RENDER3D, "slice": "1,j1,j1"}}))
+    assert main(["rerun", "--manifest", str(path), "--out-dir", str(tmp_path / "redo")]) == 2
+    line = _assert_one_error_line(capsys.readouterr().err)
+    assert line.endswith("argument --slice: slice units must be distinct, got 1,j1,j1")
+    assert not (tmp_path / "redo").exists()
 
 
 # Grid sizes whose largest array numpy rejects before allocating, as more
