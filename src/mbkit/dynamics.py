@@ -11,6 +11,16 @@ stop an orbit whose state repeats exactly, which changes no result.
 Escape uses the sharp bound 2^(1/(p-1)): an orbit that ever exceeds it
 diverges, so a point is a member exactly when the whole orbit stays inside.
 A point not escaped after max_iter counts as a member.
+
+The hyperbolic and tricomplex grid engines iterate each distinct component
+value of a batch once and derive every point's count from those orbits.
+This is exact, not an approximation: identical floats have identical
+orbits, a hyperbolic point escapes with its first component, and a
+tricomplex cell's rounded ring norm is bounded by its rows' own squared
+norms, so it cannot escape before a row passes the limit and has escaped
+once a row passes four times the limit; between the two, the ring norm is
+summed from tabulated row norms in the kernel's order
+(grid_counts_tricomplex).
 """
 
 from __future__ import annotations
@@ -70,6 +80,14 @@ class IterationParams:
             )
 
 
+def _escape_limit(params: IterationParams) -> float:
+    """The squared norm an orbit may reach without escaping: not n2 <= lim
+    is n2 > r2, n2 > guard2 or n2 NaN in one comparison (a sum of squares
+    is never -inf, and NaN fails every <=)."""
+    return min(params.escape_radius * params.escape_radius,
+               OVERFLOW_NORM * OVERFLOW_NORM)
+
+
 @dataclass(frozen=True)
 class EscapeResult:
     """Escape flag, first escaping iteration (or max_iter), final norm."""
@@ -89,9 +107,7 @@ def _escape_time(step, z0, params: IterationParams) -> EscapeResult:
     a live state is finite, so the result is that of running every step.
     """
     max_iter = params.max_iter
-    # n2 > r2, n2 > guard2 or n2 NaN, in one comparison.
-    lim = min(params.escape_radius * params.escape_radius,
-              OVERFLOW_NORM * OVERFLOW_NORM)
+    lim = _escape_limit(params)
     z, n2 = z0, 0.0
     snap, s, nxt = None, 0, 1
     for m in range(1, max_iter + 1):
@@ -336,18 +352,18 @@ _FIRST_SNAPSHOT = 16
 _COMPACT_FRACTION = 8
 
 
-def _counts_kernel(c: np.ndarray, params: IterationParams):
+def _counts_kernel(c: np.ndarray, params: IterationParams, lim: float | None = None):
     # c: (n,) parameters, or (4, n) tricomplex components escaping on their
     # combined RMS norm (the ring norm); real or complex either way.  A
     # (2, n) batch holds the distinct rows of components that repeat in
     # pairs: 0.5 * (s0 + s1) is the four-row 0.25 * ((s0 + s1) + (s2 + s3))
     # bit for bit then (x + x = 2x and power-of-two scaling are exact, and
-    # the sum commutes), and repeated rows stay equal at every step.
+    # the sum commutes), and repeated rows stay equal at every step.  A
+    # point escapes at the first step whose squared norm is not <= lim,
+    # _escape_limit(params) unless given.
     p, max_iter = params.p, params.max_iter
-    # n2 > r2, n2 > guard2 or n2 NaN, in one comparison: a sum of squares
-    # is never -inf, and NaN fails every <=.
-    lim = min(params.escape_radius * params.escape_radius,
-              OVERFLOW_NORM * OVERFLOW_NORM)
+    if lim is None:
+        lim = _escape_limit(params)
     n = c.shape[-1]
     counts = np.full(n, max_iter, dtype=np.uint32)
     member = np.zeros(n, dtype=bool)
@@ -429,8 +445,13 @@ def _norm2(z: np.ndarray) -> np.ndarray:
         sq += z.imag * z.imag
     else:
         sq = z * z
-    if z.ndim == 1:
-        return sq
+    return sq if z.ndim == 1 else _ring_mean(sq)
+
+
+def _ring_mean(sq: np.ndarray) -> np.ndarray:
+    """The ring norm from the squared moduli of a (4, n) or (2, n) state's
+    rows, in one fixed order: 0.25 * ((s0 + s1) + (s2 + s3)), or
+    0.5 * (s0 + s1)."""
     n2 = sq[0] + sq[1]
     if len(sq) == 4:
         n2 += sq[2] + sq[3]
@@ -440,27 +461,41 @@ def _norm2(z: np.ndarray) -> np.ndarray:
     return n2
 
 
-def _ranges(n: int, threads: int) -> list[tuple[int, int]]:
+def _ranges(n: int, threads: int, least: int = 1) -> list[tuple[int, int]]:
     """The nonempty (lo, hi) ranges that split range(n) between the workers:
-    min(threads, os.cpu_count()) of them, fewer when n is smaller."""
-    workers = min(threads, os.cpu_count() or 1)
+    min(threads, os.cpu_count()) of them, fewer when n is smaller, and no
+    more than leave each worker least points."""
+    workers = min(threads, os.cpu_count() or 1, max(n // least, 1))
     bounds = [(k * n) // workers for k in range(workers + 1)]
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def _each_range(fn, ranges: list[tuple[int, int]]) -> list:
-    """fn(lo, hi) for each range, each on its own worker thread.  A worker's
-    exception is raised here once every worker has stopped."""
-    with ThreadPoolExecutor(max_workers=max(len(ranges), 1)) as pool:
+    """fn(lo, hi) for each range, each on its own worker thread, or on this
+    one for a single range.  A worker's exception is raised here once every
+    worker has stopped."""
+    if len(ranges) <= 1:
+        return [fn(*r) for r in ranges]
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
 
 
-def _run_blocks(c: np.ndarray, params: IterationParams, threads: int):
+# The fewest points a worker of _run_blocks iterates.  Each worker runs the
+# kernel's whole per-step loop for its block, and a small block's steps are
+# mostly interpreter time, which threads cannot share.
+_MIN_BLOCK = 1 << 17
+
+
+def _run_blocks(c: np.ndarray, params: IterationParams, threads: int,
+                lim: float | None = None):
+    """_counts_kernel over a batch split into one block per worker, with
+    at least _MIN_BLOCK points each."""
     n = c.shape[-1]
-    ranges = _ranges(n, threads)
-    if len(ranges) <= 1 or n < 2 * len(ranges):
-        return _counts_kernel(c, params)
-    parts = _each_range(lambda lo, hi: _counts_kernel(c[..., lo:hi], params), ranges)
+    ranges = _ranges(n, threads, _MIN_BLOCK)
+    if len(ranges) <= 1:
+        return _counts_kernel(c, params, lim)
+    parts = _each_range(lambda lo, hi: _counts_kernel(c[..., lo:hi], params, lim),
+                        ranges)
     counts = np.concatenate([p_[0] for p_ in parts])
     member = np.concatenate([p_[1] for p_ in parts])
     return counts, member
@@ -497,7 +532,7 @@ def grid_counts_hyperbolic(
     back; this is exact (identical floats share identical orbits).  The
     inputs are read twice: once to collect the distinct components, once to
     gather their results.  Each pass splits the C-order cells into one range
-    per worker (as for the kernel, min(threads, os.cpu_count()) of them), and
+    per worker (min(threads, os.cpu_count()) of them, as in _ranges), and
     each worker reads its range in chunks of _CHUNK // workers points, so
     together they hold one _CHUNK.  Beyond the 5 B/cell outputs, only the
     distinct components grow with the grid, and a lattice window has few of
@@ -550,6 +585,23 @@ def grid_counts_hyperbolic(
     return counts, member
 
 
+# Steps of the distinct values' squared norms that grid_counts_tricomplex
+# tabulates.  A cell whose escape step is still open past them (a few
+# boundary cells) goes through the joint kernel.
+_TABLE_STEPS = 64
+# grid_counts_tricomplex iterates the distinct row values of a batch only
+# when it holds at least this many row entries per distinct value; lattice
+# windows of 64^3 cells hold 26 or more.  With fewer repeats the lookups
+# cost more than they save, and the step table, _TABLE_STEPS / _MIN_SHARING
+# floats per row entry at most, would approach the joint kernel's state.
+_MIN_SHARING = 16
+# Cells a worker of grid_counts_tricomplex reads at a time.  Each pass over
+# a chunk makes a few arrays of its size, which small chunks take from the
+# memory the last chunk freed; fresh pages for each cost more than the
+# arithmetic on them.
+_CELL_CHUNK = 1 << 15
+
+
 def grid_counts_tricomplex(w: np.ndarray, params: IterationParams, threads: int = 1):
     """Counts/member for a (4, n) batch of tricomplex idempotent components.
 
@@ -562,9 +614,132 @@ def grid_counts_tricomplex(w: np.ndarray, params: IterationParams, threads: int 
     two repeat them; it gives the counts of the four-row batch.
     hypercomplex.complex4_rows builds the batch in this layout from the
     coefficient rows that are present.
+
+    Each row of a cell iterates on its own, and on lattice windows the rows
+    take few distinct values, so each distinct value v is iterated once, as
+    a 1-D kernel batch, for its own squared norm s_v.  With lim =
+    _escape_limit(params), let e_v be the first step at which s_v is not
+    <= lim and E_v the first at which it is not <= 4 lim (computed
+    directly: a doubled escape radius would hit the overflow clamp), and
+    e, E the least of them over a cell's rows.  Then:
+
+    - before e the cell cannot escape: every s <= lim, so the rounded sum
+      (s0 + s1) + (s2 + s3) is at most 4 lim (rounding is monotone, and
+      2 lim, 4 lim are exact), and scaling it by 0.25 is exact;
+    - at E it has escaped: a rounded sum of nonnegative terms is at least
+      each term, here one above 4 lim, or it is NaN;
+    - so a cell with no e within max_iter is a member, and one with e == E
+      escapes at e;
+    - any other cell's ring norm is summed from the tabulated s values of
+      its rows at the steps from e on (_ring_mean, the kernel's sum
+      order), until it escapes or reaches E; a cell still open past
+      _TABLE_STEPS runs the joint kernel.
+
+    The counts and member mask are bit for bit those of the joint kernel
+    (_counts_kernel on all of a cell's rows together).  A batch with fewer
+    than _MIN_SHARING row entries per distinct value runs the joint kernel
+    instead.
+
+    The cells are read twice, in ranges, one per worker (min(threads,
+    os.cpu_count()) of them, but no more than there are chunks), in chunks
+    of _CELL_CHUNK cells: once for the distinct values, once to look up and
+    settle each cell.  Beyond the batch and the 5 B/cell outputs, the path
+    holds the distinct values with their e_v, E_v and table of s_v, and per
+    worker a chunk's row indices and lookups.
     """
     w = np.asarray(w)
     if w.ndim != 2 or w.shape[0] not in (2, 4):
         raise ValueError("expected a (4, n) or (2, n) component batch")
     dtype = np.complex128 if np.iscomplexobj(w) else np.float64
-    return _run_blocks(np.ascontiguousarray(w, dtype=dtype), params, threads)
+    w = np.ascontiguousarray(w, dtype=dtype)
+    n = w.shape[1]
+    ranges = _ranges(n, threads, _CELL_CHUNK)
+
+    def chunks(lo, hi):
+        return ((a, min(a + _CELL_CHUNK, hi)) for a in range(lo, hi, _CELL_CHUNK))
+
+    def distinct(lo, hi):
+        seen = np.empty(0, dtype)
+        for a, b in chunks(lo, hi):
+            seen = np.unique(np.concatenate([seen, w[:, a:b].ravel()]))
+            if seen.size * _MIN_SHARING > w.size:
+                break  # the batch as a whole shares too little
+        return seen
+
+    uniq = np.unique(np.concatenate([np.empty(0, dtype)] + _each_range(distinct, ranges)))
+    if not n or uniq.size * _MIN_SHARING > w.size:
+        return _run_blocks(w, params, threads)
+
+    max_iter, lim = params.max_iter, _escape_limit(params)
+    never = max_iter + 1  # no such step within the budget
+    counts_u, member_u = _run_blocks(uniq, params, threads)
+    first = np.where(member_u, never, counts_u.astype(np.int64))  # e_v
+    fin = np.flatnonzero(~member_u)
+    counts_f, member_f = _run_blocks(uniq[fin], params, threads, 4.0 * lim)
+    last = np.full(uniq.size, never, dtype=np.int64)  # E_v
+    last[fin] = np.where(member_f, never, counts_f)
+    # An open cell has a row with e_v within the budget, and its E is at
+    # most that row's E_v: no lookup is past the largest such E_v - 1.
+    steps = max(1, min(_TABLE_STEPS, int(last[fin].max(initial=1)) - 1))
+    table = np.empty((steps, uniq.size))  # s_v at steps 1..steps
+    z = np.zeros_like(uniq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in table:
+            z = _step(z, uniq, params.p)
+            row[:] = _norm2(z)
+    table = table.ravel()
+
+    def escaped(ids, m):
+        # Whether cells with rows ids are outside at steps m <= steps.
+        offset = (m - 1) * uniq.size
+        return ~(_ring_mean([table.take(row + offset) for row in ids]) <= lim)
+
+    counts = np.empty(n, dtype=np.uint32)
+    member = np.empty(n, dtype=bool)
+
+    def settle(lo, hi):
+        late = []
+        for a, b in chunks(lo, hi):
+            ids = np.searchsorted(uniq, w[:, a:b])
+            # np.unique keeps one complex NaN, which a NaN-containing value
+            # may sort past; it escapes at step 1 like any of them.
+            np.minimum(ids, uniq.size - 1, out=ids)
+            # A cell escapes at a step from e to end, a member if end is
+            # past max_iter; e == end settles it.  Every cell is looked up
+            # at e, where most of the others settle: one pass over the
+            # chunk costs less than picking them out first.
+            e, end = _row_min(first, ids), _row_min(last, ids)
+            tabulated = e <= steps
+            esc = tabulated & escaped(ids, np.minimum(e, steps))
+            np.copyto(end, e, where=esc)
+            late.append(a + np.flatnonzero(~tabulated & (e < end)))
+            # The few cells still open after step e go on a step at a time.
+            cur = np.flatnonzero(tabulated & ~esc & (e + 1 < end))
+            m = e[cur] + 1
+            while cur.size:
+                past = m > steps
+                late.append(a + cur[past])
+                cur, m = cur[~past], m[~past]
+                esc = escaped(ids[:, cur], m)
+                end[cur[esc]] = m[esc]
+                m += 1
+                go = ~esc & (m < end[cur])
+                cur, m = cur[go], m[go]
+            np.minimum(end, max_iter, out=e)
+            counts[a:b] = e
+            np.greater(end, max_iter, out=member[a:b])
+        return late
+
+    late = np.concatenate([np.empty(0, dtype=np.intp)]
+                          + [k for part in _each_range(settle, ranges) for k in part])
+    if late.size:
+        counts[late], member[late] = _run_blocks(w[:, late], params, threads)
+    return counts, member
+
+
+def _row_min(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The least of values[ids[r]] over the rows r, per column."""
+    out = values.take(ids[0])
+    for row in ids[1:]:
+        np.minimum(out, values.take(row), out=out)
+    return out

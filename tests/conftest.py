@@ -132,9 +132,11 @@ def discus_reference():
 def sample_slice_whole_window():
     """slices.sample_slice building the whole window's batch in one piece:
     meshgrid coordinates, an (8, n) coefficient batch, the components of
-    all eight rows with a scan for realness, and one kernel call.  The
-    reference for the slab-streamed, slice-native sampling."""
-    from mbkit.dynamics import escape_bound, grid_counts_tricomplex
+    all eight rows with a scan for realness, and one call of the joint
+    kernel, which iterates every cell's rows together.  The reference for
+    the slab-streamed, slice-native sampling and for the distinct-value
+    tricomplex path."""
+    from mbkit.dynamics import _run_blocks, escape_bound
     from mbkit.slices import VoxelGrid, cell_centers
 
     def sample(spec, window, dims, params, prune=False, threads=1):
@@ -153,10 +155,10 @@ def sample_slice_whole_window():
             keep = inside_discus_reference(x8, escape_bound(params.p))
             counts = np.ones(x8.shape[1], dtype=np.uint32)
             if keep.any():
-                inner, _ = grid_counts_tricomplex(w[:, keep], params, threads=threads)
+                inner, _ = _run_blocks(w[:, keep], params, threads)
                 counts[keep] = inner
         else:
-            counts, _ = grid_counts_tricomplex(w, params, threads=threads)
+            counts, _ = _run_blocks(w, params, threads)
         origin = (float(xs[0]), float(ys[0]), float(zs[0]))
         spacing = (float((x1 - x0) / nx), float((y1 - y0) / ny),
                    float((z1 - z0) / nz))

@@ -33,6 +33,7 @@ from mbkit.hypercomplex import (
     Bicomplex,
     Hyperbolic,
     Tricomplex,
+    complex4_rows,
     hyp_diamond,
     to_complex4,
     to_idempotent,
@@ -530,6 +531,16 @@ def _slice_batch(units, window, res):
     return x8
 
 
+def _lattice_components(units, half, res):
+    """The component batch sample_slice builds for a res^3 window of
+    half-width half over a slice: its distinct rows, float64 when real."""
+    axes = [cell_centers(-half, half, res)] * 3
+    x = [None] * 8
+    for u, g in zip(SliceSpec.parse(units).units, np.meshgrid(*axes, indexing="ij")):
+        x[u] = g.ravel()
+    return complex4_rows(x)[0]
+
+
 def _assert_band_matches(counts, member, oracle, rng):
     max_iter = BAND_PARAMS.max_iter
     band = np.flatnonzero((counts > 8) & (counts < max_iter))
@@ -600,20 +611,28 @@ def test_grid_tricomplex_matches_scalar(rng, tricomplex_components):
 
 
 def test_grid_threads_do_not_change_output(rng, monkeypatch, tricomplex_components):
-    # Workers are capped at the CPU count; pretend to have 8 so every
-    # requested count below gives its own partition.
+    # Workers are capped at the CPU count; pretend to have 8, and let every
+    # worker take a block of any size, so every requested count below gives
+    # its own partition.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)
+    monkeypatch.setattr(dynamics, "_CELL_CHUNK", 97)
     params = IterationParams(3, 150)
     x8 = rng.uniform(-1.5, 1.5, (8, 500))
     cs = x8[0] + 1j * x8[1]
+    # A lattice window shares its row values and takes the distinct-value
+    # path; the random batch does not.
+    lattice = _lattice_components("i1,i2,i3", 1.5, 12)
+    assert np.unique(lattice).size * dynamics._MIN_SHARING <= lattice.size
     runs = {
         threads: (grid_counts_tricomplex(tricomplex_components(x8), params,
                                          threads=threads),
+                  grid_counts_tricomplex(lattice, params, threads=threads),
                   grid_counts_complex(cs, params, threads=threads),
                   grid_counts_hyperbolic(x8[2], x8[3], params, threads=threads))
-        for threads in (1, 3, 8)
+        for threads in (1, 2, 3, 8)
     }
-    for threads in (3, 8):
+    for threads in (2, 3, 8):
         for (c, m), (c1, m1) in zip(runs[threads], runs[1]):
             assert np.array_equal(c, c1) and np.array_equal(m, m1)
 
@@ -640,15 +659,30 @@ def test_grid_workers_capped_at_cpu_count(rng, monkeypatch):
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 4)
     params = IterationParams(3, 60)
     cs = rng.uniform(-1.5, 1.5, 400) + 1j * rng.uniform(-1.5, 1.5, 400)
-    counts, member = grid_counts_complex(cs, params, threads=10_000)
-    assert pools and all(w <= os.cpu_count() for w in pools)
-    ref_counts, ref_member = grid_counts_complex(cs, params)
-    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
-    # The hyperbolic path's two passes over the input use the same cap.
+    # Below two minimum blocks the kernel runs on the calling thread.
+    assert 400 < 2 * dynamics._MIN_BLOCK
+    ref_counts, ref_member = grid_counts_complex(cs, params, threads=10_000)
+    assert pools == []
+    # With smaller blocks, each worker takes at least _MIN_BLOCK points.
+    for block, workers in ((150, 2), (100, 4), (1, 4)):
+        monkeypatch.setattr(dynamics, "_MIN_BLOCK", block)
+        pools.clear()
+        counts, member = grid_counts_complex(cs, params, threads=10_000)
+        assert pools == [workers], block
+        assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+    # The hyperbolic and tricomplex paths' passes over the input use the
+    # same cap.
     pools.clear()
     counts, member = grid_counts_hyperbolic(cs.real, cs.imag, params, threads=10_000)
     assert len(pools) >= 2 and all(w <= os.cpu_count() for w in pools)
     ref_counts, ref_member = grid_counts_hyperbolic(cs.real, cs.imag, params)
+    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+    lattice = _lattice_components("1,i1,i2", 1.5, 10)
+    monkeypatch.setattr(dynamics, "_CELL_CHUNK", 100)
+    pools.clear()
+    counts, member = grid_counts_tricomplex(lattice, params, threads=10_000)
+    assert len(pools) >= 2 and all(w <= os.cpu_count() for w in pools)
+    ref_counts, ref_member = dynamics._counts_kernel(lattice, params)
     assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
 
 
@@ -689,6 +723,7 @@ _HYPERBOLIC_CASES = ["meshgrid view", "reversed-y view", "contiguous",
 def test_streamed_hyperbolic_matches_whole_grid(case, chunk, threads, rng, monkeypatch,
                                                 hyperbolic_whole_grid):
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)  # split small batches too
     monkeypatch.setattr(dynamics, "_CHUNK", chunk)
     a, b = _hyperbolic_inputs(case, rng)
     params = IterationParams(3, 300)
@@ -756,6 +791,8 @@ def test_empty_batches_return_without_iterating(monkeypatch):
                                params),
         grid_counts_tricomplex(np.empty((4, 0)), params, threads=2),
         grid_counts_tricomplex(np.empty((2, 0), complex), params),
+        grid_counts_tricomplex(np.empty((2, 0)), params, threads=3),
+        grid_counts_tricomplex(np.empty((4, 0), complex), params, threads=3),
     ]
     for counts, member in results:
         assert counts.shape == member.shape == (0,)
@@ -802,6 +839,7 @@ def _kernel_state(kind):
 def test_cycle_retirement_matches_kernel_without_it(kind, p, kernel_no_retirement,
                                                     monkeypatch):
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)  # split small batches too
     c = _kernel_state(kind)
     assert c.ndim == (2 if kind.endswith("4") else 1)
     assert np.iscomplexobj(c) == kind.startswith("complex")
@@ -820,18 +858,30 @@ def test_cycle_retirement_matches_kernel_without_it(kind, p, kernel_no_retiremen
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])
-def test_escape_radius_beyond_the_overflow_guard(kind, kernel_no_retirement):
-    # The squared radius 1e300 exceeds the squared guard, which then decides
-    # every escape.
+def test_escape_radius_beyond_the_overflow_guard(kind, kernel_no_retirement, monkeypatch):
+    # Squared radii 1e198, 1e200 and 1e300 against the squared guard 1e200,
+    # which decides every escape from 1e100 on.  The distinct-value
+    # tricomplex path compares row norms with 4 * 1e200 there, which no
+    # radius can give: a doubled one is clamped to the guard as well.
+    monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
     c = _kernel_state(kind)
-    params = IterationParams(3, 100, 1e150)
-    assert params.escape_radius ** 2 > OVERFLOW_NORM ** 2
-    ref_counts, ref_member = kernel_no_retirement(c, params)
-    assert ref_member.any() and (ref_counts[-len(_OVERFLOWING):] == 1).all()
-    assert not np.array_equal(ref_counts,
-                              kernel_no_retirement(c, IterationParams(3, 100))[0])
-    counts, member = dynamics._counts_kernel(c, params)
-    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+    for radius in (1e99, 1e100, 1e150):
+        params = IterationParams(3, 100, radius)
+        assert (params.escape_radius ** 2 >= OVERFLOW_NORM ** 2) == (radius >= 1e100)
+        ref_counts, ref_member = kernel_no_retirement(c, params)
+        assert ref_member.any() and (ref_counts[-len(_OVERFLOWING):] == 1).all()
+        assert not np.array_equal(ref_counts,
+                                  kernel_no_retirement(c, IterationParams(3, 100))[0])
+        counts, member = dynamics._counts_kernel(c, params)
+        assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+        if not kind.endswith("4"):
+            continue
+        # The two-row batch against the four-row one that repeats its rows.
+        for w, w4 in ((c, c), (np.ascontiguousarray(c[:2]), c[[0, 1, 0, 1]])):
+            counts, member = grid_counts_tricomplex(w, params)
+            ref_counts, ref_member = kernel_no_retirement(w4, params)
+            assert np.array_equal(counts, ref_counts), radius
+            assert np.array_equal(member, ref_member), radius
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])
@@ -894,6 +944,7 @@ def test_trickling_escapes_wait_across_snapshots(kind, p, kernel_no_retirement,
     # come one distinct step at a time, so done points wait across several
     # snapshots; the budgets end before, between and after the escapes.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)  # split small batches too
     trickle = _trickle(p)
     members = np.linspace(-0.2, 0.2, 4 * len(trickle))
     c = np.concatenate([members.reshape(len(trickle), 4), trickle[:, None]], axis=1)
@@ -912,6 +963,7 @@ def test_every_point_escapes(kind, kernel_no_retirement, monkeypatch):
     # Nothing stays live: the kernel stops at the last escape, whether or not
     # the done points ever reached the compaction threshold before it.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)  # split small batches too
     c = _as_kind(_trickle(3), kind)
     params = IterationParams(3, 1000)
     counts, member = _assert_fractions_and_threads_match(
@@ -971,6 +1023,7 @@ def _assert_two_rows_match_the_repeated_four(c2, params, kernel_no_retirement):
 def test_two_distinct_components_match_the_four_repeated(kind, kernel_no_retirement,
                                                         monkeypatch):
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)  # split small batches too
     # The first two rows: Tetrabric's distinct components, whose rows 2 and
     # 3 repeat them, and two of Perplexbric's real ones; the overflowing
     # points have inf or NaN first iterates.
@@ -992,6 +1045,7 @@ def test_two_distinct_components_slow_escapes(kind, kernel_no_retirement, monkey
     # The near-parabolic points of the retirement test, in one row and in
     # both, next to a member in each row.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)  # split small batches too
     for p, cusp in ((2, 0.25), (3, MANDELBRIC_REAL_BOUND)):
         slow = [cusp + eps for eps in (1e-6, 2e-6, 5e-6)]
         c2 = np.array([slow + slow + [0.0, 0.0, 0.1],
@@ -1002,6 +1056,157 @@ def test_two_distinct_components_slow_escapes(kind, kernel_no_retirement, monkey
             c2, IterationParams(p, 3500), kernel_no_retirement)
         assert not member[:6].any() and counts[:6].min() > 1000
         assert member[6:].all()
+
+
+# --- distinct-value tricomplex path ----------------------------------------------
+#
+# grid_counts_tricomplex iterates each distinct row value of a batch once,
+# settles each cell from its rows' first steps past lim and 4 lim, sums the
+# ring norm of the cells in between from a table of the values' squared
+# norms, and runs the joint kernel on cells still open past the table.
+# These tests pin it bit for bit to the joint kernel (_counts_kernel on the
+# whole batch), with _MIN_SHARING at 0 so that every batch takes the path.
+
+_K = dynamics._TABLE_STEPS
+# Budgets ending at the first steps, on both sides of the table's end, and
+# past every tabulated step.
+_TABLE_BUDGETS = (1, 2, _K - 1, _K, _K + 1, 1000)
+# A slice of each layout: real and complex, four rows and two.  The real
+# two-row batch is the first two rows of the real four-row one.
+_LAYOUTS = {"real4": "1,j1,j2", "real2": "1,j1,j2", "complex4": "i1,i2,i3",
+            "complex2": "1,i1,i2"}
+
+
+_KERNEL = dynamics._counts_kernel
+
+
+def _recorded_kernel_calls(monkeypatch):
+    """The shapes of the batches _counts_kernel iterates from now on."""
+    shapes = []
+
+    def recording(c, params, lim=None):
+        shapes.append(c.shape)
+        return _KERNEL(c, params, lim)
+
+    monkeypatch.setattr(dynamics, "_counts_kernel", recording)
+    return shapes
+
+
+def _pairing_sensitive_cells(p):
+    """Four-row cells whose ring norm at step 1 is within lim when summed as
+    (s0 + s1) + (s2 + s3), the kernel's order, but not as (s0 + s2) +
+    (s1 + s3), or the reverse; row 0 alone is past lim there, and no row
+    past 4 lim."""
+    rng = np.random.default_rng(p)
+    lim = escape_bound(p) ** 2
+    cells = []
+    while len(cells) < 8:
+        c = rng.uniform(0.05, 0.9 * math.sqrt(lim), 3)
+        c0 = math.sqrt(4.0 * lim - (c * c).sum())
+        for x in c0 + np.arange(-64, 65) * np.spacing(c0):
+            s0, s1, s2, s3 = x * x, *(c * c)
+            if (((s0 + s1) + (s2 + s3)) * 0.25 <= lim) != (((s0 + s2) + (s1 + s3))
+                                                           * 0.25 <= lim):
+                assert lim < s0 < 4.0 * lim
+                cells.append([x, *c])
+                break
+    return np.array(cells).T
+
+
+def _distinct_path_input(kind, p):
+    """A window reaching past the slice's set at exponent p, plus cells with
+    rows just beyond the real cusp, which escape slowly, each step from
+    about 10 to past 1000, next to the member row 0, to each other or in
+    every row, four-row cells that escape or not at step 1 by the order of
+    the sum, and points whose first iterates overflow or are NaN in one
+    row or in all."""
+    w = _lattice_components(_LAYOUTS[kind], 0.75 * escape_bound(p), 14)
+    if kind == "real2":
+        w = w[:2]
+    if len(w) == 4:
+        w = np.concatenate([w, _pairing_sensitive_cells(p).astype(w.dtype)], axis=1)
+    rows = len(w)
+    slow = real_extent_closed_form(p)[1] + np.geomspace(1e-7, 2e-2, 24)
+    pairs = np.zeros((rows, 3 * slow.size))
+    pairs[0, :slow.size] = slow
+    pairs[0, slow.size:2 * slow.size] = slow
+    pairs[rows - 1, slow.size:2 * slow.size] = np.roll(slow, 1)
+    pairs[:, 2 * slow.size:] = slow
+    edge = np.zeros((rows, 2 * len(_OVERFLOWING)))
+    for k, v in enumerate(_OVERFLOWING):
+        edge[k % rows, k] = v
+        edge[:, len(_OVERFLOWING) + k] = v
+    return np.ascontiguousarray(np.concatenate([w, pairs.astype(w.dtype),
+                                                edge.astype(w.dtype)], axis=1))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kind", list(_LAYOUTS))
+def test_distinct_values_match_the_joint_kernel(kind, p, monkeypatch):
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
+    w = _distinct_path_input(kind, p)
+    assert w.dtype == (np.float64 if kind.startswith("real") else np.complex128)
+    for max_iter in _TABLE_BUDGETS:
+        params = IterationParams(p, max_iter)
+        ref_counts, ref_member = dynamics._counts_kernel(w, params)
+        # Split the value kernels and the cell passes when several threads
+        # run, into chunks that do not divide the ranges.
+        for threads in ((1, 2, 3) if max_iter > _K else (1,)):
+            monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1 if threads > 1 else 1 << 17)
+            monkeypatch.setattr(dynamics, "_CELL_CHUNK", 333 if threads > 1 else 1 << 15)
+            shapes = _recorded_kernel_calls(monkeypatch)
+            counts, member = grid_counts_tricomplex(w, params, threads=threads)
+            assert counts.dtype == np.uint32 and member.dtype == bool
+            assert np.array_equal(counts, ref_counts), (max_iter, threads)
+            assert np.array_equal(member, ref_member), (max_iter, threads)
+            # The path first iterates the distinct values as a flat batch;
+            # at the full budget, cells still open past the table run the
+            # joint kernel.
+            assert len(shapes[0]) == 1
+            assert len(shapes[-1]) == 2 or max_iter < 1000
+        assert (ref_counts[-2 * len(_OVERFLOWING):] == 1).all()
+    # At the full budget: members and a boundary band.
+    escaped = ref_counts[~ref_member]
+    assert ref_member.any() and ((escaped > 8) & (escaped < 1000)).sum() >= 20
+
+
+@pytest.mark.parametrize("rows, dtype", [(4, float), (2, float), (4, complex),
+                                         (2, complex)])
+def test_unshared_batches_match_on_both_paths(rows, dtype, rng, monkeypatch):
+    # Random rows share no values: the joint kernel takes the whole batch,
+    # and the distinct-value path, made to run, gives the same bits.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    params = IterationParams(3, 300)
+    w = rng.uniform(-0.6, 0.6, (rows, 3000)).astype(dtype)
+    if dtype is complex:
+        w.imag = rng.uniform(-0.6, 0.6, w.shape)
+    ref_counts, ref_member = dynamics._counts_kernel(w, params)
+    assert ref_member.any() and not ref_member.all()
+    for sharing, threads in ((dynamics._MIN_SHARING, 1), (0, 1), (0, 3)):
+        monkeypatch.setattr(dynamics, "_MIN_SHARING", sharing)
+        shapes = _recorded_kernel_calls(monkeypatch)
+        counts, member = grid_counts_tricomplex(w, params, threads=threads)
+        assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+        assert (shapes == [w.shape]) == (sharing > 0)
+
+
+def test_sharing_rule_counts_the_batch_distinct_values(monkeypatch):
+    # Four rows of 40 cells hold 160 entries: 10 distinct values share
+    # enough at _MIN_SHARING 16, 11 do not.
+    monkeypatch.setattr(dynamics, "_MIN_SHARING", 16)
+    params = IterationParams(3, 200)
+    for distinct, joint in ((10, False), (11, True)):
+        values = np.linspace(-0.45, 0.45, distinct)
+        w = np.resize(values, (4, 40))
+        assert np.unique(w).size == distinct
+        shapes = _recorded_kernel_calls(monkeypatch)
+        counts, member = grid_counts_tricomplex(w, params)
+        assert (shapes[0] == w.shape) == joint
+        ref_counts, ref_member = dynamics._counts_kernel(w, params)
+        assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+        assert member.any() and not member.all()
 
 
 def test_exact_cycles_retire_early(tricomplex_components):

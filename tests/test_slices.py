@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mbkit import slices
+from mbkit import dynamics, slices
 from mbkit.dynamics import IterationParams, escape_bound, grid_counts_complex
 from mbkit.hypercomplex import (
     Tricomplex,
@@ -395,8 +395,10 @@ def test_window_outside_bounding_discus_is_empty():
 @pytest.mark.parametrize("name", list(PRINCIPAL_SLICES) + ["1,i1,i3", "1,i4,j3"])
 def test_streamed_sampling_matches_whole_window(name, prune, monkeypatch,
                                                 sample_slice_whole_window):
-    # Pretend to have 8 CPUs so threads 2 and 3 split each slab.
+    # Pretend to have 8 CPUs, and let every worker take a block of any
+    # size, so threads 2 and 3 split each slab.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)
     params = IterationParams(3, 40)
     spec = PRINCIPAL_SLICES.get(name) or SliceSpec.parse(name)
     dims = (13, 7, 11)  # 1001 cells, 77 per x-plane
@@ -412,6 +414,24 @@ def test_streamed_sampling_matches_whole_window(name, prune, monkeypatch,
             assert g == ref
             assert g.cells.dtype == ref.cells.dtype
             assert np.array_equal(g.cells, ref.cells), (window, slab, threads)
+
+
+@pytest.mark.parametrize("spec", enumerate_slices(), ids=SliceSpec.label)
+def test_distinct_values_match_the_whole_window_on_every_span(spec, rng, monkeypatch,
+                                                              sample_slice_whole_window):
+    # Every span through the distinct-value tricomplex path, which windows
+    # this small take only with _MIN_SHARING at 0, against the joint kernel
+    # on the whole window: a symmetric window and one shifted by a seeded
+    # fraction of a cell in each axis, with pruning off and on.
+    monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
+    params = IterationParams(3, 200)
+    dims = (12, 10, 14)
+    shift = rng.uniform(-0.5, 0.5, 3) * 2.4 / np.array(dims)
+    for window in (((-1.2, 1.2),) * 3, tuple((-1.2 + d, 1.2 + d) for d in shift)):
+        for prune in (False, True):
+            ref = sample_slice_whole_window(spec, window, dims, params, prune=prune)
+            g = sample_slice(spec, window, dims, params, prune=prune)
+            assert np.array_equal(g.cells, ref.cells), (window, prune)
 
 
 def test_discus_mask_does_not_depend_on_batch_size(rng):

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbkit import dynamics
-from mbkit.slices import cell_centers
+from mbkit import dynamics, slices
+from mbkit.dynamics import IterationParams
+from mbkit.slices import PRINCIPAL_SLICES, cell_centers
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -73,4 +74,35 @@ def test_hyperbolic_hook_records_a_meshgrid_view_call(tracing, monkeypatch):
         assert rec["cells"] == a.size == 60 * 45
         assert rec["kernel_points"] == np.unique(np.concatenate([(a - b).ravel(),
                                                                  (a + b).ravel()])).size
+        assert tracer.replay_grid_calls() == []
+
+
+def test_traced_sample_slice_records_one_tricomplex_call_per_slab(tracing, monkeypatch):
+    # The distinct-value tricomplex path runs its kernels through private
+    # helpers, so the tracer records each slab's call once, nests no other
+    # grid call in it, and replays it to the same counts at 1 and 2 threads.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(slices, "_SLAB_CELLS", 1 << 13)
+    tracer = tracing.Tracer()
+    tracer.command = "perplexbric"
+    for name in tracing.GRID_KERNELS:
+        fn = name.split(".")[1]
+        spanned = tracer._span(name)(getattr(dynamics, fn))
+        for module in (dynamics, slices):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, spanned)
+    sample = tracer._span("slices.sample_slice")(slices.sample_slice)
+    params = IterationParams(3, 300)
+    for threads in (1, 2):
+        tracer.grid_calls.clear()
+        tracer.spans.clear()
+        g = sample(PRINCIPAL_SLICES["Perplexbric"], ((-0.5, 0.5),) * 3, (32, 32, 32),
+                   params, threads=threads)
+        calls = tracer.grid_calls["perplexbric"]
+        assert [c["kernel"] for c in calls] == ["dynamics.grid_counts_tricomplex"] * 4
+        assert [c["cells"] for c in calls] == [1 << 13] * 4
+        assert sum(c["member_points"] for c in calls) == g.member_count() > 0
+        grid_spans = {name: rec[0] for (cmd, name), rec in tracer.spans.items()
+                      if name in tracing.GRID_KERNELS}
+        assert grid_spans == {"dynamics.grid_counts_tricomplex": 4}
         assert tracer.replay_grid_calls() == []
