@@ -20,7 +20,10 @@ tricomplex cell's rounded ring norm is bounded by its rows' own squared
 norms, so it cannot escape before a row passes the limit and has escaped
 once a row passes four times the limit; between the two, the ring norm is
 summed from tabulated row norms in the kernel's order
-(grid_counts_tricomplex).
+(grid_counts_tricomplex).  The tricomplex engine takes coefficient rows
+that broadcast, such as a slice window's axes, and finds the distinct
+values from tables over one or two axes, so beyond its 4 B counts and
+1 B member flags per cell it holds nothing that grows with the cell count.
 """
 
 from __future__ import annotations
@@ -29,15 +32,20 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .hypercomplex import (
+    COMPONENT_TERMS,
     Bicomplex,
     Hyperbolic,
     Tricomplex,
     _mul_coeffs,
+    complex4_rows,
+    component_layout,
     hyp_diamond,
+    idempotent_rows,
     to_idempotent,
 )
 from .roots import MANDELBRIC_REAL_BOUND, escape_bound
@@ -591,29 +599,210 @@ def grid_counts_hyperbolic(
 _TABLE_STEPS = 64
 # grid_counts_tricomplex iterates the distinct row values of a batch only
 # when it holds at least this many row entries per distinct value; lattice
-# windows of 64^3 cells hold 26 or more.  With fewer repeats the lookups
-# cost more than they save, and the step table, _TABLE_STEPS / _MIN_SHARING
-# floats per row entry at most, would approach the joint kernel's state.
+# windows of 64^3 cells hold 25 to 1,200, more at larger dims.  With fewer
+# repeats the lookups cost more than they save, and the step table,
+# _TABLE_STEPS / _MIN_SHARING floats per row entry at most, would approach
+# the joint kernel's state.
 _MIN_SHARING = 16
-# Cells a worker of grid_counts_tricomplex reads at a time.  Each pass over
+# Cells a worker of grid_counts_tricomplex settles at a time.  Each pass over
 # a chunk makes a few arrays of its size, which small chunks take from the
 # memory the last chunk freed; fresh pages for each cost more than the
 # arithmetic on them.
 _CELL_CHUNK = 1 << 15
+# Cells the joint kernel of grid_counts_tricomplex takes at a time, formed
+# from the coefficient rows at those cells: its state, about 300 B per cell
+# of four complex rows, stays bounded whatever the grid size.
+_JOINT_CELLS = 1 << 18
 
 
-def grid_counts_tricomplex(w: np.ndarray, params: IterationParams, threads: int = 1):
-    """Counts/member for a (4, n) batch of tricomplex idempotent components.
+class _Unshared(Exception):
+    """The rows of a batch take too many distinct values to share them."""
 
-    w holds the four complex components of hypercomplex.to_complex4, as a
-    float64 batch when they are real (the parameters have no i-unit) and
-    complex128 otherwise.  Multiplication is componentwise there, and the
-    escape test uses the combined ring norm, the direct engine's criterion.
-    A (2, n) batch holds only the two distinct components of parameters in
-    a bicomplex subalgebra (hypercomplex.distinct_components), whose other
-    two repeat them; it gives the counts of the four-row batch.
-    hypercomplex.complex4_rows builds the batch in this layout from the
-    coefficient rows that are present.
+
+@dataclass(eq=False)
+class _Distinct:
+    """The distinct values u of a term over a broadcast grid, and where each
+    cell's value sits in them: ids[k] for the cell at C-order position k of
+    the term's own shape (1 on the axes it does not span), or, with parts
+    (a, b), ids[i * b.u.size + j] for the cell whose value of a sits at i
+    and of b at j."""
+
+    u: np.ndarray | None
+    ids: np.ndarray
+    shape: tuple[int, ...]
+    parts: tuple = ()
+
+
+class _Cells:
+    """C-order flat indices of cells of a grid shape, with the position of
+    each in the arrays and terms that broadcast to it, each found once."""
+
+    def __init__(self, flat: np.ndarray, shape: tuple[int, ...]):
+        self.flat, self.shape, self._memo = flat, shape, {}
+
+    def index(self, s: tuple[int, ...]) -> np.ndarray:
+        """The flat index into a C-order array of shape s of each cell."""
+        if s not in self._memo:
+            shape, size = self.shape, math.prod(self.shape)
+            flat, inner, stride = None, 1, 1
+            # Runs of consecutive axes that s spans (or that have length 1)
+            # each take one division and one remainder.
+            for spanned, run in groupby(reversed(range(len(shape))),
+                                        key=lambda d: s[d] == shape[d]):
+                width = math.prod(shape[d] for d in run)
+                if spanned:
+                    k = self.flat // inner if inner > 1 else self.flat
+                    if inner * width < size:
+                        k = k % width
+                    if stride > 1:
+                        k = k * stride
+                    flat = k if flat is None else flat + k
+                    stride *= width
+                inner *= width
+            self._memo[s] = np.zeros_like(self.flat) if flat is None else flat
+        return self._memo[s]
+
+    def code(self, t: _Distinct) -> np.ndarray:
+        """The position of each cell's entry in t.ids."""
+        if not t.parts:
+            return self.index(t.shape)
+        a, b = t.parts
+        at = self.ids(a) * b.u.size
+        at += self.ids(b)
+        return at
+
+    def ids(self, t: _Distinct) -> np.ndarray:
+        """The position of each cell's value of t in t.u."""
+        if id(t) not in self._memo:
+            self._memo[id(t)] = t.ids.take(self.code(t))
+        return self._memo[id(t)]
+
+
+def _complex(re, im):
+    """re + im*i formed without arithmetic, so no inf turns into NaN."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def _distinct(t, memo: dict) -> _Distinct:
+    """t as a _Distinct: an array's values deduplicated over its own shape,
+    once per array."""
+    if isinstance(t, _Distinct):
+        return t
+    if id(t) not in memo:
+        u, ids = np.unique(t.ravel(), return_inverse=True)
+        memo[id(t)] = t, _Distinct(u, ids, t.shape)  # t stays alive, and so its id
+    return memo[id(t)][1]
+
+
+def _values(t) -> np.ndarray:
+    """The values of a term at every point of its shape."""
+    if isinstance(t, np.ndarray):
+        return t
+    return t.u.take(_Cells(np.arange(math.prod(t.shape)), t.shape).ids(t)).reshape(t.shape)
+
+
+def _row_terms(x: list, size: int, entries: int):
+    """The distinct values of each component row of the coefficient rows x,
+    which broadcast to size cells, in the layout of component_layout.
+
+    A row is formed from x as complex4_rows forms it, term by term.  Two
+    terms that share an axis, or span fewer than all cells together, are
+    combined elementwise over their broadcast shape.  Two that span disjoint
+    axes and all cells together are combined through a table of their
+    distinct values, one entry per pair, so no per-cell array is formed.
+    Raises _Unshared rather than build a table with more entries than
+    entries / _MIN_SHARING.
+    """
+    memo: dict = {}
+
+    def combine(op, a, b):
+        if a is None or b is None:
+            # A zero term: x + 0 and x - 0 are x, 0 - x is -x, and a zero
+            # real or imaginary part is filled in.
+            if a is b:
+                return None
+            if op is _complex:
+                f = (lambda v: _complex(v, 0.0)) if b is None else (lambda v: _complex(0.0, v))
+            elif a is None and op is np.subtract:
+                f = np.negative
+            else:
+                return b if a is None else a
+            t = a if b is None else b
+            return _Distinct(f(t.u), t.ids, t.shape, t.parts) if isinstance(t, _Distinct) else f(t)
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        if (math.prod(shape) < size
+                or any(i > 1 and j > 1 for i, j in zip(a.shape, b.shape))):
+            return op(_values(a), _values(b))
+        a, b = _distinct(a, memo), _distinct(b, memo)
+        if a.u.size * b.u.size * _MIN_SHARING > entries:
+            raise _Unshared
+        u, ids = np.unique(op(a.u[:, None], b.u[None, :]).ravel(), return_inverse=True)
+        return _Distinct(u, ids, shape, (a, b))
+
+    rows, real = component_layout(x)
+    u = idempotent_rows(x, combine)
+    terms = []
+    for row in rows:
+        v = u[row // 2]
+        (re_op, a, b), (im_op, c, d) = COMPONENT_TERMS[row % 2]
+        t = combine(re_op, v[a], v[b])
+        if not real:
+            t = combine(_complex, t, combine(im_op, v[c], v[d]))
+        terms.append(_distinct(t, memo))
+    return terms
+
+
+def _check_rows(x, cells):
+    """The coefficient rows x as float64 arrays of one dimension count, None
+    where absent, with their broadcast shape and cells as an index array."""
+    shape_of = x.shape if isinstance(x, np.ndarray) else f"{len(x)} rows"
+    if len(x) != 8:
+        raise ValueError(f"expected eight coefficient rows, got {shape_of}")
+    rows = [None if r is None else np.asarray(r, dtype=np.float64) for r in x]
+    shapes = [r.shape for r in rows if r is not None]
+    if not shapes:
+        raise ValueError("all eight coefficient rows are None: no shape to sample")
+    try:
+        shape = np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ValueError("coefficient rows do not broadcast together: shapes "
+                         + ", ".join(map(str, shapes))) from None
+    size = math.prod(shape)
+    # A broadcast row repeats its values along zero strides; one copy of
+    # them is the row.
+    for k, r in enumerate(rows):
+        if r is not None:
+            r = r.reshape((1,) * (len(shape) - r.ndim) + r.shape)
+            r = r[tuple(slice(0, 1) if st == 0 else slice(None) for st in r.strides)]
+            rows[k] = np.ascontiguousarray(r)
+    if cells is not None:
+        cells = np.asarray(cells)
+        if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
+            raise ValueError(f"cells must be a 1-D integer array, got shape {cells.shape} "
+                             f"of {cells.dtype}")
+        cells = cells.astype(np.intp, copy=False)
+        if cells.size and (cells[0] < 0 or cells[-1] >= size
+                           or (cells[1:] < cells[:-1]).any()):
+            raise ValueError(f"cells must be sorted flat indices into the broadcast "
+                             f"shape {shape} of {size} cells")
+    return rows, shape, cells
+
+
+def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
+                           cells: np.ndarray | None = None):
+    """Counts/member for the tricomplex parameters of 8 coefficient rows.
+
+    x holds the eight coefficient rows, arrays that broadcast together,
+    with None for a zero row.  Counts and member are flat in C order over
+    the broadcast shape, or, given cells, a sorted 1-D array of flat
+    indices into it, for those cells only.  Each cell iterates its
+    to_complex4 components, the rows of hypercomplex.complex4_rows: two
+    when the rows present lie in a bicomplex subalgebra, all four
+    otherwise, real when no i-unit row is present.  Multiplication is
+    componentwise there, and the escape test uses the combined ring norm,
+    the direct engine's criterion.
 
     Each row of a cell iterates on its own, and on lattice windows the rows
     take few distinct values, so each distinct value v is iterated once, as
@@ -636,39 +825,67 @@ def grid_counts_tricomplex(w: np.ndarray, params: IterationParams, threads: int 
       _TABLE_STEPS runs the joint kernel.
 
     The counts and member mask are bit for bit those of the joint kernel
-    (_counts_kernel on all of a cell's rows together).  A batch with fewer
-    than _MIN_SHARING row entries per distinct value runs the joint kernel
-    instead.
+    (_counts_kernel on all of a cell's complex4_rows together).  A value
+    formed from a representative of 0.0 and -0.0 differs from the cell's
+    own only in the sign of a zero, which no step or norm sees.
 
-    The cells are read twice, in ranges, one per worker (min(threads,
+    The distinct values come from per-axis tables, not from the cells.  A
+    row is a sum of pair terms such as x0 + x7 and x5 - x6, each spanning
+    the axes of its two coefficient rows; a slice window's rows each span
+    one axis.  Each pair term is deduplicated over its own axes, and two
+    terms spanning disjoint axes combine through a table of their distinct
+    values (_row_terms).  A cell's place in each row's values is then a
+    few integer gathers from its index along each axis.  Flat rows span
+    one axis together, and their distinct values are those of their
+    entries.  A batch with fewer than _MIN_SHARING row entries per
+    distinct value runs the joint kernel instead, as do cells still open
+    past the step table, on components formed from the rows at those cells
+    only, at most _JOINT_CELLS at a time.
+
+    The cells are settled in ranges, one per worker (min(threads,
     os.cpu_count()) of them, but no more than there are chunks), in chunks
-    of _CELL_CHUNK cells: once for the distinct values, once to look up and
-    settle each cell.  Beyond the batch and the 5 B/cell outputs, the path
-    holds the distinct values with their e_v, E_v and table of s_v, and per
-    worker a chunk's row indices and lookups.
+    of _CELL_CHUNK cells.  Per cell, the path holds the 4 B counts and 1 B
+    member flags it returns, besides the 8 B index of each cell given.
+    Beyond them it holds the tables, the distinct values with their e_v,
+    E_v and _TABLE_STEPS values of s_v each, and per worker a chunk's
+    indices and lookups.
     """
-    w = np.asarray(w)
-    if w.ndim != 2 or w.shape[0] not in (2, 4):
-        raise ValueError("expected a (4, n) or (2, n) component batch")
-    dtype = np.complex128 if np.iscomplexobj(w) else np.float64
-    w = np.ascontiguousarray(w, dtype=dtype)
-    n = w.shape[1]
-    ranges = _ranges(n, threads, _CELL_CHUNK)
+    x, shape, cells = _check_rows(x, cells)
+    size = math.prod(shape)
+    n = size if cells is None else cells.size
+    counts = np.empty(n, dtype=np.uint32)
+    member = np.empty(n, dtype=bool)
+    if not n:
+        return counts, member
+    rows = len(component_layout(x)[0])
 
-    def chunks(lo, hi):
-        return ((a, min(a + _CELL_CHUNK, hi)) for a in range(lo, hi, _CELL_CHUNK))
+    def cells_at(pos):
+        return _Cells(pos if cells is None else cells[pos], shape)
 
-    def distinct(lo, hi):
-        seen = np.empty(0, dtype)
-        for a, b in chunks(lo, hi):
-            seen = np.unique(np.concatenate([seen, w[:, a:b].ravel()]))
-            if seen.size * _MIN_SHARING > w.size:
-                break  # the batch as a whole shares too little
-        return seen
+    def joint(pos):
+        # The joint kernel on the cells at output positions pos, whose
+        # components are formed from the coefficient rows at those cells.
+        for k in range(0, pos.size, _JOINT_CELLS):
+            part = pos[k:k + _JOINT_CELLS]
+            at = cells_at(part)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf rows escape at once
+                w = complex4_rows([None if r is None else r.ravel().take(at.index(r.shape))
+                                   for r in x])[0]
+            counts[part], member[part] = _run_blocks(w, params, threads)
 
-    uniq = np.unique(np.concatenate([np.empty(0, dtype)] + _each_range(distinct, ranges)))
-    if not n or uniq.size * _MIN_SHARING > w.size:
-        return _run_blocks(w, params, threads)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _row_terms(x, size, rows * n)
+        uniq, where = np.unique(np.concatenate([t.u for t in terms]), return_inverse=True)
+        if uniq.size * _MIN_SHARING > rows * n:
+            raise _Unshared
+    except _Unshared:
+        joint(np.arange(n))
+        return counts, member
+    # Each row's ids, and so each cell's, index uniq from here on.
+    bounds = np.cumsum([0] + [t.u.size for t in terms])
+    terms = [_Distinct(None, where[lo:hi].take(t.ids), t.shape, t.parts)
+             for t, lo, hi in zip(terms, bounds, bounds[1:])]
 
     max_iter, lim = params.max_iter, _escape_limit(params)
     never = max_iter + 1  # no such step within the budget
@@ -689,57 +906,55 @@ def grid_counts_tricomplex(w: np.ndarray, params: IterationParams, threads: int 
             row[:] = _norm2(z)
     table = table.ravel()
 
-    def escaped(ids, m):
-        # Whether cells with rows ids are outside at steps m <= steps.
-        offset = (m - 1) * uniq.size
-        return ~(_ring_mean([table.take(row + offset) for row in ids]) <= lim)
+    # e_v and E_v at each entry of each row's ids.
+    firsts = [first.take(t.ids) for t in terms]
+    lasts = [last.take(t.ids) for t in terms]
 
-    counts = np.empty(n, dtype=np.uint32)
-    member = np.empty(n, dtype=bool)
+    def escaped(codes, m):
+        # Whether the cells whose rows sit at codes are outside at steps
+        # m <= steps.
+        offset = (m - 1) * uniq.size
+        return ~(_ring_mean([table.take(t.ids.take(c) + offset)
+                             for t, c in zip(terms, codes)]) <= lim)
 
     def settle(lo, hi):
         late = []
-        for a, b in chunks(lo, hi):
-            ids = np.searchsorted(uniq, w[:, a:b])
-            # np.unique keeps one complex NaN, which a NaN-containing value
-            # may sort past; it escapes at step 1 like any of them.
-            np.minimum(ids, uniq.size - 1, out=ids)
+        for a in range(lo, hi, _CELL_CHUNK):
+            b = min(a + _CELL_CHUNK, hi)
+            at = cells_at(np.arange(a, b))
+            codes = [at.code(t) for t in terms]
             # A cell escapes at a step from e to end, a member if end is
-            # past max_iter; e == end settles it.  Every cell is looked up
-            # at e, where most of the others settle: one pass over the
-            # chunk costs less than picking them out first.
-            e, end = _row_min(first, ids), _row_min(last, ids)
-            tabulated = e <= steps
-            esc = tabulated & escaped(ids, np.minimum(e, steps))
-            np.copyto(end, e, where=esc)
-            late.append(a + np.flatnonzero(~tabulated & (e < end)))
-            # The few cells still open after step e go on a step at a time.
-            cur = np.flatnonzero(tabulated & ~esc & (e + 1 < end))
-            m = e[cur] + 1
+            # past max_iter; e == end settles it.  The cells still open go
+            # on a step at a time from e, the few past the table to the
+            # joint kernel.
+            e, end = _row_min(firsts, codes), _row_min(lasts, codes)
+            open_ = e < end
+            late.append(a + np.flatnonzero(open_ & (e > steps)))
+            cur = np.flatnonzero(open_ & (e <= steps))
+            m = e[cur]
             while cur.size:
-                past = m > steps
-                late.append(a + cur[past])
-                cur, m = cur[~past], m[~past]
-                esc = escaped(ids[:, cur], m)
+                esc = escaped([c.take(cur) for c in codes], m)
                 end[cur[esc]] = m[esc]
                 m += 1
                 go = ~esc & (m < end[cur])
                 cur, m = cur[go], m[go]
+                past = m > steps
+                late.append(a + cur[past])
+                cur, m = cur[~past], m[~past]
             np.minimum(end, max_iter, out=e)
             counts[a:b] = e
             np.greater(end, max_iter, out=member[a:b])
         return late
 
-    late = np.concatenate([np.empty(0, dtype=np.intp)]
-                          + [k for part in _each_range(settle, ranges) for k in part])
-    if late.size:
-        counts[late], member[late] = _run_blocks(w[:, late], params, threads)
+    late = [k for part in _each_range(settle, _ranges(n, threads, _CELL_CHUNK))
+            for k in part]
+    joint(np.concatenate([np.empty(0, dtype=np.intp)] + late))
     return counts, member
 
 
-def _row_min(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The least of values[ids[r]] over the rows r, per column."""
-    out = values.take(ids[0])
-    for row in ids[1:]:
-        np.minimum(out, values.take(row), out=out)
+def _row_min(tables: list, codes: list) -> np.ndarray:
+    """The least of tables[r][codes[r]] over the rows r, per cell."""
+    out = tables[0].take(codes[0])
+    for table, code in zip(tables[1:], codes[1:]):
+        np.minimum(out, table.take(code), out=out)
     return out

@@ -517,50 +517,68 @@ def distinct_components(units) -> tuple[int, ...]:
     return (0, 1, 2, 3)
 
 
+# Bicomplex idempotent component k of coefficient rows x has the rows
+# x[a] op x[b] for the (op, a, b) of IDEMPOTENT_TERMS[k]: (x0+x7, x1+x4,
+# x2-x3, x5-x6) and (x0-x7, x1-x4, x2+x3, x5+x6).  to_complex4 row r is
+# re + im*i, with re and im formed by the (op, a, b) of COMPONENT_TERMS[r % 2]
+# from the rows of component r // 2.
+IDEMPOTENT_TERMS = (
+    ((np.add, 0, 7), (np.add, 1, 4), (np.subtract, 2, 3), (np.subtract, 5, 6)),
+    ((np.subtract, 0, 7), (np.subtract, 1, 4), (np.add, 2, 3), (np.add, 5, 6)),
+)
+COMPONENT_TERMS = (
+    ((np.add, 0, 3), (np.subtract, 1, 2)),
+    ((np.subtract, 0, 3), (np.add, 1, 2)),
+)
+
+
+def component_layout(x) -> tuple[tuple[int, ...], bool]:
+    """The to_complex4 rows that complex4_rows keeps for 8 coefficient rows
+    x, None where a row is zero (distinct_components of the rows present),
+    and whether they are real: no i-unit row (1-4), the only source of an
+    imaginary part, is present."""
+    present = [k for k, r in enumerate(x) if r is not None]
+    return distinct_components(present), all(r is None for r in x[1:5])
+
+
+def idempotent_rows(x, combine=None):
+    """The rows of the two bicomplex idempotent components of 8 coefficient
+    rows x (IDEMPOTENT_TERMS), each combine(op, a, b) of two rows of x.
+
+    A row of x may be None, standing for a zero row.  The default combine
+    drops terms with it (x + 0 -> x, 0 - x -> -x), which changes no value
+    beyond the sign of a zero, and gives None for two absent rows.
+    """
+    combine = combine or _combine
+    return tuple(tuple(combine(op, x[a], x[b]) for op, a, b in terms)
+                 for terms in IDEMPOTENT_TERMS)
+
+
 def complex4_rows(x):
     """to_complex4's components of 8 coefficient rows x, in a fresh array.
 
-    A row of x may be None, standing for a zero row; terms with it are
-    dropped (x + 0 -> x, 0 - x -> -x), which changes no value beyond the
-    sign of a zero.  The array holds the distinct_components rows of the
-    units whose rows are present: two when they lie in a bicomplex
-    subalgebra, all four otherwise.  It is float64 when the i-unit rows
-    (1-4), the only source of an imaginary part, are all absent, and
-    complex128 otherwise.  Returns it with the rows of the two bicomplex
-    idempotent components (x0±x7, x1±x4, x2∓x3, x5∓x6), None where absent.
+    A row of x may be None, standing for a zero row, as in idempotent_rows.
+    The array holds the rows of component_layout: the distinct_components
+    rows of the units whose rows are present, two when they lie in a
+    bicomplex subalgebra and four otherwise, as float64 when they are real
+    and complex128 otherwise.  Returns it with the idempotent_rows, None
+    where absent.
     """
-    present = [k for k, r in enumerate(x) if r is not None]
-    rows = distinct_components(present)
-    real = all(r is None for r in x[1:5])
-    w = np.empty((len(rows),) + np.broadcast(*(x[k] for k in present)).shape,
+    rows, real = component_layout(x)
+    present = [r for r in x if r is not None]
+    w = np.empty((len(rows),) + np.broadcast(*present).shape,
                  dtype=np.float64 if real else np.complex128)
-    p07, m07 = _add(x[0], x[7]), _sub(x[0], x[7])
-    p14, m14 = _add(x[1], x[4]), _sub(x[1], x[4])
-    p23, m23 = _add(x[2], x[3]), _sub(x[2], x[3])
-    p56, m56 = _add(x[5], x[6]), _sub(x[5], x[6])
-    parts = (
-        (_add, p07, m56, _sub, p14, m23),
-        (_sub, p07, m56, _add, p14, m23),
-        (_add, m07, p56, _sub, m14, p23),
-        (_sub, m07, p56, _add, m14, p23),
-    )
+    u = idempotent_rows(x)
     for k, row in enumerate(rows):
-        re_op, a, b, im_op, c, d = parts[row]
-        re_op(a, b, out=w[k].real)  # w[k] itself when w is real
+        v = u[row // 2]
+        (re_op, a, b), (im_op, c, d) = COMPONENT_TERMS[row % 2]
+        _combine(re_op, v[a], v[b], out=w[k].real)  # w[k] itself when w is real
         if not real:
-            im_op(c, d, out=w[k].imag)
-    return w, ((p07, p14, m23, m56), (m07, m14, p23, p56))
+            _combine(im_op, v[c], v[d], out=w[k].imag)
+    return w, u
 
 
-def _add(a, b, out=None):
-    return _combine(np.add, a, b, out)
-
-
-def _sub(a, b, out=None):
-    return _combine(np.subtract, a, b, out)
-
-
-def _combine(op, a, b, out):
+def _combine(op, a, b, out=None):
     # op(a, b) with None a zero row; with out given, the result lands there.
     if a is not None and b is not None:
         return op(a, b, out=out)

@@ -24,7 +24,7 @@ from .dynamics import IterationParams, escape_bound, grid_counts_tricomplex
 from .hypercomplex import (
     Tricomplex,
     UnitIndex,
-    complex4_rows,
+    idempotent_rows,
     iteration_span_units,
     parse_unit,
     pow_batch,
@@ -472,11 +472,6 @@ def cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
     return frac * width + mid
 
 
-# Cells per sampling slab.  sample_slice holds one slab's batch and kernel
-# state at a time, so its memory beyond the 4-byte counts stays flat in dims.
-_SLAB_CELLS = 1 << 18
-
-
 def sample_slice(
     spec: SliceSpec,
     window,
@@ -489,11 +484,13 @@ def sample_slice(
 
     With prune=True, cells outside the closed discus of radius 2^(1/(p-1))
     cannot be members and are marked escaped at iteration 1 without
-    iterating.  The window is sampled in slabs of consecutive row-major
-    cells; every per-cell operation is elementwise, so the counts do not
-    depend on the slab size.  Each slab's component batch is complex4_rows
-    of its three coordinate rows, which picks the rows and dtype from the
-    slice's units alone and returns a fresh array per slab.
+    iterating.  The slice's three coefficient rows are the window's axes,
+    each shaped to vary along its own axis, and grid_counts_tricomplex
+    takes them as they are: it finds the rows' distinct values from tables
+    over one or two axes, and builds no per-cell component batch.  Beyond
+    the 4 B/cell counts it returns, which become the grid's cells, sampling
+    holds 1 B/cell of member flags, and on a pruned window 8 B per kept
+    cell of index.
     """
     (x0, x1), (y0, y1), (z0, z1) = window
     nx, ny, nz = (int(d) for d in dims)
@@ -504,26 +501,20 @@ def sample_slice(
     xs = cell_centers(x0, x1, nx)
     ys = cell_centers(y0, y1, ny)
     zs = cell_centers(z0, z1, nz)
-    radius = escape_bound(params.p)
-    counts = np.ones(nx * ny * nz, dtype=np.uint32)  # pruned cells escape at 1
-    for lo in range(0, counts.size, _SLAB_CELLS):
-        hi = min(lo + _SLAB_CELLS, counts.size)
-        # Gathering the cell_centers entries gives the floats a meshgrid
-        # would copy, so symmetric windows still mirror exactly.
-        cell = np.unravel_index(np.arange(lo, hi), (nx, ny, nz))
-        x = [None] * 8  # the five coefficients outside the slice are zero
-        for u, axis, k in zip(spec.units, (xs, ys, zs), cell):
-            x[u] = axis[k]
-        w, (u1, u2) = complex4_rows(x)
-        out = counts[lo:hi]
-        if prune:
-            keep = _inside_discus(u1, u2, radius)
-            if keep.any():
-                out[keep], _ = grid_counts_tricomplex(w[:, keep], params,
-                                                      threads=threads)
-        else:
-            out[:], _ = grid_counts_tricomplex(w, params, threads=threads)
-        del w, u1, u2  # the next slab's batch need not sit beside this one
+    # Each cell reads the cell_centers entries a meshgrid would copy, so
+    # symmetric windows still mirror exactly.
+    x = [None] * 8  # the five coefficients outside the slice are zero
+    for u, axis, shape in zip(spec.units, (xs, ys, zs),
+                              ((nx, 1, 1), (1, ny, 1), (1, 1, nz))):
+        x[u] = axis.reshape(shape)
+    if prune:
+        counts = np.ones(nx * ny * nz, dtype=np.uint32)  # pruned cells escape at 1
+        kept = _discus_cells(x, escape_bound(params.p), (nx, ny, nz))
+        if kept.size:
+            counts[kept], _ = grid_counts_tricomplex(x, params, threads=threads,
+                                                     cells=kept)
+    else:
+        counts, _ = grid_counts_tricomplex(x, params, threads=threads)
 
     origin = (float(xs[0]), float(ys[0]), float(zs[0]))
     spacing = (
@@ -541,11 +532,26 @@ def sample_slice(
     )
 
 
+def _discus_cells(x, radius: float, dims) -> np.ndarray:
+    """The C-order flat indices of the cells of dims inside the closed
+    discus, for coefficient rows x that broadcast to dims, found one
+    x-plane at a time."""
+    u1, u2 = idempotent_rows(x)
+    plane = dims[1] * dims[2]
+    kept = []
+    for i in range(dims[0]):
+        rows1, rows2 = ([r if r is None or len(r) == 1 else r[i:i + 1] for r in u]
+                        for u in (u1, u2))
+        keep = np.broadcast_to(_inside_discus(rows1, rows2, radius), (1,) + dims[1:])
+        kept.append(np.flatnonzero(keep) + i * plane)
+    return np.concatenate(kept)
+
+
 def _inside_discus(u1, u2, radius: float) -> np.ndarray:
     """Closed-discus membership (both idempotent component norms <= radius).
 
     u1 and u2 are the rows of the two bicomplex components, None where a
-    row is zero (complex4_rows).
+    row is zero (idempotent_rows).
     """
     r2 = radius * radius
     return (_norm_sq(u1) <= r2) & (_norm_sq(u2) <= r2)

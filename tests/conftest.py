@@ -134,7 +134,7 @@ def sample_slice_whole_window():
     meshgrid coordinates, an (8, n) coefficient batch, the components of
     all eight rows with a scan for realness, and one call of the joint
     kernel, which iterates every cell's rows together.  The reference for
-    the slab-streamed, slice-native sampling and for the distinct-value
+    the per-axis, slice-native sampling and for the distinct-value
     tricomplex path."""
     from mbkit.dynamics import _run_blocks, escape_bound
     from mbkit.slices import VoxelGrid, cell_centers

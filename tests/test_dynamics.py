@@ -263,8 +263,7 @@ def _bits(r):
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
-def test_direct_tricomplex_matches_dataclass_loop(p, rng, table_mul,
-                                                  tricomplex_components):
+def test_direct_tricomplex_matches_dataclass_loop(p, rng, table_mul):
     params = IterationParams(p, 120)
     bound = escape_bound(p)
     cs = []
@@ -272,7 +271,7 @@ def test_direct_tricomplex_matches_dataclass_loop(p, rng, table_mul,
     # a few members; then full 8-coefficient parameters, mostly escaping.
     for units in ("1,j1,j2", "1,i1,i2"):
         x8 = _slice_batch(units, ((-bound, bound),) * 3, 24)
-        counts, member = grid_counts_tricomplex(tricomplex_components(x8), params)
+        counts, member = grid_counts_tricomplex(_rows(x8), params)
         outside = np.flatnonzero(~member)
         picks = outside[np.argsort(-counts[outside], kind="stable")[:10]]
         picks = np.concatenate([picks, np.flatnonzero(member)[:3]])
@@ -531,14 +530,52 @@ def _slice_batch(units, window, res):
     return x8
 
 
-def _lattice_components(units, half, res):
-    """The component batch sample_slice builds for a res^3 window of
-    half-width half over a slice: its distinct rows, float64 when real."""
+def _rows(x8):
+    """The coefficient rows of an (8, n) batch, None for a row of zeros: the
+    components are real exactly when every i-unit row is None."""
+    return [r if r.any() else None for r in x8]
+
+
+def _lattice_rows(units, half, res):
+    """The flat coefficient rows of a res^3 window of half-width half over
+    a slice, None outside the slice."""
     axes = [cell_centers(-half, half, res)] * 3
     x = [None] * 8
     for u, g in zip(SliceSpec.parse(units).units, np.meshgrid(*axes, indexing="ij")):
         x[u] = g.ravel()
-    return complex4_rows(x)[0]
+    return x
+
+
+def _rows_for(w):
+    """Coefficient rows, None for the units they leave out, whose components
+    (complex4_rows) are about the (4, m) or (2, m) component batch w: real
+    parts from the units 1, j1, j2, j3 (1, j1 for two rows), imaginary ones
+    from i1-i4 (i1, i2).  Exactly w where each column is constant or has one
+    nonzero row: the inverse then only scales by powers of two."""
+    x = [None] * 8
+    parts = [(w.real, (0, 7, 5, 6))]
+    if np.iscomplexobj(w):
+        parts.append((w.imag[[1, 0, 3, 2]] if len(w) == 4 else w.imag[[1, 0]],
+                      (1, 4, 2, 3)))
+    for r, (a, b, c, d) in parts:
+        if len(r) == 2:  # the rows of a bicomplex subalgebra: (a + c), (a - c)
+            x[a], x[c] = (r[0] + r[1]) / 2, (r[0] - r[1]) / 2
+            continue
+        sums, diffs = (r[0] + r[1]) / 2, (r[0] - r[1]) / 2
+        sums2, diffs2 = (r[2] + r[3]) / 2, (r[2] - r[3]) / 2
+        x[a], x[b] = (sums + sums2) / 2, (sums - sums2) / 2
+        x[c], x[d] = (diffs2 + diffs) / 2, (diffs2 - diffs) / 2
+    return x
+
+
+def _concat_rows(*parts):
+    """The cells of several coefficient row sets side by side: a unit absent
+    from a set is zero there, and None where every set leaves it out."""
+    sizes = [next(r.size for r in x if r is not None) for x in parts]
+    return [None if all(x[u] is None for x in parts) else
+            np.concatenate([np.zeros(m) if x[u] is None else x[u]
+                            for x, m in zip(parts, sizes)])
+            for u in range(8)]
 
 
 def _assert_band_matches(counts, member, oracle, rng):
@@ -600,9 +637,9 @@ def test_grid_tricomplex_matches_scalar(rng, tricomplex_components):
     # Perplexbric iterates real components, Tetrabric complex ones.
     for units, half, real in (("1,j1,j2", 0.5, True), ("1,i1,i2", 1.5, False)):
         x8 = _slice_batch(units, ((-half, half),) * 3, 24)
-        w = tricomplex_components(x8)
-        assert (w.dtype == np.float64) == real
-        counts, member = grid_counts_tricomplex(w, BAND_PARAMS)
+        assert (tricomplex_components(x8).dtype == np.float64) == real
+        assert (complex4_rows(_rows(x8))[0].dtype == np.float64) == real
+        counts, member = grid_counts_tricomplex(_rows(x8), BAND_PARAMS)
         _assert_band_matches(
             counts, member,
             lambda k: iterate_tricomplex(Tricomplex(tuple(x8[:, k])), BAND_PARAMS,
@@ -610,7 +647,7 @@ def test_grid_tricomplex_matches_scalar(rng, tricomplex_components):
             rng)
 
 
-def test_grid_threads_do_not_change_output(rng, monkeypatch, tricomplex_components):
+def test_grid_threads_do_not_change_output(rng, monkeypatch):
     # Workers are capped at the CPU count; pretend to have 8, and let every
     # worker take a block of any size, so every requested count below gives
     # its own partition.
@@ -622,11 +659,11 @@ def test_grid_threads_do_not_change_output(rng, monkeypatch, tricomplex_componen
     cs = x8[0] + 1j * x8[1]
     # A lattice window shares its row values and takes the distinct-value
     # path; the random batch does not.
-    lattice = _lattice_components("i1,i2,i3", 1.5, 12)
-    assert np.unique(lattice).size * dynamics._MIN_SHARING <= lattice.size
+    lattice = _lattice_rows("i1,i2,i3", 1.5, 12)
+    w = complex4_rows(lattice)[0]
+    assert np.unique(w).size * dynamics._MIN_SHARING <= w.size
     runs = {
-        threads: (grid_counts_tricomplex(tricomplex_components(x8), params,
-                                         threads=threads),
+        threads: (grid_counts_tricomplex(x8, params, threads=threads),
                   grid_counts_tricomplex(lattice, params, threads=threads),
                   grid_counts_complex(cs, params, threads=threads),
                   grid_counts_hyperbolic(x8[2], x8[3], params, threads=threads))
@@ -677,13 +714,21 @@ def test_grid_workers_capped_at_cpu_count(rng, monkeypatch):
     assert len(pools) >= 2 and all(w <= os.cpu_count() for w in pools)
     ref_counts, ref_member = grid_counts_hyperbolic(cs.real, cs.imag, params)
     assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
-    lattice = _lattice_components("1,i1,i2", 1.5, 10)
+    # The distinct-value path settles the cells in one pass, in chunks of
+    # 100.  The joint kernel, which this lattice takes under the default
+    # sharing rule, splits its 1000 cells into blocks of at least 250.
+    lattice = _lattice_rows("1,i1,i2", 1.5, 10)
+    w = complex4_rows(lattice)[0]
+    assert np.unique(w).size * dynamics._MIN_SHARING > w.size
+    ref_counts, ref_member = dynamics._counts_kernel(w, params)
     monkeypatch.setattr(dynamics, "_CELL_CHUNK", 100)
-    pools.clear()
-    counts, member = grid_counts_tricomplex(lattice, params, threads=10_000)
-    assert len(pools) >= 2 and all(w <= os.cpu_count() for w in pools)
-    ref_counts, ref_member = dynamics._counts_kernel(lattice, params)
-    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+    for sharing, block in ((0, 1 << 17), (dynamics._MIN_SHARING, 250)):
+        monkeypatch.setattr(dynamics, "_MIN_SHARING", sharing)
+        monkeypatch.setattr(dynamics, "_MIN_BLOCK", block)
+        pools.clear()
+        counts, member = grid_counts_tricomplex(lattice, params, threads=10_000)
+        assert pools == [4], sharing
+        assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
 
 
 # --- streamed hyperbolic path ----------------------------------------------------
@@ -789,10 +834,12 @@ def test_empty_batches_return_without_iterating(monkeypatch):
         grid_counts_hyperbolic(np.empty(0), np.empty(0), params, threads=2),
         grid_counts_hyperbolic(*np.meshgrid(np.empty(0), np.arange(3.0), copy=False),
                                params),
-        grid_counts_tricomplex(np.empty((4, 0)), params, threads=2),
-        grid_counts_tricomplex(np.empty((2, 0), complex), params),
-        grid_counts_tricomplex(np.empty((2, 0)), params, threads=3),
-        grid_counts_tricomplex(np.empty((4, 0), complex), params, threads=3),
+        grid_counts_tricomplex(np.empty((8, 0)), params, threads=2),
+        grid_counts_tricomplex([np.empty(0), None, np.empty(0)] + [None] * 5, params),
+        grid_counts_tricomplex([None] * 5 + [np.empty((3, 0)), np.empty((1, 0)), None],
+                               params, threads=3),
+        grid_counts_tricomplex([np.arange(3.0)] + [None] * 7, params, threads=3,
+                               cells=np.empty(0, dtype=np.intp)),
     ]
     for counts, member in results:
         assert counts.shape == member.shape == (0,)
@@ -865,6 +912,8 @@ def test_escape_radius_beyond_the_overflow_guard(kind, kernel_no_retirement, mon
     # radius can give: a doubled one is clamped to the guard as well.
     monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
     c = _kernel_state(kind)
+    with np.errstate(invalid="ignore"):  # inf - inf in the rows
+        rows = [(_rows_for(c), [0, 1, 2, 3]), (_rows_for(c[:2]), [0, 1, 0, 1])]
     for radius in (1e99, 1e100, 1e150):
         params = IterationParams(3, 100, radius)
         assert (params.escape_radius ** 2 >= OVERFLOW_NORM ** 2) == (radius >= 1e100)
@@ -877,9 +926,12 @@ def test_escape_radius_beyond_the_overflow_guard(kind, kernel_no_retirement, mon
         if not kind.endswith("4"):
             continue
         # The two-row batch against the four-row one that repeats its rows.
-        for w, w4 in ((c, c), (np.ascontiguousarray(c[:2]), c[[0, 1, 0, 1]])):
-            counts, member = grid_counts_tricomplex(w, params)
-            ref_counts, ref_member = kernel_no_retirement(w4, params)
+        for x, order in rows:
+            with np.errstate(invalid="ignore"):  # inf - inf in the rows
+                w = complex4_rows(x)[0]
+            assert len(w) == len(set(order))
+            counts, member = grid_counts_tricomplex(x, params)
+            ref_counts, ref_member = kernel_no_retirement(w[order], params)
             assert np.array_equal(counts, ref_counts), radius
             assert np.array_equal(member, ref_member), radius
 
@@ -1072,7 +1124,7 @@ _K = dynamics._TABLE_STEPS
 # past every tabulated step.
 _TABLE_BUDGETS = (1, 2, _K - 1, _K, _K + 1, 1000)
 # A slice of each layout: real and complex, four rows and two.  The real
-# two-row batch is the first two rows of the real four-row one.
+# two-row lattice takes the first two rows of the real four-row one.
 _LAYOUTS = {"real4": "1,j1,j2", "real2": "1,j1,j2", "complex4": "i1,i2,i3",
             "complex2": "1,i1,i2"}
 
@@ -1093,39 +1145,47 @@ def _recorded_kernel_calls(monkeypatch):
 
 
 def _pairing_sensitive_cells(p):
-    """Four-row cells whose ring norm at step 1 is within lim when summed as
-    (s0 + s1) + (s2 + s3), the kernel's order, but not as (s0 + s2) +
-    (s1 + s3), or the reverse; row 0 alone is past lim there, and no row
-    past 4 lim."""
+    """Coefficient rows of four-row cells whose ring norm at step 1 is
+    within lim when summed as (s0 + s1) + (s2 + s3), the kernel's order,
+    but not as (s0 + s2) + (s1 + s3), or the reverse; row 0 alone is past
+    lim there, and no row past 4 lim.  Each is found by stepping the 1
+    coefficient of an about-right cell one float at a time."""
     rng = np.random.default_rng(p)
     lim = escape_bound(p) ** 2
     cells = []
     while len(cells) < 8:
         c = rng.uniform(0.05, 0.9 * math.sqrt(lim), 3)
         c0 = math.sqrt(4.0 * lim - (c * c).sum())
-        for x in c0 + np.arange(-64, 65) * np.spacing(c0):
-            s0, s1, s2, s3 = x * x, *(c * c)
-            if (((s0 + s1) + (s2 + s3)) * 0.25 <= lim) != (((s0 + s2) + (s1 + s3))
-                                                           * 0.25 <= lim):
-                assert lim < s0 < 4.0 * lim
-                cells.append([x, *c])
-                break
-    return np.array(cells).T
+        x = _rows_for(np.array([[c0], *c[:, None]]))
+        steps = x[0][0] + np.arange(-256, 257) * np.spacing(x[0][0])
+        x = [None if r is None else np.full(steps.size, r[0]) for r in x]
+        x[0] = steps
+        s0, s1, s2, s3 = complex4_rows(x)[0] ** 2
+        split = (((s0 + s1) + (s2 + s3)) * 0.25 <= lim) != (((s0 + s2) + (s1 + s3))
+                                                            * 0.25 <= lim)
+        if split.any():
+            k = int(np.argmax(split))
+            assert lim < s0[k] < 4.0 * lim and max(s1[k], s2[k], s3[k]) <= lim
+            cells.append([None if r is None else r[k:k + 1] for r in x])
+    return _concat_rows(*cells)
 
 
 def _distinct_path_input(kind, p):
-    """A window reaching past the slice's set at exponent p, plus cells with
-    rows just beyond the real cusp, which escape slowly, each step from
-    about 10 to past 1000, next to the member row 0, to each other or in
-    every row, four-row cells that escape or not at step 1 by the order of
-    the sum, and points whose first iterates overflow or are NaN in one
-    row or in all."""
-    w = _lattice_components(_LAYOUTS[kind], 0.75 * escape_bound(p), 14)
+    """Coefficient rows of a lattice reaching past the slice's set at
+    exponent p, plus cells with rows just beyond the real cusp, which
+    escape slowly, each step from about 10 to past 1000, next to the member
+    row 0, to each other or in every row, four-row cells that escape or
+    not at step 1 by the order of the sum, and points whose first iterates
+    overflow or are NaN in one row or in all."""
+    x = _lattice_rows(_LAYOUTS[kind], 0.75 * escape_bound(p), 14)
+    rows = 4
     if kind == "real2":
-        w = w[:2]
-    if len(w) == 4:
-        w = np.concatenate([w, _pairing_sensitive_cells(p).astype(w.dtype)], axis=1)
-    rows = len(w)
+        # The 1 and j1 coefficients that give the first two Perplexbric rows.
+        x = [x[0], None, None, None, None, x[5] - x[6], None, None]
+        rows = 2
+    elif kind == "complex2":
+        rows = 2
+    parts = [x] + ([_pairing_sensitive_cells(p)] if rows == 4 else [])
     slow = real_extent_closed_form(p)[1] + np.geomspace(1e-7, 2e-2, 24)
     pairs = np.zeros((rows, 3 * slow.size))
     pairs[0, :slow.size] = slow
@@ -1136,8 +1196,8 @@ def _distinct_path_input(kind, p):
     for k, v in enumerate(_OVERFLOWING):
         edge[k % rows, k] = v
         edge[:, len(_OVERFLOWING) + k] = v
-    return np.ascontiguousarray(np.concatenate([w, pairs.astype(w.dtype),
-                                                edge.astype(w.dtype)], axis=1))
+    with np.errstate(invalid="ignore"):
+        return _concat_rows(*parts, _rows_for(pairs), _rows_for(edge))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -1146,8 +1206,11 @@ def _distinct_path_input(kind, p):
 def test_distinct_values_match_the_joint_kernel(kind, p, monkeypatch):
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
-    w = _distinct_path_input(kind, p)
+    x = _distinct_path_input(kind, p)
+    with np.errstate(invalid="ignore"):  # inf - inf in the rows
+        w = complex4_rows(x)[0]
     assert w.dtype == (np.float64 if kind.startswith("real") else np.complex128)
+    assert len(w) == int(kind[-1])
     for max_iter in _TABLE_BUDGETS:
         params = IterationParams(p, max_iter)
         ref_counts, ref_member = dynamics._counts_kernel(w, params)
@@ -1157,7 +1220,7 @@ def test_distinct_values_match_the_joint_kernel(kind, p, monkeypatch):
             monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1 if threads > 1 else 1 << 17)
             monkeypatch.setattr(dynamics, "_CELL_CHUNK", 333 if threads > 1 else 1 << 15)
             shapes = _recorded_kernel_calls(monkeypatch)
-            counts, member = grid_counts_tricomplex(w, params, threads=threads)
+            counts, member = grid_counts_tricomplex(x, params, threads=threads)
             assert counts.dtype == np.uint32 and member.dtype == bool
             assert np.array_equal(counts, ref_counts), (max_iter, threads)
             assert np.array_equal(member, ref_member), (max_iter, threads)
@@ -1179,37 +1242,116 @@ def test_unshared_batches_match_on_both_paths(rows, dtype, rng, monkeypatch):
     # and the distinct-value path, made to run, gives the same bits.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     params = IterationParams(3, 300)
-    w = rng.uniform(-0.6, 0.6, (rows, 3000)).astype(dtype)
+    c = rng.uniform(-0.6, 0.6, (rows, 3000)).astype(dtype)
     if dtype is complex:
-        w.imag = rng.uniform(-0.6, 0.6, w.shape)
+        c.imag = rng.uniform(-0.6, 0.6, c.shape)
+    x = _rows_for(c)
+    w = complex4_rows(x)[0]
+    assert w.shape == c.shape and w.dtype == c.dtype
     ref_counts, ref_member = dynamics._counts_kernel(w, params)
     assert ref_member.any() and not ref_member.all()
     for sharing, threads in ((dynamics._MIN_SHARING, 1), (0, 1), (0, 3)):
         monkeypatch.setattr(dynamics, "_MIN_SHARING", sharing)
         shapes = _recorded_kernel_calls(monkeypatch)
-        counts, member = grid_counts_tricomplex(w, params, threads=threads)
+        counts, member = grid_counts_tricomplex(x, params, threads=threads)
         assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
         assert (shapes == [w.shape]) == (sharing > 0)
 
 
 def test_sharing_rule_counts_the_batch_distinct_values(monkeypatch):
     # Four rows of 40 cells hold 160 entries: 10 distinct values share
-    # enough at _MIN_SHARING 16, 11 do not.
+    # enough at _MIN_SHARING 16, 11 do not.  With the j1 and j2 rows alone,
+    # x5 = v and x6 = 0 give the rows v, -v, v, -v.
     monkeypatch.setattr(dynamics, "_MIN_SHARING", 16)
     params = IterationParams(3, 200)
     for distinct, joint in ((10, False), (11, True)):
-        values = np.linspace(-0.45, 0.45, distinct)
-        w = np.resize(values, (4, 40))
-        assert np.unique(w).size == distinct
+        values = np.linspace(0.05, 0.45, 5)
+        if distinct == 11:
+            values = np.append(values, 0.0)
+        x = [None] * 5 + [np.resize(values, 40), np.zeros(40), None]
+        w = complex4_rows(x)[0]
+        assert w.shape == (4, 40) and np.unique(w).size == distinct
         shapes = _recorded_kernel_calls(monkeypatch)
-        counts, member = grid_counts_tricomplex(w, params)
+        counts, member = grid_counts_tricomplex(x, params)
         assert (shapes[0] == w.shape) == joint
         ref_counts, ref_member = dynamics._counts_kernel(w, params)
         assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
         assert member.any() and not member.all()
 
 
-def test_exact_cycles_retire_early(tricomplex_components):
+@pytest.mark.parametrize("sharing", [0, 16])
+def test_broadcast_rows_match_their_flat_cells(sharing, rng, monkeypatch):
+    # Per-axis rows of asymmetric windows, as sample_slice passes them, and
+    # meshgrid views of them, with zero strides, against the flat rows of
+    # the same cells; whole grids and sorted subsets of cells, split into
+    # chunks that do not divide the worker ranges.  At sharing 16 these
+    # windows share too little, and the joint kernel takes their cells.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_SHARING", sharing)
+    monkeypatch.setattr(dynamics, "_CELL_CHUNK", 211)
+    params = IterationParams(3, 300)
+    dims = (13, 9, 11)
+    for units, window in (("1,j1,j2", ((-0.62, 0.68), (-0.43, 0.47), (-0.52, 0.58))),
+                          ("1,i1,i2", ((-1.5, 1.1), (-1.2, 1.5), (-1.4, 1.3))),
+                          ("i1,j2,j3", ((-1.2, 1.0), (-0.9, 1.2), (-1.1, 1.1)))):
+        axes = [cell_centers(lo, hi, n) for (lo, hi), n in zip(window, dims)]
+        spec = SliceSpec.parse(units)
+        per_axis, views, flat = [None] * 8, [None] * 8, [None] * 8
+        for k, (u, g) in enumerate(zip(spec.units,
+                                       np.meshgrid(*axes, indexing="ij", copy=False))):
+            per_axis[u] = axes[k].reshape([-1 if d == k else 1 for d in range(3)])
+            views[u] = g
+            flat[u] = np.ascontiguousarray(g).ravel()
+        ref_counts, ref_member = grid_counts_tricomplex(flat, params)
+        assert ref_member.any() and not ref_member.all()
+        if sharing:
+            # Each row needs a table with more entries than a sixteenth of
+            # the batch's row entries, which is not built.
+            rows, _, _ = dynamics._check_rows(per_axis, None)
+            entries = complex4_rows(flat)[0].size
+            with pytest.raises(dynamics._Unshared):
+                dynamics._row_terms(rows, ref_counts.size, entries)
+        cells = np.sort(rng.choice(ref_counts.size, 500, replace=False))
+        for x in (per_axis, views):
+            for threads in (1, 3):
+                shapes = _recorded_kernel_calls(monkeypatch)
+                counts, member = grid_counts_tricomplex(x, params, threads=threads)
+                assert (len(shapes[0]) == 1) == (sharing == 0)
+                assert np.array_equal(counts, ref_counts), (units, threads)
+                assert np.array_equal(member, ref_member), (units, threads)
+                counts, member = grid_counts_tricomplex(x, params, threads=threads,
+                                                        cells=cells)
+                assert np.array_equal(counts, ref_counts[cells]), (units, threads)
+                assert np.array_equal(member, ref_member[cells]), (units, threads)
+
+
+def test_tricomplex_rows_are_checked():
+    params = IterationParams(3, 50)
+    rows = [np.zeros((3, 1)), None, None, None, None, np.zeros(4), None, None]
+    for x, message in (
+            (np.zeros((4, 5)), "eight coefficient rows, got (4, 5)"),
+            (rows[:7], "eight coefficient rows, got 7 rows"),
+            ([None] * 8, "all eight coefficient rows are None"),
+            ([np.zeros((3, 2))] + rows[1:],
+             "do not broadcast together: shapes (3, 2), (4,)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grid_counts_tricomplex(x, params)
+    shape = "broadcast shape (3, 4) of 12 cells"
+    for cells, message in (
+            (np.array([[0, 1]]), "1-D integer array, got shape (1, 2) of int64"),
+            (np.array([0.0, 1.0]), "1-D integer array, got shape (2,) of float64"),
+            (np.array([3, 2]), shape),
+            (np.array([-1, 2]), shape),
+            (np.array([2, 12]), shape),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grid_counts_tricomplex(rows, params, cells=cells)
+    counts, member = grid_counts_tricomplex(rows, params, cells=np.array([0, 0, 11]))
+    assert counts.shape == member.shape == (3,) and member.all()
+
+
+def test_exact_cycles_retire_early():
     # Orbits of 0 falling into exact float cycles at p = 2: the fixed point 0
     # (c = 0), 0 -> -1 -> 0 (c = -1) and i -> -1+i -> -i -> -1+i (c = i).
     # Running the whole budget would take about ten seconds per call.
@@ -1221,8 +1363,8 @@ def test_exact_cycles_retire_early(tricomplex_components):
     start = time.perf_counter()
     runs = [grid_counts_complex(np.array([0.0, -1.0, 1j]), params),
             grid_counts_real(np.array([0.0, -1.0]), params),
-            grid_counts_tricomplex(tricomplex_components(x8), params),
-            grid_counts_tricomplex(tricomplex_components(y8), params)]
+            grid_counts_tricomplex(_rows(x8), params),
+            grid_counts_tricomplex(_rows(y8), params)]
     elapsed = time.perf_counter() - start
     for counts, member in runs:
         assert member.all() and (counts == params.max_iter).all()

@@ -385,7 +385,7 @@ def test_window_outside_bounding_discus_is_empty():
     assert g.member_count() == 0
 
 
-# --- slab streaming ------------------------------------------------------------
+# --- chunked sampling ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("prune", [False, True], ids=["full", "prune"])
@@ -396,7 +396,7 @@ def test_window_outside_bounding_discus_is_empty():
 def test_streamed_sampling_matches_whole_window(name, prune, monkeypatch,
                                                 sample_slice_whole_window):
     # Pretend to have 8 CPUs, and let every worker take a block of any
-    # size, so threads 2 and 3 split each slab.
+    # size, so threads 2 and 3 split the window's cells.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)
     params = IterationParams(3, 40)
@@ -406,14 +406,14 @@ def test_streamed_sampling_matches_whole_window(name, prune, monkeypatch,
     for window in (((-1.5, 1.5),) * 3, ((-1.3, 0.4), (-0.2, 1.1), (-0.9, 0.7))):
         ref = sample_slice_whole_window(spec, window, dims, params, prune=prune)
         assert 0 < ref.member_count() < ref.cells.size
-        # One cell per slab, less than one x-plane, a size that does not
-        # divide the cell count, and the whole window in one slab.
-        for slab, threads in ((1, 1), (50, 1), (50, 2), (173, 3), (1 << 18, 2)):
-            monkeypatch.setattr(slices, "_SLAB_CELLS", slab)
+        # One cell per chunk, less than one x-plane, a size that does not
+        # divide the cell count, and the whole window in one chunk.
+        for chunk, threads in ((1, 1), (50, 1), (50, 2), (173, 3), (1 << 18, 2)):
+            monkeypatch.setattr(dynamics, "_CELL_CHUNK", chunk)
             g = sample_slice(spec, window, dims, params, prune=prune, threads=threads)
             assert g == ref
             assert g.cells.dtype == ref.cells.dtype
-            assert np.array_equal(g.cells, ref.cells), (window, slab, threads)
+            assert np.array_equal(g.cells, ref.cells), (window, chunk, threads)
 
 
 @pytest.mark.parametrize("spec", enumerate_slices(), ids=SliceSpec.label)
@@ -421,17 +421,28 @@ def test_distinct_values_match_the_whole_window_on_every_span(spec, rng, monkeyp
                                                               sample_slice_whole_window):
     # Every span through the distinct-value tricomplex path, which windows
     # this small take only with _MIN_SHARING at 0, against the joint kernel
-    # on the whole window: a symmetric window and one shifted by a seeded
-    # fraction of a cell in each axis, with pruning off and on.
+    # on the whole window: at p = 2, 3 and 5, a symmetric window reaching
+    # past the set and one shifted by a seeded fraction of a cell in each
+    # axis, with pruning off and on; at p = 3 also a window one cell thick.
     monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
-    params = IterationParams(3, 200)
-    dims = (12, 10, 14)
-    shift = rng.uniform(-0.5, 0.5, 3) * 2.4 / np.array(dims)
-    for window in (((-1.2, 1.2),) * 3, tuple((-1.2 + d, 1.2 + d) for d in shift)):
-        for prune in (False, True):
-            ref = sample_slice_whole_window(spec, window, dims, params, prune=prune)
-            g = sample_slice(spec, window, dims, params, prune=prune)
-            assert np.array_equal(g.cells, ref.cells), (window, prune)
+    for params, dims in ((IterationParams(3, 200), (12, 10, 14)),
+                         (IterationParams(2, 100), (8, 7, 9)),
+                         (IterationParams(5, 100), (8, 7, 9))):
+        half = 0.85 * escape_bound(params.p)
+        shift = rng.uniform(-0.5, 0.5, 3) * 2 * half / np.array(dims)
+        windows = [((-half, half),) * 3, tuple((-half + d, half + d) for d in shift)]
+        for window in windows:
+            for prune in (False, True):
+                ref = sample_slice_whole_window(spec, window, dims, params, prune=prune)
+                assert 0 < ref.member_count() < ref.cells.size
+                g = sample_slice(spec, window, dims, params, prune=prune)
+                assert np.array_equal(g.cells, ref.cells), (params.p, window, prune)
+    thin = (12, 1, 14)
+    window = ((-1.2, 1.2), (-0.05, 0.05), (-1.2, 1.2))
+    ref = sample_slice_whole_window(spec, window, thin, IterationParams(3, 200))
+    assert 0 < ref.member_count() < ref.cells.size
+    g = sample_slice(spec, window, thin, IterationParams(3, 200))
+    assert np.array_equal(g.cells, ref.cells)
 
 
 def test_discus_mask_does_not_depend_on_batch_size(rng):
@@ -503,9 +514,10 @@ def test_twelve_spans_iterate_two_components():
 @pytest.mark.parametrize("spec", enumerate_slices(), ids=SliceSpec.label)
 def test_slice_native_components_match_the_full_batch(spec, rng, tricomplex_components,
                                                       discus_reference):
-    # The component rows sample_slice builds from the three axis rows alone
-    # against those of the embedded (8, n) batch: signed zeros, and points
-    # scaled onto the discus boundary, where the last bit decides pruning.
+    # The component rows complex4_rows builds from the three axis rows alone,
+    # as grid_counts_tricomplex does for the joint kernel, against those of
+    # the embedded (8, n) batch: signed zeros, and points scaled onto the
+    # discus boundary, where the last bit decides pruning.
     radius = escape_bound(3)
     coords = rng.standard_normal((3, 3000))
     coords[:, :600] = rng.choice([-0.0, 0.0, 0.25, -1.0], (3, 600))
@@ -563,7 +575,8 @@ def _sampling_peak(n):
 
 
 def test_sample_slice_memory_is_flat_in_dims():
-    # Beyond the 4-byte counts, sampling holds one slab at a time; the
-    # whole-window batch took about 368 bytes per cell.
+    # Beyond the 4-byte counts, sampling holds the 1-byte member flags and
+    # tables over one or two axes; the whole-window batch took about 368
+    # bytes per cell.
     small, large = _sampling_peak(64), _sampling_peak(128)
     assert large - small <= 8 * (128 ** 3 - 64 ** 3)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mbkit import dynamics, slices
-from mbkit.dynamics import IterationParams
+from mbkit.dynamics import IterationParams, escape_bound
 from mbkit.slices import PRINCIPAL_SLICES, cell_centers
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -77,12 +77,15 @@ def test_hyperbolic_hook_records_a_meshgrid_view_call(tracing, monkeypatch):
         assert tracer.replay_grid_calls() == []
 
 
-def test_traced_sample_slice_records_one_tricomplex_call_per_slab(tracing, monkeypatch):
-    # The distinct-value tricomplex path runs its kernels through private
-    # helpers, so the tracer records each slab's call once, nests no other
-    # grid call in it, and replays it to the same counts at 1 and 2 threads.
+def test_traced_sample_slice_records_one_tricomplex_call(tracing, monkeypatch,
+                                                         discus_reference):
+    # sample_slice passes the whole window, or on a pruned window its kept
+    # cells, to one grid_counts_tricomplex call, which runs its kernels
+    # through private helpers: the tracer records that call alone, nests no
+    # other grid call in it, and replays it to the same counts at 1 and 2
+    # threads.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(slices, "_SLAB_CELLS", 1 << 13)
+    monkeypatch.setattr(dynamics, "_CELL_CHUNK", 1 << 12)
     tracer = tracing.Tracer()
     tracer.command = "perplexbric"
     for name in tracing.GRID_KERNELS:
@@ -93,16 +96,24 @@ def test_traced_sample_slice_records_one_tricomplex_call_per_slab(tracing, monke
                 monkeypatch.setattr(module, fn, spanned)
     sample = tracer._span("slices.sample_slice")(slices.sample_slice)
     params = IterationParams(3, 300)
+    spec = PRINCIPAL_SLICES["Perplexbric"]
+    window = ((-1.2, 1.2),) * 3
+    x8 = np.zeros((8, 32 ** 3))
+    axes = [cell_centers(-1.2, 1.2, 32)] * 3
+    for u, g in zip(spec.units, np.meshgrid(*axes, indexing="ij")):
+        x8[u] = g.ravel()
+    kept = int(discus_reference(x8, escape_bound(3)).sum())
+    assert 0 < kept < 32 ** 3
     for threads in (1, 2):
-        tracer.grid_calls.clear()
-        tracer.spans.clear()
-        g = sample(PRINCIPAL_SLICES["Perplexbric"], ((-0.5, 0.5),) * 3, (32, 32, 32),
-                   params, threads=threads)
-        calls = tracer.grid_calls["perplexbric"]
-        assert [c["kernel"] for c in calls] == ["dynamics.grid_counts_tricomplex"] * 4
-        assert [c["cells"] for c in calls] == [1 << 13] * 4
-        assert sum(c["member_points"] for c in calls) == g.member_count() > 0
-        grid_spans = {name: rec[0] for (cmd, name), rec in tracer.spans.items()
-                      if name in tracing.GRID_KERNELS}
-        assert grid_spans == {"dynamics.grid_counts_tricomplex": 4}
-        assert tracer.replay_grid_calls() == []
+        for prune, cells in ((False, 32 ** 3), (True, kept)):
+            tracer.grid_calls.clear()
+            tracer.spans.clear()
+            g = sample(spec, window, (32, 32, 32), params, prune=prune, threads=threads)
+            [call] = tracer.grid_calls["perplexbric"]
+            assert call["kernel"] == "dynamics.grid_counts_tricomplex"
+            assert call["cells"] == cells
+            assert call["member_points"] == g.member_count() > 0
+            grid_spans = {name: rec[0] for (cmd, name), rec in tracer.spans.items()
+                          if name in tracing.GRID_KERNELS}
+            assert grid_spans == {"dynamics.grid_counts_tricomplex": 1}
+            assert tracer.replay_grid_calls() == []
