@@ -18,12 +18,14 @@ This is exact, not an approximation: identical floats have identical
 orbits, a hyperbolic point escapes with its first component, and a
 tricomplex cell's rounded ring norm is bounded by its rows' own squared
 norms, so it cannot escape before a row passes the limit and has escaped
-once a row passes four times the limit; between the two, the ring norm is
-summed from tabulated row norms in the kernel's order
-(grid_counts_tricomplex).  The tricomplex engine takes coefficient rows
-that broadcast, such as a slice window's axes, and finds the distinct
-values from tables over one or two axes, so beyond its 4 B counts and
-1 B member flags per cell it holds nothing that grows with the cell count.
+once a row passes four times the limit.  Both steps, and the ring norm
+between them in the kernel's order, are read off a table of the row
+values' squared norms; a cell whose first step lies past the table runs
+the joint kernel (grid_counts_tricomplex).  The tricomplex engine takes
+coefficient rows that broadcast, such as a slice window's axes, and finds
+the distinct values from tables over one or two axes, so beyond its 4 B
+counts and 1 B member flags per cell it holds nothing that grows with the
+cell count.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ def real_axis_extent(p: int, params: IterationParams, tol: float) -> tuple[float
     Returns (lo, hi) with each endpoint resolved to a bracket of width <= tol,
     or to two adjacent floats when tol is finer than their spacing.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
     if params.p != p:
         params = IterationParams(p, params.max_iter, None)
@@ -360,18 +362,15 @@ _FIRST_SNAPSHOT = 16
 _COMPACT_FRACTION = 8
 
 
-def _counts_kernel(c: np.ndarray, params: IterationParams, lim: float | None = None):
+def _counts_kernel(c: np.ndarray, params: IterationParams):
     # c: (n,) parameters, or (4, n) tricomplex components escaping on their
     # combined RMS norm (the ring norm); real or complex either way.  A
     # (2, n) batch holds the distinct rows of components that repeat in
     # pairs: 0.5 * (s0 + s1) is the four-row 0.25 * ((s0 + s1) + (s2 + s3))
     # bit for bit then (x + x = 2x and power-of-two scaling are exact, and
-    # the sum commutes), and repeated rows stay equal at every step.  A
-    # point escapes at the first step whose squared norm is not <= lim,
-    # _escape_limit(params) unless given.
+    # the sum commutes), and repeated rows stay equal at every step.
     p, max_iter = params.p, params.max_iter
-    if lim is None:
-        lim = _escape_limit(params)
+    lim = _escape_limit(params)
     n = c.shape[-1]
     counts = np.full(n, max_iter, dtype=np.uint32)
     member = np.zeros(n, dtype=bool)
@@ -494,16 +493,14 @@ def _each_range(fn, ranges: list[tuple[int, int]]) -> list:
 _MIN_BLOCK = 1 << 17
 
 
-def _run_blocks(c: np.ndarray, params: IterationParams, threads: int,
-                lim: float | None = None):
+def _run_blocks(c: np.ndarray, params: IterationParams, threads: int):
     """_counts_kernel over a batch split into one block per worker, with
     at least _MIN_BLOCK points each."""
     n = c.shape[-1]
     ranges = _ranges(n, threads, _MIN_BLOCK)
     if len(ranges) <= 1:
-        return _counts_kernel(c, params, lim)
-    parts = _each_range(lambda lo, hi: _counts_kernel(c[..., lo:hi], params, lim),
-                        ranges)
+        return _counts_kernel(c, params)
+    parts = _each_range(lambda lo, hi: _counts_kernel(c[..., lo:hi], params), ranges)
     counts = np.concatenate([p_[0] for p_ in parts])
     member = np.concatenate([p_[1] for p_ in parts])
     return counts, member
@@ -520,10 +517,14 @@ def grid_counts_real(c: np.ndarray, params: IterationParams, threads: int = 1):
     return _run_blocks(c, params, threads)
 
 
-# Points read at a time by the streamed hyperbolic path, shared between its
-# workers: beyond its flat outputs it holds a few arrays of this total length
-# at a time, whatever the grid size and the worker count.
-_CHUNK = 1 << 18
+# Cells read at a time by the distinct-value paths of grid_counts_hyperbolic
+# and grid_counts_tricomplex, shared between their workers: each worker reads
+# _CHUNK // workers of them at a time, so beyond their flat outputs the paths
+# hold a few arrays of this total length, whatever the grid size and the
+# worker count.  Each pass over a chunk makes a few arrays of its size, which
+# small chunks take from the memory the last chunk freed; fresh pages for
+# each cost more than the arithmetic on them.
+_CHUNK = 1 << 16
 
 
 def grid_counts_hyperbolic(
@@ -604,11 +605,6 @@ _TABLE_STEPS = 64
 # _TABLE_STEPS / _MIN_SHARING floats per row entry at most, would approach
 # the joint kernel's state.
 _MIN_SHARING = 16
-# Cells a worker of grid_counts_tricomplex settles at a time.  Each pass over
-# a chunk makes a few arrays of its size, which small chunks take from the
-# memory the last chunk freed; fresh pages for each cost more than the
-# arithmetic on them.
-_CELL_CHUNK = 1 << 15
 # Cells the joint kernel of grid_counts_tricomplex takes at a time, formed
 # from the coefficient rows at those cells: its state, about 300 B per cell
 # of four complex rows, stays bounded whatever the grid size.
@@ -805,12 +801,13 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     the direct engine's criterion.
 
     Each row of a cell iterates on its own, and on lattice windows the rows
-    take few distinct values, so each distinct value v is iterated once, as
-    a 1-D kernel batch, for its own squared norm s_v.  With lim =
-    _escape_limit(params), let e_v be the first step at which s_v is not
-    <= lim and E_v the first at which it is not <= 4 lim (computed
-    directly: a doubled escape radius would hit the overflow clamp), and
-    e, E the least of them over a cell's rows.  Then:
+    take few distinct values, so each distinct value v is iterated once.
+    With lim = _escape_limit(params), let e_v be the first step at which
+    its squared norm s_v is not <= lim, E_v the first tabulated step at
+    which it is not <= 4 lim (past the budget if none), and e, E the least
+    of them over a cell's rows.  Both are read off a table of s_v at steps
+    1 to min(_TABLE_STEPS, max_iter); the kernel runs only on the values
+    still <= lim through it, as one 1-D batch, for their e_v.  Then:
 
     - before e the cell cannot escape: every s <= lim, so the rounded sum
       (s0 + s1) + (s2 + s3) is at most 4 lim (rounding is monotone, and
@@ -821,8 +818,8 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
       escapes at e;
     - any other cell's ring norm is summed from the tabulated s values of
       its rows at the steps from e on (_ring_mean, the kernel's sum
-      order), until it escapes or reaches E; a cell still open past
-      _TABLE_STEPS runs the joint kernel.
+      order), until it escapes or reaches E; a cell whose e lies past the
+      table, or still open past it, runs the joint kernel.
 
     The counts and member mask are bit for bit those of the joint kernel
     (_counts_kernel on all of a cell's complex4_rows together).  A value
@@ -838,17 +835,16 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     few integer gathers from its index along each axis.  Flat rows span
     one axis together, and their distinct values are those of their
     entries.  A batch with fewer than _MIN_SHARING row entries per
-    distinct value runs the joint kernel instead, as do cells still open
-    past the step table, on components formed from the rows at those cells
+    distinct value runs the joint kernel instead, as do cells open past
+    the step table, on components formed from the rows at those cells
     only, at most _JOINT_CELLS at a time.
 
-    The cells are settled in ranges, one per worker (min(threads,
-    os.cpu_count()) of them, but no more than there are chunks), in chunks
-    of _CELL_CHUNK cells.  Per cell, the path holds the 4 B counts and 1 B
-    member flags it returns, besides the 8 B index of each cell given.
-    Beyond them it holds the tables, the distinct values with their e_v,
-    E_v and _TABLE_STEPS values of s_v each, and per worker a chunk's
-    indices and lookups.
+    The cells are settled in ranges, one per worker (as in _ranges, each
+    taking a chunk at least), in chunks of _CHUNK // workers cells.  Per
+    cell, the path holds the 4 B counts and 1 B member flags it returns,
+    besides the 8 B index of each cell given.  Beyond them it holds the
+    tables, the distinct values with their e_v, E_v and _TABLE_STEPS
+    values of s_v each, and per worker a chunk's indices and lookups.
     """
     x, shape, cells = _check_rows(x, cells)
     size = math.prod(shape)
@@ -888,22 +884,20 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
              for t, lo, hi in zip(terms, bounds, bounds[1:])]
 
     max_iter, lim = params.max_iter, _escape_limit(params)
-    never = max_iter + 1  # no such step within the budget
-    counts_u, member_u = _run_blocks(uniq, params, threads)
-    first = np.where(member_u, never, counts_u.astype(np.int64))  # e_v
-    fin = np.flatnonzero(~member_u)
-    counts_f, member_f = _run_blocks(uniq[fin], params, threads, 4.0 * lim)
-    last = np.full(uniq.size, never, dtype=np.int64)  # E_v
-    last[fin] = np.where(member_f, never, counts_f)
-    # An open cell has a row with e_v within the budget, and its E is at
-    # most that row's E_v: no lookup is past the largest such E_v - 1.
-    steps = max(1, min(_TABLE_STEPS, int(last[fin].max(initial=1)) - 1))
+    never = max_iter + 1  # no such step within the budget, or in the table
+    steps = min(_TABLE_STEPS, max_iter)
     table = np.empty((steps, uniq.size))  # s_v at steps 1..steps
     z = np.zeros_like(uniq)
     with np.errstate(over="ignore", invalid="ignore"):
         for row in table:
             z = _step(z, uniq, params.p)
             row[:] = _norm2(z)
+    # e_v and E_v: the first tabulated step outside each limit.
+    first, last = (np.where(ok.all(axis=0), never, ok.argmin(axis=0) + 1)
+                   for ok in (table <= lim, table <= 4.0 * lim))
+    inside = np.flatnonzero(first == never)
+    counts_i, member_i = _run_blocks(uniq[inside], params, threads)
+    first[inside] = np.where(member_i, never, counts_i)
     table = table.ravel()
 
     # e_v and E_v at each entry of each row's ids.
@@ -917,10 +911,13 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
         return ~(_ring_mean([table.take(t.ids.take(c) + offset)
                              for t, c in zip(terms, codes)]) <= lim)
 
+    ranges = _ranges(n, threads, _CHUNK // min(threads, os.cpu_count() or 1))
+    chunk = _CHUNK // len(ranges)
+
     def settle(lo, hi):
         late = []
-        for a in range(lo, hi, _CELL_CHUNK):
-            b = min(a + _CELL_CHUNK, hi)
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
             at = cells_at(np.arange(a, b))
             codes = [at.code(t) for t in terms]
             # A cell escapes at a step from e to end, a member if end is
@@ -946,8 +943,7 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
             np.greater(end, max_iter, out=member[a:b])
         return late
 
-    late = [k for part in _each_range(settle, _ranges(n, threads, _CELL_CHUNK))
-            for k in part]
+    late = [k for part in _each_range(settle, ranges) for k in part]
     joint(np.concatenate([np.empty(0, dtype=np.intp)] + late))
     return counts, member
 

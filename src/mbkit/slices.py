@@ -161,7 +161,7 @@ def verify_conjugacy(
     Residual is the ring norm of phi(Q_{p,c}(phi^-1(eta))) - Q_{p,phi(c)}(eta);
     on failure the worst offending pair is reported as a witness.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
     if n_samples < 1:
         raise ValueError(f"n_samples < 1: need at least one sample, got {n_samples}")

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import re
@@ -97,6 +98,14 @@ def test_real_axis_extent_quick():
     assert abs(lo + MANDELBRIC_REAL_BOUND) <= 2e-3
     lo, hi = real_axis_extent(2, IterationParams(2, 1000), 1e-3)
     assert abs(lo + 2.0) <= 2e-3 and abs(hi - 0.25) <= 2e-3
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("-inf")])
+def test_real_axis_extent_rejects_a_tolerance_that_is_not_positive(tol):
+    # A NaN tolerance would end the bisection at once, at the midpoint of
+    # the unbisected bracket.
+    with pytest.raises(ValueError, match="^tol must be positive$"):
+        real_axis_extent(3, IterationParams(3, 200), tol)
 
 
 def test_real_orbit_monotone():
@@ -653,7 +662,7 @@ def test_grid_threads_do_not_change_output(rng, monkeypatch):
     # its own partition.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)
-    monkeypatch.setattr(dynamics, "_CELL_CHUNK", 97)
+    monkeypatch.setattr(dynamics, "_CHUNK", 97)
     params = IterationParams(3, 150)
     x8 = rng.uniform(-1.5, 1.5, (8, 500))
     cs = x8[0] + 1j * x8[1]
@@ -714,14 +723,15 @@ def test_grid_workers_capped_at_cpu_count(rng, monkeypatch):
     assert len(pools) >= 2 and all(w <= os.cpu_count() for w in pools)
     ref_counts, ref_member = grid_counts_hyperbolic(cs.real, cs.imag, params)
     assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
-    # The distinct-value path settles the cells in one pass, in chunks of
-    # 100.  The joint kernel, which this lattice takes under the default
-    # sharing rule, splits its 1000 cells into blocks of at least 250.
+    # The distinct-value path settles the cells in one pass, the four
+    # workers sharing chunks of 100.  The joint kernel, which this lattice
+    # takes under the default sharing rule, splits its 1000 cells into
+    # blocks of at least 250.
     lattice = _lattice_rows("1,i1,i2", 1.5, 10)
     w = complex4_rows(lattice)[0]
     assert np.unique(w).size * dynamics._MIN_SHARING > w.size
     ref_counts, ref_member = dynamics._counts_kernel(w, params)
-    monkeypatch.setattr(dynamics, "_CELL_CHUNK", 100)
+    monkeypatch.setattr(dynamics, "_CHUNK", 100)
     for sharing, block in ((0, 1 << 17), (dynamics._MIN_SHARING, 250)):
         monkeypatch.setattr(dynamics, "_MIN_SHARING", sharing)
         monkeypatch.setattr(dynamics, "_MIN_BLOCK", block)
@@ -788,7 +798,7 @@ def test_streamed_hyperbolic_memory_is_flat_in_grid_size(chunk, sizes, monkeypat
     # small chunks, holding every chunk's distinct values until the end
     # would add about 12 MB from 500^2 to 1000^2, at any worker count.  Two
     # workers share one _CHUNK between them: a full chunk each would add
-    # about 17 MB.
+    # about 2 MB.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     if chunk is not None:
         monkeypatch.setattr(dynamics, "_CHUNK", chunk)
@@ -1132,13 +1142,17 @@ _LAYOUTS = {"real4": "1,j1,j2", "real2": "1,j1,j2", "complex4": "i1,i2,i3",
 _KERNEL = dynamics._counts_kernel
 
 
-def _recorded_kernel_calls(monkeypatch):
-    """The shapes of the batches _counts_kernel iterates from now on."""
+def _recorded_kernel_calls(monkeypatch, batches=None):
+    """The shapes of the batches _counts_kernel iterates from now on, and
+    the batches themselves appended to batches if given.  A call passing
+    more than the batch and the parameters raises TypeError."""
     shapes = []
 
-    def recording(c, params, lim=None):
+    def recording(c, params):
         shapes.append(c.shape)
-        return _KERNEL(c, params, lim)
+        if batches is not None:
+            batches.append(c.copy())
+        return _KERNEL(c, params)
 
     monkeypatch.setattr(dynamics, "_counts_kernel", recording)
     return shapes
@@ -1218,7 +1232,7 @@ def test_distinct_values_match_the_joint_kernel(kind, p, monkeypatch):
         # run, into chunks that do not divide the ranges.
         for threads in ((1, 2, 3) if max_iter > _K else (1,)):
             monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1 if threads > 1 else 1 << 17)
-            monkeypatch.setattr(dynamics, "_CELL_CHUNK", 333 if threads > 1 else 1 << 15)
+            monkeypatch.setattr(dynamics, "_CHUNK", 333 if threads > 1 else 1 << 16)
             shapes = _recorded_kernel_calls(monkeypatch)
             counts, member = grid_counts_tricomplex(x, params, threads=threads)
             assert counts.dtype == np.uint32 and member.dtype == bool
@@ -1233,6 +1247,53 @@ def test_distinct_values_match_the_joint_kernel(kind, p, monkeypatch):
     # At the full budget: members and a boundary band.
     escaped = ref_counts[~ref_member]
     assert ref_member.any() and ((escaped > 8) & (escaped < 1000)).sum() >= 20
+
+
+def _escaping_near_the_table_end(p):
+    """Real parameters just past the real set's cusp that escape at each
+    step from _K - 1 to _K + 2, by the scalar engine."""
+    found = {}
+    for c in real_extent_closed_form(p)[1] + np.geomspace(1e-5, 1e-1, 1500):
+        r = iterate_complex(complex(c), IterationParams(p, _K + 2))
+        if r.escaped and r.iterations >= _K - 1:
+            found.setdefault(r.iterations, c)
+    assert sorted(found) == list(range(_K - 1, _K + 3))
+    return np.array(list(found.values()))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kind", list(_LAYOUTS))
+def test_value_kernel_takes_the_values_inside_the_table(kind, p, monkeypatch):
+    # e_v and E_v are read off the step table, and the kernel runs once on
+    # a 1-D batch: the distinct row values still <= lim at every tabulated
+    # step, found here by iterating each distinct value of the joint
+    # kernel's batch with the scalar engine, on an input with values
+    # escaping on each side of the table's end.  No kernel call takes a
+    # limit.
+    assert list(inspect.signature(dynamics._counts_kernel).parameters) == ["c", "params"]
+    assert list(inspect.signature(dynamics._run_blocks).parameters) == [
+        "c", "params", "threads"]
+    monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
+    x = _distinct_path_input(kind, p)
+    edge = np.zeros((2 if kind.endswith("2") else 4, 4))
+    edge[0] = _escaping_near_the_table_end(p)
+    with np.errstate(invalid="ignore"):  # inf - inf in the rows
+        x = _concat_rows(x, _rows_for(edge))
+        values = np.unique(complex4_rows(x)[0])
+    # The first step outside lim within the table's longest run, or None.
+    escapes = [iterate_complex(complex(v), IterationParams(p, _K)) for v in values]
+    first = [r.iterations if r.escaped else None for r in escapes]
+    for max_iter in _TABLE_BUDGETS:
+        steps = min(_K, max_iter)
+        inside = values[[m is None or m > steps for m in first]]
+        assert 0 < inside.size < values.size
+        batches = []
+        _recorded_kernel_calls(monkeypatch, batches)
+        grid_counts_tricomplex(x, IterationParams(p, max_iter))
+        assert [b.ndim for b in batches].count(1) == 1 and batches[0].ndim == 1
+        assert batches[0].dtype == values.dtype
+        assert np.array_equal(batches[0], inside), max_iter
 
 
 @pytest.mark.parametrize("rows, dtype", [(4, float), (2, float), (4, complex),
@@ -1288,7 +1349,7 @@ def test_broadcast_rows_match_their_flat_cells(sharing, rng, monkeypatch):
     # windows share too little, and the joint kernel takes their cells.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(dynamics, "_MIN_SHARING", sharing)
-    monkeypatch.setattr(dynamics, "_CELL_CHUNK", 211)
+    monkeypatch.setattr(dynamics, "_CHUNK", 211)
     params = IterationParams(3, 300)
     dims = (13, 9, 11)
     for units, window in (("1,j1,j2", ((-0.62, 0.68), (-0.43, 0.47), (-0.52, 0.58))),

@@ -112,6 +112,14 @@ def test_verify_conjugacy_needs_a_sample():
         verify_conjugacy(m, 3, n_samples=0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+def test_verify_conjugacy_rejects_a_tolerance_that_is_not_positive(tol):
+    # A NaN tolerance would fail every residual, a true conjugacy included.
+    m = conjugacy_catalog(3)[0]
+    with pytest.raises(ValueError, match="^tol must be positive$"):
+        verify_conjugacy(m, 3, n_samples=10, tol=tol)
+
+
 def _sign_flips(m):
     for k, (u, s, v) in enumerate(m.phi):
         yield ConjugacyMap(m.source, m.target, m.phi[:k] + ((u, -s, v),) + m.phi[k + 1:])
@@ -409,7 +417,7 @@ def test_streamed_sampling_matches_whole_window(name, prune, monkeypatch,
         # One cell per chunk, less than one x-plane, a size that does not
         # divide the cell count, and the whole window in one chunk.
         for chunk, threads in ((1, 1), (50, 1), (50, 2), (173, 3), (1 << 18, 2)):
-            monkeypatch.setattr(dynamics, "_CELL_CHUNK", chunk)
+            monkeypatch.setattr(dynamics, "_CHUNK", chunk)
             g = sample_slice(spec, window, dims, params, prune=prune, threads=threads)
             assert g == ref
             assert g.cells.dtype == ref.cells.dtype

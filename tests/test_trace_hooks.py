@@ -85,7 +85,7 @@ def test_traced_sample_slice_records_one_tricomplex_call(tracing, monkeypatch,
     # other grid call in it, and replays it to the same counts at 1 and 2
     # threads.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(dynamics, "_CELL_CHUNK", 1 << 12)
+    monkeypatch.setattr(dynamics, "_CHUNK", 1 << 12)
     tracer = tracing.Tracer()
     tracer.command = "perplexbric"
     for name in tracing.GRID_KERNELS:
