@@ -13,14 +13,17 @@ diverges, so a point is a member exactly when the whole orbit stays inside.
 A point not escaped after max_iter counts as a member.
 
 The hyperbolic and tricomplex grid engines iterate each distinct component
-value of a batch once and derive every point's count from those orbits.
-This is exact, not an approximation: identical floats have identical
-orbits, a hyperbolic point escapes with its first component, and a
-tricomplex cell's rounded ring norm is bounded by its rows' own squared
-norms, so it cannot escape before a row passes the limit and has escaped
-once a row passes four times the limit.  Both steps, and the ring norm
-between them in the kernel's order, are read off a table of the row
-values' squared norms; a cell whose first step lies past the table runs
+value of a batch once and derive every point's count from those orbits; the
+hyperbolic one gathers them from the runs of equal outcome over the sorted
+values, which are few because real-axis membership is one interval (85 runs
+of 13,903 values on the default 2000^2 hyperbric-area window, 65 of 7,359 on
+hyperbrot 1000^2 over [-0.4, 0.4]^2).  This is exact, not an approximation:
+identical floats have identical orbits, a hyperbolic point escapes with its
+first component, and a tricomplex cell's rounded ring norm is bounded by its
+rows' own squared norms, so it cannot escape before a row passes the limit
+and has escaped once a row passes four times the limit.  Both steps, and the
+ring norm between them in the kernel's order, are read off a table of the
+row values' squared norms; a cell whose first step lies past the table runs
 the joint kernel (grid_counts_tricomplex).  The tricomplex engine takes
 coefficient rows that broadcast, such as a slice window's axes, and finds
 the distinct values from tables over one or two axes, so beyond its 4 B
@@ -468,6 +471,14 @@ def _ring_mean(sq: np.ndarray) -> np.ndarray:
     return n2
 
 
+def _check_threads(threads) -> int:
+    """The worker count a grid engine was given, as an int >= 1."""
+    if (isinstance(threads, bool) or not isinstance(threads, (int, np.integer))
+            or threads < 1):
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+    return int(threads)
+
+
 def _ranges(n: int, threads: int, least: int = 1) -> list[tuple[int, int]]:
     """The nonempty (lo, hi) ranges that split range(n) between the workers:
     min(threads, os.cpu_count()) of them, fewer when n is smaller, and no
@@ -508,11 +519,13 @@ def _run_blocks(c: np.ndarray, params: IterationParams, threads: int):
 
 def grid_counts_complex(c: np.ndarray, params: IterationParams, threads: int = 1):
     """Escape counts and member mask for a flat complex parameter batch."""
+    threads = _check_threads(threads)
     c = np.ascontiguousarray(c, dtype=np.complex128).ravel()
     return _run_blocks(c, params, threads)
 
 
 def grid_counts_real(c: np.ndarray, params: IterationParams, threads: int = 1):
+    threads = _check_threads(threads)
     c = np.ascontiguousarray(c, dtype=np.float64).ravel()
     return _run_blocks(c, params, threads)
 
@@ -546,7 +559,16 @@ def grid_counts_hyperbolic(
     together they hold one _CHUNK.  Beyond the 5 B/cell outputs, only the
     distinct components grow with the grid, and a lattice window has few of
     them.
+
+    The gather looks results up in runs of equal (count, member) over the
+    sorted distinct values, one entry per run.  The runs are few: real-axis
+    membership is one interval ([-2/(3*sqrt(3)), 2/(3*sqrt(3))] for p = 3),
+    and the escape counts outside it change in few steps.  The default
+    2000^2 hyperbric-area window (1.1 times that bound on each side,
+    max_iter 2000) has 13,903 distinct values in 85 runs, and hyperbrot at
+    1000^2 on [-0.4, 0.4]^2 (max_iter 1000) 7,359 in 65.
     """
+    threads = _check_threads(threads)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -559,7 +581,11 @@ def grid_counts_hyperbolic(
                        buffersize=chunk, order="C")
         it.iterrange = (lo, hi)
         for ca, cb in it:
-            yield ca - cb, ca + cb
+            # On a worker thread the caller's np.errstate does not apply;
+            # an infinite or NaN component escapes at step 1.
+            with np.errstate(over="ignore", invalid="ignore"):
+                cm, cp = ca - cb, ca + cb
+            yield cm, cp
 
     # Sorting the values and searching them is much faster than the argsort
     # behind return_inverse.  np.unique keeps one of 0.0 and -0.0; both find
@@ -579,15 +605,22 @@ def grid_counts_hyperbolic(
 
     uniq = np.unique(np.concatenate([np.empty(0)] + _each_range(distinct, ranges)))
     counts_u, member_u = _run_blocks(uniq, params, threads)
+    # Each run of equal outcomes over the sorted values is looked up by its
+    # largest value: a component is one of uniq, so the first run end not
+    # below it ends its run (a NaN, sorted last, finds the last run).
+    last = np.ones(uniq.size, dtype=bool)
+    np.not_equal(counts_u[1:], counts_u[:-1], out=last[:-1])
+    last[:-1] |= member_u[1:] != member_u[:-1]
+    ends, counts_r, member_r = uniq[last], counts_u[last], member_u[last]
     counts = np.empty(a.size, dtype=np.uint32)
     member = np.empty(a.size, dtype=bool)
 
     def gather(lo, hi):
         for cm, cp in components(lo, hi):
-            im, ip = np.searchsorted(uniq, cm), np.searchsorted(uniq, cp)
+            im, ip = np.searchsorted(ends, cm), np.searchsorted(ends, cp)
             stop = lo + cm.size
-            np.minimum(counts_u[im], counts_u[ip], out=counts[lo:stop])
-            np.logical_and(member_u[im], member_u[ip], out=member[lo:stop])
+            np.minimum(counts_r[im], counts_r[ip], out=counts[lo:stop])
+            np.logical_and(member_r[im], member_r[ip], out=member[lo:stop])
             lo = stop
 
     _each_range(gather, ranges)
@@ -846,6 +879,7 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     tables, the distinct values with their e_v, E_v and _TABLE_STEPS
     values of s_v each, and per worker a chunk's indices and lookups.
     """
+    threads = _check_threads(threads)
     x, shape, cells = _check_rows(x, cells)
     size = math.prod(shape)
     n = size if cells is None else cells.size

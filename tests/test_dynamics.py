@@ -831,6 +831,112 @@ def test_hyperbolic_inputs_must_have_equal_shapes():
     assert counts.shape == member.shape == (6,) and member.all()
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_hyperbolic_overflow_warns_at_no_worker_count(threads, monkeypatch,
+                                                      hyperbolic_whole_grid):
+    # a - b and a + b of these overflow or are NaN; on a worker thread the
+    # caller's np.errstate does not hold, so the path silences them itself,
+    # at every worker count.  Such cells escape at step 1.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)
+    monkeypatch.setattr(dynamics, "_CHUNK", 6)
+    edge = [np.inf, -np.inf, np.nan, 1e308, -1e308]
+    pairs = [(x, y) for x in edge + [0.0, 0.1] for y in edge + [0.0, -0.2]]
+    a, b = np.array(pairs).T
+    params = IterationParams(3, 300)
+    counts, member = grid_counts_hyperbolic(a, b, params, threads=threads)
+    with np.errstate(all="ignore"):
+        ref_counts, ref_member = hyperbolic_whole_grid(a, b, params, threads=threads)
+    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+    finite = np.isin(a, [0.0, 0.1]) & np.isin(b, [0.0, -0.2])
+    assert (counts[~finite] == 1).all() and not member[~finite].any()
+    assert member[finite].any()
+
+
+def _synthetic_outcomes(scheme, n, max_iter):
+    """Outcomes by position in the sorted distinct values: each value its
+    own run, runs that break on the count or the flag alone and recur, or
+    one run."""
+    i = np.arange(n)
+    if scheme == "own":
+        return (i + 1).astype(np.uint32), i % 3 == 0
+    if scheme == "alternating":
+        return (7 + (i // 5) % 2).astype(np.uint32), (i // 7) % 2 == 1
+    return np.full(n, max_iter, dtype=np.uint32), np.ones(n, dtype=bool)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [37, 1000])
+@pytest.mark.parametrize("scheme", ["own", "alternating", "one"])
+def test_hyperbolic_gathers_each_value_its_runs_outcome(scheme, chunk, threads, rng,
+                                                        monkeypatch):
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    params = IterationParams(3, 300)
+    outcome = {}
+
+    def fake_run_blocks(uniq, params_, threads_):
+        counts_u, member_u = _synthetic_outcomes(scheme, uniq.size, params_.max_iter)
+        outcome.update(zip(uniq.tolist(), zip(counts_u.tolist(), member_u.tolist())))
+        return counts_u, member_u
+
+    monkeypatch.setattr(dynamics, "_run_blocks", fake_run_blocks)
+    for case in ("reversed-y view", "signed zeros and duplicates"):
+        outcome.clear()
+        a, b = _hyperbolic_inputs(case, rng)
+        counts, member = grid_counts_hyperbolic(a, b, params, threads=threads)
+        # The outcome of each cell's two component values, looked up by
+        # value (0.0 and -0.0 are one key).
+        a, b = np.ravel(a), np.ravel(b)
+        cm = [outcome[v] for v in (a - b).tolist()]
+        cp = [outcome[v] for v in (a + b).tolist()]
+        assert counts.tolist() == [min(x[0], y[0]) for x, y in zip(cm, cp)], case
+        assert member.tolist() == [x[1] and y[1] for x, y in zip(cm, cp)], case
+
+
+def test_hyperbolic_gather_searches_one_entry_per_run(monkeypatch):
+    # On a hyperbrot window the outcomes over the sorted component values
+    # change at few places (membership is the real-axis interval), and the
+    # gather searches a table with one entry per run of equal outcomes.
+    xs = cell_centers(-0.4, 0.4, 60)
+    a, b = np.meshgrid(xs, xs[::-1], copy=False)
+    params = IterationParams(3, 300)
+    uniq = np.unique(np.concatenate([(a - b).ravel(), (a + b).ravel()]))
+    counts_u, member_u = dynamics._run_blocks(uniq, params, 1)
+    runs = 1 + np.count_nonzero((counts_u[1:] != counts_u[:-1])
+                                | (member_u[1:] != member_u[:-1]))
+    assert runs * 5 < uniq.size
+    haystacks = []
+    searchsorted = np.searchsorted
+
+    def recording(haystack, *args, **kwargs):
+        haystacks.append(len(haystack))
+        return searchsorted(haystack, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", recording)
+    grid_counts_hyperbolic(a, b, params)
+    assert haystacks == [runs, runs]
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True])
+def test_grid_engines_check_threads(threads, monkeypatch):
+    # A bad worker count is refused before any work: 0 used to divide by
+    # zero, and -1 left the hyperbolic outputs uninitialised.
+    monkeypatch.setattr(dynamics, "_step", _no_step)
+    params = IterationParams(3, 50)
+    xs = np.linspace(-0.3, 0.3, 5)
+    calls = [
+        lambda: grid_counts_complex(xs + 0.1j, params, threads=threads),
+        lambda: grid_counts_real(xs, params, threads=threads),
+        lambda: grid_counts_hyperbolic(xs, xs[::-1], params, threads=threads),
+        lambda: grid_counts_tricomplex([xs] + [None] * 7, params, threads=threads),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"threads must be a positive integer, "
+                                             f"got {re.escape(repr(threads))}"):
+            call()
+
+
 def _no_step(*args, **kwargs):
     raise AssertionError("the kernel stepped an empty batch")
 
