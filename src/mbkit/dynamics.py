@@ -23,8 +23,9 @@ first component, and a tricomplex cell's rounded ring norm is bounded by its
 rows' own squared norms, so it cannot escape before a row passes the limit
 and has escaped once a row passes four times the limit.  Both steps, and the
 ring norm between them in the kernel's order, are read off a table of the
-row values' squared norms; a cell whose first step lies past the table runs
-the joint kernel (grid_counts_tricomplex).  The tricomplex engine takes
+row values' squared norms, which holds each value only at the steps before
+it passes four times the limit; a cell whose first step lies past the table
+runs the joint kernel (grid_counts_tricomplex).  The tricomplex engine takes
 coefficient rows that broadcast, such as a slice window's axes, and finds
 the distinct values from tables over one or two axes, so beyond its 4 B
 counts and 1 B member flags per cell it holds nothing that grows with the
@@ -634,9 +635,11 @@ _TABLE_STEPS = 64
 # grid_counts_tricomplex iterates the distinct row values of a batch only
 # when it holds at least this many row entries per distinct value; lattice
 # windows of 64^3 cells hold 25 to 1,200, more at larger dims.  With fewer
-# repeats the lookups cost more than they save, and the step table,
-# _TABLE_STEPS / _MIN_SHARING floats per row entry at most, would approach
-# the joint kernel's state.
+# repeats the lookups cost more than they save, and the step table would
+# approach the joint kernel's state: it holds each value at the steps before
+# its E_v, at most _TABLE_STEPS, so up to _TABLE_STEPS / _MIN_SHARING floats
+# per row entry, though on lattice windows most values leave it within a few
+# steps.
 _MIN_SHARING = 16
 # Cells the joint kernel of grid_counts_tricomplex takes at a time, formed
 # from the coefficient rows at those cells: its state, about 300 B per cell
@@ -839,8 +842,9 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     its squared norm s_v is not <= lim, E_v the first tabulated step at
     which it is not <= 4 lim (past the budget if none), and e, E the least
     of them over a cell's rows.  Both are read off a table of s_v at steps
-    1 to min(_TABLE_STEPS, max_iter); the kernel runs only on the values
-    still <= lim through it, as one 1-D batch, for their e_v.  Then:
+    1 to min(_TABLE_STEPS, max_iter), made in one pass over the values that
+    drops each at its E_v; the kernel runs only on the values still <= lim
+    through it, as one 1-D batch, for their e_v.  Then:
 
     - before e the cell cannot escape: every s <= lim, so the rounded sum
       (s0 + s1) + (s2 + s3) is at most 4 lim (rounding is monotone, and
@@ -876,8 +880,14 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     taking a chunk at least), in chunks of _CHUNK // workers cells.  Per
     cell, the path holds the 4 B counts and 1 B member flags it returns,
     besides the 8 B index of each cell given.  Beyond them it holds the
-    tables, the distinct values with their e_v, E_v and _TABLE_STEPS
-    values of s_v each, and per worker a chunk's indices and lookups.
+    tables, the distinct values with their e_v, E_v and their s_v at steps
+    1 to min(E_v - 1, _TABLE_STEPS) only, and per worker a chunk's indices
+    and lookups.  No cell reads a row at or past its E_v: a cell reads step
+    m only while m < E, and E is at most each of its rows' E_v.  On lattice
+    windows most values pass 4 lim within a few steps, so the table holds a
+    small share of _TABLE_STEPS values each (12.6% on the Tetrabric 96^3
+    window shifted by a fraction of a cell, 29.5% on the Perplexbric 128^3
+    one).
     """
     threads = _check_threads(threads)
     x, shape, cells = _check_rows(x, cells)
@@ -920,30 +930,45 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     max_iter, lim = params.max_iter, _escape_limit(params)
     never = max_iter + 1  # no such step within the budget, or in the table
     steps = min(_TABLE_STEPS, max_iter)
-    table = np.empty((steps, uniq.size))  # s_v at steps 1..steps
-    z = np.zeros_like(uniq)
+    # One pass records e_v and E_v, the first steps outside lim and 4 lim,
+    # and s_v at steps 1..min(E_v - 1, steps), the only ones a cell reads:
+    # a cell reads step m only while m < E <= E_v.  A value leaves the pass
+    # at its E_v.
+    first, last = np.full(uniq.size, never), np.full(uniq.size, never)
+    live, z, c, kept = np.arange(uniq.size), np.zeros_like(uniq), uniq, []
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in table:
-            z = _step(z, uniq, params.p)
-            row[:] = _norm2(z)
-    # e_v and E_v: the first tabulated step outside each limit.
-    first, last = (np.where(ok.all(axis=0), never, ok.argmin(axis=0) + 1)
-                   for ok in (table <= lim, table <= 4.0 * lim))
+        for m in range(1, steps + 1):
+            z = _step(z, c, params.p)
+            s = _norm2(z)
+            out = live[~(s <= lim)]
+            first[out] = np.minimum(first[out], m)
+            ok = s <= 4.0 * lim
+            if not ok.all():
+                last[live[~ok]] = m
+                live, z, c, s = live[ok], z[ok], c[ok], s[ok]
+            kept.append(s)
     inside = np.flatnonzero(first == never)
     counts_i, member_i = _run_blocks(uniq[inside], params, threads)
     first[inside] = np.where(member_i, never, counts_i)
-    table = table.ravel()
+    # The table holds each value's entries together: s_v at step m is at
+    # start[v] + m.
+    held = np.minimum(last - 1, steps)
+    start = np.cumsum(held) - held - 1
+    table = np.empty(int(held.sum()))
+    while kept:
+        m = len(kept)
+        table[start[held >= m] + m] = kept.pop()
 
-    # e_v and E_v at each entry of each row's ids.
+    # e_v, E_v and the start of s_v at each entry of each row's ids.
     firsts = [first.take(t.ids) for t in terms]
     lasts = [last.take(t.ids) for t in terms]
+    starts = [start.take(t.ids) for t in terms]
 
     def escaped(codes, m):
         # Whether the cells whose rows sit at codes are outside at steps
-        # m <= steps.
-        offset = (m - 1) * uniq.size
-        return ~(_ring_mean([table.take(t.ids.take(c) + offset)
-                             for t, c in zip(terms, codes)]) <= lim)
+        # m, each before every row's E_v and at most steps.
+        return ~(_ring_mean([table.take(st.take(c) + m)
+                             for st, c in zip(starts, codes)]) <= lim)
 
     ranges = _ranges(n, threads, _CHUNK // min(threads, os.cpu_count() or 1))
     chunk = _CHUNK // len(ranges)

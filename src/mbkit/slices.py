@@ -489,8 +489,9 @@ def sample_slice(
     takes them as they are: it finds the rows' distinct values from tables
     over one or two axes, and builds no per-cell component batch.  Beyond
     the 4 B/cell counts it returns, which become the grid's cells, sampling
-    holds 1 B/cell of member flags, and on a pruned window 8 B per kept
-    cell of index.
+    holds 1 B/cell of member flags, and with prune=True 1 B/cell of discus
+    mask and, unless the discus keeps every cell, 8 B per kept cell of
+    index.
     """
     (x0, x1), (y0, y1), (z0, z1) = window
     nx, ny, nz = (int(d) for d in dims)
@@ -507,14 +508,14 @@ def sample_slice(
     for u, axis, shape in zip(spec.units, (xs, ys, zs),
                               ((nx, 1, 1), (1, ny, 1), (1, 1, nz))):
         x[u] = axis.reshape(shape)
-    if prune:
+    kept = _discus_cells(x, escape_bound(params.p), (nx, ny, nz)) if prune else None
+    if kept is None:
+        counts, _ = grid_counts_tricomplex(x, params, threads=threads)
+    else:
         counts = np.ones(nx * ny * nz, dtype=np.uint32)  # pruned cells escape at 1
-        kept = _discus_cells(x, escape_bound(params.p), (nx, ny, nz))
         if kept.size:
             counts[kept], _ = grid_counts_tricomplex(x, params, threads=threads,
                                                      cells=kept)
-    else:
-        counts, _ = grid_counts_tricomplex(x, params, threads=threads)
 
     origin = (float(xs[0]), float(ys[0]), float(zs[0]))
     spacing = (
@@ -532,19 +533,17 @@ def sample_slice(
     )
 
 
-def _discus_cells(x, radius: float, dims) -> np.ndarray:
+def _discus_cells(x, radius: float, dims) -> np.ndarray | None:
     """The C-order flat indices of the cells of dims inside the closed
-    discus, for coefficient rows x that broadcast to dims, found one
-    x-plane at a time."""
+    discus, for coefficient rows x that broadcast to dims, or None when
+    it keeps every cell; membership is found one x-plane at a time."""
     u1, u2 = idempotent_rows(x)
-    plane = dims[1] * dims[2]
-    kept = []
+    keep = np.empty(dims, dtype=bool)
     for i in range(dims[0]):
         rows1, rows2 = ([r if r is None or len(r) == 1 else r[i:i + 1] for r in u]
                         for u in (u1, u2))
-        keep = np.broadcast_to(_inside_discus(rows1, rows2, radius), (1,) + dims[1:])
-        kept.append(np.flatnonzero(keep) + i * plane)
-    return np.concatenate(kept)
+        keep[i:i + 1] = _inside_discus(rows1, rows2, radius)
+    return None if keep.all() else np.flatnonzero(keep)
 
 
 def _inside_discus(u1, u2, radius: float) -> np.ndarray:

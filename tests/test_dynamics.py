@@ -1238,7 +1238,7 @@ def test_two_distinct_components_slow_escapes(kind, kernel_no_retirement, monkey
 _K = dynamics._TABLE_STEPS
 # Budgets ending at the first steps, on both sides of the table's end, and
 # past every tabulated step.
-_TABLE_BUDGETS = (1, 2, _K - 1, _K, _K + 1, 1000)
+_TABLE_BUDGETS = (1, 2, _K - 2, _K - 1, _K, _K + 1, _K + 2, 1000)
 # A slice of each layout: real and complex, four rows and two.  The real
 # two-row lattice takes the first two rows of the real four-row one.
 _LAYOUTS = {"real4": "1,j1,j2", "real2": "1,j1,j2", "complex4": "i1,i2,i3",
@@ -1400,6 +1400,78 @@ def test_value_kernel_takes_the_values_inside_the_table(kind, p, monkeypatch):
         assert [b.ndim for b in batches].count(1) == 1 and batches[0].ndim == 1
         assert batches[0].dtype == values.dtype
         assert np.array_equal(batches[0], inside), max_iter
+
+
+def _table_end_rows(p, rows, dtype):
+    """Coefficient rows of cells whose component rows take every
+    arrangement of values escaping at each step from _K - 1 to _K + 2, two
+    members and two values past 4 lim after a step or two, and the
+    distinct component values they give."""
+    hi = real_extent_closed_form(p)[1]
+    values = np.concatenate([_escaping_near_the_table_end(p), [0.5 * hi, -0.5 * hi],
+                             [hi + 0.5, 3.0 * escape_bound(p)]])
+    w = np.stack(np.meshgrid(*[values] * rows, indexing="ij")).reshape(rows, -1)
+    x = _rows_for(w.astype(dtype))
+    return x, np.unique(complex4_rows(x)[0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("rows, dtype", [(4, float), (2, float), (4, complex),
+                                         (2, complex)])
+def test_cells_at_the_table_end_match_the_joint_kernel(rows, dtype, p, monkeypatch):
+    # A row's s_v is held at steps 1..min(E_v - 1, _K) only.  Cells mixing
+    # rows whose e_v and E_v fall on each side of the table's end, and
+    # members, settle as the joint kernel does at every budget around it.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
+    x, values = _table_end_rows(p, rows, dtype)
+    w = complex4_rows(x)[0]
+    assert len(w) == rows and w.dtype == dtype
+    # Rounding through the coefficients moves the values a little; they
+    # still escape at each step around the table's end, and some stay.
+    found = [iterate_complex(complex(v), IterationParams(p, 1000)) for v in values]
+    steps = {r.iterations for r in found if r.escaped}
+    assert set(range(_K - 1, _K + 3)) <= steps and 1 in steps
+    assert any(not r.escaped for r in found)
+    for max_iter in _TABLE_BUDGETS:
+        params = IterationParams(p, max_iter)
+        ref_counts, ref_member = dynamics._counts_kernel(w, params)
+        for threads in (1, 2):
+            monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1 if threads > 1 else 1 << 17)
+            monkeypatch.setattr(dynamics, "_CHUNK", 333 if threads > 1 else 1 << 16)
+            counts, member = grid_counts_tricomplex(x, params, threads=threads)
+            assert np.array_equal(counts, ref_counts), (max_iter, threads)
+            assert np.array_equal(member, ref_member), (max_iter, threads)
+        if max_iter == 1000:
+            escaped = ref_counts[~ref_member]
+            assert ref_member.any() and ((escaped >= _K - 1) & (escaped <= _K + 2)).any()
+
+
+def test_early_escapes_hold_no_step_table(monkeypatch):
+    # A window reaching far past the Tetrabric slice's set, where all but
+    # 1% of the escapes come at steps 1 and 2: a value is held at steps
+    # before its E_v only, so the path holds far less than a table of every
+    # value at _K steps, 8 * _K * U bytes (8.3 MB here).  Measured with
+    # tracemalloc: 13.9 MB with that table, 3.2 MB holding only the steps
+    # before each E_v.
+    monkeypatch.setattr(dynamics, "_CHUNK", 1 << 10)
+    params = IterationParams(3, 1000)
+    axis = cell_centers(-1.0, 6.0, 64)
+    x = [None] * 8
+    for k, u in enumerate((0, 1, 2)):  # 1, i1, i2
+        x[u] = axis.reshape([-1 if d == k else 1 for d in range(3)])
+    tracemalloc.start()
+    try:
+        counts, member = grid_counts_tricomplex(x, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    flat = [None if r is None else np.broadcast_to(r, (64,) * 3).ravel() for r in x]
+    uniq = np.unique(complex4_rows(flat)[0]).size
+    assert uniq * dynamics._MIN_SHARING <= 4 * counts.size  # the distinct-value path
+    assert member.any() and (counts[~member] <= 2).mean() > 0.98
+    assert peak < 8 * _K * uniq / 2
 
 
 @pytest.mark.parametrize("rows, dtype", [(4, float), (2, float), (4, complex),

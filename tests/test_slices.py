@@ -272,6 +272,32 @@ def test_prune_never_drops_members():
     assert not gn.member_mask()[pruned].any()
 
 
+def test_prune_keeping_every_cell_samples_the_whole_window(monkeypatch):
+    # The discus keeps every cell of this window: the sample passes no
+    # cells, and equals the unpruned grid.  A window reaching past the
+    # discus still passes its kept cells.
+    calls = []
+
+    def recording(x, params, threads=1, cells=None):
+        calls.append(cells)
+        return dynamics.grid_counts_tricomplex(x, params, threads=threads, cells=cells)
+
+    monkeypatch.setattr(slices, "grid_counts_tricomplex", recording)
+    params = IterationParams(3, 120)
+    spec = PRINCIPAL_SLICES["Perplexbric"]
+    for half, pruned in ((0.5, False), (1.8, True)):
+        window = ((-half, half),) * 3
+        calls.clear()
+        gp = sample_slice(spec, window, (14, 14, 14), params, prune=True)
+        gn = sample_slice(spec, window, (14, 14, 14), params, prune=False)
+        assert calls[1] is None and (calls[0] is not None) == pruned
+        if pruned:
+            assert 0 < calls[0].size < 14 ** 3
+        else:
+            assert np.array_equal(gp.cells, gn.cells)
+            assert 0 < gp.member_count() < gp.cells.size
+
+
 def test_voxel_grid_metadata_and_volume():
     params = IterationParams(3, 100)
     g = sample_slice(PRINCIPAL_SLICES["Perplexbric"], ((-0.5, 0.5),) * 3,
@@ -588,3 +614,22 @@ def test_sample_slice_memory_is_flat_in_dims():
     # bytes per cell.
     small, large = _sampling_peak(64), _sampling_peak(128)
     assert large - small <= 8 * (128 ** 3 - 64 ** 3)
+
+
+def test_shifted_tetrabric_sampling_holds_no_dense_step_table():
+    # A Tetrabric 96^3 window shifted by fractions of a cell, whose rows
+    # take 36,672 distinct values: a table of each at 64 steps took 18.8 MB,
+    # of which a cell can read the steps before the value's E_v only.
+    # tracemalloc peaks at 35.8 MB with the dense table and 19.3 MB with
+    # the entries a cell can read (one worker).
+    h = 3.0 / 96
+    window = [(-1.5 + f * h, 1.5 + f * h) for f in (0.31, -0.17, 0.42)]
+    tracemalloc.start()
+    try:
+        g = sample_slice(PRINCIPAL_SLICES["Tetrabric"], window, (96, 96, 96),
+                         IterationParams(3, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < g.member_count() < g.cells.size
+    assert peak <= 24_000_000
