@@ -144,10 +144,6 @@ class Tricomplex:
         """8 whitespace-separated decimals in canonical order."""
         return " ".join(repr(v) for v in self.x)
 
-    @staticmethod
-    def from_text(text: str) -> "Tricomplex":
-        return Tricomplex.from_coeffs(float(tok) for tok in text.split())
-
     def __str__(self) -> str:
         terms = [f"{v:g}*{_UNIT_LABELS[k]}" for k, v in enumerate(self.x) if v != 0.0]
         return " + ".join(terms) if terms else "0"

@@ -64,9 +64,6 @@ class RootSet:
     kind: str
     roots: tuple[tuple[complex, int], ...]
 
-    def real_roots(self) -> list[float]:
-        return [r.real for r, mult in self.roots if r.imag == 0.0 for _ in range(mult)]
-
 
 def depressed_reduce(cc: CubicCoeffs) -> tuple[float, float]:
     """Shift x = y - b/3: returns (p, q) with y^3 + p*y + q sharing the roots."""

@@ -35,7 +35,7 @@ def test_discriminant_anchors():
 def test_roots_of_unity_cubic():
     rs = cubic_roots(CubicCoeffs(0, 0, -1))  # x^3 = 1
     assert rs.kind == ONE_REAL_TWO_COMPLEX
-    reals = rs.real_roots()
+    reals = [r.real for r, mult in rs.roots if r.imag == 0.0 for _ in range(mult)]
     assert len(reals) == 1 and abs(reals[0] - 1.0) <= 1e-12
     pair = sorted((r for r, _ in rs.roots if r.imag != 0.0), key=lambda z: z.imag)
     assert abs(pair[0] - complex(-0.5, -SQRT3 / 2)) <= 1e-12
@@ -45,7 +45,7 @@ def test_roots_of_unity_cubic():
 def test_three_distinct_real_roots():
     rs = cubic_roots(CubicCoeffs(0, -1, 0))  # x(x-1)(x+1)
     assert rs.kind == THREE_DISTINCT_REAL
-    got = sorted(rs.real_roots())
+    got = sorted(r.real for r, mult in rs.roots if r.imag == 0.0 for _ in range(mult))
     assert np.allclose(got, [-1.0, 0.0, 1.0], atol=1e-12, rtol=0)
 
 
