@@ -26,7 +26,7 @@ from .dynamics import (
     grid_counts_complex,
     grid_counts_hyperbolic,
 )
-from .roots import OCTAHEDRON_VOLUME_P3, real_extent_closed_form
+from .roots import OCTAHEDRON_VOLUME_P3, escape_bound, real_extent_closed_form
 from .slices import SliceSpec, cell_centers, sample_slice
 from .suites import SUITE_NAMES, real_extent_check, run_suites
 
@@ -114,8 +114,8 @@ def write_pgm(path, image: np.ndarray) -> None:
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_render2d(set_name: str, p: int, window, res, max_iter: int,
-                 escape_radius, out, threads: int | None = None) -> Path:
+def cmd_render2d(set_name: str, p: int, window, res, max_iter: int, out,
+                 threads: int | None = None) -> Path:
     """Render a 2D escape-time set to a P5 graymap and write its manifest."""
     threads = _threads() if threads is None else threads
     (x0, x1), (y0, y1) = window
@@ -124,7 +124,7 @@ def cmd_render2d(set_name: str, p: int, window, res, max_iter: int,
         raise ValueError("resolution must be >= 1")
     if not (x1 > x0 and y1 > y0):
         raise ValueError("window must be nonempty")
-    params = IterationParams(p, max_iter, escape_radius)
+    params = IterationParams(p, max_iter)
     xs = cell_centers(x0, x1, w)
     ys = cell_centers(y0, y1, h)[::-1]  # top row holds the largest ordinate
     t0 = time.perf_counter()
@@ -143,8 +143,7 @@ def cmd_render2d(set_name: str, p: int, window, res, max_iter: int,
     _write_manifest(
         out, "render2d",
         {"set": set_name, "p": p, "window": [list(window[0]), list(window[1])],
-         "res": [w, h], "max_iter": max_iter,
-         "escape_radius": params.escape_radius},
+         "res": [w, h], "max_iter": max_iter},
         wall, [out],
     )
     return out
@@ -337,8 +336,6 @@ def _tokens(key: str, shape, value) -> list[str]:
         if not isinstance(value, bool):
             raise ManifestError(f"parameter {key}: expected true or false, got {value!r}")
         return [option] if value else []
-    if shape == "nullable" and value is None:
-        return []
     if not isinstance(shape, tuple):
         text = _scalar(key, value)
     else:
@@ -373,6 +370,17 @@ def _rerun_argv(manifest: dict, out_dir: Path) -> list[str]:
     return argv
 
 
+def _check_recorded_radius(manifest: dict, args: argparse.Namespace) -> None:
+    """Older render2d manifests record the escape radius, now always the
+    sharp bound of p: they rerun only if they record that bound."""
+    params = manifest["parameters"]
+    if args.command == "render2d" and "escape_radius" in params:
+        bound = escape_bound(args.p)
+        if params["escape_radius"] != bound:
+            raise ManifestError(f"parameter escape_radius: {params['escape_radius']!r} "
+                                f"is not the sharp bound {bound!r} for p = {args.p}")
+
+
 def cmd_rerun(manifest_path, out_dir=None) -> int:
     """Re-execute a manifest's command line and compare output digests."""
     out_dir = Path(out_dir) if out_dir else Path(manifest_path).parent / "rerun"
@@ -381,6 +389,7 @@ def cmd_rerun(manifest_path, out_dir=None) -> int:
         # The command line's own parser and checks, so a rerun accepts
         # exactly what the command line accepts.
         args = _parse_args(_ManifestParser, _rerun_argv(manifest, out_dir))
+        _check_recorded_radius(manifest, args)
     except ManifestError as exc:
         raise ManifestError(f"manifest {str(manifest_path)!r}: {exc}") from None
     if manifest.get("version") != __version__:
@@ -484,13 +493,11 @@ _SETS = ("multibrot", "hyperbrot")
 _ESTIMATE_KINDS = ("real-extent", "hyperbric-area", "perplexbric-volume")
 
 # The parameters each rerunnable command records, by how each is written back
-# as its option: a scalar; one that may be absent ("optional") or None
-# ("nullable", leaving the option out); a bare "flag"; or a list of exactly
-# `count` sizes or lo:hi ranges.
+# as its option: a scalar; one that may be absent ("optional"); a bare "flag";
+# or a list of exactly `count` sizes or lo:hi ranges.
 _RERUN_OPTIONS = {
     "render2d": {"set": "scalar", "p": "scalar", "window": ("ranges", 2),
-                 "res": ("sizes", 2), "max_iter": "scalar",
-                 "escape_radius": "nullable"},
+                 "res": ("sizes", 2), "max_iter": "scalar"},
     "render3d": {"slice": "scalar", "p": "scalar", "window": ("ranges", 3),
                  "dims": ("sizes", 3), "max_iter": "scalar", "prune": "flag"},
     "verify": {"suite": "scalar", "seed": "scalar"},
@@ -514,7 +521,6 @@ def build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
     r2.add_argument("--res", type=_sizes(2), default=(1000, 1000),
                     help="N or W,H pixels (default 1000)")
     r2.add_argument("--max-iter", type=_max_iter, default=1000)
-    r2.add_argument("--escape-radius", type=float, default=None)
     r2.add_argument("--out", required=True)
 
     r3 = sub.add_parser("render3d", help="export a 3D slice voxel grid + point cloud")
@@ -526,7 +532,8 @@ def build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
     r3.add_argument("--dims", type=_sizes(3), default=(128, 128, 128))
     r3.add_argument("--max-iter", type=_max_iter, default=1000)
     r3.add_argument("--prune", action="store_true",
-                    help="mark cells outside the bounding discus escaped at 1")
+                    help="skip cells outside the bounding discus and write them "
+                         "with count 1, not their escape counts; not always faster")
     r3.add_argument("--out", required=True)
 
     vf = sub.add_parser("verify", help="run numeric verification suites")
@@ -551,14 +558,7 @@ def _parse_args(parser_class, argv) -> argparse.Namespace:
     """Parse a command line and make the checks that span several options."""
     ap = build_parser(parser_class)
     args = ap.parse_args(argv)
-    if args.command == "render2d":
-        # The radius is checked against --p's sharp bound; --max-iter has
-        # been checked by its type.
-        try:
-            IterationParams(args.p, escape_radius=args.escape_radius)
-        except ValueError as exc:
-            ap.error(f"argument --escape-radius: {exc}")
-    elif args.command == "estimate":
+    if args.command == "estimate":
         if args.precision is not None:
             precision = _precision(args.kind, args.precision)
             if precision is None:
@@ -597,7 +597,7 @@ def _run(args: argparse.Namespace) -> int:
     """Run the command that parsed arguments name; return its exit code."""
     if args.command == "render2d":
         cmd_render2d(args.set, args.p, args.window, args.res,
-                     args.max_iter, args.escape_radius, args.out)
+                     args.max_iter, args.out)
     elif args.command == "render3d":
         cmd_render3d(args.slice, args.p, args.window, args.dims,
                      args.max_iter, args.out, prune=args.prune)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -56,8 +56,8 @@ from .hypercomplex import (
 )
 from .roots import MANDELBRIC_REAL_BOUND, escape_bound
 
-# Iteration aborts as escaped once the norm exceeds this, well before
-# float overflow can corrupt counts.
+# Orbit listings (orbit_complex, orbit_real) stop at the first value whose
+# component magnitude is not below this, before float overflow.
 OVERFLOW_NORM = 1e100
 # The largest iteration budget: the most a uint32 count can hold.
 MAX_ITER_LIMIT = 2 ** 32 - 1
@@ -65,11 +65,12 @@ MAX_ITER_LIMIT = 2 ** 32 - 1
 
 @dataclass(frozen=True)
 class IterationParams:
-    """Exponent, iteration budget and escape radius for one engine run."""
+    """Exponent and iteration budget for one engine run; escape_radius is
+    the sharp bound 2^(1/(p-1)), set from p."""
 
     p: int
     max_iter: int = 1000
-    escape_radius: float | None = None
+    escape_radius: float = field(init=False)
 
     def __post_init__(self):
         if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)):
@@ -83,23 +84,14 @@ class IterationParams:
             raise ValueError(f"max_iter must be an integer in [1, {MAX_ITER_LIMIT}], "
                              f"got {self.max_iter!r}")
         object.__setattr__(self, "max_iter", int(self.max_iter))
-        bound = escape_bound(self.p)
-        if self.escape_radius is None:
-            object.__setattr__(self, "escape_radius", bound)
-        elif not math.isfinite(self.escape_radius):
-            raise ValueError(f"escape_radius must be finite, got {self.escape_radius}")
-        elif self.escape_radius < bound * (1.0 - 1e-12):
-            raise ValueError(
-                f"escape_radius {self.escape_radius} below the sharp bound {bound}"
-            )
+        object.__setattr__(self, "escape_radius", escape_bound(self.p))
 
 
 def _escape_limit(params: IterationParams) -> float:
     """The squared norm an orbit may reach without escaping: not n2 <= lim
-    is n2 > r2, n2 > guard2 or n2 NaN in one comparison (a sum of squares
-    is never -inf, and NaN fails every <=)."""
-    return min(params.escape_radius * params.escape_radius,
-               OVERFLOW_NORM * OVERFLOW_NORM)
+    is n2 > r2 or n2 NaN in one comparison (a sum of squares is never -inf,
+    and NaN fails every <=)."""
+    return params.escape_radius * params.escape_radius
 
 
 @dataclass(frozen=True)
@@ -154,8 +146,8 @@ def iterate_complex(c: complex, params: IterationParams) -> EscapeResult:
     return _escape_time(step, complex(0.0, 0.0), params)
 
 
-def orbit_complex(c: complex, p: int, n: int, guard: float = OVERFLOW_NORM) -> list[complex]:
-    """First n orbit values of z -> z^p + c from 0, truncated at the guard norm."""
+def orbit_complex(c: complex, p: int, n: int) -> list[complex]:
+    """First n orbit values of z -> z^p + c from 0, truncated at OVERFLOW_NORM."""
     out = []
     z = complex(0.0, 0.0)
     for _ in range(n):
@@ -164,15 +156,14 @@ def orbit_complex(c: complex, p: int, n: int, guard: float = OVERFLOW_NORM) -> l
             zp = zp * z
         z = zp + c
         out.append(z)
-        if not (abs(z.real) < guard and abs(z.imag) < guard):
+        if not (abs(z.real) < OVERFLOW_NORM and abs(z.imag) < OVERFLOW_NORM):
             break
     return out
 
 
 def member_multibrot(c: complex, params: IterationParams) -> bool:
     """True iff the orbit of 0 stays bounded through max_iter iterations."""
-    bound = escape_bound(params.p)
-    if c.real * c.real + c.imag * c.imag > bound * bound:
+    if c.real * c.real + c.imag * c.imag > _escape_limit(params):
         return False
     return not iterate_complex(c, params).escaped
 
@@ -180,7 +171,7 @@ def member_multibrot(c: complex, params: IterationParams) -> bool:
 # --- real axis ----------------------------------------------------------------
 
 
-def orbit_real(c: float, p: int, n: int, guard: float = OVERFLOW_NORM) -> list[float]:
+def orbit_real(c: float, p: int, n: int) -> list[float]:
     out = []
     x = 0.0
     for _ in range(n):
@@ -189,12 +180,12 @@ def orbit_real(c: float, p: int, n: int, guard: float = OVERFLOW_NORM) -> list[f
             xp = xp * x
         x = xp + c
         out.append(x)
-        if not abs(x) < guard:
+        if not abs(x) < OVERFLOW_NORM:
             break
     return out
 
 
-def real_axis_extent(p: int, params: IterationParams, tol: float) -> tuple[float, float]:
+def real_axis_extent(params: IterationParams, tol: float) -> tuple[float, float]:
     """Bisect the real-line membership boundary on each side of 0.
 
     Returns (lo, hi) with each endpoint resolved to a bracket of width <= tol,
@@ -202,15 +193,11 @@ def real_axis_extent(p: int, params: IterationParams, tol: float) -> tuple[float
     """
     if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
-    if params.p != p:
-        params = IterationParams(p, params.max_iter, None)
 
     def member(c: float) -> bool:
-        if abs(c) > params.escape_radius:
-            return False
-        return not iterate_complex(complex(c), params).escaped
+        return member_multibrot(complex(c), params)
 
-    outside = escape_bound(p) + 0.5
+    outside = params.escape_radius + 0.5
     hi = _bisect_boundary(member, 0.0, outside, tol)
     lo = _bisect_boundary(member, 0.0, -outside, tol)
     return lo, hi

@@ -400,7 +400,14 @@ def classify_principal(p: int = 3) -> SliceClassification:
 
 @dataclass(frozen=True)
 class VoxelGrid:
-    """Iteration-count lattice over a slice window; max_iter marks members."""
+    """Iteration-count lattice over a slice window; max_iter marks members.
+
+    The count alone decides: member_mask, member_count, volume_estimate and
+    the MBV1 and .xyz writers take a cell with count == max_iter as a
+    member, even one the engine flagged as escaping at step max_iter.  The
+    PGM render and the hyperbolic and real-axis estimates use the engine's
+    member flags instead, so the two conventions differ on such cells.
+    """
 
     spec: SliceSpec
     origin: tuple[float, float, float]

@@ -333,7 +333,7 @@ def real_extent_check(p: int, tol: float = 1e-4):
     endpoints agree to 1e-3, and whether the closed form is proven (p in
     {2, 3}) rather than conjectured.
     """
-    lo, hi = dynamics.real_axis_extent(p, dynamics.IterationParams(p, 2000), tol)
+    lo, hi = dynamics.real_axis_extent(dynamics.IterationParams(p, 2000), tol)
     lo_ref, hi_ref = roots.real_extent_closed_form(p)
     agrees = abs(hi - hi_ref) <= 1e-3 and abs(lo - lo_ref) <= 1e-3
     return (lo, hi), (lo_ref, hi_ref), agrees, p in (2, 3)

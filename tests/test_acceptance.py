@@ -51,7 +51,7 @@ def _report(num, title, passed, detail):
 
 def test_acceptance_01_mandelbric_real_interval():
     t0 = time.perf_counter()
-    lo, hi = real_axis_extent(3, IterationParams(3, 2000), 1e-4)
+    lo, hi = real_axis_extent(IterationParams(3, 2000), 1e-4)
     elapsed = time.perf_counter() - t0
     err = max(abs(hi - MANDELBRIC_REAL_BOUND), abs(lo + MANDELBRIC_REAL_BOUND))
     _report(1, "real-axis interval p=3",
@@ -61,7 +61,7 @@ def test_acceptance_01_mandelbric_real_interval():
 
 
 def test_acceptance_02_mandelbrot_interval_sanity():
-    lo, hi = real_axis_extent(2, IterationParams(2, 2000), 1e-4)
+    lo, hi = real_axis_extent(IterationParams(2, 2000), 1e-4)
     err = max(abs(lo + 2.0), abs(hi - 0.25))
     _report(2, "real-axis interval p=2", err <= 1e-3,
             f"[{lo:.6f}, {hi:.6f}] vs [-2, 0.25], err={err:.2e}")
@@ -221,7 +221,7 @@ def test_acceptance_09_conjecture_checks():
     lines = []
     consistent = True
     for p in (4, 5, 6):
-        lo, hi = real_axis_extent(p, IterationParams(p, 2000), 1e-4)
+        lo, hi = real_axis_extent(IterationParams(p, 2000), 1e-4)
         hi_ref = (p - 1) * p ** (-p / (p - 1))
         lo_ref = -escape_bound(p) if p % 2 == 0 else -hi_ref
         ok = abs(hi - hi_ref) <= 1e-3 and abs(lo - lo_ref) <= 1e-3
@@ -237,8 +237,7 @@ def test_acceptance_10_render_determinism(tmp_path, monkeypatch):
     for threads in ("1", "8"):
         monkeypatch.setenv("MBK_THREADS", threads)
         out = tmp_path / f"det{threads}.pgm"
-        cmd_render2d("multibrot", 3, ((-1.5, 1.5), (-1.5, 1.5)), 256, 1000,
-                     None, out)
+        cmd_render2d("multibrot", 3, ((-1.5, 1.5), (-1.5, 1.5)), 256, 1000, out)
         blobs.append(out.read_bytes())
     _report(10, "render byte-determinism across worker counts",
             blobs[0] == blobs[1],

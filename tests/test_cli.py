@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import re
 import threading
 import tracemalloc
 from pathlib import Path
@@ -85,7 +86,7 @@ def test_shade_holds_one_int64_array_and_the_image(rng):
 
 def test_render2d_single_pixel(tmp_path):
     out = tmp_path / "one.pgm"
-    cmd_render2d("multibrot", 3, ((-0.2, 0.2), (-0.2, 0.2)), 1, 50, None, out)
+    cmd_render2d("multibrot", 3, ((-0.2, 0.2), (-0.2, 0.2)), 1, 50, out)
     img = _read_pgm(out)
     assert img.shape == (1, 1)
     assert img[0, 0] == 0  # c = 0 is a member
@@ -93,7 +94,7 @@ def test_render2d_single_pixel(tmp_path):
 
 def test_render2d_symmetries(tmp_path):
     out = tmp_path / "m3.pgm"
-    cmd_render2d("multibrot", 3, ((-1.5, 1.5), (-1.5, 1.5)), 64, 120, None, out)
+    cmd_render2d("multibrot", 3, ((-1.5, 1.5), (-1.5, 1.5)), 64, 120, out)
     img = _read_pgm(out)
     assert np.array_equal(img, img[::-1, :])  # conjugation
     assert np.array_equal(img, img[:, ::-1])  # negation of the real part
@@ -104,7 +105,7 @@ def test_render2d_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
     for threads in ("1", "8"):
         monkeypatch.setenv("MBK_THREADS", threads)
         out = tmp_path / f"t{threads}.pgm"
-        cmd_render2d("multibrot", 3, ((-1.5, 1.5), (-1.5, 1.5)), 96, 150, None, out)
+        cmd_render2d("multibrot", 3, ((-1.5, 1.5), (-1.5, 1.5)), 96, 150, out)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
@@ -113,7 +114,7 @@ def test_render2d_hyperbrot_square(tmp_path):
     from mbkit.slices import cell_centers
 
     out = tmp_path / "h3.pgm"
-    cmd_render2d("hyperbrot", 3, ((-0.4, 0.4), (-0.4, 0.4)), 80, 400, None, out)
+    cmd_render2d("hyperbrot", 3, ((-0.4, 0.4), (-0.4, 0.4)), 80, 400, out)
     img = _read_pgm(out)
     xs = cell_centers(-0.4, 0.4, 80)
     l1 = np.abs(xs[None, :]) + np.abs(xs[::-1][:, None])
@@ -144,7 +145,7 @@ def test_render2d_manifest_digest_matches(tmp_path):
     import hashlib
 
     out = tmp_path / "img.pgm"
-    cmd_render2d("multibrot", 2, ((-2.2, 0.8), (-1.5, 1.5)), 32, 80, None, out)
+    cmd_render2d("multibrot", 2, ((-2.2, 0.8), (-1.5, 1.5)), 32, 80, out)
     manifest = json.loads((tmp_path / "img.pgm.manifest.json").read_text())
     assert manifest["command"] == "render2d"
     assert manifest["outputs"]["img.pgm"] == hashlib.sha256(out.read_bytes()).hexdigest()
@@ -320,6 +321,23 @@ def test_main_parses_and_runs(tmp_path, capsys):
     assert rc == 0
 
 
+def _parser_options() -> set[str]:
+    ap = build_parser()
+    parsers = [ap] + [sub for action in ap._actions
+                      if isinstance(action, argparse._SubParsersAction)
+                      for sub in action.choices.values()]
+    return {opt for parser in parsers for action in parser._actions
+            for opt in action.option_strings if opt.startswith("--")}
+
+
+def test_readme_names_exactly_the_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    options = _parser_options()
+    assert named - options == {"--no-build-isolation"}  # a pip option
+    assert options - named == {"--help", "--version"}
+
+
 def test_parser_rejects_bad_window():
     ap = build_parser()
     with pytest.raises(SystemExit):
@@ -338,6 +356,7 @@ def test_parser_rejects_bad_window():
     ["render2d", "--window=1:-1,-1:1"],
     ["render2d", "--window=0:0,-1:1"],
     ["render2d", "--window=-1e308:1e308,-1:1"],
+    # The escape radius is no longer an option; argparse rejects it.
     ["render2d", "--escape-radius", "0.5"],
     ["render2d", "--escape-radius", "nan"],
     ["render2d", "--escape-radius", "inf"],
@@ -625,7 +644,7 @@ _GOOD_MANIFEST = {"command": "estimate", "parameters": {"kind": "real-extent", "
 _GOOD_RENDER3D = {"slice": "1,j1,j2", "p": 3, "window": [[-0.5, 0.5]] * 3,
                   "dims": [4, 4, 4], "max_iter": 10, "prune": False}
 _GOOD_RENDER2D = {"set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5]],
-                  "res": [8, 8], "max_iter": 10, "escape_radius": None}
+                  "res": [8, 8], "max_iter": 10}
 
 
 @pytest.mark.parametrize("content", [
@@ -702,9 +721,30 @@ def test_rerun_bad_manifest_exits_2_with_one_line_error(content, tmp_path, capsy
     assert not (tmp_path / "redo").exists()
 
 
+def test_rerun_of_a_manifest_that_records_the_escape_radius(tmp_path, capsys):
+    # Manifests written while render2d took --escape-radius record it; every
+    # default one records the sharp bound, and reruns as it did.
+    out = tmp_path / "m.pgm"
+    cmd_render2d("multibrot", 3, ((-1.5, 1.5), (-1.5, 1.5)), 16, 40, out)
+    path = tmp_path / "m.pgm.manifest.json"
+    manifest = json.loads(path.read_text())
+    assert "escape_radius" not in manifest["parameters"]
+    manifest["parameters"]["escape_radius"] = 1.4142135623730951
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(path), "--out-dir", str(tmp_path / "redo")]) == 0
+    assert capsys.readouterr().out == "m.pgm: match\n"
+    # Any other radius gave other bytes: no rerun can reproduce them.
+    manifest["parameters"]["escape_radius"] = 2.0
+    path.write_text(json.dumps(manifest))
+    assert main(["rerun", "--manifest", str(path), "--out-dir", str(tmp_path / "redo2")]) == 2
+    line = _assert_one_error_line(capsys.readouterr().err)
+    assert line.startswith("mbkit: error: manifest ") and "escape_radius" in line
+    assert not (tmp_path / "redo2").exists()
+
+
 def _write_hyperbrot(out):
-    cmd_render2d("hyperbrot", 3, ((-0.5, 0.5), (-0.4, 0.4)), (40, 20), 60, None,
-                 out / "h.pgm")
+    cmd_render2d("hyperbrot", 3, ((-0.5, 0.5), (-0.4, 0.4)), (40, 20), 60, out / "h.pgm")
     return out / "h.pgm.manifest.json"
 
 

@@ -55,12 +55,9 @@ def test_params_validation():
     for max_iter in (1, 2 ** 32 - 1, np.uint32(2 ** 32 - 1)):
         params = IterationParams(3, max_iter)
         assert params.max_iter == max_iter and type(params.max_iter) is int
-    with pytest.raises(ValueError):
-        IterationParams(3, 100, 1.0)  # below the sharp bound
-    assert IterationParams(3, 100, 2.0).escape_radius == 2.0
-    for radius in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            IterationParams(3, 10, radius)
+    # The radius is the sharp bound of p, and nothing else can set it.
+    with pytest.raises(TypeError):
+        IterationParams(3, 100, 2.0)
 
 
 def test_iterate_complex_examples():
@@ -93,10 +90,10 @@ def test_overflow_guard():
 
 
 def test_real_axis_extent_quick():
-    lo, hi = real_axis_extent(3, IterationParams(3, 1000), 1e-3)
+    lo, hi = real_axis_extent(IterationParams(3, 1000), 1e-3)
     assert abs(hi - MANDELBRIC_REAL_BOUND) <= 2e-3
     assert abs(lo + MANDELBRIC_REAL_BOUND) <= 2e-3
-    lo, hi = real_axis_extent(2, IterationParams(2, 1000), 1e-3)
+    lo, hi = real_axis_extent(IterationParams(2, 1000), 1e-3)
     assert abs(lo + 2.0) <= 2e-3 and abs(hi - 0.25) <= 2e-3
 
 
@@ -105,7 +102,7 @@ def test_real_axis_extent_rejects_a_tolerance_that_is_not_positive(tol):
     # A NaN tolerance would end the bisection at once, at the midpoint of
     # the unbisected bracket.
     with pytest.raises(ValueError, match="^tol must be positive$"):
-        real_axis_extent(3, IterationParams(3, 200), tol)
+        real_axis_extent(IterationParams(3, 200), tol)
 
 
 def test_real_orbit_monotone():
@@ -113,6 +110,19 @@ def test_real_orbit_monotone():
     assert all(b >= a for a, b in zip(orbit, orbit[1:]))
     orbit = orbit_real(-0.2, 3, 50)
     assert all(b <= a for a, b in zip(orbit, orbit[1:]))
+
+
+def test_orbits_stop_at_the_first_value_past_the_overflow_guard():
+    # The fourth value is still below OVERFLOW_NORM and its 7th power
+    # overflows.  The real orbit keeps the sign and magnitude, inf; complex
+    # multiplication turns it into NaN, so the real orbit is not the real
+    # part of the complex one.
+    c = 1.8228087745839163
+    orbit = orbit_real(c, 7, 50)
+    assert len(orbit) == 5 and orbit[3] < OVERFLOW_NORM and orbit[-1] == math.inf
+    orbit = orbit_complex(complex(c), 7, 50)
+    assert len(orbit) == 5
+    assert math.isnan(orbit[-1].real) and math.isnan(orbit[-1].imag)
 
 
 def test_mandelbric_symmetries_exact(rng):
@@ -209,11 +219,11 @@ def test_iterate_tricomplex_examples():
 
 
 def test_direct_tricomplex_escape_norm_sums_left_to_right():
-    # c's squared norm is 1e16 left to right (1e16 absorbs each 1), exactly
-    # the squared radius, so c stays inside at step 1 and escapes at step 2;
-    # a compensated sum (1e16 + 8) would escape at step 1.
-    c = Tricomplex((1e8,) + (1.0,) * 7)
-    params = IterationParams(3, 10, 1e8)
+    # c's squared norm is r * r left to right (r * r absorbs each 1e-16),
+    # exactly the squared radius, so c stays inside at step 1 and escapes
+    # at step 2; a compensated sum (r * r + 7e-16) would escape at step 1.
+    params = IterationParams(3, 10)
+    c = Tricomplex((params.escape_radius,) + (1e-8,) * 7)
     assert math.fsum(v * v for v in c.x) > params.escape_radius ** 2
     r = iterate_tricomplex(c, params, mode="direct")
     assert r.escaped and r.iterations == 2
@@ -1019,39 +1029,6 @@ def test_cycle_retirement_matches_kernel_without_it(kind, p, kernel_no_retiremen
             assert np.array_equal(member, ref_member), (max_iter, threads)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])
-def test_escape_radius_beyond_the_overflow_guard(kind, kernel_no_retirement, monkeypatch):
-    # Squared radii 1e198, 1e200 and 1e300 against the squared guard 1e200,
-    # which decides every escape from 1e100 on.  The distinct-value
-    # tricomplex path compares row norms with 4 * 1e200 there, which no
-    # radius can give: a doubled one is clamped to the guard as well.
-    monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
-    c = _kernel_state(kind)
-    with np.errstate(invalid="ignore"):  # inf - inf in the rows
-        rows = [(_rows_for(c), [0, 1, 2, 3]), (_rows_for(c[:2]), [0, 1, 0, 1])]
-    for radius in (1e99, 1e100, 1e150):
-        params = IterationParams(3, 100, radius)
-        assert (params.escape_radius ** 2 >= OVERFLOW_NORM ** 2) == (radius >= 1e100)
-        ref_counts, ref_member = kernel_no_retirement(c, params)
-        assert ref_member.any() and (ref_counts[-len(_OVERFLOWING):] == 1).all()
-        assert not np.array_equal(ref_counts,
-                                  kernel_no_retirement(c, IterationParams(3, 100))[0])
-        counts, member = dynamics._counts_kernel(c, params)
-        assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
-        if not kind.endswith("4"):
-            continue
-        # The two-row batch against the four-row one that repeats its rows.
-        for x, order in rows:
-            with np.errstate(invalid="ignore"):  # inf - inf in the rows
-                w = complex4_rows(x)[0]
-            assert len(w) == len(set(order))
-            counts, member = grid_counts_tricomplex(x, params)
-            ref_counts, ref_member = kernel_no_retirement(w[order], params)
-            assert np.array_equal(counts, ref_counts), radius
-            assert np.array_equal(member, ref_member), radius
-
-
 @pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])
 def test_slow_escapes_near_parabolic_points_are_not_retired(kind, kernel_no_retirement):
     # Just outside the cusp of each real interval the orbit creeps past the
@@ -1199,8 +1176,6 @@ def test_two_distinct_components_match_the_four_repeated(kind, kernel_no_retirem
     assert np.iscomplexobj(c2) == (kind == "complex4")
     budgets = [IterationParams(p, max_iter) for p in (2, 3)
                for max_iter in (16, 17, 33, 300)]
-    # A squared radius beyond the squared guard: the guard decides escapes.
-    budgets.append(IterationParams(3, 100, 1e150))
     for params in budgets:
         counts, member = _assert_two_rows_match_the_repeated_four(
             c2, params, kernel_no_retirement)
