@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .hypercomplex import (
     Bicomplex,
-    Discus,
     Hyperbolic,
     IdempotentPair,
     Tricomplex,
@@ -12,10 +11,8 @@ from .hypercomplex import (
     from_idempotent,
     hyp_T,
     hyp_diamond,
-    hyp_star,
     in_discus,
     norm3,
-    tc_add,
     tc_mul,
     tc_pow,
     to_idempotent,
@@ -56,17 +53,17 @@ from .slices import (
 )
 
 __all__ = [
-    "Bicomplex", "ConjugacyMap", "CubicCoeffs", "Discus", "EscapeResult",
+    "Bicomplex", "ConjugacyMap", "CubicCoeffs", "EscapeResult",
     "Hyperbolic", "IdempotentPair", "IterationParams",
     "MANDELBRIC_REAL_BOUND", "PRINCIPAL_SLICES", "RootSet", "SliceSpec",
     "Tricomplex", "UnitIndex", "VoxelGrid", "classify_principal",
     "conjugacy_catalog", "cubic_discriminant", "cubic_roots",
     "depressed_reduce", "embed_slice_point", "enumerate_slices",
-    "escape_bound", "from_idempotent", "hyp_T", "hyp_diamond", "hyp_star",
+    "escape_bound", "from_idempotent", "hyp_T", "hyp_diamond",
     "in_discus", "iterate_complex", "iterate_hyperbolic",
     "iterate_tricomplex", "mandelbric_attracting_root",
     "member_hyperbric_analytic", "member_multibrot",
     "member_perplexbric_analytic", "norm3", "real_axis_extent",
-    "sample_slice", "tc_add", "tc_mul", "tc_pow", "to_idempotent",
+    "sample_slice", "tc_mul", "tc_pow", "to_idempotent",
     "unit_product", "verify_conjugacy",
 ]

@@ -114,10 +114,9 @@ def write_pgm(path, image: np.ndarray) -> None:
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_render2d(set_name: str, p: int, window, res, max_iter: int, out,
-                 threads: int | None = None) -> Path:
+def cmd_render2d(set_name: str, p: int, window, res, max_iter: int, out) -> Path:
     """Render a 2D escape-time set to a P5 graymap and write its manifest."""
-    threads = _threads() if threads is None else threads
+    threads = _threads()
     (x0, x1), (y0, y1) = window
     w, h = res if isinstance(res, tuple) else (int(res), int(res))
     if w < 1 or h < 1:
@@ -150,9 +149,9 @@ def cmd_render2d(set_name: str, p: int, window, res, max_iter: int, out,
 
 
 def cmd_render3d(slice_spec, p: int, window, dims, max_iter: int, out,
-                 prune: bool = False, threads: int | None = None):
+                 prune: bool = False):
     """Sample a 3D slice, write the voxel grid and member point cloud."""
-    threads = _threads() if threads is None else threads
+    threads = _threads()
     spec = slice_spec if isinstance(slice_spec, SliceSpec) else SliceSpec.parse(slice_spec)
     params = IterationParams(p, max_iter)
     t0 = time.perf_counter()
@@ -215,10 +214,9 @@ def cmd_verify(suite: str, seed: int = 0, out=None) -> int:
     return 0 if overall else 1
 
 
-def cmd_estimate(kind: str, p: int, precision=None, out=None,
-                 threads: int | None = None) -> dict:
+def cmd_estimate(kind: str, p: int, precision=None, out=None) -> dict:
     """Numeric estimate next to the closed-form value and relative error."""
-    threads = _threads() if threads is None else threads
+    threads = _threads()
     t0 = time.perf_counter()
     if kind == "real-extent":
         tol = float(precision) if precision else 1e-4

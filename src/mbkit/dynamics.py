@@ -96,11 +96,10 @@ def _escape_limit(params: IterationParams) -> float:
 
 @dataclass(frozen=True)
 class EscapeResult:
-    """Escape flag, first escaping iteration (or max_iter), final norm."""
+    """Escape flag and first escaping iteration (max_iter for a member)."""
 
     escaped: bool
     iterations: int
-    final_norm: float
 
 
 def _escape_time(step, z0, params: IterationParams) -> EscapeResult:
@@ -108,25 +107,24 @@ def _escape_time(step, z0, params: IterationParams) -> EscapeResult:
     next state and its squared norm.
 
     A state equal to the snapshot of step s (Brent: snapshots at steps 1,
-    2, 4, 8, ...) repeats with period m - s, so whole periods are skipped.
-    Equal states stay equal up to the sign of zeros, which no norm sees, and
-    a live state is finite, so the result is that of running every step.
+    2, 4, 8, ...) repeats with period m - s, so the orbit never escapes and
+    the run ends as a member.  Equal states stay equal up to the sign of
+    zeros, which no norm sees, and a live state is finite, so the result is
+    that of running every step.
     """
     max_iter = params.max_iter
     lim = _escape_limit(params)
-    z, n2 = z0, 0.0
-    snap, s, nxt = None, 0, 1
+    z = z0
+    snap, nxt = None, 1
     for m in range(1, max_iter + 1):
         z, n2 = step(z)
         if not n2 <= lim:
-            return EscapeResult(True, m, math.sqrt(n2))
+            return EscapeResult(True, m)
         if z == snap:
-            for _ in range((max_iter - m) % (m - s)):
-                z, n2 = step(z)
             break
         if m == nxt:
-            snap, s, nxt = z, m, 2 * m
-    return EscapeResult(False, max_iter, math.sqrt(n2))
+            snap, nxt = z, 2 * m
+    return EscapeResult(False, max_iter)
 
 
 # --- complex engine -----------------------------------------------------------
@@ -163,8 +161,6 @@ def orbit_complex(c: complex, p: int, n: int) -> list[complex]:
 
 def member_multibrot(c: complex, params: IterationParams) -> bool:
     """True iff the orbit of 0 stays bounded through max_iter iterations."""
-    if c.real * c.real + c.imag * c.imag > _escape_limit(params):
-        return False
     return not iterate_complex(c, params).escaped
 
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import add
+from typing import Sequence
 
 import numpy as np
 
@@ -93,10 +95,6 @@ class Tricomplex:
             object.__setattr__(self, "x", tuple(float(v) for v in self.x))
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable[float]) -> "Tricomplex":
-        return Tricomplex(tuple(coeffs))
-
-    @staticmethod
     def zero() -> "Tricomplex":
         return _ZERO
 
@@ -151,11 +149,6 @@ class Tricomplex:
 
 _ZERO = Tricomplex((0.0,) * 8)
 _ONE = Tricomplex((1.0,) + (0.0,) * 7)
-
-
-def tc_add(a: Tricomplex, b: Tricomplex) -> Tricomplex:
-    """Componentwise sum in the 8-coefficient basis."""
-    return a + b
 
 
 def tc_mul(a: Tricomplex, b: Tricomplex) -> Tricomplex:
@@ -336,30 +329,6 @@ def norm3(t: Tricomplex) -> float:
 
 
 @dataclass(frozen=True)
-class Discus:
-    """Bidisc-like region: bounds r1, r2 on the two idempotent component norms."""
-
-    center: Tricomplex
-    r1: float
-    r2: float
-
-    def __post_init__(self):
-        if not (self.r2 >= self.r1 > 0.0):
-            raise ValueError("discus radii must satisfy r2 >= r1 > 0")
-
-
-def in_discus(eta: Tricomplex, d: Discus, closed: bool = True) -> bool:
-    """Membership via idempotent component norms against (r1, r2)."""
-    pe = to_idempotent(eta)
-    pc = to_idempotent(d.center)
-    n1 = (pe.u1 - pc.u1).norm()
-    n2 = (pe.u2 - pc.u2).norm()
-    if closed:
-        return n1 <= d.r1 and n2 <= d.r2
-    return n1 < d.r1 and n2 < d.r2
-
-
-@dataclass(frozen=True)
 class Hyperbolic:
     """Hyperbolic (duplex) number u + v*j with j*j = 1, stored as (u, v)."""
 
@@ -394,13 +363,8 @@ def hyp_diamond(a: Hyperbolic, b: Hyperbolic) -> Hyperbolic:
     return Hyperbolic(a.u * b.u + a.v * b.v, a.v * b.u + a.u * b.v)
 
 
-def hyp_star(a: Hyperbolic, b: Hyperbolic) -> Hyperbolic:
-    """Componentwise product: (u,v) star (x,y) = (ux, vy)."""
-    return Hyperbolic(a.u * b.u, a.v * b.v)
-
-
 def hyp_T(a: Hyperbolic) -> tuple[float, float]:
-    """The ring isomorphism (+, diamond) -> (+, star): (u, v) -> (u - v, u + v)."""
+    """Ring isomorphism (+, diamond) -> (+, componentwise): (u, v) -> (u - v, u + v)."""
     return (a.u - a.v, a.u + a.v)
 
 
@@ -548,6 +512,21 @@ def idempotent_rows(x, combine=None):
     combine = combine or _combine
     return tuple(tuple(combine(op, x[a], x[b]) for op, a, b in terms)
                  for terms in IDEMPOTENT_TERMS)
+
+
+def in_discus(x, radius: float):
+    """Whether 8 coefficient rows x lie in the closed discus of the given
+    radius about 0: both idempotent component norms are <= radius.
+
+    A row of x is a float or an array, the rows broadcast, and None stands
+    for a zero row (idempotent_rows).  Each component's squares are summed
+    ((a0² + a1²) + a2²) + a3² elementwise, so a point's answer does not
+    depend on the batch it comes in.
+    """
+    r2 = radius * radius
+    n1, n2 = (reduce(add, [r * r for r in rows if r is not None])
+              for rows in idempotent_rows(x))
+    return (n1 <= r2) & (n2 <= r2)
 
 
 def complex4_rows(x):

@@ -24,7 +24,7 @@ from .dynamics import IterationParams, escape_bound, grid_counts_tricomplex
 from .hypercomplex import (
     Tricomplex,
     UnitIndex,
-    idempotent_rows,
+    in_discus,
     iteration_span_units,
     parse_unit,
     pow_batch,
@@ -544,32 +544,8 @@ def _discus_cells(x, radius: float, dims) -> np.ndarray | None:
     """The C-order flat indices of the cells of dims inside the closed
     discus, for coefficient rows x that broadcast to dims, or None when
     it keeps every cell; membership is found one x-plane at a time."""
-    u1, u2 = idempotent_rows(x)
     keep = np.empty(dims, dtype=bool)
     for i in range(dims[0]):
-        rows1, rows2 = ([r if r is None or len(r) == 1 else r[i:i + 1] for r in u]
-                        for u in (u1, u2))
-        keep[i:i + 1] = _inside_discus(rows1, rows2, radius)
+        keep[i:i + 1] = in_discus(
+            [r if r is None or len(r) == 1 else r[i:i + 1] for r in x], radius)
     return None if keep.all() else np.flatnonzero(keep)
-
-
-def _inside_discus(u1, u2, radius: float) -> np.ndarray:
-    """Closed-discus membership (both idempotent component norms <= radius).
-
-    u1 and u2 are the rows of the two bicomplex components, None where a
-    row is zero (idempotent_rows).
-    """
-    r2 = radius * radius
-    return (_norm_sq(u1) <= r2) & (_norm_sq(u2) <= r2)
-
-
-def _norm_sq(rows) -> np.ndarray:
-    # ((a0² + a1²) + a2²) + a3², einsum's full-batch order, but elementwise:
-    # einsum adds the four terms in another order when the batch holds a
-    # single column.  Absent rows are dropped; adding +0.0 to a sum of
-    # squares is exact.
-    total = None
-    for r in rows:
-        if r is not None:
-            total = r * r if total is None else total + r * r
-    return total

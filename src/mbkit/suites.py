@@ -76,7 +76,7 @@ def _random_tricomplex(rng, scale=3.0) -> Tricomplex:
     return Tricomplex(tuple(rng.uniform(-scale, scale, 8)))
 
 
-def algebra_suite(seed: int = 0, n: int = 10_000, product_table=None) -> list[CheckResult]:
+def algebra_suite(seed: int = 0, product_table=None) -> list[CheckResult]:
     """Ring structure, idempotent calculus and the hyperbolic isomorphism.
 
     product_table overrides the unit table for the table-integrity checks;
@@ -84,6 +84,7 @@ def algebra_suite(seed: int = 0, n: int = 10_000, product_table=None) -> list[Ch
     """
     table = PRODUCT_TABLE if product_table is None else product_table
     rng = np.random.default_rng(seed)
+    n = 10_000
     out = []
 
     # Table symmetry over all 64 ordered pairs.
@@ -260,8 +261,9 @@ def _root_count_oracle(cc: roots.CubicCoeffs) -> tuple[int, bool]:
     return (3 if changes >= 3 else 1), False
 
 
-def roots_suite(seed: int = 0, n: int = 10_000) -> list[CheckResult]:
+def roots_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
+    n = 10_000
     out = []
 
     anchors_ok = (
@@ -463,14 +465,12 @@ def dynamics_suite(seed: int = 0) -> list[CheckResult]:
 
     # Sampled members stay in the closed discus / closed ball of the bound.
     ok, witness, members = True, None, 0
-    disc = hypercomplex.Discus(Tricomplex.zero(), dynamics.escape_bound(3),
-                               dynamics.escape_bound(3))
     for _ in range(4000):
         c = Tricomplex(tuple(rng.uniform(-0.35, 0.35, 8)))
         if dynamics.iterate_tricomplex(c, tp, "direct").escaped:
             continue
         members += 1
-        if not hypercomplex.in_discus(c, disc, closed=True):
+        if not hypercomplex.in_discus(c.x, dynamics.escape_bound(3)):
             ok, witness = False, c.to_text()
     out.append(CheckResult("dynamics.discus_bound", ok and members > 50,
                            None, f"{members} sampled members", witness))
@@ -566,7 +566,8 @@ def _bicomplex_member(c: Bicomplex, params: dynamics.IterationParams) -> bool:
 # --- slices ------------------------------------------------------------------------
 
 
-def slices_suite(seed: int = 0, n_samples: int = 2000) -> list[CheckResult]:
+def slices_suite(seed: int = 0) -> list[CheckResult]:
+    n_samples = 2000
     out = []
     specs = slices.enumerate_slices()
     out.append(CheckResult("slices.enumeration", len(specs) == 56, None,

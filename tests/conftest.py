@@ -27,12 +27,9 @@ def table_mul():
 def kernel_no_retirement():
     """The escape-time kernel without cycle retirement: every non-escaping
     point runs the full budget.  The reference for dynamics._counts_kernel."""
-    from mbkit.dynamics import OVERFLOW_NORM
-
     def kernel(c, params):
         p, max_iter = params.p, params.max_iter
         r2 = params.escape_radius * params.escape_radius
-        guard2 = OVERFLOW_NORM * OVERFLOW_NORM
         is_complex = np.iscomplexobj(c)
         n = c.shape[-1]
         counts = np.full(n, max_iter, dtype=np.uint32)
@@ -47,7 +44,7 @@ def kernel_no_retirement():
             z = zp + cc
             sq = z.real * z.real + z.imag * z.imag if is_complex else z * z
             n2 = ((sq[0] + sq[1]) + (sq[2] + sq[3])) * 0.25 if z.ndim == 2 else sq
-            esc = (n2 > r2) | (n2 > guard2) | ~np.isfinite(n2)
+            esc = (n2 > r2) | ~np.isfinite(n2)
             if esc.any():
                 counts[idx[esc]] = m
                 pos = np.flatnonzero(~esc)

@@ -1,7 +1,11 @@
 import argparse
+import ast
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -10,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mbkit
 from mbkit import __version__, cli, dynamics
 from mbkit.cli import (
     _RERUN_OPTIONS,
@@ -260,7 +265,7 @@ def test_corrupted_unit_table_fails_with_witness():
     table = [list(row) for row in PRODUCT_TABLE]
     table[1][2] = (-1, 5)  # flip the sign of i1 * i2
     table = tuple(tuple(row) for row in table)
-    results = algebra_suite(seed=0, n=200, product_table=table)
+    results = algebra_suite(seed=0, product_table=table)
     failing = [r for r in results if not r.passed]
     assert failing
     assert any(r.witness for r in failing)
@@ -336,6 +341,30 @@ def test_readme_names_exactly_the_parser_options():
     options = _parser_options()
     assert named - options == {"--no-build-isolation"}  # a pip option
     assert options - named == {"--help", "--version"}
+
+
+def test_readme_python_examples_run(tmp_path):
+    # Each ```python block of README.md, alone in a fresh interpreter.
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(),
+                        re.S | re.M)
+    assert blocks
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for block in blocks:
+        run = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, block + run.stderr
+
+
+def test_package_exports_agree():
+    # Every name in __all__ resolves, and every public name the package
+    # imports is in __all__.
+    assert all(hasattr(mbkit, name) for name in mbkit.__all__)
+    tree = ast.parse(Path(mbkit.__file__).read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for name in imported if not name.startswith("_")}
+    assert public and public <= set(mbkit.__all__)
 
 
 def test_parser_rejects_bad_window():

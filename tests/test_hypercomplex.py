@@ -9,7 +9,6 @@ from mbkit.hypercomplex import (
     CLOSED_SUBALGEBRA,
     ODD_POWER_CLOSED,
     Bicomplex,
-    Discus,
     Hyperbolic,
     IdempotentPair,
     Tricomplex,
@@ -19,7 +18,6 @@ from mbkit.hypercomplex import (
     hyp_T,
     hyp_diamond,
     hyp_pow,
-    hyp_star,
     in_discus,
     iteration_span_units,
     mul_batch,
@@ -27,7 +25,6 @@ from mbkit.hypercomplex import (
     norm_sq_batch,
     parse_unit,
     span_closure_kind,
-    tc_add,
     tc_mul,
     tc_pow,
     to_complex4,
@@ -81,9 +78,9 @@ def test_i_units_square_to_minus_one_j_units_to_one():
 
 def test_add_examples(rng):
     eta = Tricomplex(tuple(rng.uniform(-2, 2, 8)))
-    assert tc_add(Tricomplex.zero(), eta) == eta
-    assert tc_add(t(u1=1, i1=1), t(i1=1, j3=1)) == t(u1=1, i1=2, j3=1)
-    assert tc_add(eta, -eta) == Tricomplex.zero()
+    assert Tricomplex.zero() + eta == eta
+    assert t(u1=1, i1=1) + t(i1=1, j3=1) == t(u1=1, i1=2, j3=1)
+    assert eta + -eta == Tricomplex.zero()
 
 
 def test_mul_examples():
@@ -218,23 +215,53 @@ def test_norm_matches_component_form(a):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
 
 
+def _discus_reference(x, radius):
+    # The larger of the two idempotent component norms, each a Bicomplex
+    # norm, against the radius; None when either norm lies within 1e-12 of
+    # it, where rounding may decide.
+    pair = to_idempotent(Tricomplex(tuple(x)))
+    norms = (pair.u1.norm(), pair.u2.norm())
+    if any(abs(n - radius) <= 1e-12 for n in norms):
+        return None
+    return max(norms) <= radius
+
+
+@pytest.mark.parametrize("radius", [1.0, math.sqrt(2.0), 2.0])
+def test_in_discus_matches_the_idempotent_norms(radius, rng):
+    # Single points, as floats.
+    points = rng.uniform(-0.6 * radius, 0.6 * radius, (400, 8))
+    want = [_discus_reference(x, radius) for x in points]
+    assert True in want and False in want
+    for x, w in zip(points, want):
+        if w is not None:
+            assert in_discus(tuple(x), radius) == w, x
+    # A broadcast batch: rows 0-3 vary along the first axis, rows 4-7
+    # along the second, and two rows are None, standing for zero rows.
+    a = rng.uniform(-0.6 * radius, 0.6 * radius, (4, 20))
+    b = rng.uniform(-0.6 * radius, 0.6 * radius, (4, 25))
+    rows = [r[:, None] for r in a] + [r[None, :] for r in b]
+    rows[2] = rows[6] = None
+    got = in_discus(rows, radius)
+    assert got.shape == (20, 25)
+    seen = set()
+    for i in range(20):
+        for j in range(25):
+            x = [0.0 if r is None else float(r[min(i, r.shape[0] - 1),
+                                               min(j, r.shape[1] - 1)])
+                 for r in rows]
+            w = _discus_reference(x, radius)
+            if w is not None:
+                assert got[i, j] == w, x
+                seen.add(w)
+    assert seen == {True, False}
+
+
 def test_discus_membership():
-    r = math.sqrt(2.0)
-    d = Discus(Tricomplex.zero(), r, r)
-    assert in_discus(Tricomplex.zero(), d, closed=True)
-    assert not in_discus(Tricomplex.real(3.0), d, closed=True)
-    # Point with both component norms exactly on the radius.
-    boundary = Discus(Tricomplex.zero(), 1.0, 1.0)
-    eta = Tricomplex.real(1.0)
-    assert in_discus(eta, boundary, closed=True)
-    assert not in_discus(eta, boundary, closed=False)
-
-
-def test_discus_validation():
-    with pytest.raises(ValueError):
-        Discus(Tricomplex.zero(), 2.0, 1.0)
-    with pytest.raises(ValueError):
-        Discus(Tricomplex.zero(), 0.0, 1.0)
+    # The discus is closed: both component norms of the real 1 are exactly 1.
+    assert in_discus(Tricomplex.real(1.0).x, 1.0)
+    assert not in_discus(Tricomplex.real(math.nextafter(1.0, 2.0)).x, 1.0)
+    assert in_discus(Tricomplex.zero().x, math.sqrt(2.0))
+    assert not in_discus(Tricomplex.real(3.0).x, math.sqrt(2.0))
 
 
 # --- hyperbolic plane ------------------------------------------------------------
@@ -246,7 +273,6 @@ def test_hyperbolic_products():
     assert hyp_diamond(one, z) == z
     a, b = Hyperbolic(2.0, 3.0), Hyperbolic(-1.0, 4.0)
     assert hyp_diamond(a, b) == Hyperbolic(2 * -1 + 3 * 4, 3 * -1 + 2 * 4)
-    assert hyp_star(a, b) == Hyperbolic(-2.0, 12.0)
 
 
 def test_hyperbolic_T_homomorphism_anchor():
@@ -358,7 +384,7 @@ def test_pair_split_round_trips_losslessly(rng):
 
 def test_text_round_trip(rng):
     a = Tricomplex(tuple(rng.uniform(-5, 5, 8)))
-    assert Tricomplex.from_coeffs(map(float, a.to_text().split())) == a
+    assert Tricomplex(tuple(map(float, a.to_text().split()))) == a
     assert len(a.to_text().split()) == 8
 
 

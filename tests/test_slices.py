@@ -12,6 +12,7 @@ from mbkit.hypercomplex import (
     UnitIndex,
     complex4_rows,
     distinct_components,
+    in_discus,
     iteration_span_units,
     to_complex4,
 )
@@ -489,11 +490,9 @@ def test_discus_mask_does_not_depend_on_batch_size(rng):
          + (x8[5] - x8[6]) ** 2),
         ((x8[0] - x8[7]) ** 2 + (x8[1] - x8[4]) ** 2 + (x8[2] + x8[3]) ** 2
          + (x8[5] + x8[6]) ** 2)))
-    _, (u1, u2) = complex4_rows(list(x8))
-    whole = slices._inside_discus(u1, u2, radius)
+    whole = in_discus(list(x8), radius)
     assert whole.any() and not whole.all()
-    single = [slices._inside_discus([r[k:k + 1] for r in u1],
-                                    [r[k:k + 1] for r in u2], radius)[0]
+    single = [in_discus([r[k:k + 1] for r in x8], radius)[0]
               for k in range(x8.shape[1])]
     assert np.array_equal(whole, single)
 
@@ -565,7 +564,7 @@ def test_slice_native_components_match_the_full_batch(spec, rng, tricomplex_comp
     coords *= scale
     x8 *= scale
     x = _slice_rows(spec, coords)
-    w, (u1, u2) = complex4_rows(x)
+    w, _ = complex4_rows(x)
     # The layout follows from the units: the distinct rows, float64 exactly
     # when no unit is an i-unit, in an array of its own.
     components = distinct_components(spec.units)
@@ -580,7 +579,7 @@ def test_slice_native_components_match_the_full_batch(spec, rng, tricomplex_comp
     assert np.array_equal(w, kept.real if real else kept)
     scan = tricomplex_components(x8)
     assert w.dtype == scan.dtype and np.array_equal(w, scan[list(components)])
-    keep = slices._inside_discus(u1, u2, radius)
+    keep = in_discus(x, radius)
     assert np.array_equal(keep, discus_reference(x8, radius))
     assert keep[600:].any() and not keep[600:].all()
     # Exactly the spans inside a bicomplex subalgebra iterate fewer rows:
