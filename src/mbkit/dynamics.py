@@ -893,7 +893,7 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
             at = cells_at(part)
             with np.errstate(over="ignore", invalid="ignore"):  # inf rows escape at once
                 w = complex4_rows([None if r is None else r.ravel().take(at.index(r.shape))
-                                   for r in x])[0]
+                                   for r in x])
             counts[part], member[part] = _run_blocks(w, params, threads)
 
     try:

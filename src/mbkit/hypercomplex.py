@@ -449,7 +449,7 @@ def to_complex4(batch: np.ndarray) -> np.ndarray:
     splits into two complex ones; multiplication is componentwise on the
     result and the squared ring norm is the mean of the 4 squared moduli.
     """
-    return complex4_rows(list(batch))[0]
+    return complex4_rows(list(batch))
 
 
 # The bicomplex subalgebras on which to_complex4 rows repeat in pairs, with
@@ -536,8 +536,7 @@ def complex4_rows(x):
     The array holds the rows of component_layout: the distinct_components
     rows of the units whose rows are present, two when they lie in a
     bicomplex subalgebra and four otherwise, as float64 when they are real
-    and complex128 otherwise.  Returns it with the idempotent_rows, None
-    where absent.
+    and complex128 otherwise.
     """
     rows, real = component_layout(x)
     present = [r for r in x if r is not None]
@@ -550,7 +549,7 @@ def complex4_rows(x):
         _combine(re_op, v[a], v[b], out=w[k].real)  # w[k] itself when w is real
         if not real:
             _combine(im_op, v[c], v[d], out=w[k].imag)
-    return w, u
+    return w
 
 
 def _combine(op, a, b, out=None):

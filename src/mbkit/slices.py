@@ -6,10 +6,12 @@ coefficient permutation render identically; for p = 3 the conjugacy catalog
 connects all 56 into exactly four classes (Tetrabric, Perplexbric,
 Hourglassbric, Metabric).
 
-Four catalog maps are fixed explicit permutations; the rest of the catalog
-is found by a bounded deterministic search over signed unit permutations.
-Every catalog map is proved a conjugacy once, exactly, by _is_conjugacy;
-verify_conjugacy stays as the independent numeric check on random (eta, c).
+Four catalog maps are fixed explicit permutations bridging the slice
+families; the rest map each family's first slice to each other member and
+are found by a bounded deterministic search over signed unit permutations.
+The classes are the slices closed over the catalog's maps.  Every catalog
+map is proved a conjugacy once, exactly, by _is_conjugacy; verify_conjugacy
+stays as the independent numeric check on random (eta, c).
 """
 
 from __future__ import annotations
@@ -141,9 +143,6 @@ class ConjugacyMap:
 class ConjugacyReport:
     """Residual summary of a numeric conjugacy check."""
 
-    map: ConjugacyMap
-    p: int
-    n_samples: int
     max_residual: float
     passed: bool
     witness: tuple[Tricomplex, Tricomplex, float] | None = None
@@ -183,7 +182,7 @@ def verify_conjugacy(
             Tricomplex(tuple(c[:, k])),
             max_res,
         )
-    return ConjugacyReport(m, p, n_samples, max_res, passed, witness)
+    return ConjugacyReport(max_res, passed, witness)
 
 
 def _conjugacy_residuals(m: ConjugacyMap, p: int, eta: np.ndarray, c: np.ndarray):
@@ -299,36 +298,15 @@ def _search_phi(source: SliceSpec, target: SliceSpec, p: int) -> ConjugacyMap | 
     return None
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def classes(self):
-        groups: dict = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return list(groups.values())
-
-
 @lru_cache(maxsize=None)
 def conjugacy_catalog(p: int = 3) -> tuple[ConjugacyMap, ...]:
     """Conjugacy maps sufficient to connect the 56 slices into their classes.
 
-    Holds the four fixed bridge maps plus searched spanning maps inside each
-    family, every one proved exact by _is_conjugacy.  A bridge map that fails
-    the proof, or a family member that no signed-permutation map reaches, is
-    an error: the stated symmetry does not hold.
+    Holds the four fixed bridge maps, then one searched map from each
+    family's first slice to each other member, every one proved exact by
+    _is_conjugacy.  A bridge map that fails the proof, or a family member
+    that no signed-permutation map reaches, is an error: the stated
+    symmetry does not hold.
     """
     if p != 3:
         raise ValueError("the conjugacy catalog is established for p = 3 only")
@@ -336,21 +314,12 @@ def conjugacy_catalog(p: int = 3) -> tuple[ConjugacyMap, ...]:
     for m in maps:
         if not _is_conjugacy(m, p):
             raise RuntimeError(f"bridge map {m.source} -> {m.target} is not a conjugacy")
-    for family in _slice_families():
-        keys = [s.canonical_key for s in family]
-        uf = _UnionFind(keys)
-        for a, b in combinations(range(len(family)), 2):
-            if uf.find(keys[a]) == uf.find(keys[b]):
-                continue
-            found = _search_phi(family[a], family[b], p)
-            if found is not None:
-                maps.append(found)
-                uf.union(keys[a], keys[b])
-        if len(uf.classes()) != 1:
-            stranded = sorted(min(cls) for cls in uf.classes())
-            raise RuntimeError(
-                f"no conjugacy found to connect slice family: components {stranded}"
-            )
+    for first, *rest in _slice_families():
+        for member in rest:
+            found = _search_phi(first, member, p)
+            if found is None:
+                raise RuntimeError(f"no conjugacy found from {first} to {member}")
+            maps.append(found)
     return tuple(maps)
 
 
@@ -382,17 +351,18 @@ class SliceClassification:
 
 
 def classify_principal(p: int = 3) -> SliceClassification:
-    """Union-find closure over the conjugacy catalog, whose maps are proved exact."""
-    specs = enumerate_slices()
-    uf = _UnionFind([s.canonical_key for s in specs])
+    """The 56 slices closed over the conjugacy catalog, whose maps are proved
+    exact: each map merges the classes of its source and target.  Slices are
+    sorted by canonical_key in a class, classes by their first key."""
+    merged = {s.canonical_key: [s] for s in enumerate_slices()}
     for m in conjugacy_catalog(p):
-        uf.union(m.source.canonical_key, m.target.canonical_key)
-    by_key = {s.canonical_key: s for s in specs}
-    classes = tuple(
-        tuple(by_key[k] for k in cls)
-        for cls in sorted(sorted(cls) for cls in uf.classes())
-    )
-    return SliceClassification(classes, dict(PRINCIPAL_SLICES))
+        a, b = merged[m.source.canonical_key], merged[m.target.canonical_key]
+        if a is not b:
+            a += b
+            merged.update((s.canonical_key, a) for s in b)
+    classes = {tuple(sorted(c, key=lambda s: s.canonical_key)) for c in merged.values()}
+    return SliceClassification(
+        tuple(sorted(classes, key=lambda c: c[0].canonical_key)), dict(PRINCIPAL_SLICES))
 
 
 # --- voxel sampling -------------------------------------------------------------

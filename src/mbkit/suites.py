@@ -590,9 +590,11 @@ def slices_suite(seed: int = 0) -> list[CheckResult]:
     for m in catalog[:8]:
         worst = max(worst, slices.verify_conjugacy(m.inverse(), 3, 500,
                                                    seed=seed).max_residual)
-    comp = _compose_maps(catalog[0], _find_map(catalog, catalog[0].target))
-    if comp is not None:
-        worst = max(worst, slices.verify_conjugacy(comp, 3, 500, seed=seed).max_residual)
+    # The catalog holds the family maps out of catalog[0]'s target.
+    key = catalog[0].target.canonical_key
+    second = next(m for m in catalog if m.source.canonical_key == key)
+    comp = _compose_maps(catalog[0], second)
+    worst = max(worst, slices.verify_conjugacy(comp, 3, 500, seed=seed).max_residual)
     out.append(CheckResult("slices.relation_closure", worst <= 1e-9, worst,
                            "inverses and a composition"))
 
@@ -637,16 +639,8 @@ def slices_suite(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def _find_map(catalog, source: slices.SliceSpec):
-    for m in catalog:
-        if m.source.canonical_key == source.canonical_key:
-            return m
-    return None
-
-
-def _compose_maps(first: slices.ConjugacyMap, second) -> slices.ConjugacyMap | None:
-    if second is None:
-        return None
+def _compose_maps(first: slices.ConjugacyMap,
+                  second: slices.ConjugacyMap) -> slices.ConjugacyMap:
     table2 = {u: (s, v) for u, s, v in second.phi}
     combined = []
     for u, s, v in first.phi:

@@ -367,6 +367,31 @@ def test_package_exports_agree():
     assert public and public <= set(mbkit.__all__)
 
 
+def test_every_private_name_is_used():
+    # A private top-level function, class or assigned name that nothing in
+    # the package loads, as a name, an attribute or an import, is dead code.
+    defined, loaded = set(), set()
+    for path in Path(mbkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name)
+    private = {name for name in defined
+               if name.startswith("_") and not name.startswith("__")}
+    assert private and not private - loaded, sorted(private - loaded)
+
+
 def test_parser_rejects_bad_window():
     ap = build_parser()
     with pytest.raises(SystemExit):

@@ -80,7 +80,7 @@ def test_member_multibrot_examples():
     assert member_multibrot(0.25 + 0j, IterationParams(2, 2000))
     assert not member_multibrot(0.39 + 0j, IterationParams(3, 2000))
     assert member_multibrot(-0.38 + 0j, IterationParams(3, 2000))
-    # Short circuit outside the sharp bound.
+    # Outside the sharp bound: the first iterate, 3, already escapes.
     assert not member_multibrot(3 + 0j, IterationParams(3, 2000))
 
 
@@ -648,7 +648,7 @@ def test_grid_tricomplex_matches_scalar(rng, tricomplex_components):
     for units, half, real in (("1,j1,j2", 0.5, True), ("1,i1,i2", 1.5, False)):
         x8 = _slice_batch(units, ((-half, half),) * 3, 24)
         assert (tricomplex_components(x8).dtype == np.float64) == real
-        assert (complex4_rows(_rows(x8))[0].dtype == np.float64) == real
+        assert (complex4_rows(_rows(x8)).dtype == np.float64) == real
         counts, member = grid_counts_tricomplex(_rows(x8), BAND_PARAMS)
         _assert_band_matches(
             counts, member,
@@ -670,7 +670,7 @@ def test_grid_threads_do_not_change_output(rng, monkeypatch):
     # A lattice window shares its row values and takes the distinct-value
     # path; the random batch does not.
     lattice = _lattice_rows("i1,i2,i3", 1.5, 12)
-    w = complex4_rows(lattice)[0]
+    w = complex4_rows(lattice)
     assert np.unique(w).size * dynamics._MIN_SHARING <= w.size
     runs = {
         threads: (grid_counts_tricomplex(x8, params, threads=threads),
@@ -729,7 +729,7 @@ def test_grid_workers_capped_at_cpu_count(rng, monkeypatch):
     # takes under the default sharing rule, splits its 1000 cells into
     # blocks of at least 250.
     lattice = _lattice_rows("1,i1,i2", 1.5, 10)
-    w = complex4_rows(lattice)[0]
+    w = complex4_rows(lattice)
     assert np.unique(w).size * dynamics._MIN_SHARING > w.size
     ref_counts, ref_member = dynamics._counts_kernel(w, params)
     monkeypatch.setattr(dynamics, "_CHUNK", 100)
@@ -1246,7 +1246,7 @@ def _pairing_sensitive_cells(p):
         steps = x[0][0] + np.arange(-256, 257) * np.spacing(x[0][0])
         x = [None if r is None else np.full(steps.size, r[0]) for r in x]
         x[0] = steps
-        s0, s1, s2, s3 = complex4_rows(x)[0] ** 2
+        s0, s1, s2, s3 = complex4_rows(x) ** 2
         split = (((s0 + s1) + (s2 + s3)) * 0.25 <= lim) != (((s0 + s2) + (s1 + s3))
                                                             * 0.25 <= lim)
         if split.any():
@@ -1294,7 +1294,7 @@ def test_distinct_values_match_the_joint_kernel(kind, p, monkeypatch):
     monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
     x = _distinct_path_input(kind, p)
     with np.errstate(invalid="ignore"):  # inf - inf in the rows
-        w = complex4_rows(x)[0]
+        w = complex4_rows(x)
     assert w.dtype == (np.float64 if kind.startswith("real") else np.complex128)
     assert len(w) == int(kind[-1])
     for max_iter in _TABLE_BUDGETS:
@@ -1352,7 +1352,7 @@ def test_value_kernel_takes_the_values_inside_the_table(kind, p, monkeypatch):
     edge[0] = _escaping_near_the_table_end(p)
     with np.errstate(invalid="ignore"):  # inf - inf in the rows
         x = _concat_rows(x, _rows_for(edge))
-        values = np.unique(complex4_rows(x)[0])
+        values = np.unique(complex4_rows(x))
     # The first step outside lim within the table's longest run, or None.
     escapes = [iterate_complex(complex(v), IterationParams(p, _K)) for v in values]
     first = [r.iterations if r.escaped else None for r in escapes]
@@ -1378,7 +1378,7 @@ def _table_end_rows(p, rows, dtype):
                              [hi + 0.5, 3.0 * escape_bound(p)]])
     w = np.stack(np.meshgrid(*[values] * rows, indexing="ij")).reshape(rows, -1)
     x = _rows_for(w.astype(dtype))
-    return x, np.unique(complex4_rows(x)[0])
+    return x, np.unique(complex4_rows(x))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -1392,7 +1392,7 @@ def test_cells_at_the_table_end_match_the_joint_kernel(rows, dtype, p, monkeypat
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
     x, values = _table_end_rows(p, rows, dtype)
-    w = complex4_rows(x)[0]
+    w = complex4_rows(x)
     assert len(w) == rows and w.dtype == dtype
     # Rounding through the coefficients moves the values a little; they
     # still escape at each step around the table's end, and some stay.
@@ -1434,7 +1434,7 @@ def test_early_escapes_hold_no_step_table(monkeypatch):
     finally:
         tracemalloc.stop()
     flat = [None if r is None else np.broadcast_to(r, (64,) * 3).ravel() for r in x]
-    uniq = np.unique(complex4_rows(flat)[0]).size
+    uniq = np.unique(complex4_rows(flat)).size
     assert uniq * dynamics._MIN_SHARING <= 4 * counts.size  # the distinct-value path
     assert member.any() and (counts[~member] <= 2).mean() > 0.98
     assert peak < 8 * _K * uniq / 2
@@ -1451,7 +1451,7 @@ def test_unshared_batches_match_on_both_paths(rows, dtype, rng, monkeypatch):
     if dtype is complex:
         c.imag = rng.uniform(-0.6, 0.6, c.shape)
     x = _rows_for(c)
-    w = complex4_rows(x)[0]
+    w = complex4_rows(x)
     assert w.shape == c.shape and w.dtype == c.dtype
     ref_counts, ref_member = dynamics._counts_kernel(w, params)
     assert ref_member.any() and not ref_member.all()
@@ -1474,7 +1474,7 @@ def test_sharing_rule_counts_the_batch_distinct_values(monkeypatch):
         if distinct == 11:
             values = np.append(values, 0.0)
         x = [None] * 5 + [np.resize(values, 40), np.zeros(40), None]
-        w = complex4_rows(x)[0]
+        w = complex4_rows(x)
         assert w.shape == (4, 40) and np.unique(w).size == distinct
         shapes = _recorded_kernel_calls(monkeypatch)
         counts, member = grid_counts_tricomplex(x, params)
@@ -1513,7 +1513,7 @@ def test_broadcast_rows_match_their_flat_cells(sharing, rng, monkeypatch):
             # Each row needs a table with more entries than a sixteenth of
             # the batch's row entries, which is not built.
             rows, _, _ = dynamics._check_rows(per_axis, None)
-            entries = complex4_rows(flat)[0].size
+            entries = complex4_rows(flat).size
             with pytest.raises(dynamics._Unshared):
                 dynamics._row_terms(rows, ref_counts.size, entries)
         cells = np.sort(rng.choice(ref_counts.size, 500, replace=False))

@@ -158,6 +158,38 @@ def test_catalog_rejects_a_bridge_map_that_is_not_a_conjugacy(monkeypatch):
         conjugacy_catalog.cache_clear()
 
 
+def test_catalog_rejects_a_family_member_no_map_reaches(monkeypatch):
+    # No signed unit permutation conjugates T(1,i1,i2), a Tetrabric slice,
+    # to T(i1,i2,i3), a Metabric one.
+    families = slices._slice_families()
+    monkeypatch.setattr(slices, "_slice_families", lambda: [
+        families[0] + [PRINCIPAL_SLICES["Metabric"]]] + families[1:])
+    conjugacy_catalog.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=r"^no conjugacy found from "
+                           r"T\(1,i1,i2\) to T\(i1,i2,i3\)$"):
+            conjugacy_catalog(3)
+    finally:
+        conjugacy_catalog.cache_clear()
+
+
+def test_catalog_is_a_spanning_forest():
+    # Each map joins two classes that the maps before it have not joined,
+    # so no map is redundant; after the bridges, every map starts at the
+    # first slice of its family.
+    cat = conjugacy_catalog(3)
+    joined = {s.canonical_key: {s.canonical_key} for s in enumerate_slices()}
+    for m in cat:
+        a, b = joined[m.source.canonical_key], joined[m.target.canonical_key]
+        assert a is not b, (m.source, m.target)
+        a |= b
+        joined.update(dict.fromkeys(b, a))
+    assert len(cat) == 56 - classify_principal(3).class_count == 52
+    bridges = len(slices._fixed_bridge_maps())
+    assert [m.source for m in cat[bridges:]] == [
+        family[0] for family in slices._slice_families() for _ in family[1:]]
+
+
 def test_catalog_and_classification_draw_no_random_numbers(monkeypatch):
     def no_rng(*args, **kwargs):
         raise AssertionError("the exact rule drew random numbers")
@@ -511,9 +543,9 @@ def test_four_spans_have_real_components():
     # exactly the spans without an i-unit.
     coords = np.ones((3, 5))
     real = [s.label() for s in enumerate_slices()
-            if complex4_rows(_slice_rows(s, coords))[0].dtype == np.float64]
+            if complex4_rows(_slice_rows(s, coords)).dtype == np.float64]
     assert real == ["1,j1,j2", "1,j1,j3", "1,j2,j3", "j1,j2,j3"]
-    assert all(complex4_rows(_slice_rows(s, coords))[0].dtype == np.complex128
+    assert all(complex4_rows(_slice_rows(s, coords)).dtype == np.complex128
                for s in enumerate_slices() if s.label() not in real)
 
 
@@ -564,7 +596,7 @@ def test_slice_native_components_match_the_full_batch(spec, rng, tricomplex_comp
     coords *= scale
     x8 *= scale
     x = _slice_rows(spec, coords)
-    w, _ = complex4_rows(x)
+    w = complex4_rows(x)
     # The layout follows from the units: the distinct rows, float64 exactly
     # when no unit is an i-unit, in an array of its own.
     components = distinct_components(spec.units)
@@ -572,7 +604,7 @@ def test_slice_native_components_match_the_full_batch(spec, rng, tricomplex_comp
     assert w.shape == (len(components), coords.shape[1])
     assert w.dtype == (np.float64 if real else np.complex128)
     assert not any(np.shares_memory(w, r) for r in coords)
-    assert not np.shares_memory(w, complex4_rows(x)[0])
+    assert not np.shares_memory(w, complex4_rows(x))
     # Equal under ==, the way no norm, power or comparison can tell apart.
     ref = to_complex4(x8)
     kept = ref[list(components)]
