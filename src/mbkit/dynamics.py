@@ -38,7 +38,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -515,13 +514,33 @@ def grid_counts_real(c: np.ndarray, params: IterationParams, threads: int = 1):
 
 
 # Cells read at a time by the distinct-value paths of grid_counts_hyperbolic
-# and grid_counts_tricomplex, shared between their workers: each worker reads
-# _CHUNK // workers of them at a time, so beyond their flat outputs the paths
-# hold a few arrays of this total length, whatever the grid size and the
-# worker count.  Each pass over a chunk makes a few arrays of its size, which
-# small chunks take from the memory the last chunk freed; fresh pages for
-# each cost more than the arithmetic on them.
+# and grid_counts_tricomplex, shared between their workers: each worker walks
+# its rows in blocks of at most _CHUNK // workers cells (_blocks), so beyond
+# their flat outputs the paths hold a few arrays of this total length,
+# whatever the grid size and the worker count.  Each pass over a block makes
+# a few arrays of its size, which small blocks take from the memory the last
+# block freed; fresh pages for each cost more than the arithmetic on them.
 _CHUNK = 1 << 16
+
+
+def _blocks(shape: tuple[int, ...], lo: int, hi: int, most: int):
+    """The cells of the rows lo:hi along the first axis of a C-order grid
+    of this shape, in C order, as (index, a, b) per block: index slices the
+    leading axes to the block, and a:b is its flat range.  A block holds
+    whole rows while a row fits in most cells; a larger row is split by
+    recursing into it."""
+    inner = math.prod(shape[1:])
+    if not inner:
+        return
+    if inner <= most or len(shape) == 1:
+        rows = max(most // inner, 1)
+        for r in range(lo, hi, rows):
+            s = min(r + rows, hi)
+            yield (slice(r, s),), r * inner, s * inner
+        return
+    for r in range(lo, hi):
+        for index, a, b in _blocks(shape[1:], 0, shape[1], most):
+            yield (slice(r, r + 1),) + index, r * inner + a, r * inner + b
 
 
 def grid_counts_hyperbolic(
@@ -537,12 +556,13 @@ def grid_counts_hyperbolic(
     windows, so each distinct value is iterated once and results gathered
     back; this is exact (identical floats share identical orbits).  The
     inputs are read twice: once to collect the distinct components, once to
-    gather their results.  Each pass splits the C-order cells into one range
-    per worker (min(threads, os.cpu_count()) of them, as in _ranges), and
-    each worker reads its range in chunks of _CHUNK // workers points, so
-    together they hold one _CHUNK.  Beyond the 5 B/cell outputs, only the
-    distinct components grow with the grid, and a lattice window has few of
-    them.
+    gather their results.  Each pass splits the rows along the first axis
+    into one range per worker (min(threads, os.cpu_count()) of them, as in
+    _ranges), so an input with a single such row runs on one worker, and
+    each worker walks its rows in C-order blocks of at most _CHUNK //
+    workers cells (_blocks), so together they hold one _CHUNK.  Beyond the
+    5 B/cell outputs, only the distinct components grow with the grid, and
+    a lattice window has few of them.
 
     The gather looks results up in runs of equal (count, member) over the
     sorted distinct values, one entry per run.  The runs are few: real-axis
@@ -557,29 +577,28 @@ def grid_counts_hyperbolic(
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"a and b must have equal shapes, got {a.shape} and {b.shape}")
-    ranges = _ranges(a.size, threads)
+    a, b = np.atleast_1d(a, b)
+    ranges = _ranges(a.shape[0], threads)
     chunk = _CHUNK // max(len(ranges), 1)
 
     def components(lo, hi):
-        it = np.nditer([a, b], flags=["external_loop", "buffered", "ranged"],
-                       buffersize=chunk, order="C")
-        it.iterrange = (lo, hi)
-        for ca, cb in it:
+        for index, start, _ in _blocks(a.shape, lo, hi, chunk):
+            ca, cb = a[index], b[index]
             # On a worker thread the caller's np.errstate does not apply;
             # an infinite or NaN component escapes at step 1.
             with np.errstate(over="ignore", invalid="ignore"):
-                cm, cp = ca - cb, ca + cb
-            yield cm, cp
+                cm, cp = (ca - cb).ravel(), (ca + cb).ravel()
+            yield start, cm, cp
 
     # Sorting the values and searching them is much faster than the argsort
     # behind return_inverse.  np.unique keeps one of 0.0 and -0.0; both find
-    # it, and their orbits are the same.  Each chunk's distinct values wait
+    # it, and their orbits are the same.  Each block's distinct values wait
     # until they outnumber the range's merged set, so the merges sort each
     # value O(log n) times even when few values repeat, and the waiting
     # values never outgrow the distinct set.
     def distinct(lo, hi):
         uniq, pieces, held = np.empty(0), [], 0
-        for cm, cp in components(lo, hi):
+        for _, cm, cp in components(lo, hi):
             pieces.append(np.unique(np.concatenate([cm, cp])))
             held += pieces[-1].size
             if held >= uniq.size:
@@ -600,12 +619,11 @@ def grid_counts_hyperbolic(
     member = np.empty(a.size, dtype=bool)
 
     def gather(lo, hi):
-        for cm, cp in components(lo, hi):
+        for start, cm, cp in components(lo, hi):
             im, ip = np.searchsorted(ends, cm), np.searchsorted(ends, cp)
-            stop = lo + cm.size
-            np.minimum(counts_r[im], counts_r[ip], out=counts[lo:stop])
-            np.logical_and(member_r[im], member_r[ip], out=member[lo:stop])
-            lo = stop
+            stop = start + cm.size
+            np.minimum(counts_r[im], counts_r[ip], out=counts[start:stop])
+            np.logical_and(member_r[im], member_r[ip], out=member[start:stop])
 
     _each_range(gather, ranges)
     return counts, member
@@ -631,7 +649,8 @@ _JOINT_CELLS = 1 << 18
 
 
 class _Unshared(Exception):
-    """The rows of a batch take too many distinct values to share them."""
+    """The rows of a batch take too many distinct values to share them, or
+    would share them only through a table expanded per cell."""
 
 
 @dataclass(eq=False)
@@ -648,49 +667,14 @@ class _Distinct:
     parts: tuple = ()
 
 
-class _Cells:
-    """C-order flat indices of cells of a grid shape, with the position of
-    each in the arrays and terms that broadcast to it, each found once."""
-
-    def __init__(self, flat: np.ndarray, shape: tuple[int, ...]):
-        self.flat, self.shape, self._memo = flat, shape, {}
-
-    def index(self, s: tuple[int, ...]) -> np.ndarray:
-        """The flat index into a C-order array of shape s of each cell."""
-        if s not in self._memo:
-            shape, size = self.shape, math.prod(self.shape)
-            flat, inner, stride = None, 1, 1
-            # Runs of consecutive axes that s spans (or that have length 1)
-            # each take one division and one remainder.
-            for spanned, run in groupby(reversed(range(len(shape))),
-                                        key=lambda d: s[d] == shape[d]):
-                width = math.prod(shape[d] for d in run)
-                if spanned:
-                    k = self.flat // inner if inner > 1 else self.flat
-                    if inner * width < size:
-                        k = k % width
-                    if stride > 1:
-                        k = k * stride
-                    flat = k if flat is None else flat + k
-                    stride *= width
-                inner *= width
-            self._memo[s] = np.zeros_like(self.flat) if flat is None else flat
-        return self._memo[s]
-
-    def code(self, t: _Distinct) -> np.ndarray:
-        """The position of each cell's entry in t.ids."""
-        if not t.parts:
-            return self.index(t.shape)
+def _ids_over(t: _Distinct, index: tuple) -> np.ndarray:
+    """t.ids at the cells of the block that index slices from the grid
+    (_blocks), shaped to broadcast to it."""
+    if t.parts:
         a, b = t.parts
-        at = self.ids(a) * b.u.size
-        at += self.ids(b)
-        return at
-
-    def ids(self, t: _Distinct) -> np.ndarray:
-        """The position of each cell's value of t in t.u."""
-        if id(t) not in self._memo:
-            self._memo[id(t)] = t.ids.take(self.code(t))
-        return self._memo[id(t)]
+        return t.ids[_ids_over(a, index) * b.u.size + _ids_over(b, index)]
+    return t.ids.reshape(t.shape)[tuple(s if n > 1 else slice(None)
+                                        for s, n in zip(index, t.shape))]
 
 
 def _complex(re, im):
@@ -711,24 +695,18 @@ def _distinct(t, memo: dict) -> _Distinct:
     return memo[id(t)][1]
 
 
-def _values(t) -> np.ndarray:
-    """The values of a term at every point of its shape."""
-    if isinstance(t, np.ndarray):
-        return t
-    return t.u.take(_Cells(np.arange(math.prod(t.shape)), t.shape).ids(t)).reshape(t.shape)
-
-
 def _row_terms(x: list, size: int, entries: int):
     """The distinct values of each component row of the coefficient rows x,
     which broadcast to size cells, in the layout of component_layout.
 
     A row is formed from x as complex4_rows forms it, term by term.  Two
-    terms that share an axis, or span fewer than all cells together, are
-    combined elementwise over their broadcast shape.  Two that span disjoint
-    axes and all cells together are combined through a table of their
-    distinct values, one entry per pair, so no per-cell array is formed.
-    Raises _Unshared rather than build a table with more entries than
-    entries / _MIN_SHARING.
+    arrays that share an axis, or span fewer than all cells together, are
+    combined elementwise over their broadcast shape.  Two terms that span
+    disjoint axes and all cells together are combined through a table of
+    their distinct values, one entry per pair, so no per-cell array is
+    formed.  Raises _Unshared rather than build a table with more entries
+    than entries / _MIN_SHARING, or combine a table with a term sharing
+    one of its axes.
     """
     memo: dict = {}
 
@@ -749,7 +727,9 @@ def _row_terms(x: list, size: int, entries: int):
         shape = np.broadcast_shapes(a.shape, b.shape)
         if (math.prod(shape) < size
                 or any(i > 1 and j > 1 for i, j in zip(a.shape, b.shape))):
-            return op(_values(a), _values(b))
+            if isinstance(a, _Distinct) or isinstance(b, _Distinct):
+                raise _Unshared  # a table would have to be expanded per cell
+            return op(a, b)
         a, b = _distinct(a, memo), _distinct(b, memo)
         if a.u.size * b.u.size * _MIN_SHARING > entries:
             raise _Unshared
@@ -771,7 +751,8 @@ def _row_terms(x: list, size: int, entries: int):
 
 def _check_rows(x, cells):
     """The coefficient rows x as float64 arrays of one dimension count, None
-    where absent, with their broadcast shape and cells as an index array."""
+    where absent, with their broadcast shape, at least one axis, and cells
+    as an index array."""
     shape_of = x.shape if isinstance(x, np.ndarray) else f"{len(x)} rows"
     if len(x) != 8:
         raise ValueError(f"expected eight coefficient rows, got {shape_of}")
@@ -780,7 +761,7 @@ def _check_rows(x, cells):
     if not shapes:
         raise ValueError("all eight coefficient rows are None: no shape to sample")
     try:
-        shape = np.broadcast_shapes(*shapes)
+        shape = np.broadcast_shapes(*shapes) or (1,)  # a 0-d grid is one cell
     except ValueError:
         raise ValueError("coefficient rows do not broadcast together: shapes "
                          + ", ".join(map(str, shapes))) from None
@@ -851,26 +832,28 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     the axes of its two coefficient rows; a slice window's rows each span
     one axis.  Each pair term is deduplicated over its own axes, and two
     terms spanning disjoint axes combine through a table of their distinct
-    values (_row_terms).  A cell's place in each row's values is then a
-    few integer gathers from its index along each axis.  Flat rows span
-    one axis together, and their distinct values are those of their
-    entries.  A batch with fewer than _MIN_SHARING row entries per
-    distinct value runs the joint kernel instead, as do cells open past
-    the step table, on components formed from the rows at those cells
-    only, at most _JOINT_CELLS at a time.
+    values (_row_terms).  Flat rows span one axis together, and their
+    distinct values are those of their entries.  A batch with fewer than
+    _MIN_SHARING row entries per distinct value runs the joint kernel
+    instead, as does one whose table would meet another term on a shared
+    axis, and as do cells open past the step table, on components formed
+    from the rows at those cells only, at most _JOINT_CELLS at a time.
 
-    The cells are settled in ranges, one per worker (as in _ranges, each
-    taking a chunk at least), in chunks of _CHUNK // workers cells.  Per
-    cell, the path holds the 4 B counts and 1 B member flags it returns,
-    besides the 8 B index of each cell given.  Beyond them it holds the
-    tables, the distinct values with their e_v, E_v and their s_v at steps
-    1 to min(E_v - 1, _TABLE_STEPS) only, and per worker a chunk's indices
-    and lookups.  No cell reads a row at or past its E_v: a cell reads step
-    m only while m < E, and E is at most each of its rows' E_v.  On lattice
-    windows most values pass 4 lim within a few steps, so the table holds a
-    small share of _TABLE_STEPS values each (12.6% on the Tetrabric 96^3
-    window shifted by a fraction of a cell, 29.5% on the Perplexbric 128^3
-    one).
+    The cells are settled in C-order blocks of at most _CHUNK // workers
+    cells (_blocks).  The workers split the rows along the first axis (as
+    in _ranges, each taking a chunk of cells at least), so a grid of a
+    single such row settles on one worker.  A block finds its cells' value
+    ids in each row by slicing each term's ids on the axes it spans and
+    broadcasting them over the block (_ids_over).  Per cell, the path holds
+    the 4 B counts and 1 B member flags it returns, besides the 8 B index
+    of each cell given.  Beyond them it holds the tables, the distinct
+    values with their e_v, E_v and their s_v at steps 1 to min(E_v - 1,
+    _TABLE_STEPS) only, and per worker a block's ids and lookups.  No cell
+    reads a row at or past its E_v: a cell reads step m only while m < E,
+    and E is at most each of its rows' E_v.  On lattice windows most values
+    pass 4 lim within a few steps, so the table holds a small share of
+    _TABLE_STEPS values each (12.6% on the Tetrabric 96^3 window shifted by
+    a fraction of a cell, 29.5% on the Perplexbric 128^3 one).
     """
     threads = _check_threads(threads)
     x, shape, cells = _check_rows(x, cells)
@@ -882,18 +865,18 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
         return counts, member
     rows = len(component_layout(x)[0])
 
-    def cells_at(pos):
-        return _Cells(pos if cells is None else cells[pos], shape)
-
     def joint(pos):
         # The joint kernel on the cells at output positions pos, whose
-        # components are formed from the coefficient rows at those cells.
+        # components are formed from the coefficient rows at those cells,
+        # each row indexed on the axes it spans.
         for k in range(0, pos.size, _JOINT_CELLS):
             part = pos[k:k + _JOINT_CELLS]
-            at = cells_at(part)
+            at = np.unravel_index(part if cells is None else cells[part], shape)
             with np.errstate(over="ignore", invalid="ignore"):  # inf rows escape at once
-                w = complex4_rows([None if r is None else r.ravel().take(at.index(r.shape))
-                                   for r in x])
+                w = complex4_rows([
+                    None if r is None else
+                    r[tuple(i if d > 1 else slice(None) for i, d in zip(at, r.shape))].ravel()
+                    for r in x])
             counts[part], member[part] = _run_blocks(w, params, threads)
 
     try:
@@ -942,37 +925,38 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
         m = len(kept)
         table[start[held >= m] + m] = kept.pop()
 
-    # e_v, E_v and the start of s_v at each entry of each row's ids.
-    firsts = [first.take(t.ids) for t in terms]
-    lasts = [last.take(t.ids) for t in terms]
-    starts = [start.take(t.ids) for t in terms]
+    def escaped(ids, m):
+        # Whether the cells whose rows take the values ids are outside at
+        # steps m, each before every row's E_v and at most steps.
+        return ~(_ring_mean([table.take(start.take(r) + m) for r in ids]) <= lim)
 
-    def escaped(codes, m):
-        # Whether the cells whose rows sit at codes are outside at steps
-        # m, each before every row's E_v and at most steps.
-        return ~(_ring_mean([table.take(st.take(c) + m)
-                             for st, c in zip(starts, codes)]) <= lim)
-
-    ranges = _ranges(n, threads, _CHUNK // min(threads, os.cpu_count() or 1))
+    # The workers split the rows along the first axis, each taking a chunk
+    # of cells at least.
+    least = -(-(_CHUNK // min(threads, os.cpu_count() or 1)) // (size // shape[0]))
+    ranges = _ranges(shape[0], threads, least)
     chunk = _CHUNK // len(ranges)
 
     def settle(lo, hi):
         late = []
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
-            at = cells_at(np.arange(a, b))
-            codes = [at.code(t) for t in terms]
+        for index, a, b in _blocks(shape, lo, hi, chunk):
+            block = tuple(k.stop - k.start for k in index) + shape[len(index):]
+            ids = [np.broadcast_to(_ids_over(t, index), block).ravel() for t in terms]
+            if cells is not None:
+                # The given cells in the block, at output positions a:b.
+                i, j = np.searchsorted(cells, (a, b))
+                ids = [r.take(cells[i:j] - a) for r in ids]
+                a, b = i, j
             # A cell escapes at a step from e to end, a member if end is
             # past max_iter; e == end settles it.  The cells still open go
             # on a step at a time from e, the few past the table to the
             # joint kernel.
-            e, end = _row_min(firsts, codes), _row_min(lasts, codes)
+            e, end = _row_min(first, ids), _row_min(last, ids)
             open_ = e < end
             late.append(a + np.flatnonzero(open_ & (e > steps)))
             cur = np.flatnonzero(open_ & (e <= steps))
             m = e[cur]
             while cur.size:
-                esc = escaped([c.take(cur) for c in codes], m)
+                esc = escaped([r.take(cur) for r in ids], m)
                 end[cur[esc]] = m[esc]
                 m += 1
                 go = ~esc & (m < end[cur])
@@ -990,9 +974,9 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     return counts, member
 
 
-def _row_min(tables: list, codes: list) -> np.ndarray:
-    """The least of tables[r][codes[r]] over the rows r, per cell."""
-    out = tables[0].take(codes[0])
-    for table, code in zip(tables[1:], codes[1:]):
-        np.minimum(out, table.take(code), out=out)
+def _row_min(v: np.ndarray, ids: list) -> np.ndarray:
+    """The least of v at each cell's values in ids, one array per row."""
+    out = v.take(ids[0])
+    for r in ids[1:]:
+        np.minimum(out, v.take(r), out=out)
     return out

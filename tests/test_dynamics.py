@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbkit import dynamics
 from mbkit.dynamics import (
@@ -820,6 +822,26 @@ def test_streamed_hyperbolic_memory_is_flat_in_grid_size(chunk, sizes, monkeypat
     assert extra[2, sizes[1]] <= extra[1, sizes[1]] + 2_000_000
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=4).flatmap(
+    lambda shape: st.tuples(st.just(tuple(shape)),
+                            st.integers(0, shape[0]), st.integers(0, shape[0]),
+                            st.integers(1, 50))))
+def test_blocks_walk_the_rows_in_c_order(case):
+    # The blocks of rows lo:hi cover their flat range once, in C order, in
+    # blocks of at most most cells, and each index selects its range.
+    shape, lo, hi, most = case
+    lo, hi = min(lo, hi), max(lo, hi)
+    grid = np.arange(math.prod(shape)).reshape(shape)
+    inner = math.prod(shape[1:])
+    at = lo * inner
+    for index, a, b in dynamics._blocks(shape, lo, hi, most):
+        assert a == at and a < b <= a + most
+        assert np.array_equal(grid[index].ravel(), np.arange(a, b))
+        at = b
+    assert at == hi * inner
+
+
 def test_hyperbolic_inputs_must_have_equal_shapes():
     params = IterationParams(3, 50)
     # A size-1 b used to broadcast silently to three results.
@@ -1528,6 +1550,69 @@ def test_broadcast_rows_match_their_flat_cells(sharing, rng, monkeypatch):
                                                         cells=cells)
                 assert np.array_equal(counts, ref_counts[cells]), (units, threads)
                 assert np.array_equal(member, ref_member[cells]), (units, threads)
+
+
+def test_tables_meeting_a_shared_axis_run_the_joint_kernel(rng, monkeypatch):
+    # x0 + x7 is a table over both axes, and the row adds x5, which spans
+    # the first axis again: no table is expanded per cell, and the batch
+    # runs the joint kernel, as a batch whose rows share too few values
+    # does, on the whole grid and on a sorted subset of its cells.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
+    params = IterationParams(3, 300)
+    xs, ys = cell_centers(-0.6, 0.5, 7), cell_centers(-0.45, 0.55, 9)
+    x = [None] * 8
+    x[0], x[5], x[7] = xs[:, None], 0.5 * xs[:, None], ys[None, :]
+    flat = [None if r is None else np.broadcast_to(r, (7, 9)).ravel() for r in x]
+    w = complex4_rows(flat)
+    rows, _, _ = dynamics._check_rows(x, None)
+    with pytest.raises(dynamics._Unshared):
+        dynamics._row_terms(rows, 63, w.size)
+    ref_counts, ref_member = grid_counts_tricomplex(flat, params)
+    assert ref_member.any() and not ref_member.all()
+    cells = np.sort(rng.choice(63, 20, replace=False))
+    for threads in (1, 3):
+        shapes = _recorded_kernel_calls(monkeypatch)
+        counts, member = grid_counts_tricomplex(x, params, threads=threads)
+        assert shapes == [w.shape], threads
+        assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+        shapes = _recorded_kernel_calls(monkeypatch)
+        counts, member = grid_counts_tricomplex(x, params, threads=threads, cells=cells)
+        assert shapes == [(len(w), cells.size)], threads
+        assert np.array_equal(counts, ref_counts[cells])
+        assert np.array_equal(member, ref_member[cells])
+
+
+@pytest.mark.parametrize("sharing", [0, 16])
+def test_zero_dimensional_inputs_are_one_cell(sharing, monkeypatch):
+    # Scalar coefficient rows and scalar hyperbolic coordinates make a grid
+    # of one cell, on both tricomplex paths and at any worker count.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_SHARING", sharing)
+    params = IterationParams(3, 200)
+    escaped = set()
+    for coeffs in ((0.1, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, 0.05),
+                   (0.1, 0.0, 0.0, 0.0, 0.0, 0.2, 0.15, 0.0),
+                   (0.3, 0.2, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0)):
+        ref = iterate_tricomplex(Tricomplex(coeffs), params, "direct")
+        escaped.add(ref.escaped)
+        expected = ([ref.iterations], [not ref.escaped])
+        x = [None if v == 0.0 else v for v in coeffs]
+        for threads in (1, 2):
+            for rows in (x, [None if v is None else np.float64(v) for v in x]):
+                counts, member = grid_counts_tricomplex(rows, params, threads=threads)
+                assert (counts.tolist(), member.tolist()) == expected, (coeffs, threads)
+            counts, member = grid_counts_tricomplex(x, params, threads=threads,
+                                                    cells=np.array([0]))
+            assert (counts.tolist(), member.tolist()) == expected
+    for a, b in ((0.1, 0.2), (0.3, 0.2), (-0.25, 0.05)):
+        ref = iterate_hyperbolic(Hyperbolic(a, b), params, "direct")
+        escaped.add(ref.escaped)
+        for threads in (1, 2):
+            counts, member = grid_counts_hyperbolic(np.float64(a), b, params, threads=threads)
+            assert (counts.tolist(), member.tolist()) == ([ref.iterations],
+                                                          [not ref.escaped])
+    assert escaped == {False, True}
 
 
 def test_tricomplex_rows_are_checked():

@@ -647,6 +647,21 @@ def test_sample_slice_memory_is_flat_in_dims():
     assert large - small <= 8 * (128 ** 3 - 64 ** 3)
 
 
+def test_planes_larger_than_a_chunk_are_walked_in_parts():
+    # A 512^2 plane holds four 2^16-cell chunks.  Walked a plane at a time,
+    # the settle's per-block ids and lookups took a tracemalloc peak of
+    # 41.1 MB, against 19.8 MB in blocks of at most a chunk (one worker).
+    tracemalloc.start()
+    try:
+        g = sample_slice(PRINCIPAL_SLICES["Perplexbric"], ((-0.5, 0.5),) * 3,
+                         (2, 512, 512), IterationParams(3, 200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < g.member_count() < g.cells.size
+    assert peak <= 5 * g.cells.size + 24_000_000
+
+
 def test_shifted_tetrabric_sampling_holds_no_dense_step_table():
     # A Tetrabric 96^3 window shifted by fractions of a cell, whose rows
     # take 36,672 distinct values: a table of each at 64 steps took 18.8 MB,
