@@ -16,8 +16,9 @@ The hyperbolic and tricomplex grid engines iterate each distinct component
 value of a batch once and derive every point's count from those orbits; the
 hyperbolic one gathers them from the runs of equal outcome over the sorted
 values, which are few because real-axis membership is one interval (85 runs
-of 13,903 values on the default 2000^2 hyperbric-area window, 65 of 7,359 on
-hyperbrot 1000^2 over [-0.4, 0.4]^2).  This is exact, not an approximation:
+of 13,903 values over the whole default 2000^2 hyperbric-area window, 65 of
+7,359 over hyperbrot 1000^2 on [-0.4, 0.4]^2), and iterates a 2-D grid that
+mirrors on one block of it.  This is exact, not an approximation:
 identical floats have identical orbits, a hyperbolic point escapes with its
 first component, and a tricomplex cell's rounded ring norm is bounded by its
 rows' own squared norms, so it cannot escape before a row passes the limit
@@ -567,10 +568,20 @@ def grid_counts_hyperbolic(
     The gather looks results up in runs of equal (count, member) over the
     sorted distinct values, one entry per run.  The runs are few: real-axis
     membership is one interval ([-2/(3*sqrt(3)), 2/(3*sqrt(3))] for p = 3),
-    and the escape counts outside it change in few steps.  The default
-    2000^2 hyperbric-area window (1.1 times that bound on each side,
-    max_iter 2000) has 13,903 distinct values in 85 runs, and hyperbrot at
-    1000^2 on [-0.4, 0.4]^2 (max_iter 1000) 7,359 in 65.
+    and the escape counts outside it change in few steps.  Over the whole
+    window, the default 2000^2 hyperbric-area one (1.1 times that bound on
+    each side, max_iter 2000) has 13,903 distinct values in 85 runs, and
+    hyperbrot at 1000^2 on [-0.4, 0.4]^2 (max_iter 1000) 7,359 in 65.
+
+    A 2-D input that mirrors is computed on one representative block and
+    the rest of the outputs is filled by flipping it.  Rows mirror, at any
+    p, when a[::-1] == a and b[::-1] == -b: the two components swap, and a
+    cell's outcome is symmetric in them.  Columns mirror, at odd p, when
+    a[:, ::-1] == -a and b[:, ::-1] == b: the components negate, and at
+    odd p the orbit of -c is the negated orbit of c.  Both are exact, as
+    rounding commutes with negation; NaN fails the tests.  They compare
+    the values the inputs' zero strides do not repeat, a meshgrid view's
+    axes, so a window that does not mirror costs O(H + W) to test.
     """
     threads = _check_threads(threads)
     a = np.asarray(a, dtype=np.float64)
@@ -578,6 +589,46 @@ def grid_counts_hyperbolic(
     if a.shape != b.shape:
         raise ValueError(f"a and b must have equal shapes, got {a.shape} and {b.shape}")
     a, b = np.atleast_1d(a, b)
+    # Allocated first, so a grid too large for memory fails at once.
+    counts = np.empty(a.size, dtype=np.uint32)
+    member = np.empty(a.size, dtype=bool)
+    if a.ndim != 2:
+        _hyperbolic_counts(a, b, params, threads, counts, member)
+        return counts, member
+    (H, W), (h, w) = a.shape, a.shape
+    if _mirrors(a, 0, 1.0) and _mirrors(b, 0, -1.0):
+        h = (H + 1) // 2
+    if params.p % 2 and _mirrors(a, 1, -1.0) and _mirrors(b, 1, 1.0):
+        w = (W + 1) // 2
+    _hyperbolic_counts(a[:h, :w], b[:h, :w], params, threads, counts, member)
+    for out in (counts, member):
+        full = out.reshape(H, W)
+        if w < W:
+            # Each block row moves to its own row, the last first, so no
+            # row is overwritten before it has moved; a few rows at a time
+            # keep numpy's copies of overlapping rows to one chunk.
+            step = max(_CHUNK // W, 1)
+            for hi in range(h, 0, -step):
+                lo = max(hi - step, 0)
+                full[lo:hi, :w] = out[lo * w:hi * w].reshape(hi - lo, w)
+                full[lo:hi, w:] = full[lo:hi, :W - w][:, ::-1]
+        full[h:] = full[:H - h][::-1]
+    return counts, member
+
+
+def _mirrors(x: np.ndarray, axis: int, sign: float) -> bool:
+    """Whether x read backwards along axis equals sign * x.  Each axis with
+    a zero stride is cut to one entry first, since it only repeats them;
+    the rest is compared in blocks, stopping at the first that differs."""
+    x = x[tuple(slice(None) if s else slice(0, 1) for s in x.strides)]
+    back = np.flip(x, axis)
+    return all(np.array_equal(back[index], sign * x[index])
+               for index, _, _ in _blocks(x.shape, 0, x.shape[0], _CHUNK))
+
+
+def _hyperbolic_counts(a, b, params: IterationParams, threads: int, counts, member):
+    """grid_counts_hyperbolic's two passes over a and b, writing the results
+    to the first a.size entries of counts and member."""
     ranges = _ranges(a.shape[0], threads)
     chunk = _CHUNK // max(len(ranges), 1)
 
@@ -615,8 +666,6 @@ def grid_counts_hyperbolic(
     np.not_equal(counts_u[1:], counts_u[:-1], out=last[:-1])
     last[:-1] |= member_u[1:] != member_u[:-1]
     ends, counts_r, member_r = uniq[last], counts_u[last], member_u[last]
-    counts = np.empty(a.size, dtype=np.uint32)
-    member = np.empty(a.size, dtype=bool)
 
     def gather(lo, hi):
         for start, cm, cp in components(lo, hi):
@@ -626,7 +675,6 @@ def grid_counts_hyperbolic(
             np.logical_and(member_r[im], member_r[ip], out=member[start:stop])
 
     _each_range(gather, ranges)
-    return counts, member
 
 
 # Steps of the distinct values' squared norms that grid_counts_tricomplex

@@ -559,6 +559,26 @@ def test_out_of_memory_exits_2_with_one_line_error(argv, allocation, tmp_path, c
     assert out.out == "" and not any(tmp_path.iterdir())
 
 
+def test_hyperbric_area_too_large_for_memory_exits_2_at_once(tmp_path, capsys,
+                                                            monkeypatch):
+    # 10^16 cells pass the array-size check, and the engine's outputs are
+    # the first allocation to fail: it used to stream its distinct pass over
+    # every cell before allocating them.  The axis is a zero-memory view.
+    monkeypatch.setattr(cli, "cell_centers",
+                        lambda lo, hi, n: np.broadcast_to(np.float64(lo), (n,)))
+    codes = []
+    run = threading.Thread(daemon=True, target=lambda: codes.append(main(
+        ["estimate", "--kind", "hyperbric-area", "--precision", "100000000",
+         "--out", str(tmp_path / "x")])))
+    run.start()
+    run.join(timeout=20)
+    assert not run.is_alive() and codes == [2]
+    out = capsys.readouterr()
+    line = _assert_one_error_line(out.err)
+    assert line.startswith("mbkit: error: out of memory: Unable to allocate")
+    assert out.out == "" and not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["render2d", "--res", "8"],
     ["render3d", "--dims", "4"],

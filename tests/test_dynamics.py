@@ -822,6 +822,108 @@ def test_streamed_hyperbolic_memory_is_flat_in_grid_size(chunk, sizes, monkeypat
     assert extra[2, sizes[1]] <= extra[1, sizes[1]] + 2_000_000
 
 
+def test_streamed_hyperbolic_memory_is_flat_on_a_shifted_window(monkeypatch):
+    # A window shifted by a fraction of a cell mirrors neither way, so the
+    # whole grid takes the two passes: the same bound as above holds there.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    params = IterationParams(3, 8)
+    extra = {}
+    for threads in (1, 2):
+        for n in (1000, 2000):
+            xs = cell_centers(-0.4, 0.4, n) + 0.37 * 0.8 / n
+            a, b = np.meshgrid(xs, xs[::-1], copy=False)
+            tracemalloc.start()
+            try:
+                grid_counts_hyperbolic(a, b, params, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra[threads, n] = peak - 5 * n * n
+        assert extra[threads, 2000] <= extra[threads, 1000] + 2_000_000, threads
+    assert extra[2, 2000] <= extra[1, 2000] + 2_000_000
+
+
+# --- mirrored hyperbolic path ----------------------------------------------------
+#
+# A 2-D input whose rows mirror (a[::-1] == a, b[::-1] == -b), or at odd p
+# whose columns mirror (a[:, ::-1] == -a, b[:, ::-1] == b), is iterated on
+# one block and the outputs filled by flipping it.  These tests pin it to
+# the whole-grid body.
+
+
+def _mirror_axis(n, case):
+    """n cell centres of a window axis: symmetric about the origin, with a
+    -0.0 centre, with infinite or NaN ends, or shifted by a fraction of a
+    cell."""
+    xs = cell_centers(-0.45, 0.45, n)
+    if case == "shifted":
+        return xs + 0.37 * 0.9 / n
+    if case == "-0.0 centre" and n % 2:
+        xs[n // 2] = -0.0
+    if case == "inf ends":
+        xs[0], xs[-1] = -np.inf, np.inf
+    if case == "nan ends":
+        xs[0] = xs[-1] = np.nan
+    return xs
+
+
+_MIRROR_WINDOWS = [("symmetric", "symmetric"), ("shifted", "shifted"),
+                   ("symmetric", "shifted"), ("shifted", "symmetric"),
+                   ("-0.0 centre", "-0.0 centre"), ("inf ends", "symmetric"),
+                   ("inf ends", "inf ends"), ("symmetric", "nan ends"),
+                   ("nan ends", "inf ends")]
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
+def test_mirrored_hyperbolic_matches_whole_grid(p, chunk, monkeypatch,
+                                                hyperbolic_whole_grid):
+    # Each window is read as a meshgrid view and as contiguous copies; at
+    # chunk 7 the mirror tests and the fill walk several blocks of rows.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    if chunk is not None:
+        monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    blocks = []
+    passes = dynamics._hyperbolic_counts
+
+    def recording(a, *args):
+        blocks.append(a.shape)
+        return passes(a, *args)
+
+    monkeypatch.setattr(dynamics, "_hyperbolic_counts", recording)
+    params = IterationParams(p, 200)
+    mirrors = {"symmetric", "-0.0 centre", "inf ends"}
+    for xcase, ycase in _MIRROR_WINDOWS:
+        for H in (1, 2, 7, 8):
+            for W in (1, 2, 7, 8):
+                xs, ys = _mirror_axis(W, xcase), _mirror_axis(H, ycase)[::-1]
+                a, b = np.meshgrid(xs, ys, copy=False)
+                with np.errstate(all="ignore"):
+                    ref = hyperbolic_whole_grid(a, b, params)
+                # A NaN anywhere fails both mirrors' equality tests.
+                nan = "nan ends" in (xcase, ycase)
+                h = (H + 1) // 2 if ycase in mirrors and not nan else H
+                w = (W + 1) // 2 if xcase in mirrors and p % 2 and not nan else W
+                for x, y, threads in ((a, b, 1), (a, b, 2), (a.copy(), b.copy(), 2)):
+                    blocks.clear()
+                    counts, member = grid_counts_hyperbolic(x, y, params, threads=threads)
+                    case = (xcase, ycase, H, W, threads)
+                    assert blocks == [(h, w)], case
+                    assert np.array_equal(counts, ref[0]), case
+                    assert np.array_equal(member, ref[1]), case
+
+
+def test_hyperbolic_grid_too_large_for_memory_fails_at_once():
+    # 10^14 cells of zero-memory views: the outputs are allocated before
+    # either pass, which used to stream over every cell first.
+    a = np.broadcast_to(0.1, (10 ** 7, 10 ** 7))
+    for b in (a, np.broadcast_to(0.0, a.shape)):
+        t0 = time.perf_counter()
+        with pytest.raises(MemoryError):
+            grid_counts_hyperbolic(a, b, IterationParams(3, 50), threads=2)
+        assert time.perf_counter() - t0 < 5
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=4).flatmap(
     lambda shape: st.tuples(st.just(tuple(shape)),
@@ -920,15 +1022,10 @@ def test_hyperbolic_gathers_each_value_its_runs_outcome(scheme, chunk, threads, 
 def test_hyperbolic_gather_searches_one_entry_per_run(monkeypatch):
     # On a hyperbrot window the outcomes over the sorted component values
     # change at few places (membership is the real-axis interval), and the
-    # gather searches a table with one entry per run of equal outcomes.
-    xs = cell_centers(-0.4, 0.4, 60)
-    a, b = np.meshgrid(xs, xs[::-1], copy=False)
+    # gather searches a table with one entry per run of equal outcomes.  A
+    # window shifted by a fraction of a cell is iterated whole; at p = 3 a
+    # symmetric one is iterated on its top-left quarter.
     params = IterationParams(3, 300)
-    uniq = np.unique(np.concatenate([(a - b).ravel(), (a + b).ravel()]))
-    counts_u, member_u = dynamics._run_blocks(uniq, params, 1)
-    runs = 1 + np.count_nonzero((counts_u[1:] != counts_u[:-1])
-                                | (member_u[1:] != member_u[:-1]))
-    assert runs * 5 < uniq.size
     haystacks = []
     searchsorted = np.searchsorted
 
@@ -936,9 +1033,20 @@ def test_hyperbolic_gather_searches_one_entry_per_run(monkeypatch):
         haystacks.append(len(haystack))
         return searchsorted(haystack, *args, **kwargs)
 
-    monkeypatch.setattr(np, "searchsorted", recording)
-    grid_counts_hyperbolic(a, b, params)
-    assert haystacks == [runs, runs]
+    for shift, block in ((0.37, 60), (0.0, 30)):
+        xs = cell_centers(-0.4, 0.4, 60) + shift * 0.8 / 60
+        a, b = np.meshgrid(xs, xs[::-1], copy=False)
+        qa, qb = a[:block, :block], b[:block, :block]
+        uniq = np.unique(np.concatenate([(qa - qb).ravel(), (qa + qb).ravel()]))
+        counts_u, member_u = dynamics._run_blocks(uniq, params, 1)
+        runs = 1 + np.count_nonzero((counts_u[1:] != counts_u[:-1])
+                                    | (member_u[1:] != member_u[:-1]))
+        assert runs * 5 < uniq.size
+        haystacks.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "searchsorted", recording)
+            grid_counts_hyperbolic(a, b, params)
+        assert haystacks == [runs, runs], shift
 
 
 @pytest.mark.parametrize("threads", [0, -1, 1.5, True])

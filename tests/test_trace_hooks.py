@@ -117,3 +117,48 @@ def test_traced_sample_slice_records_one_tricomplex_call(tracing, monkeypatch,
                           if name in tracing.GRID_KERNELS}
             assert grid_spans == {"dynamics.grid_counts_tricomplex": 1}
             assert tracer.replay_grid_calls() == []
+
+
+def test_traced_hyperbric_area_records_one_hyperbolic_call(tracing, monkeypatch, tmp_path):
+    # The hyperbric-area window is symmetric, so grid_counts_hyperbolic
+    # iterates one block of it through a private helper (half the rows at
+    # even p, a quarter of the grid at odd p): the tracer records one grid
+    # call, whose kernel points are the distinct component parameters of
+    # the whole grid, and replays it to the same outputs.
+    from mbkit import cli
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    blocks = []
+    passes = dynamics._hyperbolic_counts
+
+    def recording(a, *args):
+        blocks.append(a.shape)
+        return passes(a, *args)
+
+    monkeypatch.setattr(dynamics, "_hyperbolic_counts", recording)
+    tracer = tracing.Tracer()
+    tracer.command = "hyperbric"
+    for name in tracing.GRID_KERNELS:
+        fn = name.split(".")[1]
+        spanned = tracer._span(name)(getattr(dynamics, fn))
+        for module in (dynamics, cli):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, spanned)
+    name = "dynamics.grid_counts_hyperbolic"
+    for p, block in ((2, (51, 101)), (3, (51, 51))):
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MBK_THREADS", threads)
+            tracer.grid_calls.clear()
+            tracer.spans.clear()
+            blocks.clear()
+            cli.cmd_estimate("hyperbric-area", p, precision=101,
+                             out=tmp_path / f"area_{p}_{threads}")
+            assert blocks == [block]
+            [call] = tracer.grid_calls["hyperbric"]
+            assert call["kernel"] == name and call["cells"] == 101 * 101
+            a, b = call["args"].arguments["a"], call["args"].arguments["b"]
+            assert call["kernel_points"] == np.unique(np.concatenate([(a - b).ravel(),
+                                                                      (a + b).ravel()])).size
+            grid_spans = {n: rec[0] for (cmd, n), rec in tracer.spans.items()
+                          if n in tracing.GRID_KERNELS}
+            assert grid_spans == {name: 1}
+            assert tracer.replay_grid_calls() == []
