@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import mmap
 import os
 import sys
 import time
@@ -591,6 +592,23 @@ def _grid(args: argparse.Namespace):
     return None
 
 
+def _reserve(grid) -> None:
+    """Map the bytes of the largest array of a command's grid (_grid) and
+    unmap them untouched, so a grid the machine cannot hold is refused with
+    a MemoryError before any axis or output exists.  An np.empty freed at
+    once would do the same through malloc, but raise its threshold for
+    mapping arrays of their own, so the command's later arrays would stay
+    in the heap and its peak resident memory grow."""
+    if grid is not None:
+        _, sizes, itemsize = grid
+        nbytes = math.prod(sizes) * itemsize
+        try:
+            mmap.mmap(-1, nbytes).close()
+        except OSError:
+            raise MemoryError(f"Unable to allocate {nbytes:,} bytes for "
+                              f"{'x'.join(map(str, sizes))} cells") from None
+
+
 def _run(args: argparse.Namespace) -> int:
     """Run the command that parsed arguments name; return its exit code."""
     if args.command == "render2d":
@@ -628,6 +646,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
     try:
+        _reserve(_grid(args))
         return _run(args)
     except MemoryError as exc:
         print(f"mbkit: error: out of memory: {str(exc) or 'allocation failed'}",

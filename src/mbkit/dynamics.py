@@ -13,24 +13,17 @@ diverges, so a point is a member exactly when the whole orbit stays inside.
 A point not escaped after max_iter counts as a member.
 
 The hyperbolic and tricomplex grid engines iterate each distinct component
-value of a batch once and derive every point's count from those orbits; the
-hyperbolic one gathers them from the runs of equal outcome over the sorted
-values, which are few because real-axis membership is one interval (85 runs
-of 13,903 values over the whole default 2000^2 hyperbric-area window, 65 of
-7,359 over hyperbrot 1000^2 on [-0.4, 0.4]^2), and iterates a 2-D grid that
-mirrors on one block of it.  This is exact, not an approximation:
-identical floats have identical orbits, a hyperbolic point escapes with its
-first component, and a tricomplex cell's rounded ring norm is bounded by its
-rows' own squared norms, so it cannot escape before a row passes the limit
-and has escaped once a row passes four times the limit.  Both steps, and the
-ring norm between them in the kernel's order, are read off a table of the
-row values' squared norms, which holds each value only at the steps before
-it passes four times the limit; a cell whose first step lies past the table
-runs the joint kernel (grid_counts_tricomplex).  The tricomplex engine takes
-coefficient rows that broadcast, such as a slice window's axes, and finds
-the distinct values from tables over one or two axes, so beyond its 4 B
-counts and 1 B member flags per cell it holds nothing that grows with the
-cell count.
+value of a batch once and derive every point's count from those orbits.
+This is exact, not an approximation: identical floats have identical
+orbits, a hyperbolic point escapes with its first component, and a
+tricomplex cell's rounded ring norm cannot pass the limit before one of its
+rows does, and has once a row passes four times the limit.  The hyperbolic
+engine gathers from the few runs of equal outcome over the sorted values and
+iterates one block of a grid that mirrors.  The tricomplex one reads each
+cell's two steps off tables per entry of its rows' pair terms, and the ring
+norm between them off a table of the row values' squared norms, so beyond
+its 4 B counts and 1 B member flags per cell it holds nothing that grows
+with the cell count; a cell open past the table runs the joint kernel.
 """
 
 from __future__ import annotations
@@ -39,6 +32,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -715,12 +709,14 @@ class _Distinct:
     parts: tuple = ()
 
 
-def _ids_over(t: _Distinct, index: tuple) -> np.ndarray:
-    """t.ids at the cells of the block that index slices from the grid
-    (_blocks), shaped to broadcast to it."""
+def _entries(t: _Distinct, index: tuple) -> np.ndarray:
+    """The entries of t at the cells of the block that index slices from the
+    grid (_blocks), shaped to broadcast to it: i * b.u.size + j where parts
+    (a, b) take their values i and j, else t.ids there."""
     if t.parts:
-        a, b = t.parts
-        return t.ids[_ids_over(a, index) * b.u.size + _ids_over(b, index)]
+        a, b = (p.ids[_entries(p, index)] if p.parts else _entries(p, index)
+                for p in t.parts)
+        return a * t.parts[1].u.size + b
     return t.ids.reshape(t.shape)[tuple(s if n > 1 else slice(None)
                                         for s, n in zip(index, t.shape))]
 
@@ -888,20 +884,25 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     from the rows at those cells only, at most _JOINT_CELLS at a time.
 
     The cells are settled in C-order blocks of at most _CHUNK // workers
-    cells (_blocks).  The workers split the rows along the first axis (as
-    in _ranges, each taking a chunk of cells at least), so a grid of a
-    single such row settles on one worker.  A block finds its cells' value
-    ids in each row by slicing each term's ids on the axes it spans and
-    broadcasting them over the block (_ids_over).  Per cell, the path holds
-    the 4 B counts and 1 B member flags it returns, besides the 8 B index
-    of each cell given.  Beyond them it holds the tables, the distinct
-    values with their e_v, E_v and their s_v at steps 1 to min(E_v - 1,
-    _TABLE_STEPS) only, and per worker a block's ids and lookups.  No cell
-    reads a row at or past its E_v: a cell reads step m only while m < E,
-    and E is at most each of its rows' E_v.  On lattice windows most values
-    pass 4 lim within a few steps, so the table holds a small share of
-    _TABLE_STEPS values each (12.6% on the Tetrabric 96^3 window shifted by
-    a fraction of a cell, 29.5% on the Perplexbric 128^3 one).
+    cells (_blocks), the workers splitting the rows along the first axis
+    (as in _ranges, each taking a chunk of cells at least), so a grid of a
+    single such row settles on one worker.  Rows whose pair tables have the
+    same two parts share one space of entries, as rows (0, 1) and (2, 3) of
+    an all-j slice do, and a plain term's entries are its value ids.  Per
+    entry, a space holds the least e_v and E_v over its rows, and each row
+    its table start.  A block finds its cells' entries from the parts' ids
+    on the axes they span (_entries), reads e and E with one gather per
+    space, and sums an open cell's ring norm from table[start_r[entry] + m]
+    in _ring_mean's order.  Per cell, the path holds the 4 B counts and 1 B
+    member flags it returns, besides the 8 B index of each cell given.
+    Beyond them it holds the distinct values with their e_v, E_v and their
+    s_v at steps 1 to min(E_v - 1, _TABLE_STEPS) only, the entry tables,
+    and per worker a block's entries and lookups.  No cell reads a row at
+    or past its E_v: a cell reads step m only while m < E, and E is at most
+    each of its rows' E_v.  On lattice windows most values pass 4 lim
+    within a few steps, so the table holds a small share of _TABLE_STEPS
+    values each (12.6% on the Tetrabric 96^3 window shifted by a fraction
+    of a cell, 29.5% on the Perplexbric 128^3 one).
     """
     threads = _check_threads(threads)
     x, shape, cells = _check_rows(x, cells)
@@ -947,8 +948,8 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     # One pass records e_v and E_v, the first steps outside lim and 4 lim,
     # and s_v at steps 1..min(E_v - 1, steps), the only ones a cell reads:
     # a cell reads step m only while m < E <= E_v.  A value leaves the pass
-    # at its E_v.
-    first, last = np.full(uniq.size, never), np.full(uniq.size, never)
+    # at its E_v.  Steps are held in the narrowest signed type that holds never.
+    first, last = np.full((2, uniq.size), never, np.min_scalar_type(-2 * never))
     live, z, c, kept = np.arange(uniq.size), np.zeros_like(uniq), uniq, []
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, steps + 1):
@@ -963,20 +964,25 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
             kept.append(s)
     inside = np.flatnonzero(first == never)
     counts_i, member_i = _run_blocks(uniq[inside], params, threads)
-    first[inside] = np.where(member_i, never, counts_i)
+    first[inside[~member_i]] = counts_i[~member_i]
     # The table holds each value's entries together: s_v at step m is at
     # start[v] + m.
-    held = np.minimum(last - 1, steps)
+    held = np.minimum(last - 1, steps, dtype=np.intp)
     start = np.cumsum(held) - held - 1
     table = np.empty(int(held.sum()))
     while kept:
         m = len(kept)
         table[start[held >= m] + m] = kept.pop()
 
-    def escaped(ids, m):
-        # Whether the cells whose rows take the values ids are outside at
-        # steps m, each before every row's E_v and at most steps.
-        return ~(_ring_mean([table.take(start.take(r) + m) for r in ids]) <= lim)
+    # The entry spaces, with each space's e and E tables and each row's
+    # starts, in row order.
+    keys = [tuple(map(id, t.parts)) or r for r, t in enumerate(terms)]
+    spaces = list(dict.fromkeys(keys))
+    ids = [t.ids if t.parts else np.arange(uniq.size) for t in terms]
+    heads = [terms[keys.index(w)] for w in spaces]
+    firsts, lasts = ([reduce(np.minimum, [v.take(i) for i, k in zip(ids, keys) if k == w])
+                      for w in spaces] for v in (first, last))
+    reads = [(start.take(i), spaces.index(k)) for i, k in zip(ids, keys)]
 
     # The workers split the rows along the first axis, each taking a chunk
     # of cells at least.
@@ -988,30 +994,31 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
         late = []
         for index, a, b in _blocks(shape, lo, hi, chunk):
             block = tuple(k.stop - k.start for k in index) + shape[len(index):]
-            ids = [np.broadcast_to(_ids_over(t, index), block).ravel() for t in terms]
+            ks = [np.broadcast_to(_entries(t, index), block).ravel() for t in heads]
             if cells is not None:
                 # The given cells in the block, at output positions a:b.
                 i, j = np.searchsorted(cells, (a, b))
-                ids = [r.take(cells[i:j] - a) for r in ids]
+                ks = [k.take(cells[i:j] - a) for k in ks]
                 a, b = i, j
             # A cell escapes at a step from e to end, a member if end is
             # past max_iter; e == end settles it.  The cells still open go
-            # on a step at a time from e, the few past the table to the
-            # joint kernel.
-            e, end = _row_min(first, ids), _row_min(last, ids)
-            open_ = e < end
-            late.append(a + np.flatnonzero(open_ & (e > steps)))
-            cur = np.flatnonzero(open_ & (e <= steps))
+            # on a step at a time from e, summing their rows' s in the
+            # kernel's order, the few past the table to the joint kernel.
+            e, end = (reduce(np.minimum, [v.take(k) for v, k in zip(vs, ks)])
+                      for vs in (firsts, lasts))
+            cur = np.flatnonzero(e < end)
             m = e[cur]
             while cur.size:
-                esc = escaped([r.take(cur) for r in ids], m)
+                past = m > steps
+                if past.any():
+                    late.append(a + cur[past])
+                    cur, m = cur[~past], m[~past]
+                at = [k.take(cur) for k in ks]
+                esc = ~(_ring_mean([table.take(v.take(at[w]) + m) for v, w in reads]) <= lim)
                 end[cur[esc]] = m[esc]
                 m += 1
                 go = ~esc & (m < end[cur])
                 cur, m = cur[go], m[go]
-                past = m > steps
-                late.append(a + cur[past])
-                cur, m = cur[~past], m[~past]
             np.minimum(end, max_iter, out=e)
             counts[a:b] = e
             np.greater(end, max_iter, out=member[a:b])
@@ -1021,10 +1028,3 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     joint(np.concatenate([np.empty(0, dtype=np.intp)] + late))
     return counts, member
 
-
-def _row_min(v: np.ndarray, ids: list) -> np.ndarray:
-    """The least of v at each cell's values in ids, one array per row."""
-    out = v.take(ids[0])
-    for r in ids[1:]:
-        np.minimum(out, v.take(r), out=out)
-    return out

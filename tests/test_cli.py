@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -229,6 +230,44 @@ def test_slices_report_is_pinned_at_other_seeds(seed, tmp_path, capsys):
     assert main(["rerun", "--manifest", str(tmp_path / "slices.manifest.json"),
                  "--out-dir", str(tmp_path / "redo")]) == 0
     assert capsys.readouterr().out.count(": match") == 2
+
+
+# The render3d outputs at a seed whose windows are shifted by fractions of a
+# cell, which reference.json does not pin: Perplexbric 128^3 and Tetrabric
+# 96^3 as perfbench/run.py renders them at seed 3.
+_RENDER3D_SEED3 = {
+    "perplexbric.mbv1": "868a5262eb0971e8f265497a3b2a8e79e64de99aadf24e2aeff7385778212f10",
+    "perplexbric.xyz": "e6fee9283f1d7980752b2391c94e3466acdbe4a33b025d2cc9d228643c7cfb1e",
+    "tetrabric.mbv1": "30f72f554ece46f6e9191cdf20298dbb29ebf69fb9984583e60fa6d42297f972",
+    "tetrabric.xyz": "89b81cf376d10d8b9d24914c172a127fc2dc7e8f4c18919234fd88ffd8819edc",
+}
+
+
+def _benchmark_runner():
+    """perfbench/run.py as a module, for its workload command lines."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_render3d_benchmark_outputs_are_pinned(seed, tmp_path, monkeypatch, capsys):
+    # The benchmark's render3d commands, run as it runs them: at seed 0
+    # against the digests it checks (read, never written here), at seed 3
+    # against those pinned above.
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "reference.json").read_text())["digests"]
+    monkeypatch.setenv("MBK_THREADS", "2")
+    digests = {}
+    for command in _benchmark_runner().workload_commands("render3d", seed, tmp_path):
+        assert main(command["argv"]) == 0
+        for name in command["outputs"]:
+            digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    capsys.readouterr()
+    want = _RENDER3D_SEED3 if seed else {name: reference[name] for name in _RENDER3D_SEED3}
+    assert digests == want
 
 
 def test_estimate_real_extent_below_float_spacing_stops_at_adjacent_floats(
@@ -561,9 +600,10 @@ def test_out_of_memory_exits_2_with_one_line_error(argv, allocation, tmp_path, c
 
 def test_hyperbric_area_too_large_for_memory_exits_2_at_once(tmp_path, capsys,
                                                             monkeypatch):
-    # 10^16 cells pass the array-size check, and the engine's outputs are
-    # the first allocation to fail: it used to stream its distinct pass over
-    # every cell before allocating them.  The axis is a zero-memory view.
+    # 10^16 cells pass the array-size check, and the guard's untouched
+    # mapping of the outputs' bytes is the first allocation to fail; before
+    # it, the engine streamed its distinct pass over every cell.  The axis is
+    # a zero-memory view, in case the guard lets the command run.
     monkeypatch.setattr(cli, "cell_centers",
                         lambda lo, hi, n: np.broadcast_to(np.float64(lo), (n,)))
     codes = []
@@ -573,6 +613,26 @@ def test_hyperbric_area_too_large_for_memory_exits_2_at_once(tmp_path, capsys,
     run.start()
     run.join(timeout=20)
     assert not run.is_alive() and codes == [2]
+    out = capsys.readouterr()
+    line = _assert_one_error_line(out.err)
+    assert line.startswith("mbkit: error: out of memory: Unable to allocate")
+    assert out.out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--kind", "hyperbric-area", "--precision", "100000000"],
+    ["estimate", "--kind", "perplexbric-volume", "--precision", "1000000"],
+    ["render2d", "--res", "100000000"],
+    ["render3d", "--dims", "1000000"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_grid_too_large_for_memory_is_refused_before_any_axis(argv, tmp_path, capsys,
+                                                              monkeypatch):
+    # Grids numpy can describe but no machine holds (35.5 PiB to 3.47 EiB):
+    # the guard maps the bytes of the command's largest array without
+    # touching them, so the command exits before building an axis.  The
+    # hyperbric-area estimate used to spend 2.1 s and 1.56 GB on its axis.
+    _forbid_work(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     out = capsys.readouterr()
     line = _assert_one_error_line(out.err)
     assert line.startswith("mbkit: error: out of memory: Unable to allocate")

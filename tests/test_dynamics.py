@@ -15,6 +15,7 @@ from mbkit import dynamics
 from mbkit.dynamics import (
     OVERFLOW_NORM,
     EscapeResult,
+    MAX_ITER_LIMIT,
     IterationParams,
     escape_bound,
     grid_counts_complex,
@@ -1658,6 +1659,127 @@ def test_broadcast_rows_match_their_flat_cells(sharing, rng, monkeypatch):
                                                         cells=cells)
                 assert np.array_equal(counts, ref_counts[cells]), (units, threads)
                 assert np.array_equal(member, ref_member[cells]), (units, threads)
+
+
+# Spans of each kind of entry spaces, by the space each component row reads:
+# the all-j spans and the i-unit ones whose pair tables of rows (0, 1) and
+# (2, 3) have the same parts, Tetrabric's two rows with different parts, and
+# four rows each with its own.
+_SPACES = {"1,j1,j2": (0, 0, 1, 1), "j1,j2,j3": (0, 0, 1, 1),
+           "i1,i2,i3": (0, 0, 1, 1), "1,i1,i2": (0, 1), "1,i2,i3": (0, 1, 2, 3)}
+
+
+def _space_pattern(x, cells):
+    """The entry space each row of the per-axis rows x reads, numbered in
+    order of first use."""
+    rows, _, _ = dynamics._check_rows(x, None)
+    terms = dynamics._row_terms(rows, cells, 4 * cells)
+    keys = [tuple(map(id, t.parts)) for t in terms]
+    assert all(keys)  # every row is a pair table on these windows
+    return tuple(list(dict.fromkeys(keys)).index(k) for k in keys)
+
+
+def _windows(units, p, dims):
+    """Per-axis rows of a window past the span's set at exponent p:
+    symmetric, shifted by fractions of a cell, and asymmetric."""
+    half = 1.2 * escape_bound(p) / (2.0 if "j" in units and "i" not in units else 1.0)
+    cell = [2.0 * half / n for n in dims]
+    for name, window in (
+            ("symmetric", [(-half, half)] * 3),
+            ("shifted", [(-half + f * c, half + f * c)
+                         for f, c in zip((0.37, -0.21, 0.43), cell)]),
+            ("asymmetric", [(-0.9 * half, 1.1 * half), (-1.05 * half, 0.8 * half),
+                            (-0.7 * half, 1.0 * half)])):
+        x = [None] * 8
+        for k, (u, (lo, hi), n) in enumerate(zip(SliceSpec.parse(units).units, window, dims)):
+            x[u] = cell_centers(lo, hi, n).reshape([-1 if d == k else 1 for d in range(3)])
+        yield name, x
+
+
+def _pairing_sensitive_window(p):
+    """Per-axis rows of a 1,j1,j2 window with cells whose ring norm at step
+    1 is within lim summed as (s0 + s1) + (s2 + s3), the kernel's order, but
+    not as (s0 + s2) + (s1 + s3), and the reverse, and where they are.  Its
+    1 and j2 axes step one float at a time across a cell whose four rows sum
+    about 4 lim."""
+    rng = np.random.default_rng(p)
+    lim = escape_bound(p) ** 2
+    while True:
+        x5, x6 = rng.uniform(0.05, 0.35 * math.sqrt(lim), 2)
+        u, v = x5 - x6, x5 + x6  # rows x0 + u, x0 - u, x0 + v, x0 - v
+        x0 = math.sqrt(lim - (u * u + v * v) / 2.0)
+        x = [None] * 8
+        x[0] = (x0 + np.arange(-128, 129) * np.spacing(x0))[:, None, None]
+        x[5] = np.array([[[x5]]])
+        x[6] = (x6 + np.arange(-32, 32) * np.spacing(x6))[None, None, :]
+        flat = [None if r is None else np.broadcast_to(r, (257, 1, 64)).ravel() for r in x]
+        s0, s1, s2, s3 = complex4_rows(flat) ** 2
+        kernel = ((s0 + s1) + (s2 + s3)) * 0.25 <= lim
+        other = ((s0 + s2) + (s1 + s3)) * 0.25 <= lim
+        if (kernel & ~other).any() and (other & ~kernel).any():
+            return x, kernel != other
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("units", list(_SPACES))
+def test_shared_entry_spaces_match_the_joint_kernel(units, p, rng, monkeypatch):
+    # Rows whose pair tables have the same parts read e and E off one entry
+    # space, and open cells sum their rows' s in _ring_mean's order.  Each
+    # kind of spaces, on three windows, as per-axis rows, their flat cells
+    # (each row a plain term with its own space) and sorted subsets of
+    # cells, at 1 and 2 workers in blocks that split the planes, against
+    # the joint kernel.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)
+    dims = (11, 9, 13)
+    windows = list(_windows(units, p, dims))
+    if units == "1,j1,j2":
+        x, split = _pairing_sensitive_window(p)
+        windows.append(("pairing-sensitive", x))
+    for name, x in windows:
+        shape = np.broadcast_shapes(*(r.shape for r in x if r is not None))
+        size = math.prod(shape)
+        assert _space_pattern(x, size) == _SPACES[units]
+        flat = [None if r is None else np.broadcast_to(r, shape).ravel() for r in x]
+        params = IterationParams(p, 300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_counts, ref_member = dynamics._counts_kernel(complex4_rows(flat), params)
+        # Members and a boundary band, except across the 4 lim crossing.
+        assert ref_member.any() == (name != "pairing-sensitive")
+        assert (ref_counts[~ref_member] > 1).any()
+        cells = np.sort(rng.choice(size, size // 3, replace=False))
+        for threads, chunk in ((1, 1 << 16), (1, 50), (2, 97)):
+            monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+            for rows in (x, flat):
+                counts, member = grid_counts_tricomplex(rows, params, threads=threads)
+                assert np.array_equal(counts, ref_counts), (name, threads, chunk)
+                assert np.array_equal(member, ref_member), (name, threads, chunk)
+            counts, member = grid_counts_tricomplex(x, params, threads=threads, cells=cells)
+            assert np.array_equal(counts, ref_counts[cells]), (name, threads, chunk)
+            assert np.array_equal(member, ref_member[cells]), (name, threads, chunk)
+    if units == "1,j1,j2":
+        # The kernel's order decides these cells: some escape at step 1.
+        assert ref_counts[split].min() == 1 and (ref_counts[split] > 1).any()
+
+
+@pytest.mark.parametrize("max_iter", [32767, 32768, 2 ** 31, MAX_ITER_LIMIT])
+def test_step_tables_hold_any_budget(max_iter, monkeypatch):
+    # The steps e_v and E_v, and the step past the budget that marks a
+    # member, are held in the narrowest signed type that holds that step.
+    # Members in exact cycles (c = 0 and -1 at p = 2) and cells mixing a
+    # member row with an escaping one, at budgets on each side of a type's
+    # range; the largest used to settle such cells at count 0.
+    monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
+    x0 = np.array([-1.0, 0.0, 0.3, 1.0, 0.26, 0.2501])
+    x = [x0[:, None], None, None, None, None, np.array([0.0, 3.0, -3.0])[None, :],
+         None, None]
+    flat = [None if r is None else np.broadcast_to(r, (6, 3)).ravel() for r in x]
+    params = IterationParams(2, max_iter)
+    ref_counts, ref_member = dynamics._counts_kernel(complex4_rows(flat), params)
+    assert ref_member.sum() == 2 and ref_counts[~ref_member].min() == 1
+    counts, member = grid_counts_tricomplex(x, params)
+    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
 
 
 def test_tables_meeting_a_shared_axis_run_the_joint_kernel(rng, monkeypatch):
