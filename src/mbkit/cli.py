@@ -149,14 +149,13 @@ def cmd_render2d(set_name: str, p: int, window, res, max_iter: int, out) -> Path
     return out
 
 
-def cmd_render3d(slice_spec, p: int, window, dims, max_iter: int, out,
-                 prune: bool = False):
+def cmd_render3d(slice_spec, p: int, window, dims, max_iter: int, out):
     """Sample a 3D slice, write the voxel grid and member point cloud."""
     threads = _threads()
     spec = slice_spec if isinstance(slice_spec, SliceSpec) else SliceSpec.parse(slice_spec)
     params = IterationParams(p, max_iter)
     t0 = time.perf_counter()
-    grid = sample_slice(spec, window, dims, params, prune=prune, threads=threads)
+    grid = sample_slice(spec, window, dims, params, threads=threads)
     vox_path, cloud_path = _outputs("render3d", out)
     grid.write_mbv1(vox_path)
     grid.write_pointcloud(cloud_path)
@@ -165,7 +164,7 @@ def cmd_render3d(slice_spec, p: int, window, dims, max_iter: int, out,
         out, "render3d",
         {"slice": spec.label(), "p": p,
          "window": [list(ax) for ax in window], "dims": list(grid.dims),
-         "max_iter": max_iter, "prune": prune},
+         "max_iter": max_iter},
         wall, [vox_path, cloud_path],
     )
     # Counted once; volume_estimate() would count the members again.
@@ -331,10 +330,6 @@ def _scalar(key: str, value) -> str:
 def _tokens(key: str, shape, value) -> list[str]:
     """A recorded value as its command-line option, or none for an unset one."""
     option = "--" + key.replace("_", "-")
-    if shape == "flag":
-        if not isinstance(value, bool):
-            raise ManifestError(f"parameter {key}: expected true or false, got {value!r}")
-        return [option] if value else []
     if not isinstance(shape, tuple):
         text = _scalar(key, value)
     else:
@@ -369,15 +364,26 @@ def _rerun_argv(manifest: dict, out_dir: Path) -> list[str]:
     return argv
 
 
-def _check_recorded_radius(manifest: dict, args: argparse.Namespace) -> None:
-    """Older render2d manifests record the escape radius, now always the
-    sharp bound of p: they rerun only if they record that bound."""
+# Parameters that older manifests record but no option sets any more, each
+# with the value every run now uses, as a function of the parsed arguments:
+# the escape radius is always the sharp bound of p, and render3d no longer
+# prunes.  Such a manifest reruns only if it records that value.
+_RETIRED = {
+    "render2d": {"escape_radius": lambda args: escape_bound(args.p)},
+    "render3d": {"prune": lambda args: False},
+}
+
+
+def _check_retired(manifest: dict, args: argparse.Namespace) -> None:
     params = manifest["parameters"]
-    if args.command == "render2d" and "escape_radius" in params:
-        bound = escape_bound(args.p)
-        if params["escape_radius"] != bound:
-            raise ManifestError(f"parameter escape_radius: {params['escape_radius']!r} "
-                                f"is not the sharp bound {bound!r} for p = {args.p}")
+    for key, now in _RETIRED.get(args.command, {}).items():
+        if key in params:
+            value, fixed = params[key], now(args)
+            # A bool only matches a bool: JSON's 0 is not false.
+            if isinstance(value, bool) != isinstance(fixed, bool) or value != fixed:
+                raise ManifestError(f"parameter {key}: {json.dumps(value)} is not "
+                                    f"{json.dumps(fixed)}, the value every "
+                                    f"{args.command} run now uses")
 
 
 def cmd_rerun(manifest_path, out_dir=None) -> int:
@@ -388,7 +394,7 @@ def cmd_rerun(manifest_path, out_dir=None) -> int:
         # The command line's own parser and checks, so a rerun accepts
         # exactly what the command line accepts.
         args = _parse_args(_ManifestParser, _rerun_argv(manifest, out_dir))
-        _check_recorded_radius(manifest, args)
+        _check_retired(manifest, args)
     except ManifestError as exc:
         raise ManifestError(f"manifest {str(manifest_path)!r}: {exc}") from None
     if manifest.get("version") != __version__:
@@ -492,13 +498,13 @@ _SETS = ("multibrot", "hyperbrot")
 _ESTIMATE_KINDS = ("real-extent", "hyperbric-area", "perplexbric-volume")
 
 # The parameters each rerunnable command records, by how each is written back
-# as its option: a scalar; one that may be absent ("optional"); a bare "flag";
-# or a list of exactly `count` sizes or lo:hi ranges.
+# as its option: a scalar; one that may be absent ("optional"); or a list of
+# exactly `count` sizes or lo:hi ranges.
 _RERUN_OPTIONS = {
     "render2d": {"set": "scalar", "p": "scalar", "window": ("ranges", 2),
                  "res": ("sizes", 2), "max_iter": "scalar"},
     "render3d": {"slice": "scalar", "p": "scalar", "window": ("ranges", 3),
-                 "dims": ("sizes", 3), "max_iter": "scalar", "prune": "flag"},
+                 "dims": ("sizes", 3), "max_iter": "scalar"},
     "verify": {"suite": "scalar", "seed": "scalar"},
     "estimate": {"kind": "scalar", "p": "scalar", "precision": "optional"},
 }
@@ -530,9 +536,6 @@ def build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
                     default=((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)))
     r3.add_argument("--dims", type=_sizes(3), default=(128, 128, 128))
     r3.add_argument("--max-iter", type=_max_iter, default=1000)
-    r3.add_argument("--prune", action="store_true",
-                    help="skip cells outside the bounding discus and write them "
-                         "with count 1, not their escape counts; not always faster")
     r3.add_argument("--out", required=True)
 
     vf = sub.add_parser("verify", help="run numeric verification suites")
@@ -616,7 +619,7 @@ def _run(args: argparse.Namespace) -> int:
                      args.max_iter, args.out)
     elif args.command == "render3d":
         cmd_render3d(args.slice, args.p, args.window, args.dims,
-                     args.max_iter, args.out, prune=args.prune)
+                     args.max_iter, args.out)
     elif args.command == "verify":
         return cmd_verify(args.suite, seed=args.seed, out=args.out)
     elif args.command == "estimate":

@@ -793,10 +793,9 @@ def _row_terms(x: list, size: int, entries: int):
     return terms
 
 
-def _check_rows(x, cells):
+def _check_rows(x):
     """The coefficient rows x as float64 arrays of one dimension count, None
-    where absent, with their broadcast shape, at least one axis, and cells
-    as an index array."""
+    where absent, with their broadcast shape, at least one axis."""
     shape_of = x.shape if isinstance(x, np.ndarray) else f"{len(x)} rows"
     if len(x) != 8:
         raise ValueError(f"expected eight coefficient rows, got {shape_of}")
@@ -809,7 +808,6 @@ def _check_rows(x, cells):
     except ValueError:
         raise ValueError("coefficient rows do not broadcast together: shapes "
                          + ", ".join(map(str, shapes))) from None
-    size = math.prod(shape)
     # A broadcast row repeats its values along zero strides; one copy of
     # them is the row.
     for k, r in enumerate(rows):
@@ -817,32 +815,20 @@ def _check_rows(x, cells):
             r = r.reshape((1,) * (len(shape) - r.ndim) + r.shape)
             r = r[tuple(slice(0, 1) if st == 0 else slice(None) for st in r.strides)]
             rows[k] = np.ascontiguousarray(r)
-    if cells is not None:
-        cells = np.asarray(cells)
-        if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
-            raise ValueError(f"cells must be a 1-D integer array, got shape {cells.shape} "
-                             f"of {cells.dtype}")
-        cells = cells.astype(np.intp, copy=False)
-        if cells.size and (cells[0] < 0 or cells[-1] >= size
-                           or (cells[1:] < cells[:-1]).any()):
-            raise ValueError(f"cells must be sorted flat indices into the broadcast "
-                             f"shape {shape} of {size} cells")
-    return rows, shape, cells
+    return rows, shape
 
 
-def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
-                           cells: np.ndarray | None = None):
+def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1):
     """Counts/member for the tricomplex parameters of 8 coefficient rows.
 
     x holds the eight coefficient rows, arrays that broadcast together,
     with None for a zero row.  Counts and member are flat in C order over
-    the broadcast shape, or, given cells, a sorted 1-D array of flat
-    indices into it, for those cells only.  Each cell iterates its
-    to_complex4 components, the rows of hypercomplex.complex4_rows: two
-    when the rows present lie in a bicomplex subalgebra, all four
-    otherwise, real when no i-unit row is present.  Multiplication is
-    componentwise there, and the escape test uses the combined ring norm,
-    the direct engine's criterion.
+    the broadcast shape, so flat 1-D rows give the counts of just the
+    cells they list.  Each cell iterates its to_complex4 components, the
+    rows of hypercomplex.complex4_rows: two when the rows present lie in a
+    bicomplex subalgebra, all four otherwise, real when no i-unit row is
+    present.  Multiplication is componentwise there, and the escape test
+    uses the combined ring norm, the direct engine's criterion.
 
     Each row of a cell iterates on its own, and on lattice windows the rows
     take few distinct values, so each distinct value v is iterated once.
@@ -894,20 +880,18 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
     on the axes they span (_entries), reads e and E with one gather per
     space, and sums an open cell's ring norm from table[start_r[entry] + m]
     in _ring_mean's order.  Per cell, the path holds the 4 B counts and 1 B
-    member flags it returns, besides the 8 B index of each cell given.
-    Beyond them it holds the distinct values with their e_v, E_v and their
-    s_v at steps 1 to min(E_v - 1, _TABLE_STEPS) only, the entry tables,
-    and per worker a block's entries and lookups.  No cell reads a row at
-    or past its E_v: a cell reads step m only while m < E, and E is at most
-    each of its rows' E_v.  On lattice windows most values pass 4 lim
-    within a few steps, so the table holds a small share of _TABLE_STEPS
-    values each (12.6% on the Tetrabric 96^3 window shifted by a fraction
-    of a cell, 29.5% on the Perplexbric 128^3 one).
+    member flags it returns.  Beyond them it holds the distinct values with
+    their e_v, E_v and their s_v at steps 1 to min(E_v - 1, _TABLE_STEPS)
+    only, the entry tables, and per worker a block's entries and lookups.
+    No cell reads a row at or past its E_v: a cell reads step m only while
+    m < E, and E is at most each of its rows' E_v.  On lattice windows most
+    values pass 4 lim within a few steps, so the table holds a small share
+    of _TABLE_STEPS values each (12.6% on the Tetrabric 96^3 window shifted
+    by a fraction of a cell, 29.5% on the Perplexbric 128^3 one).
     """
     threads = _check_threads(threads)
-    x, shape, cells = _check_rows(x, cells)
-    size = math.prod(shape)
-    n = size if cells is None else cells.size
+    x, shape = _check_rows(x)
+    n = math.prod(shape)
     counts = np.empty(n, dtype=np.uint32)
     member = np.empty(n, dtype=bool)
     if not n:
@@ -920,7 +904,7 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
         # each row indexed on the axes it spans.
         for k in range(0, pos.size, _JOINT_CELLS):
             part = pos[k:k + _JOINT_CELLS]
-            at = np.unravel_index(part if cells is None else cells[part], shape)
+            at = np.unravel_index(part, shape)
             with np.errstate(over="ignore", invalid="ignore"):  # inf rows escape at once
                 w = complex4_rows([
                     None if r is None else
@@ -930,7 +914,7 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = _row_terms(x, size, rows * n)
+            terms = _row_terms(x, n, rows * n)
         uniq, where = np.unique(np.concatenate([t.u for t in terms]), return_inverse=True)
         if uniq.size * _MIN_SHARING > rows * n:
             raise _Unshared
@@ -986,7 +970,7 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
 
     # The workers split the rows along the first axis, each taking a chunk
     # of cells at least.
-    least = -(-(_CHUNK // min(threads, os.cpu_count() or 1)) // (size // shape[0]))
+    least = -(-(_CHUNK // min(threads, os.cpu_count() or 1)) // (n // shape[0]))
     ranges = _ranges(shape[0], threads, least)
     chunk = _CHUNK // len(ranges)
 
@@ -995,11 +979,6 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1,
         for index, a, b in _blocks(shape, lo, hi, chunk):
             block = tuple(k.stop - k.start for k in index) + shape[len(index):]
             ks = [np.broadcast_to(_entries(t, index), block).ravel() for t in heads]
-            if cells is not None:
-                # The given cells in the block, at output positions a:b.
-                i, j = np.searchsorted(cells, (a, b))
-                ks = [k.take(cells[i:j] - a) for k in ks]
-                a, b = i, j
             # A cell escapes at a step from e to end, a member if end is
             # past max_iter; e == end settles it.  The cells still open go
             # on a step at a time from e, summing their rows' s in the

@@ -22,11 +22,10 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .dynamics import IterationParams, escape_bound, grid_counts_tricomplex
+from .dynamics import IterationParams, grid_counts_tricomplex
 from .hypercomplex import (
     Tricomplex,
     UnitIndex,
-    in_discus,
     iteration_span_units,
     parse_unit,
     pow_batch,
@@ -454,21 +453,16 @@ def sample_slice(
     window,
     dims,
     params: IterationParams,
-    prune: bool = False,
     threads: int = 1,
 ) -> VoxelGrid:
     """Escape counts at every cell center of a 3D window over a slice.
 
-    With prune=True, cells outside the closed discus of radius 2^(1/(p-1))
-    cannot be members and are marked escaped at iteration 1 without
-    iterating.  The slice's three coefficient rows are the window's axes,
-    each shaped to vary along its own axis, and grid_counts_tricomplex
-    takes them as they are: it finds the rows' distinct values from tables
-    over one or two axes, and builds no per-cell component batch.  Beyond
-    the 4 B/cell counts it returns, which become the grid's cells, sampling
-    holds 1 B/cell of member flags, and with prune=True 1 B/cell of discus
-    mask and, unless the discus keeps every cell, 8 B per kept cell of
-    index.
+    The slice's three coefficient rows are the window's axes, each shaped
+    to vary along its own axis, and grid_counts_tricomplex takes them as
+    they are: it finds the rows' distinct values from tables over one or
+    two axes, and builds no per-cell component batch.  Beyond the 4 B/cell
+    counts it returns, which become the grid's cells, sampling holds
+    1 B/cell of member flags.
     """
     (x0, x1), (y0, y1), (z0, z1) = window
     nx, ny, nz = (int(d) for d in dims)
@@ -485,14 +479,7 @@ def sample_slice(
     for u, axis, shape in zip(spec.units, (xs, ys, zs),
                               ((nx, 1, 1), (1, ny, 1), (1, 1, nz))):
         x[u] = axis.reshape(shape)
-    kept = _discus_cells(x, escape_bound(params.p), (nx, ny, nz)) if prune else None
-    if kept is None:
-        counts, _ = grid_counts_tricomplex(x, params, threads=threads)
-    else:
-        counts = np.ones(nx * ny * nz, dtype=np.uint32)  # pruned cells escape at 1
-        if kept.size:
-            counts[kept], _ = grid_counts_tricomplex(x, params, threads=threads,
-                                                     cells=kept)
+    counts, _ = grid_counts_tricomplex(x, params, threads=threads)
 
     origin = (float(xs[0]), float(ys[0]), float(zs[0]))
     spacing = (
@@ -509,13 +496,3 @@ def sample_slice(
         cells=counts.reshape(nx, ny, nz),
     )
 
-
-def _discus_cells(x, radius: float, dims) -> np.ndarray | None:
-    """The C-order flat indices of the cells of dims inside the closed
-    discus, for coefficient rows x that broadcast to dims, or None when
-    it keeps every cell; membership is found one x-plane at a time."""
-    keep = np.empty(dims, dtype=bool)
-    for i in range(dims[0]):
-        keep[i:i + 1] = in_discus(
-            [r if r is None or len(r) == 1 else r[i:i + 1] for r in x], radius)
-    return None if keep.all() else np.flatnonzero(keep)

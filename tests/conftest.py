@@ -133,10 +133,10 @@ def sample_slice_whole_window():
     kernel, which iterates every cell's rows together.  The reference for
     the per-axis, slice-native sampling and for the distinct-value
     tricomplex path."""
-    from mbkit.dynamics import _run_blocks, escape_bound
+    from mbkit.dynamics import _run_blocks
     from mbkit.slices import VoxelGrid, cell_centers
 
-    def sample(spec, window, dims, params, prune=False, threads=1):
+    def sample(spec, window, dims, params, threads=1):
         (x0, x1), (y0, y1), (z0, z1) = window
         nx, ny, nz = (int(d) for d in dims)
         xs = cell_centers(x0, x1, nx)
@@ -147,15 +147,7 @@ def sample_slice_whole_window():
         x8 = np.zeros((8, nx * ny * nz))
         for u, vals in zip(spec.units, coords):
             x8[u] = vals
-        w = components_by_scan(x8)
-        if prune:
-            keep = inside_discus_reference(x8, escape_bound(params.p))
-            counts = np.ones(x8.shape[1], dtype=np.uint32)
-            if keep.any():
-                inner, _ = _run_blocks(w[:, keep], params, threads)
-                counts[keep] = inner
-        else:
-            counts, _ = _run_blocks(w, params, threads)
+        counts, _ = _run_blocks(components_by_scan(x8), params, threads)
         origin = (float(xs[0]), float(ys[0]), float(zs[0]))
         spacing = (float((x1 - x0) / nx), float((y1 - y0) / ny),
                    float((z1 - z0) / nz))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import mbkit
-from mbkit import __version__, cli, dynamics
+from mbkit import __version__, cli, dynamics, slices
 from mbkit.cli import (
     _RERUN_OPTIONS,
     _threads,
@@ -32,7 +32,7 @@ from mbkit.cli import (
 )
 from mbkit.hypercomplex import PRODUCT_TABLE
 from mbkit.roots import MANDELBRIC_REAL_BOUND
-from mbkit.suites import algebra_suite
+from mbkit.suites import algebra_suite, slices_suite
 
 
 def _read_pgm(path):
@@ -207,6 +207,35 @@ def test_reports_and_oracle_steps_are_pinned(label, tmp_path, monkeypatch, capsy
     # of writing, the whole of the verify commands' count.
     want = reference["counts"]["check"]["verify"]["iterate_tricomplex_steps"]
     assert sum(steps) == (want if label == "verify_dynamics" else 0)
+
+
+def test_slices_suite_grid_work_is_pinned(monkeypatch):
+    # The slices suite's calls of grid_counts_tricomplex are the whole of
+    # the verify commands' grid work, which a traced benchmark run gates:
+    # cells, escape counts summed, member flags times the budget, and the
+    # distinct escape counts over all calls, against reference.json (read,
+    # never written here).
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "reference.json").read_text())
+    want = reference["counts"]["check"]["verify"]
+    grid = dynamics.grid_counts_tricomplex
+    calls = []
+
+    def recording(x, params, threads=1):
+        counts, member = grid(x, params, threads=threads)
+        calls.append((counts.copy(), member.copy(), params.max_iter))
+        return counts, member
+
+    monkeypatch.setattr(dynamics, "grid_counts_tricomplex", recording)
+    monkeypatch.setattr(slices, "grid_counts_tricomplex", recording)
+    assert all(r.passed for r in slices_suite(0))
+    cells = sum(c.size for c, _, _ in calls)
+    escapes = set().union(*(np.unique(c[~m]).tolist() for c, m, _ in calls))
+    assert len(calls) == 5
+    assert cells == want["cells"] == want["kernel_points"]
+    assert sum(int(c.sum(dtype=np.uint64)) for c, _, _ in calls) == want["point_iters"]
+    assert sum(int(m.sum()) * budget for _, m, budget in calls) == want["member_iters"]
+    assert len(escapes) == want["compactions"]
 
 
 # The slices report at seeds the benchmark does not run, by seed: (txt, json).
@@ -462,6 +491,8 @@ def test_parser_rejects_bad_window():
     ["render3d", "--slice", "1,1,j1"],
     ["render3d", "--window=-1:1,1:-1,-1:1"],
     ["render3d", "--window=-1:1,1.7e308:1.79e308,-1:1"],
+    # Discus pruning is no longer an option; argparse rejects it.
+    ["render3d", "--prune"],
     ["verify", "--seed", "-1"],
     ["verify", "--suite", "nope"],
     ["frobnicate"],
@@ -811,6 +842,10 @@ _GOOD_RENDER2D = {"set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5
                 "parameters": {**_GOOD_RENDER3D, "max_iter": 0}}).encode(),
     json.dumps({**_GOOD_MANIFEST, "command": "render3d",
                 "parameters": {**_GOOD_RENDER3D, "prune": "no"}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render3d",
+                "parameters": {**_GOOD_RENDER3D, "prune": True}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "command": "render3d",
+                "parameters": {**_GOOD_RENDER3D, "prune": 0}}).encode(),
     json.dumps({**_GOOD_MANIFEST, "command": "render2d", "parameters": {
         "set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5]],
         "res": [8, 8], "max_iter": 10, "escape_radius": 0.5}}).encode(),
@@ -839,6 +874,7 @@ _GOOD_RENDER2D = {"set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5
         "list-command", "estimate-without-p", "render3d-with-estimate-parameters",
         "p-not-a-number", "p-below-2", "bad-precision", "volume-with-p-4",
         "zero-dims", "inverted-window", "bad-slice", "zero-max-iter", "prune-not-bool",
+        "pruned", "prune-zero",
         "radius-below-bound", "negative-seed", "p-a-list", "res-one-entry",
         "window-not-a-list", "unknown-set", "output-in-parent-dir", "output-in-subdir",
         "output-dot-dot", "output-empty-name", "max-iter-beyond-uint32",
@@ -882,9 +918,9 @@ def _write_hyperbrot(out):
     return out / "h.pgm.manifest.json"
 
 
-def _write_pruned_tetrabric(out):
+def _write_tetrabric(out):
     cmd_render3d("1,i1,i2", 3, ((-1.5, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (10, 8, 6), 40,
-                 out / "tet", prune=True)
+                 out / "tet")
     return out / "tet.manifest.json"
 
 
@@ -898,9 +934,9 @@ def _write_real_extent(out):
     return out / "ext.manifest.json"
 
 
-@pytest.mark.parametrize("write", [_write_hyperbrot, _write_pruned_tetrabric,
+@pytest.mark.parametrize("write", [_write_hyperbrot, _write_tetrabric,
                                    _write_hyperbric_area, _write_real_extent],
-                         ids=["render2d-hyperbrot-40x20", "render3d-tetrabric-pruned",
+                         ids=["render2d-hyperbrot-40x20", "render3d-tetrabric",
                               "estimate-area-int-precision",
                               "estimate-extent-no-precision"])
 def test_rerun_replays_every_command_shape(write, tmp_path, capsys):
@@ -913,6 +949,30 @@ def test_rerun_replays_every_command_shape(write, tmp_path, capsys):
     # The rerun records the same parameters, so none was dropped or converted.
     redo = json.loads((tmp_path / "redo" / manifest_path.name).read_text())
     assert redo["parameters"] == manifest["parameters"]
+
+
+def test_rerun_of_a_manifest_that_records_prune(tmp_path, capsys):
+    # Manifests written while render3d took --prune record it; those that
+    # did not prune rerun as they did.  A pruned grid wrote count 1 for the
+    # cells outside the discus, which no rerun reproduces.
+    path = _write_tetrabric(tmp_path)
+    manifest = json.loads(path.read_text())
+    assert "prune" not in manifest["parameters"]
+    manifest["parameters"]["prune"] = False
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(path), "--out-dir", str(tmp_path / "redo")]) == 0
+    assert capsys.readouterr().out.endswith("tet.mbv1: match\ntet.xyz: match\n")
+    for k, value in enumerate((True, "no")):
+        manifest["parameters"]["prune"] = value
+        path.write_text(json.dumps(manifest))
+        redo = tmp_path / f"redo{k}"
+        assert main(["rerun", "--manifest", str(path), "--out-dir", str(redo)]) == 2
+        out = capsys.readouterr()
+        line = _assert_one_error_line(out.err)
+        assert out.out == "" and line.startswith("mbkit: error: manifest ")
+        assert "parameter prune: " in line
+        assert not redo.exists()
 
 
 def test_rerun_table_covers_every_option():

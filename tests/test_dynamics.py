@@ -1086,8 +1086,9 @@ def test_empty_batches_return_without_iterating(monkeypatch):
         grid_counts_tricomplex([np.empty(0), None, np.empty(0)] + [None] * 5, params),
         grid_counts_tricomplex([None] * 5 + [np.empty((3, 0)), np.empty((1, 0)), None],
                                params, threads=3),
-        grid_counts_tricomplex([np.arange(3.0)] + [None] * 7, params, threads=3,
-                               cells=np.empty(0, dtype=np.intp)),
+        # The flat rows of a window at none of its cells.
+        grid_counts_tricomplex([np.arange(3.0)[np.empty(0, dtype=np.intp)]] + [None] * 7,
+                               params, threads=3),
     ]
     for counts, member in results:
         assert counts.shape == member.shape == (0,)
@@ -1619,9 +1620,10 @@ def test_sharing_rule_counts_the_batch_distinct_values(monkeypatch):
 def test_broadcast_rows_match_their_flat_cells(sharing, rng, monkeypatch):
     # Per-axis rows of asymmetric windows, as sample_slice passes them, and
     # meshgrid views of them, with zero strides, against the flat rows of
-    # the same cells; whole grids and sorted subsets of cells, split into
-    # chunks that do not divide the worker ranges.  At sharing 16 these
-    # windows share too little, and the joint kernel takes their cells.
+    # the same cells; whole grids, and the flat rows of sorted subsets of
+    # cells, split into chunks that do not divide the worker ranges.  At
+    # sharing 16 these windows share too little, and the joint kernel takes
+    # their cells.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(dynamics, "_MIN_SHARING", sharing)
     monkeypatch.setattr(dynamics, "_CHUNK", 211)
@@ -1643,11 +1645,12 @@ def test_broadcast_rows_match_their_flat_cells(sharing, rng, monkeypatch):
         if sharing:
             # Each row needs a table with more entries than a sixteenth of
             # the batch's row entries, which is not built.
-            rows, _, _ = dynamics._check_rows(per_axis, None)
+            rows, _ = dynamics._check_rows(per_axis)
             entries = complex4_rows(flat).size
             with pytest.raises(dynamics._Unshared):
                 dynamics._row_terms(rows, ref_counts.size, entries)
         cells = np.sort(rng.choice(ref_counts.size, 500, replace=False))
+        subset = [None if r is None else r[cells] for r in flat]
         for x in (per_axis, views):
             for threads in (1, 3):
                 shapes = _recorded_kernel_calls(monkeypatch)
@@ -1655,8 +1658,7 @@ def test_broadcast_rows_match_their_flat_cells(sharing, rng, monkeypatch):
                 assert (len(shapes[0]) == 1) == (sharing == 0)
                 assert np.array_equal(counts, ref_counts), (units, threads)
                 assert np.array_equal(member, ref_member), (units, threads)
-                counts, member = grid_counts_tricomplex(x, params, threads=threads,
-                                                        cells=cells)
+                counts, member = grid_counts_tricomplex(subset, params, threads=threads)
                 assert np.array_equal(counts, ref_counts[cells]), (units, threads)
                 assert np.array_equal(member, ref_member[cells]), (units, threads)
 
@@ -1672,7 +1674,7 @@ _SPACES = {"1,j1,j2": (0, 0, 1, 1), "j1,j2,j3": (0, 0, 1, 1),
 def _space_pattern(x, cells):
     """The entry space each row of the per-axis rows x reads, numbered in
     order of first use."""
-    rows, _, _ = dynamics._check_rows(x, None)
+    rows, _ = dynamics._check_rows(x)
     terms = dynamics._row_terms(rows, cells, 4 * cells)
     keys = [tuple(map(id, t.parts)) for t in terms]
     assert all(keys)  # every row is a pair table on these windows
@@ -1726,9 +1728,9 @@ def test_shared_entry_spaces_match_the_joint_kernel(units, p, rng, monkeypatch):
     # Rows whose pair tables have the same parts read e and E off one entry
     # space, and open cells sum their rows' s in _ring_mean's order.  Each
     # kind of spaces, on three windows, as per-axis rows, their flat cells
-    # (each row a plain term with its own space) and sorted subsets of
-    # cells, at 1 and 2 workers in blocks that split the planes, against
-    # the joint kernel.
+    # (each row a plain term with its own space) and the flat rows of a
+    # sorted third of the cells, at 1 and 2 workers in blocks that split the
+    # planes, against the joint kernel.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
     monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)
@@ -1749,13 +1751,14 @@ def test_shared_entry_spaces_match_the_joint_kernel(units, p, rng, monkeypatch):
         assert ref_member.any() == (name != "pairing-sensitive")
         assert (ref_counts[~ref_member] > 1).any()
         cells = np.sort(rng.choice(size, size // 3, replace=False))
+        subset = [None if r is None else r[cells] for r in flat]
         for threads, chunk in ((1, 1 << 16), (1, 50), (2, 97)):
             monkeypatch.setattr(dynamics, "_CHUNK", chunk)
             for rows in (x, flat):
                 counts, member = grid_counts_tricomplex(rows, params, threads=threads)
                 assert np.array_equal(counts, ref_counts), (name, threads, chunk)
                 assert np.array_equal(member, ref_member), (name, threads, chunk)
-            counts, member = grid_counts_tricomplex(x, params, threads=threads, cells=cells)
+            counts, member = grid_counts_tricomplex(subset, params, threads=threads)
             assert np.array_equal(counts, ref_counts[cells]), (name, threads, chunk)
             assert np.array_equal(member, ref_member[cells]), (name, threads, chunk)
     if units == "1,j1,j2":
@@ -1786,7 +1789,8 @@ def test_tables_meeting_a_shared_axis_run_the_joint_kernel(rng, monkeypatch):
     # x0 + x7 is a table over both axes, and the row adds x5, which spans
     # the first axis again: no table is expanded per cell, and the batch
     # runs the joint kernel, as a batch whose rows share too few values
-    # does, on the whole grid and on a sorted subset of its cells.
+    # does.  The flat rows of a sorted subset of its cells span one axis
+    # together, and run the distinct-value path to the same counts.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
     params = IterationParams(3, 300)
@@ -1795,20 +1799,21 @@ def test_tables_meeting_a_shared_axis_run_the_joint_kernel(rng, monkeypatch):
     x[0], x[5], x[7] = xs[:, None], 0.5 * xs[:, None], ys[None, :]
     flat = [None if r is None else np.broadcast_to(r, (7, 9)).ravel() for r in x]
     w = complex4_rows(flat)
-    rows, _, _ = dynamics._check_rows(x, None)
+    rows, _ = dynamics._check_rows(x)
     with pytest.raises(dynamics._Unshared):
         dynamics._row_terms(rows, 63, w.size)
     ref_counts, ref_member = grid_counts_tricomplex(flat, params)
     assert ref_member.any() and not ref_member.all()
     cells = np.sort(rng.choice(63, 20, replace=False))
+    subset = [None if r is None else r[cells] for r in flat]
     for threads in (1, 3):
         shapes = _recorded_kernel_calls(monkeypatch)
         counts, member = grid_counts_tricomplex(x, params, threads=threads)
         assert shapes == [w.shape], threads
         assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
         shapes = _recorded_kernel_calls(monkeypatch)
-        counts, member = grid_counts_tricomplex(x, params, threads=threads, cells=cells)
-        assert shapes == [(len(w), cells.size)], threads
+        counts, member = grid_counts_tricomplex(subset, params, threads=threads)
+        assert len(shapes) == 1 and len(shapes[0]) == 1, threads
         assert np.array_equal(counts, ref_counts[cells])
         assert np.array_equal(member, ref_member[cells])
 
@@ -1832,8 +1837,8 @@ def test_zero_dimensional_inputs_are_one_cell(sharing, monkeypatch):
             for rows in (x, [None if v is None else np.float64(v) for v in x]):
                 counts, member = grid_counts_tricomplex(rows, params, threads=threads)
                 assert (counts.tolist(), member.tolist()) == expected, (coeffs, threads)
-            counts, member = grid_counts_tricomplex(x, params, threads=threads,
-                                                    cells=np.array([0]))
+            cell = [None if v is None else np.array([v]) for v in x]
+            counts, member = grid_counts_tricomplex(cell, params, threads=threads)
             assert (counts.tolist(), member.tolist()) == expected
     for a, b in ((0.1, 0.2), (0.3, 0.2), (-0.25, 0.05)):
         ref = iterate_hyperbolic(Hyperbolic(a, b), params, "direct")
@@ -1857,17 +1862,10 @@ def test_tricomplex_rows_are_checked():
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             grid_counts_tricomplex(x, params)
-    shape = "broadcast shape (3, 4) of 12 cells"
-    for cells, message in (
-            (np.array([[0, 1]]), "1-D integer array, got shape (1, 2) of int64"),
-            (np.array([0.0, 1.0]), "1-D integer array, got shape (2,) of float64"),
-            (np.array([3, 2]), shape),
-            (np.array([-1, 2]), shape),
-            (np.array([2, 12]), shape),
-    ):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            grid_counts_tricomplex(rows, params, cells=cells)
-    counts, member = grid_counts_tricomplex(rows, params, cells=np.array([0, 0, 11]))
+    # The flat rows of cells 0, 0 and 11 of the (3, 4) grid of rows.
+    flat = [None if r is None else np.broadcast_to(r, (3, 4)).ravel()[[0, 0, 11]]
+            for r in rows]
+    counts, member = grid_counts_tricomplex(flat, params)
     assert counts.shape == member.shape == (3,) and member.all()
 
 

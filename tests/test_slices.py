@@ -293,44 +293,6 @@ def test_perplexbric_grid_matches_analytic_outside_band():
     assert np.array_equal(g.member_mask()[away], analytic[away])
 
 
-def test_prune_never_drops_members():
-    params = IterationParams(3, 120)
-    spec = PRINCIPAL_SLICES["Perplexbric"]
-    window = ((-1.8, 1.8),) * 3
-    gp = sample_slice(spec, window, (14, 14, 14), params, prune=True)
-    gn = sample_slice(spec, window, (14, 14, 14), params, prune=False)
-    assert np.array_equal(gp.member_mask(), gn.member_mask())
-    pruned = (gp.cells == 1) & (gn.cells != 1)
-    assert pruned.any()
-    assert not gn.member_mask()[pruned].any()
-
-
-def test_prune_keeping_every_cell_samples_the_whole_window(monkeypatch):
-    # The discus keeps every cell of this window: the sample passes no
-    # cells, and equals the unpruned grid.  A window reaching past the
-    # discus still passes its kept cells.
-    calls = []
-
-    def recording(x, params, threads=1, cells=None):
-        calls.append(cells)
-        return dynamics.grid_counts_tricomplex(x, params, threads=threads, cells=cells)
-
-    monkeypatch.setattr(slices, "grid_counts_tricomplex", recording)
-    params = IterationParams(3, 120)
-    spec = PRINCIPAL_SLICES["Perplexbric"]
-    for half, pruned in ((0.5, False), (1.8, True)):
-        window = ((-half, half),) * 3
-        calls.clear()
-        gp = sample_slice(spec, window, (14, 14, 14), params, prune=True)
-        gn = sample_slice(spec, window, (14, 14, 14), params, prune=False)
-        assert calls[1] is None and (calls[0] is not None) == pruned
-        if pruned:
-            assert 0 < calls[0].size < 14 ** 3
-        else:
-            assert np.array_equal(gp.cells, gn.cells)
-            assert 0 < gp.member_count() < gp.cells.size
-
-
 def test_voxel_grid_metadata_and_volume():
     params = IterationParams(3, 100)
     g = sample_slice(PRINCIPAL_SLICES["Perplexbric"], ((-0.5, 0.5),) * 3,
@@ -455,13 +417,17 @@ def test_window_outside_bounding_discus_is_empty():
 # --- chunked sampling ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("prune", [False, True], ids=["full", "prune"])
+# The whole window through sample_slice, or ("prune") the flat rows of its
+# cells inside the bounding discus through grid_counts_tricomplex, as
+# slices.prune_soundness passes them.
+@pytest.mark.parametrize("pruned", [False, True], ids=["full", "prune"])
 # The principal slices, and a span from each bicomplex subalgebra other than
 # Tetrabric's, sampled on their two distinct components; the reference
 # iterates all four.
 @pytest.mark.parametrize("name", list(PRINCIPAL_SLICES) + ["1,i1,i3", "1,i4,j3"])
-def test_streamed_sampling_matches_whole_window(name, prune, monkeypatch,
-                                                sample_slice_whole_window):
+def test_streamed_sampling_matches_whole_window(name, pruned, monkeypatch,
+                                                sample_slice_whole_window,
+                                                discus_reference):
     # Pretend to have 8 CPUs, and let every worker take a block of any
     # size, so threads 2 and 3 split the window's cells.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -471,13 +437,25 @@ def test_streamed_sampling_matches_whole_window(name, prune, monkeypatch,
     dims = (13, 7, 11)  # 1001 cells, 77 per x-plane
     # A symmetric window puts cell centers on 0 in every axis; the other is not.
     for window in (((-1.5, 1.5),) * 3, ((-1.3, 0.4), (-0.2, 1.1), (-0.9, 0.7))):
-        ref = sample_slice_whole_window(spec, window, dims, params, prune=prune)
+        ref = sample_slice_whole_window(spec, window, dims, params)
         assert 0 < ref.member_count() < ref.cells.size
+        if pruned:
+            axes = [cell_centers(lo, hi, n) for (lo, hi), n in zip(window, dims)]
+            coords = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+            x8 = np.zeros((8, ref.cells.size))
+            x8[list(spec.units)] = coords
+            inside = discus_reference(x8, escape_bound(params.p))
+            assert inside.any() and not inside.all()
+            flat = _slice_rows(spec, [c[inside] for c in coords])
         # One cell per chunk, less than one x-plane, a size that does not
         # divide the cell count, and the whole window in one chunk.
         for chunk, threads in ((1, 1), (50, 1), (50, 2), (173, 3), (1 << 18, 2)):
             monkeypatch.setattr(dynamics, "_CHUNK", chunk)
-            g = sample_slice(spec, window, dims, params, prune=prune, threads=threads)
+            if pruned:
+                counts, _ = dynamics.grid_counts_tricomplex(flat, params, threads=threads)
+                assert np.array_equal(counts, ref.cells.ravel()[inside]), (window, chunk)
+                continue
+            g = sample_slice(spec, window, dims, params, threads=threads)
             assert g == ref
             assert g.cells.dtype == ref.cells.dtype
             assert np.array_equal(g.cells, ref.cells), (window, chunk, threads)
@@ -490,7 +468,7 @@ def test_distinct_values_match_the_whole_window_on_every_span(spec, rng, monkeyp
     # this small take only with _MIN_SHARING at 0, against the joint kernel
     # on the whole window: at p = 2, 3 and 5, a symmetric window reaching
     # past the set and one shifted by a seeded fraction of a cell in each
-    # axis, with pruning off and on; at p = 3 also a window one cell thick.
+    # axis; at p = 3 also a window one cell thick.
     monkeypatch.setattr(dynamics, "_MIN_SHARING", 0)
     for params, dims in ((IterationParams(3, 200), (12, 10, 14)),
                          (IterationParams(2, 100), (8, 7, 9)),
@@ -499,11 +477,10 @@ def test_distinct_values_match_the_whole_window_on_every_span(spec, rng, monkeyp
         shift = rng.uniform(-0.5, 0.5, 3) * 2 * half / np.array(dims)
         windows = [((-half, half),) * 3, tuple((-half + d, half + d) for d in shift)]
         for window in windows:
-            for prune in (False, True):
-                ref = sample_slice_whole_window(spec, window, dims, params, prune=prune)
-                assert 0 < ref.member_count() < ref.cells.size
-                g = sample_slice(spec, window, dims, params, prune=prune)
-                assert np.array_equal(g.cells, ref.cells), (params.p, window, prune)
+            ref = sample_slice_whole_window(spec, window, dims, params)
+            assert 0 < ref.member_count() < ref.cells.size
+            g = sample_slice(spec, window, dims, params)
+            assert np.array_equal(g.cells, ref.cells), (params.p, window)
     thin = (12, 1, 14)
     window = ((-1.2, 1.2), (-0.05, 0.05), (-1.2, 1.2))
     ref = sample_slice_whole_window(spec, window, thin, IterationParams(3, 200))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mbkit import dynamics, slices
-from mbkit.dynamics import IterationParams, escape_bound
+from mbkit.dynamics import IterationParams
 from mbkit.slices import PRINCIPAL_SLICES, cell_centers
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -77,13 +77,11 @@ def test_hyperbolic_hook_records_a_meshgrid_view_call(tracing, monkeypatch):
         assert tracer.replay_grid_calls() == []
 
 
-def test_traced_sample_slice_records_one_tricomplex_call(tracing, monkeypatch,
-                                                         discus_reference):
-    # sample_slice passes the whole window, or on a pruned window its kept
-    # cells, to one grid_counts_tricomplex call, which runs its kernels
-    # through private helpers: the tracer records that call alone, nests no
-    # other grid call in it, and replays it to the same counts at 1 and 2
-    # threads.
+def test_traced_sample_slice_records_one_tricomplex_call(tracing, monkeypatch):
+    # sample_slice passes the whole window to one grid_counts_tricomplex
+    # call, which runs its kernels through private helpers: the tracer
+    # records that call alone, nests no other grid call in it, and replays
+    # it to the same counts at 1 and 2 threads.
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(dynamics, "_CHUNK", 1 << 12)
     tracer = tracing.Tracer()
@@ -98,25 +96,18 @@ def test_traced_sample_slice_records_one_tricomplex_call(tracing, monkeypatch,
     params = IterationParams(3, 300)
     spec = PRINCIPAL_SLICES["Perplexbric"]
     window = ((-1.2, 1.2),) * 3
-    x8 = np.zeros((8, 32 ** 3))
-    axes = [cell_centers(-1.2, 1.2, 32)] * 3
-    for u, g in zip(spec.units, np.meshgrid(*axes, indexing="ij")):
-        x8[u] = g.ravel()
-    kept = int(discus_reference(x8, escape_bound(3)).sum())
-    assert 0 < kept < 32 ** 3
     for threads in (1, 2):
-        for prune, cells in ((False, 32 ** 3), (True, kept)):
-            tracer.grid_calls.clear()
-            tracer.spans.clear()
-            g = sample(spec, window, (32, 32, 32), params, prune=prune, threads=threads)
-            [call] = tracer.grid_calls["perplexbric"]
-            assert call["kernel"] == "dynamics.grid_counts_tricomplex"
-            assert call["cells"] == cells
-            assert call["member_points"] == g.member_count() > 0
-            grid_spans = {name: rec[0] for (cmd, name), rec in tracer.spans.items()
-                          if name in tracing.GRID_KERNELS}
-            assert grid_spans == {"dynamics.grid_counts_tricomplex": 1}
-            assert tracer.replay_grid_calls() == []
+        tracer.grid_calls.clear()
+        tracer.spans.clear()
+        g = sample(spec, window, (32, 32, 32), params, threads=threads)
+        [call] = tracer.grid_calls["perplexbric"]
+        assert call["kernel"] == "dynamics.grid_counts_tricomplex"
+        assert call["cells"] == 32 ** 3
+        assert call["member_points"] == g.member_count() > 0
+        grid_spans = {name: rec[0] for (cmd, name), rec in tracer.spans.items()
+                      if name in tracing.GRID_KERNELS}
+        assert grid_spans == {"dynamics.grid_counts_tricomplex": 1}
+        assert tracer.replay_grid_calls() == []
 
 
 def test_traced_hyperbric_area_records_one_hyperbolic_call(tracing, monkeypatch, tmp_path):
