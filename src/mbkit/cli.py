@@ -1,8 +1,9 @@
 """Command-line surface: 2D renders, 3D exports, verification, estimates.
 
-Every run writes a manifest recording the command, parameters, tool version
-and sha256 digests of the outputs; `mbkit rerun` re-executes a
-manifest and checks the digests match.  Output bytes depend only on the
+Every command line run with --out writes a manifest recording the command,
+its parsed options, tool version and sha256 digests of the outputs;
+`mbkit rerun` parses the recorded options back into that command line,
+re-executes it and checks the digests match.  Output bytes depend only on the
 command parameters, never on the worker count (MBK_THREADS).
 """
 
@@ -72,18 +73,29 @@ def _manifest_path(out_base) -> Path:
     return _named(out_base, ".manifest.json")
 
 
-def _write_manifest(out_base: Path, command: str, parameters: dict,
-                    wall: float, outputs: list[Path]) -> Path:
+def _recorded(value):
+    """An option's parsed value as a manifest records it."""
+    if isinstance(value, tuple):
+        return [_recorded(v) for v in value]
+    return value.label() if isinstance(value, SliceSpec) else value
+
+
+def _parameters(args: argparse.Namespace) -> dict:
+    """The options a parsed command line sets, as its manifest records them."""
+    return {key: _recorded(value) for key, value in vars(args).items()
+            if key not in ("command", "out") and value is not None}
+
+
+def _write_manifest(args: argparse.Namespace, wall: float) -> None:
     manifest = {
-        "command": command,
-        "parameters": parameters,
+        "command": args.command,
+        "parameters": _parameters(args),
         "version": __version__,
         "wall_time_s": wall,
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "outputs": {p.name: _sha256(p) for p in _outputs(args.command, args.out)},
     }
-    path = _manifest_path(out_base)
+    path = _manifest_path(args.out)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def shade(counts: np.ndarray, member: np.ndarray, max_iter: int) -> np.ndarray:
@@ -116,7 +128,7 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def cmd_render2d(set_name: str, p: int, window, res, max_iter: int, out) -> Path:
-    """Render a 2D escape-time set to a P5 graymap and write its manifest."""
+    """Render a 2D escape-time set to a P5 graymap."""
     threads = _threads()
     (x0, x1), (y0, y1) = window
     w, h = res if isinstance(res, tuple) else (int(res), int(res))
@@ -127,7 +139,6 @@ def cmd_render2d(set_name: str, p: int, window, res, max_iter: int, out) -> Path
     params = IterationParams(p, max_iter)
     xs = cell_centers(x0, x1, w)
     ys = cell_centers(y0, y1, h)[::-1]  # top row holds the largest ordinate
-    t0 = time.perf_counter()
     if set_name == "multibrot":
         grid = xs[None, :] + 1j * ys[:, None]
         counts, member = grid_counts_complex(grid.ravel(), params, threads=threads)
@@ -139,13 +150,6 @@ def cmd_render2d(set_name: str, p: int, window, res, max_iter: int, out) -> Path
     image = shade(counts, member, max_iter).reshape(h, w)
     [out] = _outputs("render2d", out)
     write_pgm(out, image)
-    wall = time.perf_counter() - t0
-    _write_manifest(
-        out, "render2d",
-        {"set": set_name, "p": p, "window": [list(window[0]), list(window[1])],
-         "res": [w, h], "max_iter": max_iter},
-        wall, [out],
-    )
     return out
 
 
@@ -154,19 +158,10 @@ def cmd_render3d(slice_spec, p: int, window, dims, max_iter: int, out):
     threads = _threads()
     spec = slice_spec if isinstance(slice_spec, SliceSpec) else SliceSpec.parse(slice_spec)
     params = IterationParams(p, max_iter)
-    t0 = time.perf_counter()
     grid = sample_slice(spec, window, dims, params, threads=threads)
     vox_path, cloud_path = _outputs("render3d", out)
     grid.write_mbv1(vox_path)
     grid.write_pointcloud(cloud_path)
-    wall = time.perf_counter() - t0
-    _write_manifest(
-        out, "render3d",
-        {"slice": spec.label(), "p": p,
-         "window": [list(ax) for ax in window], "dims": list(grid.dims),
-         "max_iter": max_iter},
-        wall, [vox_path, cloud_path],
-    )
     # Counted once; volume_estimate() would count the members again.
     members = grid.member_count()
     print(f"member_cells={members}")
@@ -177,9 +172,7 @@ def cmd_render3d(slice_spec, p: int, window, dims, max_iter: int, out):
 def cmd_verify(suite: str, seed: int = 0, out=None) -> int:
     """Run the module property suites; exit 0 iff every check passes."""
     names = list(SUITE_NAMES) if suite == "all" else [suite]
-    t0 = time.perf_counter()
     results = run_suites(names, seed=seed)
-    wall = time.perf_counter() - t0
     lines = [f"suite={suite}", f"seed={seed}", f"version={__version__}"]
     checks_json = []
     overall = True
@@ -209,15 +202,12 @@ def cmd_verify(suite: str, seed: int = 0, out=None) -> int:
         json_path.write_text(json.dumps(
             {"suite": suite, "seed": seed, "version": __version__,
              "overall": overall, "checks": checks_json}, indent=2) + "\n")
-        _write_manifest(out, "verify", {"suite": suite, "seed": seed}, wall,
-                        [txt_path, json_path])
     return 0 if overall else 1
 
 
 def cmd_estimate(kind: str, p: int, precision=None, out=None) -> dict:
     """Numeric estimate next to the closed-form value and relative error."""
     threads = _threads()
-    t0 = time.perf_counter()
     if kind == "real-extent":
         tol = float(precision) if precision else 1e-4
         (lo, hi), (lo_ref, hi_ref), agrees, proven = real_extent_check(p, tol)
@@ -266,7 +256,6 @@ def cmd_estimate(kind: str, p: int, precision=None, out=None) -> dict:
     report["status"] = (("theorem" if agrees else "theorem inconsistent") if proven
                         else "conjecture consistent" if agrees
                         else "conjecture inconsistent")
-    wall = time.perf_counter() - t0
     text = "".join(f"{k}={v!r}\n" if isinstance(v, float) else f"{k}={v}\n"
                    for k, v in report.items())
     print(text, end="")
@@ -274,10 +263,6 @@ def cmd_estimate(kind: str, p: int, precision=None, out=None) -> dict:
         txt_path, json_path = _outputs("estimate", out)
         txt_path.write_text(text)
         json_path.write_text(json.dumps(report, indent=2) + "\n")
-        parameters = {"kind": kind, "p": p}
-        if precision is not None:
-            parameters["precision"] = precision
-        _write_manifest(out, "estimate", parameters, wall, [txt_path, json_path])
     return report
 
 
@@ -312,7 +297,7 @@ def _load_manifest(manifest_path) -> dict:
             and isinstance(manifest.get("outputs"), dict) and manifest["outputs"]):
         raise ManifestError("needs a command, parameters and outputs")
     command = manifest.get("command")
-    if not (isinstance(command, str) and command in _RERUN_OPTIONS):
+    if not (isinstance(command, str) and command in _OUTPUT_SUFFIXES):
         raise ManifestError(f"cannot rerun command {command!r}")
     for name in manifest["outputs"]:
         # A path would let the digest check read outside the output directory.
@@ -321,47 +306,40 @@ def _load_manifest(manifest_path) -> dict:
     return manifest
 
 
-def _scalar(key: str, value) -> str:
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ManifestError(f"parameter {key}: invalid value {value!r}")
+def _option_text(value, sep: str = ",") -> str:
+    """A recorded value as its option's text: a list joined by commas, a
+    pair within it as lo:hi."""
+    if isinstance(value, list):
+        return sep.join(_option_text(v, ":") for v in value)
     return str(value)
-
-
-def _tokens(key: str, shape, value) -> list[str]:
-    """A recorded value as its command-line option, or none for an unset one."""
-    option = "--" + key.replace("_", "-")
-    if not isinstance(shape, tuple):
-        text = _scalar(key, value)
-    else:
-        kind, count = shape
-        if not (isinstance(value, list) and len(value) == count
-                and (kind == "sizes"
-                     or all(isinstance(ax, list) and len(ax) == 2 for ax in value))):
-            raise ManifestError(f"parameter {key}: expected {count} {kind}, "
-                                f"got {value!r}")
-        if kind == "ranges":
-            value = [f"{_scalar(key, lo)}:{_scalar(key, hi)}" for lo, hi in value]
-        text = ",".join(_scalar(key, v) for v in value)
-    # Attached with '=', as a window such as -1.5:1.5 starts with '-'.
-    return [f"{option}={text}"]
 
 
 def _rerun_argv(manifest: dict, out_dir: Path) -> list[str]:
     """The command line that wrote a manifest, with its outputs going to out_dir."""
-    command, params = manifest["command"], manifest["parameters"]
-    options = _RERUN_OPTIONS[command]
-    missing = [k for k, shape in options.items()
-               if k not in params and shape != "optional"]
-    if missing:
-        raise ManifestError(f"lacks {command} parameters: {', '.join(missing)}")
+    command = manifest["command"]
     first = Path(next(iter(manifest["outputs"])))
     # render2d writes --out itself, the others --out plus one suffix.
     out = out_dir / (first.name if command == "render2d" else first.stem)
-    argv = [command, f"--out={out}"]
-    for key, shape in options.items():
-        if key in params:
-            argv += _tokens(key, shape, params[key])
-    return argv
+    # Attached with '=', as a window such as -1.5:1.5 starts with '-'.
+    return [command] + [f"--{key.replace('_', '-')}={_option_text(value)}"
+                        for key, value in manifest["parameters"].items()
+                        if key not in _RETIRED.get(command, {})] + [f"--out={out}"]
+
+
+def _check_round_trip(manifest: dict, args: argparse.Namespace) -> None:
+    """Refuse a manifest unless each recorded parameter is what its option
+    parses back to, and every option the parse sets is recorded."""
+    recorded = {key: value for key, value in manifest["parameters"].items()
+                if key not in _RETIRED.get(args.command, {})}
+    parsed = _parameters(args)
+    for key in sorted(recorded.keys() | parsed.keys()):
+        if key not in recorded:
+            raise ManifestError(f"lacks {args.command} parameter {key}")
+        if key not in parsed:
+            raise ManifestError(f"parameter {key}: not an option {args.command} records")
+        if recorded[key] != parsed[key]:
+            raise ManifestError(f"parameter {key}: {json.dumps(recorded[key])} "
+                                f"reads back as {json.dumps(parsed[key])}")
 
 
 # Parameters that older manifests record but no option sets any more, each
@@ -394,12 +372,15 @@ def cmd_rerun(manifest_path, out_dir=None) -> int:
         # The command line's own parser and checks, so a rerun accepts
         # exactly what the command line accepts.
         args = _parse_args(_ManifestParser, _rerun_argv(manifest, out_dir))
+        _check_round_trip(manifest, args)
         _check_retired(manifest, args)
     except ManifestError as exc:
         raise ManifestError(f"manifest {str(manifest_path)!r}: {exc}") from None
     if manifest.get("version") != __version__:
         print(f"mbkit: warning: manifest written by mbkit {manifest.get('version')}, "
               f"rerunning with {__version__}", file=sys.stderr)
+    # The command line's grid guard too, before the directory is made.
+    _reserve(_grid(args))
     out_dir.mkdir(parents=True, exist_ok=True)
     _run(args)  # a failing verify still writes the reports compared below
     ok = True
@@ -496,19 +477,6 @@ def _precision(kind: str, text: str):
 
 _SETS = ("multibrot", "hyperbrot")
 _ESTIMATE_KINDS = ("real-extent", "hyperbric-area", "perplexbric-volume")
-
-# The parameters each rerunnable command records, by how each is written back
-# as its option: a scalar; one that may be absent ("optional"); or a list of
-# exactly `count` sizes or lo:hi ranges.
-_RERUN_OPTIONS = {
-    "render2d": {"set": "scalar", "p": "scalar", "window": ("ranges", 2),
-                 "res": ("sizes", 2), "max_iter": "scalar"},
-    "render3d": {"slice": "scalar", "p": "scalar", "window": ("ranges", 3),
-                 "dims": ("sizes", 3), "max_iter": "scalar"},
-    "verify": {"suite": "scalar", "seed": "scalar"},
-    "estimate": {"kind": "scalar", "p": "scalar", "precision": "optional"},
-}
-
 
 def build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
     ap = parser_class(
@@ -613,7 +581,16 @@ def _reserve(grid) -> None:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run the command that parsed arguments name; return its exit code."""
+    """Run the command that parsed arguments name, writing its manifest when
+    it has an --out; return its exit code."""
+    if args.command == "rerun":
+        try:
+            return cmd_rerun(args.manifest, args.out_dir)
+        except ManifestError as exc:
+            print(f"mbkit: error: {exc}", file=sys.stderr)
+            return 2
+    t0 = time.perf_counter()
+    code = 0
     if args.command == "render2d":
         cmd_render2d(args.set, args.p, args.window, args.res,
                      args.max_iter, args.out)
@@ -621,16 +598,12 @@ def _run(args: argparse.Namespace) -> int:
         cmd_render3d(args.slice, args.p, args.window, args.dims,
                      args.max_iter, args.out)
     elif args.command == "verify":
-        return cmd_verify(args.suite, seed=args.seed, out=args.out)
-    elif args.command == "estimate":
-        cmd_estimate(args.kind, args.p, precision=args.precision, out=args.out)
+        code = cmd_verify(args.suite, seed=args.seed, out=args.out)
     else:
-        try:
-            return cmd_rerun(args.manifest, args.out_dir)
-        except ManifestError as exc:
-            print(f"mbkit: error: {exc}", file=sys.stderr)
-            return 2
-    return 0
+        cmd_estimate(args.kind, args.p, precision=args.precision, out=args.out)
+    if args.out is not None:
+        _write_manifest(args, time.perf_counter() - t0)
+    return code
 
 
 def main(argv=None) -> int:

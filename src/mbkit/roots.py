@@ -38,7 +38,23 @@ def real_extent_closed_form(p: int) -> tuple[float, float]:
     """Real-axis cross-section (lo, hi) of the degree-p multibrot set.
 
     hi = (p-1) * p^(-p/(p-1)); lo = -2^(1/(p-1)) for even p, -hi for odd p.
-    Proven for p in {2, 3}, conjectured for higher degrees.
+
+    Why this holds for every p >= 2, with f(x) = x^p + c and the orbit of 0
+    under it (c = 0 is a fixed point):
+    - For c > 0, f is increasing on [0, inf) and f(0) = c > 0, so the
+      orbit rises.  It is bounded exactly when it converges, that is when
+      x - x^p = c has a root x >= 0 (below the least such root the orbit
+      stays, as f is increasing).  x - x^p peaks at x = p^(-1/(p-1)) with
+      value hi, so the orbit is bounded exactly when c <= hi.
+    - For odd p, c -> -c negates the orbit, so lo = -hi.
+    - For even p and -2^(1/(p-1)) <= c < 0, f maps [c, -c] into itself: on
+      it f >= c, and f <= |c|^p + c = |c| * (|c|^(p-1) - 1) <= |c|, because
+      |c|^(p-1) <= 2.  Below that bound x1 = c is already past the escape
+      radius 2^(1/(p-1)), and for |x| >= |c| the step gives
+      |f(x)| >= |x| * (|x|^(p-1) - 1) > |x|, so the orbit escapes and
+      lo = -2^(1/(p-1)).
+    The estimate and verify reports still label the extent proven for
+    p in {2, 3} only, and conjectured for higher degrees.
     """
     hi = (p - 1) * p ** (-p / (p - 1))
     lo = -escape_bound(p) if p % 2 == 0 else -hi

@@ -18,12 +18,10 @@ import pytest
 import mbkit
 from mbkit import __version__, cli, dynamics, slices
 from mbkit.cli import (
-    _RERUN_OPTIONS,
     _threads,
     build_parser,
     cmd_estimate,
     cmd_render2d,
-    cmd_render3d,
     cmd_rerun,
     cmd_verify,
     main,
@@ -31,7 +29,7 @@ from mbkit.cli import (
     write_pgm,
 )
 from mbkit.hypercomplex import PRODUCT_TABLE
-from mbkit.roots import MANDELBRIC_REAL_BOUND
+from mbkit.roots import MANDELBRIC_REAL_BOUND, escape_bound
 from mbkit.suites import algebra_suite, slices_suite
 
 
@@ -129,13 +127,14 @@ def test_render2d_hyperbrot_square(tmp_path):
 
 
 def test_render3d_outputs_and_rerun(tmp_path, capsys):
-    base = tmp_path / "perp"
-    grid, vox, cloud = cmd_render3d("1,j1,j2", 3, ((-0.5, 0.5),) * 3, (16, 16, 16),
-                                    120, base)
+    assert main(["render3d", "--slice", "1,j1,j2", "--window=-0.5:0.5,-0.5:0.5,-0.5:0.5",
+                 "--dims", "16", "--max-iter", "120", "--out", str(tmp_path / "perp")]) == 0
     printed = capsys.readouterr().out
+    grid = slices.sample_slice(slices.SliceSpec.parse("1,j1,j2"), ((-0.5, 0.5),) * 3,
+                               (16, 16, 16), dynamics.IterationParams(3, 120))
     assert f"member_cells={grid.member_count()}" in printed
     assert f"volume_estimate={grid.volume_estimate()!r}" in printed
-    assert vox.exists() and cloud.exists()
+    assert (tmp_path / "perp.mbv1").exists() and (tmp_path / "perp.xyz").exists()
     manifest_path = tmp_path / "perp.manifest.json"
     assert manifest_path.exists()
     assert cmd_rerun(manifest_path, tmp_path / "redo") == 0
@@ -151,7 +150,8 @@ def test_render2d_manifest_digest_matches(tmp_path):
     import hashlib
 
     out = tmp_path / "img.pgm"
-    cmd_render2d("multibrot", 2, ((-2.2, 0.8), (-1.5, 1.5)), 32, 80, out)
+    assert main(["render2d", "--p", "2", "--window=-2.2:0.8,-1.5:1.5", "--res", "32",
+                 "--max-iter", "80", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "img.pgm.manifest.json").read_text())
     assert manifest["command"] == "render2d"
     assert manifest["outputs"]["img.pgm"] == hashlib.sha256(out.read_bytes()).hexdigest()
@@ -746,10 +746,12 @@ def test_dotted_out_names_keep_their_files(tmp_path, capsys):
     # Each suffix is appended to the whole name, so run.1 and run.2 do not
     # both write run.mbv1.
     for name, max_iter in (("run.1", 30), ("run.2", 40)):
-        cmd_render3d("1,i1,i2", 3, ((-1.5, 1.5),) * 3, (6, 6, 6), max_iter,
-                     tmp_path / name)
-    cmd_verify("roots", seed=0, out=tmp_path / "rep.v1")
-    cmd_estimate("real-extent", 3, precision=1e-3, out=tmp_path / "ext.v1")
+        assert main(["render3d", "--slice", "1,i1,i2",
+                     "--window=-1.5:1.5,-1.5:1.5,-1.5:1.5", "--dims", "6",
+                     "--max-iter", str(max_iter), "--out", str(tmp_path / name)]) == 0
+    assert main(["verify", "--suite", "roots", "--out", str(tmp_path / "rep.v1")]) == 0
+    assert main(["estimate", "--kind", "real-extent", "--precision", "1e-3",
+                 "--out", str(tmp_path / "ext.v1")]) == 0
     capsys.readouterr()
     outputs = {"run.1": ["run.1.mbv1", "run.1.xyz"], "run.2": ["run.2.mbv1", "run.2.xyz"],
                "rep.v1": ["rep.v1.json", "rep.v1.txt"],
@@ -781,8 +783,9 @@ def test_bad_mbk_threads_warns(monkeypatch, capsys):
 
 
 def test_rerun_verify_and_estimate_manifests(tmp_path, capsys):
-    assert cmd_verify("algebra", seed=0, out=tmp_path / "alg") == 0
-    cmd_estimate("real-extent", 3, precision=1e-3, out=tmp_path / "ext")
+    assert main(["verify", "--suite", "algebra", "--out", str(tmp_path / "alg")]) == 0
+    assert main(["estimate", "--kind", "real-extent", "--precision", "1e-3",
+                 "--out", str(tmp_path / "ext")]) == 0
     for name in ("alg", "ext"):
         manifest_path = tmp_path / f"{name}.manifest.json"
         capsys.readouterr()
@@ -869,6 +872,9 @@ _GOOD_RENDER2D = {"set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5
         **_GOOD_RENDER2D, "window": [[-1e308, 1e308], [-1.5, 1.5]]}}).encode(),
     json.dumps({**_GOOD_MANIFEST, "command": "render3d", "parameters": {
         **_GOOD_RENDER3D, "window": [[-0.5, 0.5], [1.7e308, 1.79e308], [-0.5, 0.5]]}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "parameters": {"kind": "real-extent", "p": 3,
+                                                 "colour": "red"}}).encode(),
+    json.dumps({**_GOOD_MANIFEST, "parameters": {"kind": "real-extent", "p": "3"}}).encode(),
 ], ids=["missing", "bad-json", "not-utf8", "list", "no-command", "no-parameters",
         "no-outputs", "empty-outputs", "list-parameters", "unknown-command",
         "list-command", "estimate-without-p", "render3d-with-estimate-parameters",
@@ -878,7 +884,7 @@ _GOOD_RENDER2D = {"set": "multibrot", "p": 3, "window": [[-1.5, 1.5], [-1.5, 1.5
         "radius-below-bound", "negative-seed", "p-a-list", "res-one-entry",
         "window-not-a-list", "unknown-set", "output-in-parent-dir", "output-in-subdir",
         "output-dot-dot", "output-empty-name", "max-iter-beyond-uint32",
-        "window-width-overflows", "window-sum-overflows"])
+        "window-width-overflows", "window-sum-overflows", "unknown-key", "p-a-string"])
 def test_rerun_bad_manifest_exits_2_with_one_line_error(content, tmp_path, capsys):
     path = tmp_path / "m.manifest.json"
     if content is not None:
@@ -891,11 +897,30 @@ def test_rerun_bad_manifest_exits_2_with_one_line_error(content, tmp_path, capsy
     assert not (tmp_path / "redo").exists()
 
 
+@pytest.mark.parametrize("command, parameters", [
+    ("render3d", {**_GOOD_RENDER3D, "dims": [1000000] * 3}),
+    ("estimate", {"kind": "hyperbric-area", "p": 3, "precision": 100000000}),
+], ids=["render3d", "estimate"])
+def test_rerun_refuses_a_grid_too_large_for_memory_before_its_directory(
+        command, parameters, tmp_path, capsys, monkeypatch):
+    # The command line's guard, made before the output directory: no axis,
+    # no directory, one line.
+    path = tmp_path / "m.manifest.json"
+    path.write_text(json.dumps({**_GOOD_MANIFEST, "command": command,
+                                "parameters": parameters, "version": __version__}))
+    _forbid_work(monkeypatch)
+    assert main(["rerun", "--manifest", str(path), "--out-dir", str(tmp_path / "redo")]) == 2
+    out = capsys.readouterr()
+    line = _assert_one_error_line(out.err)
+    assert line.startswith("mbkit: error: out of memory: Unable to allocate")
+    assert out.out == "" and not (tmp_path / "redo").exists()
+
+
 def test_rerun_of_a_manifest_that_records_the_escape_radius(tmp_path, capsys):
     # Manifests written while render2d took --escape-radius record it; every
     # default one records the sharp bound, and reruns as it did.
     out = tmp_path / "m.pgm"
-    cmd_render2d("multibrot", 3, ((-1.5, 1.5), (-1.5, 1.5)), 16, 40, out)
+    assert main(["render2d", "--res", "16", "--max-iter", "40", "--out", str(out)]) == 0
     path = tmp_path / "m.pgm.manifest.json"
     manifest = json.loads(path.read_text())
     assert "escape_radius" not in manifest["parameters"]
@@ -913,34 +938,83 @@ def test_rerun_of_a_manifest_that_records_the_escape_radius(tmp_path, capsys):
     assert not (tmp_path / "redo2").exists()
 
 
-def _write_hyperbrot(out):
-    cmd_render2d("hyperbrot", 3, ((-0.5, 0.5), (-0.4, 0.4)), (40, 20), 60, out / "h.pgm")
-    return out / "h.pgm.manifest.json"
+# Command lines of each manifest shape, by id: the arguments before --out,
+# the --out name, and the command, parameters and output digests of the
+# manifest that mbkit 0.1.0 wrote for them before manifests were written in
+# one place.
+_SHAPES = {
+    "render2d-hyperbrot-40x20": (
+        ["render2d", "--set", "hyperbrot", "--window=-0.5:0.5,-0.4:0.4", "--res", "40,20",
+         "--max-iter", "60"], "h.pgm",
+        {"command": "render2d",
+         "parameters": {"max_iter": 60, "p": 3, "res": [40, 20], "set": "hyperbrot",
+                        "window": [[-0.5, 0.5], [-0.4, 0.4]]},
+         "outputs": {"h.pgm": "5d2716dd42a4e88bb1692dca48037cbbb95a8d79e3e978ef108483781302d460"}}),
+    "render3d-tetrabric": (
+        ["render3d", "--slice", "1,i1,i2", "--window=-1.5:1.0,-1.0:1.0,-1.0:1.0",
+         "--dims", "10,8,6", "--max-iter", "40"], "tet",
+        {"command": "render3d",
+         "parameters": {"dims": [10, 8, 6], "max_iter": 40, "p": 3, "slice": "1,i1,i2",
+                        "window": [[-1.5, 1.0], [-1.0, 1.0], [-1.0, 1.0]]},
+         "outputs": {"tet.mbv1": "6694df66cd9e129a05ef67fb4c67deb5df8e3b9ab59aed6ab78286bcc2b06eeb",
+                     "tet.xyz": "da612349978a6e94ae3fff731eb558c7b0b15d410b4c6bb4f8262e929f50f9f1"}}),
+    "verify-roots-seed-3": (
+        ["verify", "--suite", "roots", "--seed", "3"], "ver",
+        {"command": "verify", "parameters": {"seed": 3, "suite": "roots"},
+         "outputs": {"ver.json": "61ad774869f89d69f717b2e724cb4c4bc2d0d5816f2ed49dcf58560568815f85",
+                     "ver.txt": "5ce33bfb1b837ec25edaaa9459f336cf2c7e823f0d3b79b0855cf9d24577aa0d"}}),
+    "estimate-area-int-precision": (
+        ["estimate", "--kind", "hyperbric-area", "--precision", "60"], "area",
+        {"command": "estimate",
+         "parameters": {"kind": "hyperbric-area", "p": 3, "precision": 60},
+         "outputs": {"area.json": "0359a6d83f7b2bcfa3d564e6c534047ea2e9d6525eb4161e069267ec33297c91",
+                     "area.txt": "fa578d8c78f0036557748a4d259a9e04c67a6ae7128b25485f1fe030b29177ee"}}),
+    "estimate-extent-no-precision": (
+        ["estimate", "--kind", "real-extent"], "ext",
+        {"command": "estimate", "parameters": {"kind": "real-extent", "p": 3},
+         "outputs": {"ext.json": "2ccfaff4a172583658957fabc32019f56999b27bc1fe88216a456e7e4e65b2a7",
+                     "ext.txt": "535d89d6dab4027d82087864cad68d7faf3d406731483a3debbc9136fa4514f0"}}),
+}
 
 
-def _write_tetrabric(out):
-    cmd_render3d("1,i1,i2", 3, ((-1.5, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (10, 8, 6), 40,
-                 out / "tet")
-    return out / "tet.manifest.json"
+def _write_shape(shape, out):
+    argv, name, _ = _SHAPES[shape]
+    assert main(argv + ["--out", str(out / name)]) == 0
+    return out / f"{name}.manifest.json"
 
 
-def _write_hyperbric_area(out):
-    cmd_estimate("hyperbric-area", 3, precision=60, out=out / "area")
-    return out / "area.manifest.json"
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_manifest_layout_is_pinned(shape, tmp_path, capsys):
+    # The parameters are the parsed options, the outputs the same bytes as
+    # before; only the wall time may differ.
+    manifest = json.loads(_write_shape(shape, tmp_path).read_text())
+    capsys.readouterr()
+    assert sorted(manifest) == ["command", "outputs", "parameters", "version",
+                                "wall_time_s"]
+    assert manifest["version"] == __version__
+    assert {k: manifest[k] for k in ("command", "parameters", "outputs")} == _SHAPES[shape][2]
 
 
-def _write_real_extent(out):
-    cmd_estimate("real-extent", 3, out=out / "ext")
-    return out / "ext.manifest.json"
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_manifests_of_mbkit_0_1_0_rerun_to_match(shape, tmp_path, capsys):
+    # Written as 0.1.0 wrote them, and with the retired keys that older
+    # versions recorded at the value every run now uses.
+    written = {**_SHAPES[shape][2], "version": "0.1.0", "wall_time_s": 0.01}
+    retired = {"render2d": {"escape_radius": escape_bound(3)},
+               "render3d": {"prune": False}}.get(written["command"])
+    variants = [written] + ([{**written, "parameters": {**written["parameters"], **retired}}]
+                            if retired else [])
+    for k, manifest in enumerate(variants):
+        path = tmp_path / f"m{k}.manifest.json"
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        assert main(["rerun", "--manifest", str(path),
+                     "--out-dir", str(tmp_path / f"redo{k}")]) == 0
+        assert capsys.readouterr().out.count(": match") == len(manifest["outputs"])
 
 
-@pytest.mark.parametrize("write", [_write_hyperbrot, _write_tetrabric,
-                                   _write_hyperbric_area, _write_real_extent],
-                         ids=["render2d-hyperbrot-40x20", "render3d-tetrabric",
-                              "estimate-area-int-precision",
-                              "estimate-extent-no-precision"])
-def test_rerun_replays_every_command_shape(write, tmp_path, capsys):
-    manifest_path = write(tmp_path)
+@pytest.mark.parametrize("shape", [shape for shape in _SHAPES if shape != "verify-roots-seed-3"])
+def test_rerun_replays_every_command_shape(shape, tmp_path, capsys):
+    manifest_path = _write_shape(shape, tmp_path)
     manifest = json.loads(manifest_path.read_text())
     capsys.readouterr()
     assert main(["rerun", "--manifest", str(manifest_path),
@@ -955,7 +1029,7 @@ def test_rerun_of_a_manifest_that_records_prune(tmp_path, capsys):
     # Manifests written while render3d took --prune record it; those that
     # did not prune rerun as they did.  A pruned grid wrote count 1 for the
     # cells outside the discus, which no rerun reproduces.
-    path = _write_tetrabric(tmp_path)
+    path = _write_shape("render3d-tetrabric", tmp_path)
     manifest = json.loads(path.read_text())
     assert "prune" not in manifest["parameters"]
     manifest["parameters"]["prune"] = False
@@ -975,13 +1049,39 @@ def test_rerun_of_a_manifest_that_records_prune(tmp_path, capsys):
         assert not redo.exists()
 
 
-def test_rerun_table_covers_every_option():
-    ap = build_parser()
-    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    for command, options in _RERUN_OPTIONS.items():
-        dests = {a.dest for a in sub.choices[command]._actions
-                 if not isinstance(a, argparse._HelpAction)}
-        assert set(options) == dests - {"out"}, command
+# Every option of each command at a value that is not its default, and the
+# least command line, whose values are the defaults.
+_EVERY_OPTION = {
+    "render2d": (["render2d", "--set", "hyperbrot", "--p", "4",
+                  "--window=-0.5:0.25,-0.25:0.5", "--res", "6,4", "--max-iter", "30"],
+                 ["render2d"]),
+    "render3d": (["render3d", "--slice", "1,i1,i2", "--p", "2",
+                  "--window=-1:0.5,-0.5:0.5,-0.25:0.25", "--dims", "5,4,3",
+                  "--max-iter", "20"], ["render3d"]),
+    "verify": (["verify", "--suite", "slices", "--seed", "2"], ["verify"]),
+    "estimate": (["estimate", "--kind", "hyperbric-area", "--p", "2", "--precision", "20"],
+                 ["estimate", "--kind", "real-extent"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_EVERY_OPTION))
+def test_manifest_records_every_option_and_reruns_by_round_trip(command, tmp_path, capsys):
+    argv, least = _EVERY_OPTION[command]
+    out = ["--out", str(tmp_path / "x")]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    options = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+    args = cli._parse_args(cli._Parser, argv + out)
+    defaults = cli._parse_args(cli._Parser, least + out)
+    assert all(getattr(args, key) != getattr(defaults, key) for key in options - {"out"})
+    assert main(argv + out) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "x.manifest.json").read_text())
+    assert set(manifest["parameters"]) == options - {"out"}
+    redo = tmp_path / "redo"
+    reparsed = cli._parse_args(cli._ManifestParser, cli._rerun_argv(manifest, redo))
+    assert reparsed.out == str(redo / Path(args.out).name)
+    assert {**vars(reparsed), "out": None} == {**vars(args), "out": None}
 
 
 def test_only_verify_takes_a_seed():
