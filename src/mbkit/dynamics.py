@@ -337,6 +337,13 @@ def member_perplexbric_union_form(c1: float, c4: float, c6: float) -> bool:
 # detection.  An earlier snapshot would copy the whole batch before the
 # escapes of the first steps have shrunk it, raising peak memory.
 _FIRST_SNAPSHOT = 16
+# The kernel tests for cycles on every _CYCLE_TEST_EVERY-th step only: the
+# compare costs about a fifth of a step, and a member retired a few steps
+# later keeps its count and flag.  A trailing snapshot, re-taken every
+# _TRAILING_EVERY steps that are not powers of two, catches an orbit that
+# settles into a short cycle long before Brent's next power of two does.
+_CYCLE_TEST_EVERY = 8
+_TRAILING_EVERY = 64
 # The active arrays are compacted once done points make up at least
 # 1 / _COMPACT_FRACTION of them: waiting points cost at most that share of
 # extra arithmetic, and each compaction copy drops at least that share.
@@ -362,7 +369,7 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
     dead = 0
     z = np.zeros_like(c)
     cc = c
-    snap = None
+    snap = trail = None
     # Done points waiting for the next compaction overflow freely.
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, max_iter + 1):
@@ -372,22 +379,23 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
             esc = _norm2(z) <= lim
             np.greater(live, esc, out=esc)  # live and not inside
             done = esc
-            if snap is not None:
+            cyc = None
+            if snap is not None and m % _CYCLE_TEST_EVERY == 0:
                 # A state equal to an earlier non-escaped one repeats forever,
                 # so the point is a member (count max_iter) without running
                 # out the budget.  The step is a fixed sequence of IEEE * and
                 # +, so equal states stay equal up to the sign of zeros, which
                 # no norm sees; NaN never compares equal.  A point live now
-                # was live at the snapshot, so its snapshot did not escape.
-                cyc = z == snap
-                if z.ndim == 2:
-                    cyc = cyc.all(axis=0)
+                # was live at both snapshots, so neither escaped.  A cycle
+                # found on a later test step than the one it closed on gives
+                # the same count and flag, so testing on every step is waste.
+                cyc = _repeats(z, snap, trail)
                 cyc &= live
                 done = esc | cyc
             k = np.count_nonzero(done)
             if k:
                 counts[idx[esc]] = m
-                if snap is not None:
+                if cyc is not None:
                     member[idx[cyc]] = True
                 live ^= done
                 dead += k
@@ -398,25 +406,39 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
                     pos = np.flatnonzero(live)
                     if pos.size == 0:
                         break
-                    if snap is not None:
-                        snap = snap.take(pos, axis=-1)
+                    snap, trail = (s if s is None else s.take(pos, axis=-1)
+                                   for s in (snap, trail))
                     z = z.take(pos, axis=-1)
                     cc = cc.take(pos, axis=-1)
                     idx = idx[pos]
                     live = np.ones(pos.size, dtype=bool)
                     dead = 0
             # Brent's cycle finder: re-take the snapshot at each power of
-            # two.  z is rebound, never written in place, so no copy is
-            # needed.
+            # two, and the trailing one every _TRAILING_EVERY other steps.
+            # z is rebound, never written in place, so no copy is needed.
             if m >= _FIRST_SNAPSHOT and m & (m - 1) == 0:
                 snap = z
+            elif m >= _FIRST_SNAPSHOT and m % _TRAILING_EVERY == 0:
+                trail = z
     member[idx[live]] = True
     return counts, member
 
 
+def _repeats(z: np.ndarray, snap: np.ndarray, trail) -> np.ndarray:
+    """Which points of a kernel state equal their Brent snapshot or their
+    trailing snapshot (None before the first): all rows of a (4, n) or
+    (2, n) state equal to the rows of one snapshot."""
+    rep = np.zeros(z.shape[-1], dtype=bool)
+    for s in (snap, trail):
+        if s is not None:
+            eq = z == s
+            rep |= eq.all(axis=0) if z.ndim == 2 else eq
+    return rep
+
+
 def _step(z: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
     """z^p + c by the scalar engines' multiply chain, formed in place in a
-    fresh array: z itself is never written, because the cycle snapshot may
+    fresh array: z itself is never written, because a cycle snapshot may
     be the same array."""
     zp = z * z
     for _ in range(p - 2):

@@ -1097,13 +1097,30 @@ def test_empty_batches_return_without_iterating(monkeypatch):
 
 # --- cycle retirement --------------------------------------------------------------
 #
-# The kernel retires a point whose state equals its last power-of-two snapshot
-# as a member.  These tests pin it to the kernel without retirement (the
-# kernel_no_retirement fixture), with budgets ending before, at and just after
-# the snapshot steps 16 and 32.
+# The kernel retires a point as a member when, on a step that is a multiple of
+# _CYCLE_TEST_EVERY, its state equals its last power-of-two snapshot (Brent's)
+# or its trailing snapshot, re-taken every _TRAILING_EVERY steps that are not
+# powers of two.  A state equal to an earlier live state repeats forever, and
+# a member found on a later test step gets the same count and flag, so the
+# schedule changes no output.  These tests pin the kernel to the kernel
+# without retirement (the kernel_no_retirement fixture), with budgets ending
+# before, at and just after each step where the schedule changes (_budgets).
 
 # Parameters whose first iterate has an infinite or NaN norm.
 _OVERFLOWING = (1e200, -1e155, np.inf, -np.inf, np.nan)
+
+
+def _budgets(*extra):
+    """Budgets ending one step before, at and one step after the first two
+    snapshots, the first test step, the first two trailing re-takes and the
+    first test steps after them, computed from the kernel's constants."""
+    first, every = dynamics._FIRST_SNAPSHOT, dynamics._CYCLE_TEST_EVERY
+    retakes = [m for m in range(0, 6 * dynamics._TRAILING_EVERY, dynamics._TRAILING_EVERY)
+               if m > first and m & (m - 1)][:2]
+    assert len(retakes) == 2
+    steps = [first, 2 * first, first + every - first % every]
+    steps += retakes + [m + every for m in retakes]
+    return sorted({m + d for m in steps for d in (-1, 0, 1)} | set(extra))
 
 
 def _kernel_state(kind):
@@ -1139,7 +1156,7 @@ def test_cycle_retirement_matches_kernel_without_it(kind, p, kernel_no_retiremen
     c = _kernel_state(kind)
     assert c.ndim == (2 if kind.endswith("4") else 1)
     assert np.iscomplexobj(c) == kind.startswith("complex")
-    for max_iter in (10, 16, 17, 33, 300):
+    for max_iter in _budgets(10, 300):
         params = IterationParams(p, max_iter)
         ref_counts, ref_member = kernel_no_retirement(c, params)
         runs = {threads: dynamics._run_blocks(c, params, threads)
@@ -1150,6 +1167,46 @@ def test_cycle_retirement_matches_kernel_without_it(kind, p, kernel_no_retiremen
             assert counts.dtype == ref_counts.dtype
             assert np.array_equal(counts, ref_counts), (max_iter, threads)
             assert np.array_equal(member, ref_member), (max_iter, threads)
+
+
+def test_repeats_needs_every_row_of_one_snapshot():
+    snap, trail = np.zeros((4, 3)), np.ones((4, 3))
+    z = np.array(trail)
+    z[0, 0] = 0.0  # row 0 equals snap, rows 1-3 equal trail
+    z[:, 1] = 0.0  # all rows equal snap
+    z[3, 2] = 2.0  # rows 0-2 equal trail, row 3 neither
+    assert dynamics._repeats(z, snap, trail).tolist() == [False, True, False]
+    assert dynamics._repeats(z, snap, None).tolist() == [False, True, False]
+    assert dynamics._repeats(z, trail, None).tolist() == [False, False, False]
+    assert dynamics._repeats(z, z, trail).all()
+    w = np.array([0.0, 1.0, 2.0, np.nan])
+    assert dynamics._repeats(w, np.zeros(4), np.full(4, 2.0)).tolist() == [
+        True, False, True, False]
+    assert dynamics._repeats(w, w, None).tolist() == [True, True, True, False]
+
+
+def test_trailing_snapshot_retires_members_sooner(monkeypatch):
+    # Point-steps through a wrapped _step, with the trailing snapshot as it is
+    # and with its first re-take past the budget: the same outputs, fewer steps.
+    c = _kernel_state("complex")
+    params = IterationParams(3, 1000)
+    step, steps = dynamics._step, []
+
+    def counting(z, cc, p):
+        steps[-1] += z.shape[-1]
+        return step(z, cc, p)
+
+    monkeypatch.setattr(dynamics, "_step", counting)
+    runs = []
+    for trailing in (dynamics._TRAILING_EVERY, 2 * params.max_iter):
+        monkeypatch.setattr(dynamics, "_TRAILING_EVERY", trailing)
+        steps.append(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs.append(dynamics._counts_kernel(c, params))
+    (counts, member), (ref_counts, ref_member) = runs
+    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+    assert member.sum() > c.size // 8
+    assert steps[0] < steps[1], steps
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "real4", "complex4"])
@@ -1217,7 +1274,7 @@ def test_trickling_escapes_wait_across_snapshots(kind, p, kernel_no_retirement,
     members = np.linspace(-0.2, 0.2, 4 * len(trickle))
     c = np.concatenate([members.reshape(len(trickle), 4), trickle[:, None]], axis=1)
     c = _as_kind(c.ravel(), kind)
-    for max_iter in (12, 100, 1000):
+    for max_iter in _budgets(12, 100, 1000):
         counts, member = _assert_fractions_and_threads_match(
             c, IterationParams(p, max_iter), kernel_no_retirement, monkeypatch)
         assert member.reshape(-1, 5)[:, :4].all()
