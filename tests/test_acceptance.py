@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from mbkit.cli import cmd_render2d
+from mbkit.cli import main
 from mbkit.dynamics import (
     IterationParams,
     escape_bound,
@@ -237,7 +237,8 @@ def test_acceptance_10_render_determinism(tmp_path, monkeypatch):
     for threads in ("1", "8"):
         monkeypatch.setenv("MBK_THREADS", threads)
         out = tmp_path / f"det{threads}.pgm"
-        cmd_render2d("multibrot", 3, ((-1.5, 1.5), (-1.5, 1.5)), 256, 1000, out)
+        main(["render2d", "--set", "multibrot", "--p", "3", "--window=-1.5:1.5,-1.5:1.5",
+              "--res", "256", "--max-iter", "1000", "--out", str(out)])
         blobs.append(out.read_bytes())
     _report(10, "render byte-determinism across worker counts",
             blobs[0] == blobs[1],

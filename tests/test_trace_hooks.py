@@ -141,8 +141,9 @@ def test_traced_hyperbric_area_records_one_hyperbolic_call(tracing, monkeypatch,
             tracer.grid_calls.clear()
             tracer.spans.clear()
             blocks.clear()
-            cli.cmd_estimate("hyperbric-area", p, precision=101,
-                             out=tmp_path / f"area_{p}_{threads}")
+            assert cli.main(["estimate", "--kind", "hyperbric-area", "--p", str(p),
+                             "--precision", "101",
+                             "--out", str(tmp_path / f"area_{p}_{threads}")]) == 0
             assert blocks == [block]
             [call] = tracer.grid_calls["hyperbric"]
             assert call["kernel"] == name and call["cells"] == 101 * 101
@@ -153,3 +154,41 @@ def test_traced_hyperbric_area_records_one_hyperbolic_call(tracing, monkeypatch,
                           if n in tracing.GRID_KERNELS}
             assert grid_spans == {name: 1}
             assert tracer.replay_grid_calls() == []
+
+
+@pytest.fixture
+def installed(tracing, monkeypatch):
+    """A Tracer installed as the benchmark installs it, undone after the test."""
+    modules = [importlib.import_module("mbkit")] + [
+        importlib.import_module(f"mbkit.{layer}") for layer in tracing.LAYERS]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            monkeypatch.setattr(module, attr, value)  # restored at teardown
+    for layer, names in tracing.SPANS.items():
+        for dotted in names:
+            if "." in dotted:
+                cls_name, meth = dotted.split(".")
+                cls = _resolve(layer, cls_name)
+                monkeypatch.setattr(cls, meth, vars(cls)[meth])
+    tracer = tracing.Tracer()
+    tracer.install()
+    return tracer
+
+
+@pytest.mark.parametrize("argv", [
+    ["render2d", "--res", "8", "--max-iter", "20"],
+    ["render3d", "--dims", "6", "--max-iter", "20"],
+    ["verify", "--suite", "algebra"],
+    ["estimate", "--kind", "hyperbric-area", "--precision", "16"],
+])
+def test_traced_command_records_its_span(installed, argv, tmp_path, capsys):
+    # The tracer rebinds cli.cmd_* after import, so the dispatch must look
+    # the commands up when it runs them, or it would call the unwrapped ones.
+    from mbkit import cli
+    command = argv[0]
+    installed.command = command
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    spans = {name: rec[0] for (cmd, name), rec in installed.spans.items()
+             if name.startswith("cli.cmd_")}
+    assert spans == {f"cli.cmd_{command}": 1}
