@@ -577,14 +577,19 @@ def _reserve(grid) -> None:
                               f"{'x'.join(map(str, sizes))} cells") from None
 
 
+def _commands() -> dict:
+    """Each command's function by name.  The table is built at each call, so
+    a cmd_* rebound in this module after import (as the benchmark's tracer
+    wraps them) is the one run."""
+    return {"render2d": cmd_render2d, "render3d": cmd_render3d, "verify": cmd_verify,
+            "estimate": cmd_estimate, "rerun": cmd_rerun}
+
+
 def _run(args: argparse.Namespace) -> int:
     """Run the command that parsed arguments name, writing its manifest when
     it has an --out; return its exit code."""
     t0 = time.perf_counter()
-    # The table is built at each call, so a cmd_* rebound in this module
-    # after import (as the benchmark's tracer wraps them) is the one run.
-    code = {"render2d": cmd_render2d, "render3d": cmd_render3d, "verify": cmd_verify,
-            "estimate": cmd_estimate, "rerun": cmd_rerun}[args.command](args)
+    code = _commands()[args.command](args)
     if getattr(args, "out", None) is not None:
         _write_manifest(args, time.perf_counter() - t0)
     return code

@@ -6,7 +6,9 @@ member mask.  Scalar and grid paths share primitive operation order (powers
 as left-to-right multiply chains, squared-norm comparisons), so counts agree
 bitwise wherever the same orbit values arise.  Each is one loop, the scalar
 _escape_time driving a per-system step and the grid _counts_kernel, and both
-stop an orbit whose state repeats exactly, which changes no result.
+stop an orbit whose state repeats exactly, which changes no result.  On the
+real line (iterate_real, and 1-D real kernel batches) they also stop an
+orbit that a float invariant interval proves bounded (_trapped).
 
 Escape uses the sharp bound 2^(1/(p-1)): an orbit that ever exceeds it
 diverges, so a point is a member exactly when the whole orbit stays inside.
@@ -17,13 +19,14 @@ value of a batch once and derive every point's count from those orbits.
 This is exact, not an approximation: identical floats have identical
 orbits, a hyperbolic point escapes with its first component, and a
 tricomplex cell's rounded ring norm cannot pass the limit before one of its
-rows does, and has once a row passes four times the limit.  The hyperbolic
-engine gathers from the few runs of equal outcome over the sorted values and
-iterates one block of a grid that mirrors.  The tricomplex one reads each
-cell's two steps off tables per entry of its rows' pair terms, and the ring
-norm between them off a table of the row values' squared norms, so beyond
-its 4 B counts and 1 B member flags per cell it holds nothing that grows
-with the cell count; a cell open past the table runs the joint kernel.
+rows does, and has once a row passes the limit times the row count.  The
+hyperbolic engine gathers from the few runs of equal outcome over the
+sorted values and iterates one block of a grid that mirrors.  The
+tricomplex one reads each cell's two steps off tables per entry of its
+rows' pair terms, and the ring norm between them off a table of the row
+values' squared norms, so beyond its 4 B counts and 1 B member flags per
+cell it holds nothing that grows with the cell count; a cell open past the
+table runs the joint kernel.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ class EscapeResult:
     iterations: int
 
 
-def _escape_time(step, z0, params: IterationParams) -> EscapeResult:
+def _escape_time(step, z0, params: IterationParams, trapped=None) -> EscapeResult:
     """The escape-time loop of every scalar engine; step(z) returns the
     next state and its squared norm.
 
@@ -104,7 +107,9 @@ def _escape_time(step, z0, params: IterationParams) -> EscapeResult:
     2, 4, 8, ...) repeats with period m - s, so the orbit never escapes and
     the run ends as a member.  Equal states stay equal up to the sign of
     zeros, which no norm sees, and a live state is finite, so the result is
-    that of running every step.
+    that of running every step.  The run ends as a member too when
+    trapped(z, snap), given and asked at each snapshot step after the first
+    with the last snapshot, proves that the orbit at z never escapes.
     """
     max_iter = params.max_iter
     lim = _escape_limit(params)
@@ -117,8 +122,38 @@ def _escape_time(step, z0, params: IterationParams) -> EscapeResult:
         if z == snap:
             break
         if m == nxt:
+            if trapped is not None and snap is not None and trapped(z, snap):
+                break
             snap, nxt = z, 2 * m
     return EscapeResult(False, max_iter)
+
+
+def _trapped(x, d, c, p: int, lim: float):
+    """Whether the orbit of a real state x under F(x) = x^p + c provably
+    never escapes, with c >= 0 at odd p; d is the change of x over some
+    earlier steps.  Floats, or arrays elementwise.
+
+    F is one float step, the engines' chain x*x*...*x then + c.  The proof
+    is a float y >= |x| with F(y) <= y, y >= -c and y*y <= lim; the
+    candidates are -c and |x| + |d|.  Then [-y, y] holds every later state:
+    - rounding to nearest is monotone, so on [0, inf) the chain and F are
+      nondecreasing;
+    - at even p the chain of x is that of |x|, so F(x) depends only on |x|
+      and lies in [F(0), F(y)] = [c, F(y)], within [-y, y];
+    - at odd p rounding commutes with negation, so the chain is odd, F is
+      nondecreasing on the whole line and F(x) lies in [F(-y), F(y)]; for
+      c >= 0, F(-y) >= -chain(y) >= -F(y) >= -y (and y >= -c holds).  A
+      negative c is iterated as -c, whose orbit is this one negated exactly
+      (up to the sign of zeros), with the same counts and flags;
+    - a later state x' has x'*x' <= y*y <= lim, so it never escapes, and
+      the point is a member: what running every step would give.
+    A NaN fails every comparison, and an infinite y fails y*y <= lim.
+    """
+    ax = abs(x)
+    ok = False
+    for y in (-c, ax + abs(d)):
+        ok = ok | ((y >= ax) & (y >= -c) & (y * y <= lim) & (_step(y, c, p) <= y))
+    return ok
 
 
 # --- complex engine -----------------------------------------------------------
@@ -175,17 +210,42 @@ def orbit_real(c: float, p: int, n: int) -> list[float]:
     return out
 
 
+def iterate_real(c: float, params: IterationParams) -> EscapeResult:
+    """Iterate x -> x^p + c from 0 on the real line.
+
+    The result is iterate_complex(complex(c), params) bit for bit: the
+    complex orbit of a real c keeps its imaginary part at +-0, and its real
+    part is this orbit.  The run also ends as a member once _trapped proves
+    the orbit bounded, which at even p with c < 0 typically comes at step 2,
+    the first step it is asked.
+    """
+    p, lim = params.p, _escape_limit(params)
+    if p % 2 and c < 0.0:
+        c = -c  # the orbit negated exactly, as _trapped needs c >= 0 at odd p
+    chain = range(p - 1)
+
+    def step(x):
+        xp = x
+        for _ in chain:
+            xp = xp * x
+        x = xp + c
+        return x, x * x
+
+    return _escape_time(step, 0.0, params, lambda x, snap: _trapped(x, x - snap, c, p, lim))
+
+
 def real_axis_extent(params: IterationParams, tol: float) -> tuple[float, float]:
     """Bisect the real-line membership boundary on each side of 0.
 
     Returns (lo, hi) with each endpoint resolved to a bracket of width <= tol,
     or to two adjacent floats when tol is finer than their spacing.
+    Membership is that of iterate_real, so of member_multibrot(complex(c)).
     """
     if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
 
     def member(c: float) -> bool:
-        return member_multibrot(complex(c), params)
+        return not iterate_real(c, params).escaped
 
     outside = params.escape_radius + 0.5
     hi = _bisect_boundary(member, 0.0, outside, tol)
@@ -368,7 +428,11 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
     live = np.ones(n, dtype=bool)
     dead = 0
     z = np.zeros_like(c)
-    cc = c
+    # A 1-D real batch is also retired once _trapped proves it bounded, and
+    # at odd p it iterates |c| for that: the orbit of -c is the orbit of c
+    # negated exactly, with the same counts and flags.
+    line = c.ndim == 1 and not np.iscomplexobj(c)
+    cc = np.abs(c) if line and p % 2 else c
     snap = trail = None
     # Done points waiting for the next compaction overflow freely.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -390,6 +454,14 @@ def _counts_kernel(c: np.ndarray, params: IterationParams):
                 # found on a later test step than the one it closed on gives
                 # the same count and flag, so testing on every step is waste.
                 cyc = _repeats(z, snap, trail)
+                if line:
+                    # So is a real point whose state lies in a float interval
+                    # [-y, y] that one step maps into itself with y*y <= lim
+                    # (_trapped): rounding is monotone on [0, inf), at even
+                    # p a step depends only on |x|, at odd p the batch runs
+                    # |c|, the orbit negated exactly, and y*y <= lim bounds
+                    # every later norm, this step's included.
+                    cyc |= _trapped(z, z - snap, cc, p, lim)
                 cyc &= live
                 done = esc | cyc
             k = np.count_nonzero(done)
@@ -856,17 +928,20 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1):
     take few distinct values, so each distinct value v is iterated once.
     With lim = _escape_limit(params), let e_v be the first step at which
     its squared norm s_v is not <= lim, E_v the first tabulated step at
-    which it is not <= 4 lim (past the budget if none), and e, E the least
-    of them over a cell's rows.  Both are read off a table of s_v at steps
-    1 to min(_TABLE_STEPS, max_iter), made in one pass over the values that
-    drops each at its E_v; the kernel runs only on the values still <= lim
-    through it, as one 1-D batch, for their e_v.  Then:
+    which it is not <= rows lim, for the cells' 2 or 4 rows (past the
+    budget if none), and e, E the least of them over a cell's rows.  Both
+    are read off a table of s_v at steps 1 to min(_TABLE_STEPS, max_iter),
+    made in one pass over the values that drops each at its E_v; the kernel
+    runs only on the values still <= lim through it, as one 1-D batch, for
+    their e_v.  Then:
 
     - before e the cell cannot escape: every s <= lim, so the rounded sum
-      (s0 + s1) + (s2 + s3) is at most 4 lim (rounding is monotone, and
-      2 lim, 4 lim are exact), and scaling it by 0.25 is exact;
+      (s0 + s1) + (s2 + s3), or s0 + s1, is at most rows lim (rounding is
+      monotone, and 2 lim, 4 lim are exact), and scaling it by 1 / rows is
+      exact;
     - at E it has escaped: a rounded sum of nonnegative terms is at least
-      each term, here one above 4 lim, or it is NaN;
+      each term, here one above rows lim, or it is NaN, so the ring norm
+      is above lim;
     - so a cell with no e within max_iter is a member, and one with e == E
       escapes at e;
     - any other cell's ring norm is summed from the tabulated s values of
@@ -907,9 +982,10 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1):
     only, the entry tables, and per worker a block's entries and lookups.
     No cell reads a row at or past its E_v: a cell reads step m only while
     m < E, and E is at most each of its rows' E_v.  On lattice windows most
-    values pass 4 lim within a few steps, so the table holds a small share
-    of _TABLE_STEPS values each (12.6% on the Tetrabric 96^3 window shifted
-    by a fraction of a cell, 29.5% on the Perplexbric 128^3 one).
+    values pass rows lim within a few steps, so the table holds a small
+    share of _TABLE_STEPS values each (11.9% on the Tetrabric 96^3 window
+    shifted by a fraction of a cell, whose two rows leave at 2 lim, against
+    12.6% at 4 lim; 29.5% on the Perplexbric 128^3 one, of four rows).
     """
     threads = _check_threads(threads)
     x, shape = _check_rows(x)
@@ -951,7 +1027,7 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1):
     max_iter, lim = params.max_iter, _escape_limit(params)
     never = max_iter + 1  # no such step within the budget, or in the table
     steps = min(_TABLE_STEPS, max_iter)
-    # One pass records e_v and E_v, the first steps outside lim and 4 lim,
+    # One pass records e_v and E_v, the first steps outside lim and rows lim,
     # and s_v at steps 1..min(E_v - 1, steps), the only ones a cell reads:
     # a cell reads step m only while m < E <= E_v.  A value leaves the pass
     # at its E_v.  Steps are held in the narrowest signed type that holds never.
@@ -963,7 +1039,7 @@ def grid_counts_tricomplex(x, params: IterationParams, threads: int = 1):
             s = _norm2(z)
             out = live[~(s <= lim)]
             first[out] = np.minimum(first[out], m)
-            ok = s <= 4.0 * lim
+            ok = s <= rows * lim
             if not ok.all():
                 last[live[~ok]] = m
                 live, z, c, s = live[ok], z[ok], c[ok], s[ok]

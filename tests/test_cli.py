@@ -2,6 +2,7 @@ import argparse
 import ast
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import re
@@ -309,15 +310,16 @@ def test_estimate_real_extent_below_float_spacing_stops_at_adjacent_floats(
         tmp_path, monkeypatch, capsys):
     # A tolerance finer than the float spacing used to loop forever once the
     # bracket was two adjacent floats; a bisection needs ~60 calls a side.
-    iterate = dynamics.iterate_complex
+    # The endpoints are checked against the complex engine.
+    iterate, iterate_real = dynamics.iterate_complex, dynamics.iterate_real
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         assert len(calls) < 1000, "the bisection does not stop"
-        return iterate(*args, **kwargs)
+        return iterate_real(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "iterate_complex", counted)
+    monkeypatch.setattr(dynamics, "iterate_real", counted)
     out = tmp_path / "re"
     assert main(["estimate", "--kind", "real-extent", "--p", "3",
                  "--precision", "1e-300", "--out", str(out)]) == 0
@@ -333,6 +335,7 @@ def test_estimate_real_extent_below_float_spacing_stops_at_adjacent_floats(
         near = {member(np.nextafter(end, -1.0)), member(end), member(np.nextafter(end, 1.0))}
         assert near == {True, False}, end
     assert abs(report["measured_hi"] - MANDELBRIC_REAL_BOUND) <= 1e-3
+    assert 100 <= len(calls) < 1000
 
 
 def test_corrupted_unit_table_fails_with_witness():
@@ -414,6 +417,40 @@ def _parser_options() -> set[str]:
                       for sub in action.choices.values()]
     return {opt for parser in parsers for action in parser._actions
             for opt in action.option_strings if opt.startswith("--")}
+
+
+def _subcommands() -> dict:
+    """The parser's subcommand parsers by name."""
+    return dict(next(a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+def test_command_tables_name_the_same_commands():
+    # Leaving rerun aside, which reruns the others, the parser's
+    # subcommands, _run's table and the output suffixes (which
+    # _load_manifest also reads as the rerunnable commands) name one set.
+    names = set(_subcommands())
+    assert "rerun" in names and set(cli._commands()) == names
+    assert set(cli._OUTPUT_SUFFIXES) == names - {"rerun"}
+
+
+def test_every_grid_size_option_is_sized_by_grid():
+    # A command line setting --res, --dims or --precision to a small size
+    # has _grid name that option for some value of each required choice
+    # (estimate's --precision is a tolerance for real-extent), so the
+    # parser's array-size check and the memory reservation cover it.
+    for name, sub in _subcommands().items():
+        options = {o for a in sub._actions for o in a.option_strings}
+        required = [[(a.option_strings[0], v) for v in (a.choices or ["x"])]
+                    for a in sub._actions if a.required and a.option_strings]
+        for option in sorted({"--res", "--dims", "--precision"} & options):
+            sized = set()
+            for picks in itertools.product(*required):
+                argv = [name] + [f"{o}={v}" for o, v in picks] + [f"{option}=4"]
+                grid = cli._grid(cli._parse_args(cli._Parser, argv))
+                if grid is not None:
+                    sized.add(grid[0])
+            assert sized == {option}, (name, option)
 
 
 def test_readme_names_exactly_the_parser_options():

@@ -503,6 +503,134 @@ def test_escape_time_skips_whole_periods():
         assert len(calls) <= 5
 
 
+# --- real line ---------------------------------------------------------------------
+#
+# iterate_real runs the real step on _escape_time, which also ends a run once
+# _trapped finds a float y >= |x| with F(y) <= y, y >= -c and y*y <= lim (at
+# odd p with c < 0 it iterates -c, the orbit negated).  These tests pin it
+# to a plain every-step loop and the bisection to the complex oracle, and
+# check the proof itself on states that need not lie on an orbit of 0.
+
+
+def _real_reference(c, params):
+    def step(x):
+        xp = x
+        for _ in range(params.p - 1):
+            xp = xp * x
+        x = xp + c
+        return x, x * x
+    return _every_step(step, 0.0, params)
+
+
+def _ulps_around(x, most, every):
+    """x and the floats every, 2 * every, ... most ulps below and above it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        v = x
+        for k in range(1, most + 1):
+            v = math.nextafter(v, direction)
+            if k % every == 0:
+                out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
+def test_real_member_matches_every_step(p, rng):
+    # Random parameters, slow escapes past both ends of the real interval,
+    # parameters within 1000 ulps of both ends, where members creep toward
+    # a parabolic fixed point (or wander chaotically below 0 at even p), and
+    # the edge values.
+    lo, hi = real_extent_closed_form(p)
+    values = [float(c) for c in rng.uniform(lo - 0.3, hi + 0.3, 120)]
+    values += [end + s * 10.0 ** -k for end, s in ((lo, -1.0), (hi, 1.0))
+               for k in range(2, 7)]
+    values += _ulps_around(lo, 1000, 50) + _ulps_around(hi, 1000, 50)
+    values += [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200]
+    params = IterationParams(p, 2000)
+    results = []
+    for c in values:
+        got = dynamics.iterate_real(c, params)
+        assert got == _real_reference(c, params), c
+        assert got == iterate_complex(complex(c), params), c
+        results.append(got)
+    assert any(r.escaped and r.iterations > 100 for r in results)
+    assert sum(not r.escaped for r in results) > 50
+
+
+def _bisect_by_complex_oracle(params, tol):
+    def member(c):
+        return member_multibrot(complex(c), params)
+
+    outside = params.escape_radius + 0.5
+    return (dynamics._bisect_boundary(member, 0.0, -outside, tol),
+            dynamics._bisect_boundary(member, 0.0, outside, tol))
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-9])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
+def test_real_axis_extent_matches_the_complex_oracle_bisection(p, tol):
+    params = IterationParams(p, 2000)
+    got = real_axis_extent(params, tol)
+    want = _bisect_by_complex_oracle(params, tol)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def _chain(x, p):
+    xp = x * x
+    for _ in range(p - 2):
+        xp = xp * x
+    return xp
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_trapped_states_never_escape(p, rng):
+    # States anywhere around the escape radius, increments of every scale,
+    # parameters past both ends of the real interval (c >= 0 at odd p, as
+    # _trapped takes it), and infinite or NaN states and increments.  Each
+    # state proven trapped keeps x*x <= lim for 400 plain steps; some of the
+    # others escape, so a false proof among them would show.
+    r = escape_bound(p)
+    lim = r * r
+    n = 6000
+    x = rng.uniform(-1.5 * r, 1.5 * r, n)
+    d = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 1, n)
+    c = rng.uniform(-1.5 * r, 1.5 * r, n)
+    special = [math.inf, -math.inf, math.nan]
+    x[:30], d[30:60], c[60:90] = (rng.choice(special, 30) for _ in range(3))
+    if p % 2:
+        c = np.abs(c)
+    trapped = dynamics._trapped(x, d, c, p, lim)
+    assert trapped.dtype == bool and trapped.shape == (n,)
+    floats = [bool(dynamics._trapped(float(a), float(b), float(e), p, lim))
+              for a, b, e in zip(x, d, c)]
+    assert floats == trapped.tolist()
+    z, inside = x.copy(), x * x <= lim
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(400):
+            z = _chain(z, p) + c
+            inside &= z * z <= lim
+    assert inside[trapped].all(), np.flatnonzero(trapped & ~inside)[:5]
+    assert trapped.sum() > n // 50 and (~inside).sum() > n // 10
+    # An infinite or NaN state or parameter is never trapped; a state with
+    # such an increment may still be, by the candidate -c.
+    assert not trapped[:30].any() and not trapped[60:90].any()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_odd_exponents_iterate_the_negated_parameter(p):
+    # Below the negative end the orbit creeps past -alpha, the negated
+    # parabolic point: without iterating -c, the proof would take it.
+    lo, _ = real_extent_closed_form(p)
+    params = IterationParams(p, 20000)
+    for eps in (1e-6, 1e-5, 1e-4):
+        c = lo - eps
+        got = dynamics.iterate_real(c, params)
+        assert got.escaped and got.iterations > 100
+        assert got == dynamics.iterate_real(-c, params) == _real_reference(c, params)
+
+
 def test_member_perplexbric_examples():
     r = MANDELBRIC_REAL_BOUND
     assert member_perplexbric_analytic(0.0, 0.0, 0.0)
@@ -1213,18 +1341,71 @@ def test_trailing_snapshot_retires_members_sooner(monkeypatch):
 def test_slow_escapes_near_parabolic_points_are_not_retired(kind, kernel_no_retirement):
     # Just outside the cusp of each real interval the orbit creeps past the
     # parabolic fixed point, moving less than 1e-5 per step for hundreds of
-    # steps before it escapes: nearly, but never exactly, periodic.
-    for p, cusp in ((2, 0.25), (3, MANDELBRIC_REAL_BOUND)):
-        params = IterationParams(p, 3500)
-        c = np.array([cusp + eps for eps in (1e-6, 2e-6, 5e-6)])
-        if kind.endswith("4"):
-            c = np.tile(c, (4, 1))
-        if kind.startswith("complex"):
-            c = c.astype(np.complex128)
-        ref_counts, ref_member = kernel_no_retirement(c, params)
-        assert not ref_member.any() and ref_counts.min() > 1000
-        counts, member = dynamics._counts_kernel(c, params)
-        assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+    # steps before it escapes: nearly, but never exactly, periodic.  At odd
+    # p the same happens below the negative end, the orbit negated, which a
+    # real batch iterates as |c|.  Just inside both ends the orbits are
+    # members, creeping toward the fixed point or wandering below 0, and
+    # real ones retire once _trapped proves them bounded.  Every budget of
+    # _budgets, and one past the slowest escape.
+    eps = np.array([1e-6, 2e-6, 5e-6])
+    for p in (2, 3):
+        lo, hi = real_extent_closed_form(p)
+        slow = np.concatenate([hi + eps] + ([lo - eps] if p % 2 else []))
+        c = _as_kind(np.concatenate([slow, hi - eps, lo + eps]), kind)
+        for max_iter in _budgets(3500):
+            params = IterationParams(p, max_iter)
+            ref_counts, ref_member = kernel_no_retirement(c, params)
+            counts, member = dynamics._counts_kernel(c, params)
+            assert np.array_equal(counts, ref_counts), (p, max_iter)
+            assert np.array_equal(member, ref_member), (p, max_iter)
+        assert not ref_member[:slow.size].any() and ref_counts[:slow.size].min() > 1000
+        assert ref_member[slow.size:].all()
+
+
+def test_real_batches_alone_are_proven_bounded(monkeypatch):
+    # _trapped runs on the cycle-test steps of 1-D real batches only: a
+    # complex batch or a batch of several rows runs the kernel as it was.
+    trapped, calls = dynamics._trapped, []
+
+    def recording(x, d, c, p, lim):
+        calls.append((x.shape, x.dtype, c.shape))
+        return trapped(x, d, c, p, lim)
+
+    monkeypatch.setattr(dynamics, "_trapped", recording)
+    params = IterationParams(3, 200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind in ("real", "complex", "real4", "complex4"):
+            calls.clear()
+            dynamics._counts_kernel(_kernel_state(kind), params)
+            assert bool(calls) == (kind == "real"), kind
+            assert all(len(x) == 1 and len(c) == 1 and dtype == np.float64
+                       for x, dtype, c in calls)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_proof_retires_real_members_sooner(p, monkeypatch):
+    # Point-steps through a wrapped _step (the proof's own steps included)
+    # on the hyperbrot window's component values, with _trapped as it is
+    # and proving nothing: the same outputs, far fewer steps.
+    c = _kernel_state("real")
+    params = IterationParams(p, 1000)
+    step, steps = dynamics._step, []
+
+    def counting(z, cc, p):
+        steps[-1] += np.size(z)
+        return step(z, cc, p)
+
+    monkeypatch.setattr(dynamics, "_step", counting)
+    runs = []
+    for proof in (dynamics._trapped, lambda x, d, c, p, lim: np.zeros(x.shape, bool)):
+        monkeypatch.setattr(dynamics, "_trapped", proof)
+        steps.append(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs.append(dynamics._counts_kernel(c, params))
+    (counts, member), (ref_counts, ref_member) = runs
+    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+    assert member.sum() > c.size // 8
+    assert 5 * steps[0] < 4 * steps[1], steps
 
 
 # --- deferred compaction ---------------------------------------------------------
@@ -1445,13 +1626,36 @@ def _pairing_sensitive_cells(p):
     return _concat_rows(*cells)
 
 
+def _two_row_mean_cells(p, dtype):
+    """Coefficient rows of two-row cells with one row's squared norm s in
+    (lim, 2 lim] at step 1, on both sides of 1.5 lim, in row 0 or row 1,
+    while the ring norm 0.5 * (s0 + s1) stays within lim there: the cell
+    has not escaped at step 1, though a value leaving the table pass at a
+    threshold below 2 lim would say it had."""
+    lim = escape_bound(p) ** 2
+    big = lim * np.array([1.02, 1.3, 1.49, 1.51, 1.7, 1.9, 1.98])
+    small = 0.5 * (2.0 * lim - big)
+    w = np.sqrt(np.stack([big, small]))
+    if dtype is complex:
+        w = w * np.exp(1j * np.array([[0.3], [2.0]]))
+    w = np.concatenate([w, w[::-1]], axis=1)
+    x = _rows_for(w)
+    s = np.abs(complex4_rows(x)) ** 2
+    high = s.max(axis=0)
+    assert ((high > lim) & (high <= 2.0 * lim)).all()
+    assert (0.5 * (s[0] + s[1]) <= lim).all()
+    assert (high <= 1.5 * lim).any() and (high > 1.5 * lim).any()
+    return x
+
+
 def _distinct_path_input(kind, p):
     """Coefficient rows of a lattice reaching past the slice's set at
     exponent p, plus cells with rows just beyond the real cusp, which
     escape slowly, each step from about 10 to past 1000, next to the member
     row 0, to each other or in every row, four-row cells that escape or
-    not at step 1 by the order of the sum, and points whose first iterates
-    overflow or are NaN in one row or in all."""
+    not at step 1 by the order of the sum, two-row cells with a row past
+    lim but within 2 lim that do not escape at step 1, and points whose
+    first iterates overflow or are NaN in one row or in all."""
     x = _lattice_rows(_LAYOUTS[kind], 0.75 * escape_bound(p), 14)
     rows = 4
     if kind == "real2":
@@ -1460,7 +1664,8 @@ def _distinct_path_input(kind, p):
         rows = 2
     elif kind == "complex2":
         rows = 2
-    parts = [x] + ([_pairing_sensitive_cells(p)] if rows == 4 else [])
+    parts = [x, _pairing_sensitive_cells(p) if rows == 4 else
+             _two_row_mean_cells(p, complex if kind == "complex2" else float)]
     slow = real_extent_closed_form(p)[1] + np.geomspace(1e-7, 2e-2, 24)
     pairs = np.zeros((rows, 3 * slow.size))
     pairs[0, :slow.size] = slow
