@@ -618,19 +618,6 @@ def test_trapped_states_never_escape(p, rng):
     assert not trapped[:30].any() and not trapped[60:90].any()
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_odd_exponents_iterate_the_negated_parameter(p):
-    # Below the negative end the orbit creeps past -alpha, the negated
-    # parabolic point: without iterating -c, the proof would take it.
-    lo, _ = real_extent_closed_form(p)
-    params = IterationParams(p, 20000)
-    for eps in (1e-6, 1e-5, 1e-4):
-        c = lo - eps
-        got = dynamics.iterate_real(c, params)
-        assert got.escaped and got.iterations > 100
-        assert got == dynamics.iterate_real(-c, params) == _real_reference(c, params)
-
-
 def test_member_perplexbric_examples():
     r = MANDELBRIC_REAL_BOUND
     assert member_perplexbric_analytic(0.0, 0.0, 0.0)
