@@ -163,7 +163,7 @@ def cmd_render3d(args: argparse.Namespace) -> int:
     # Counted once; volume_estimate() would count the members again.
     members = grid.member_count()
     print(f"member_cells={members}")
-    print(f"volume_estimate={members * grid.cell_volume()!r}")
+    print(f"volume_estimate={grid.volume_of(members)!r}")
     return 0
 
 
@@ -171,36 +171,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Run the module property suites; exit 0 iff every check passes."""
     suite, seed = args.suite, args.seed
     names = list(SUITE_NAMES) if suite == "all" else [suite]
-    results = run_suites(names, seed=seed)
+    checks = [{"name": c.name, "passed": bool(c.passed),
+               "max_residual": None if c.max_residual is None else float(c.max_residual),
+               "detail": c.detail, "witness": c.witness}
+              for results in run_suites(names, seed=seed).values() for c in results]
+    overall = all(c["passed"] for c in checks)
     lines = [f"suite={suite}", f"seed={seed}", f"version={__version__}"]
-    checks_json = []
-    overall = True
-    for name, checks in results.items():
-        for c in checks:
-            passed = bool(c.passed)
-            overall &= passed
-            lines.append(f"{c.name}.status={'pass' if passed else 'fail'}")
-            if c.max_residual is not None:
-                lines.append(f"{c.name}.max_residual={float(c.max_residual)!r}")
-            if c.detail:
-                lines.append(f"{c.name}.detail={c.detail}")
-            if c.witness:
-                lines.append(f"{c.name}.witness={c.witness}")
-            checks_json.append(
-                {"name": c.name, "passed": passed,
-                 "max_residual": None if c.max_residual is None
-                 else float(c.max_residual),
-                 "detail": c.detail, "witness": c.witness}
-            )
+    for c in checks:
+        lines.append(f"{c['name']}.status={'pass' if c['passed'] else 'fail'}")
+        # A float's str is its repr: max_residual keeps every digit.
+        lines += [f"{c['name']}.{k}={c[k]}" for k in ("max_residual", "detail", "witness")
+                  if c[k] not in (None, "")]
     lines.append(f"overall={'pass' if overall else 'fail'}")
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if args.out is not None:
-        txt_path, json_path = _outputs("verify", args.out)
-        txt_path.write_text(text)
-        json_path.write_text(json.dumps(
+    _report(args, "\n".join(lines) + "\n",
             {"suite": suite, "seed": seed, "version": __version__,
-             "overall": overall, "checks": checks_json}, indent=2) + "\n")
+             "overall": overall, "checks": checks})
     return 0 if overall else 1
 
 
@@ -254,12 +239,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                         else "conjecture inconsistent")
     text = "".join(f"{k}={v!r}\n" if isinstance(v, float) else f"{k}={v}\n"
                    for k, v in report.items())
+    _report(args, text, report)
+    return 0
+
+
+def _report(args: argparse.Namespace, text: str, data: dict) -> None:
+    """Print a report's text and, with --out, write it as .txt and as .json."""
     print(text, end="")
     if args.out is not None:
-        txt_path, json_path = _outputs("estimate", args.out)
+        txt_path, json_path = _outputs(args.command, args.out)
         txt_path.write_text(text)
-        json_path.write_text(json.dumps(report, indent=2) + "\n")
-    return 0
+        json_path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 class ManifestError(ValueError):

@@ -661,8 +661,10 @@ def grid_counts_hyperbolic(
     each side, max_iter 2000) has 13,903 distinct values in 85 runs, and
     hyperbrot at 1000^2 on [-0.4, 0.4]^2 (max_iter 1000) 7,359 in 65.
 
-    A 2-D input that mirrors is computed on one representative block and
-    the rest of the outputs is filled by flipping it.  Rows mirror, at any
+    The outputs are allocated in the input's shape, and both passes write
+    one representative block of them in place: the whole grid, unless a
+    2-D input mirrors.  Then the rest is filled by flipping the block's
+    columns, a few rows at a time, and then its rows.  Rows mirror, at any
     p, when a[::-1] == a and b[::-1] == -b: the two components swap, and a
     cell's outcome is symmetric in them.  Columns mirror, at odd p, when
     a[:, ::-1] == -a and b[:, ::-1] == b: the components negate, and at
@@ -678,30 +680,26 @@ def grid_counts_hyperbolic(
         raise ValueError(f"a and b must have equal shapes, got {a.shape} and {b.shape}")
     a, b = np.atleast_1d(a, b)
     # Allocated first, so a grid too large for memory fails at once.
-    counts = np.empty(a.size, dtype=np.uint32)
-    member = np.empty(a.size, dtype=bool)
-    if a.ndim != 2:
-        _hyperbolic_counts(a, b, params, threads, counts, member)
-        return counts, member
-    (H, W), (h, w) = a.shape, a.shape
-    if _mirrors(a, 0, 1.0) and _mirrors(b, 0, -1.0):
-        h = (H + 1) // 2
-    if params.p % 2 and _mirrors(a, 1, -1.0) and _mirrors(b, 1, 1.0):
-        w = (W + 1) // 2
-    _hyperbolic_counts(a[:h, :w], b[:h, :w], params, threads, counts, member)
-    for out in (counts, member):
-        full = out.reshape(H, W)
+    counts = np.empty(a.shape, dtype=np.uint32)
+    member = np.empty(a.shape, dtype=bool)
+    rep = ()
+    if a.ndim == 2:
+        (H, W), (h, w) = a.shape, a.shape
+        if _mirrors(a, 0, 1.0) and _mirrors(b, 0, -1.0):
+            h = (H + 1) // 2
+        if params.p % 2 and _mirrors(a, 1, -1.0) and _mirrors(b, 1, 1.0):
+            w = (W + 1) // 2
+        rep = (slice(h), slice(w))
+    _hyperbolic_counts(a[rep], b[rep], params, threads, counts[rep], member[rep])
+    for out in (counts, member) if rep else ():
         if w < W:
-            # Each block row moves to its own row, the last first, so no
-            # row is overwritten before it has moved; a few rows at a time
-            # keep numpy's copies of overlapping rows to one chunk.
-            step = max(_CHUNK // W, 1)
-            for hi in range(h, 0, -step):
-                lo = max(hi - step, 0)
-                full[lo:hi, :w] = out[lo * w:hi * w].reshape(hi - lo, w)
-                full[lo:hi, w:] = full[lo:hi, :W - w][:, ::-1]
-        full[h:] = full[:H - h][::-1]
-    return counts, member
+            # A few rows at a time: numpy copies a source whose memory
+            # overlaps its target's, and those rows keep the copy to a chunk.
+            top, step = out[:h], max(_CHUNK // W, 1)
+            for lo in range(0, h, step):
+                top[lo:lo + step, w:] = top[lo:lo + step, :W - w][:, ::-1]
+        out[h:] = out[:H - h][::-1]
+    return counts.ravel(), member.ravel()
 
 
 def _mirrors(x: np.ndarray, axis: int, sign: float) -> bool:
@@ -716,18 +714,18 @@ def _mirrors(x: np.ndarray, axis: int, sign: float) -> bool:
 
 def _hyperbolic_counts(a, b, params: IterationParams, threads: int, counts, member):
     """grid_counts_hyperbolic's two passes over a and b, writing the results
-    to the first a.size entries of counts and member."""
+    to counts and member, arrays of their shape."""
     ranges = _ranges(a.shape[0], threads)
     chunk = _CHUNK // max(len(ranges), 1)
 
     def components(lo, hi):
-        for index, start, _ in _blocks(a.shape, lo, hi, chunk):
+        for index, _, _ in _blocks(a.shape, lo, hi, chunk):
             ca, cb = a[index], b[index]
             # On a worker thread the caller's np.errstate does not apply;
             # an infinite or NaN component escapes at step 1.
             with np.errstate(over="ignore", invalid="ignore"):
-                cm, cp = (ca - cb).ravel(), (ca + cb).ravel()
-            yield start, cm, cp
+                cm, cp = ca - cb, ca + cb
+            yield index, cm, cp
 
     # Sorting the values and searching them is much faster than the argsort
     # behind return_inverse.  np.unique keeps one of 0.0 and -0.0; both find
@@ -738,7 +736,7 @@ def _hyperbolic_counts(a, b, params: IterationParams, threads: int, counts, memb
     def distinct(lo, hi):
         uniq, pieces, held = np.empty(0), [], 0
         for _, cm, cp in components(lo, hi):
-            pieces.append(np.unique(np.concatenate([cm, cp])))
+            pieces.append(np.unique(np.concatenate([cm, cp], axis=None)))
             held += pieces[-1].size
             if held >= uniq.size:
                 uniq = np.unique(np.concatenate([uniq] + pieces))
@@ -756,11 +754,10 @@ def _hyperbolic_counts(a, b, params: IterationParams, threads: int, counts, memb
     ends, counts_r, member_r = uniq[last], counts_u[last], member_u[last]
 
     def gather(lo, hi):
-        for start, cm, cp in components(lo, hi):
+        for index, cm, cp in components(lo, hi):
             im, ip = np.searchsorted(ends, cm), np.searchsorted(ends, cp)
-            stop = start + cm.size
-            np.minimum(counts_r[im], counts_r[ip], out=counts[start:stop])
-            np.logical_and(member_r[im], member_r[ip], out=member[start:stop])
+            np.minimum(counts_r[im], counts_r[ip], out=counts[index])
+            np.logical_and(member_r[im], member_r[ip], out=member[index])
 
     _each_range(gather, ranges)
 

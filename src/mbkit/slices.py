@@ -395,8 +395,14 @@ class VoxelGrid:
     def cell_volume(self) -> float:
         return self.spacing[0] * self.spacing[1] * self.spacing[2]
 
+    def volume_of(self, members: int) -> float:
+        """The volume of this many member cells: 0.0 for none, though the
+        cell volume of a huge window overflows to inf.  A cell volume that
+        underflows gives 0.0 for any count, the float nearest the volume."""
+        return members * self.cell_volume() if members else 0.0
+
     def volume_estimate(self) -> float:
-        return self.member_count() * self.cell_volume()
+        return self.volume_of(self.member_count())
 
     def write_mbv1(self, path) -> None:
         """Header line, then row-major 32-bit little-endian iteration counts."""

@@ -152,6 +152,22 @@ def test_render3d_outputs_and_rerun(tmp_path, capsys):
     assert _rerun(manifest_path, tmp_path / "redo2") == 1
 
 
+@pytest.mark.parametrize("half, members", [(1e300, 0), (1e-120, 8)])
+def test_render3d_volume_is_zero_where_the_cell_volume_leaves_range(half, members,
+                                                                    tmp_path, capsys):
+    # At +-1e300 the cell volume overflows to inf and no cell is a member:
+    # 0 * inf is nan, but no members make no volume.  At +-1e-120 it
+    # underflows to 0.0, the float nearest the 8 members' true volume.
+    window = ",".join([f"{-half!r}:{half!r}"] * 3)
+    assert main(["render3d", "--dims", "2", "--slice", "1,i1,j1", f"--window={window}",
+                 "--out", str(tmp_path / "v")]) == 0
+    assert capsys.readouterr().out == f"member_cells={members}\nvolume_estimate=0.0\n"
+    grid = slices.sample_slice(slices.SliceSpec.parse("1,i1,j1"), ((-half, half),) * 3,
+                               (2, 2, 2), dynamics.IterationParams(3, 1000))
+    assert grid.member_count() == members
+    assert grid.volume_estimate() == 0.0 and grid.cell_volume() in (0.0, np.inf)
+
+
 def test_render2d_manifest_digest_matches(tmp_path):
     import hashlib
 

@@ -876,6 +876,9 @@ def _hyperbolic_inputs(case, rng):
         return np.meshgrid(xs, ys, copy=False)
     if case == "reversed-y view":  # as render2d builds it
         return np.meshgrid(xs, ys[::-1], copy=False)
+    if case == "3-D view":  # its own representative block
+        zs = cell_centers(-0.3, 0.5, 5)
+        return np.meshgrid(xs, ys, zs, copy=False, indexing="ij")[:2]
     if case == "contiguous":
         return rng.uniform(-0.6, 0.6, 4001), rng.uniform(-0.6, 0.6, 4001)
     if case == "strided columns":
@@ -887,7 +890,7 @@ def _hyperbolic_inputs(case, rng):
     return rng.choice(values, 4001), rng.choice(values, 4001)
 
 
-_HYPERBOLIC_CASES = ["meshgrid view", "reversed-y view", "contiguous",
+_HYPERBOLIC_CASES = ["meshgrid view", "reversed-y view", "3-D view", "contiguous",
                      "strided columns", "signed zeros and duplicates"]
 
 
