@@ -15,6 +15,7 @@ command parameters, never on the worker count (MBK_THREADS).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -511,9 +512,16 @@ def build_parser(parser_class=_Parser) -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser(parser_class) -> argparse.ArgumentParser:
+    """build_parser(parser_class), built once per process: parsing a command
+    line, or failing to, leaves a parser as it was."""
+    return build_parser(parser_class)
+
+
 def _parse_args(parser_class, argv) -> argparse.Namespace:
     """Parse a command line and make the checks that span several options."""
-    ap = build_parser(parser_class)
+    ap = _parser(parser_class)
     args = ap.parse_args(argv)
     if args.command == "estimate":
         if args.precision is not None:

@@ -21,7 +21,8 @@ orbits, a hyperbolic point escapes with its first component, and a
 tricomplex cell's rounded ring norm cannot pass the limit before one of its
 rows does, and has once a row passes the limit times the row count.  The
 hyperbolic engine gathers from the few runs of equal outcome over the
-sorted values and iterates one block of a grid that mirrors.  The
+sorted values, iterates one block of a grid that mirrors, and reads about
+half of a square block that transposes.  The
 tricomplex one reads each cell's two steps off tables per entry of its
 rows' pair terms, and the ring norm between them off a table of the row
 values' squared norms, so beyond its 4 B counts and 1 B member flags per
@@ -668,10 +669,16 @@ def grid_counts_hyperbolic(
     p, when a[::-1] == a and b[::-1] == -b: the two components swap, and a
     cell's outcome is symmetric in them.  Columns mirror, at odd p, when
     a[:, ::-1] == -a and b[:, ::-1] == b: the components negate, and at
-    odd p the orbit of -c is the negated orbit of c.  Both are exact, as
-    rounding commutes with negation; NaN fails the tests.  They compare
-    the values the inputs' zero strides do not repeat, a meshgrid view's
-    axes, so a window that does not mirror costs O(H + W) to test.
+    odd p the orbit of -c is the negated orbit of c.  A square block
+    transposes, at odd p, when a == b.T or a == -b.T: cell (j, i) has one
+    component of cell (i, j) negated.  The passes then read each row
+    block's columns from its first row onward, about half the block, and
+    the cells left of them are copied from their transposes, block by
+    block.  All three are exact, as rounding commutes with negation; NaN
+    fails the tests.  They compare the values the inputs' zero strides do
+    not repeat, a meshgrid view's axes, so a window that does not mirror
+    or transpose costs O(H + W) to test; other inputs are compared a block
+    at a time.
     """
     threads = _check_threads(threads)
     a = np.asarray(a, dtype=np.float64)
@@ -682,15 +689,17 @@ def grid_counts_hyperbolic(
     # Allocated first, so a grid too large for memory fails at once.
     counts = np.empty(a.shape, dtype=np.uint32)
     member = np.empty(a.shape, dtype=bool)
-    rep = ()
+    rep, square = (), False
     if a.ndim == 2:
         (H, W), (h, w) = a.shape, a.shape
-        if _mirrors(a, 0, 1.0) and _mirrors(b, 0, -1.0):
+        if _equal(a[::-1], a, 1.0) and _equal(b[::-1], b, -1.0):
             h = (H + 1) // 2
-        if params.p % 2 and _mirrors(a, 1, -1.0) and _mirrors(b, 1, 1.0):
+        if params.p % 2 and _equal(a[:, ::-1], a, -1.0) and _equal(b[:, ::-1], b, 1.0):
             w = (W + 1) // 2
         rep = (slice(h), slice(w))
-    _hyperbolic_counts(a[rep], b[rep], params, threads, counts[rep], member[rep])
+        square = bool(params.p % 2 and h == w
+                      and any(_equal(a[rep], b[rep].T, s) for s in (1.0, -1.0)))
+    _hyperbolic_counts(a[rep], b[rep], params, threads, counts[rep], member[rep], square)
     for out in (counts, member) if rep else ():
         if w < W:
             # A few rows at a time: numpy copies a source whose memory
@@ -702,24 +711,41 @@ def grid_counts_hyperbolic(
     return counts.ravel(), member.ravel()
 
 
-def _mirrors(x: np.ndarray, axis: int, sign: float) -> bool:
-    """Whether x read backwards along axis equals sign * x.  Each axis with
-    a zero stride is cut to one entry first, since it only repeats them;
-    the rest is compared in blocks, stopping at the first that differs."""
-    x = x[tuple(slice(None) if s else slice(0, 1) for s in x.strides)]
-    back = np.flip(x, axis)
-    return all(np.array_equal(back[index], sign * x[index])
+def _equal(x: np.ndarray, y: np.ndarray, sign: float) -> bool:
+    """Whether x equals sign * y, arrays of one shape.  Each axis on which
+    both have a zero stride is cut to one entry first, since it only repeats
+    them; the rest is compared in blocks, stopping at the first that
+    differs."""
+    cut = tuple(slice(None) if s or t else slice(0, 1)
+                for s, t in zip(x.strides, y.strides))
+    x, y = x[cut], y[cut]
+    return all(np.array_equal(x[index], sign * y[index])
                for index, _, _ in _blocks(x.shape, 0, x.shape[0], _CHUNK))
 
 
-def _hyperbolic_counts(a, b, params: IterationParams, threads: int, counts, member):
+def _hyperbolic_counts(a, b, params: IterationParams, threads: int, counts, member,
+                       square: bool):
     """grid_counts_hyperbolic's two passes over a and b, writing the results
-    to counts and member, arrays of their shape."""
+    to counts and member, arrays of their shape.  With square (a 2-D block
+    whose transpose negates one component of each cell), both passes read
+    each block's columns from its first row onward, and the cells left of
+    those are then copied from their transposes."""
     ranges = _ranges(a.shape[0], threads)
     chunk = _CHUNK // max(len(ranges), 1)
 
-    def components(lo, hi):
+    def blocks(lo, hi):
         for index, _, _ in _blocks(a.shape, lo, hi, chunk):
+            if square:
+                rows = index[0]
+                cols = index[1] if len(index) > 1 else slice(0, a.shape[1])
+                cols = slice(max(cols.start, rows.start), cols.stop)
+                if cols.start >= cols.stop:
+                    continue
+                index = rows, cols
+            yield index
+
+    def components(lo, hi):
+        for index in blocks(lo, hi):
             ca, cb = a[index], b[index]
             # On a worker thread the caller's np.errstate does not apply;
             # an infinite or NaN component escapes at step 1.
@@ -759,7 +785,21 @@ def _hyperbolic_counts(a, b, params: IterationParams, threads: int, counts, memb
             np.minimum(counts_r[im], counts_r[ip], out=counts[index])
             np.logical_and(member_r[im], member_r[ip], out=member[index])
 
+    # Each block's rows take their cells left of its first row from the
+    # transposed cells above it, which the passes wrote.  It must be the
+    # passes' own blocks: they read a block's later rows only from its first
+    # row's column onward, so a coarser block would leave cells unwritten.
+    # A row split into blocks is filled once, by the one holding its
+    # diagonal cell.
+    def fill(lo, hi):
+        for rows, cols in blocks(lo, hi):
+            if cols.start == rows.start:
+                for out in (counts, member):
+                    out[rows, :rows.start] = out[:rows.start, rows].T
+
     _each_range(gather, ranges)
+    if square:
+        _each_range(fill, ranges)
 
 
 # Steps of the distinct values' squared norms that grid_counts_tricomplex

@@ -426,6 +426,32 @@ def test_main_parses_and_runs(tmp_path, capsys):
     assert rc == 0
 
 
+def test_one_parser_per_class_survives_parse_errors(tmp_path, capsys, monkeypatch):
+    # The command line and rerun each parse with one parser per process; a
+    # failed parse leaves it as it was.
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda cls: built.append(cls) or build_parser(cls))
+    cli._parser.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--kind", "real-extent", "--precision", "-1"])
+        assert exc.value.code == 2
+        assert "mbkit: error: argument --precision" in capsys.readouterr().err
+        assert main(["estimate", "--kind", "real-extent", "--p", "2"]) == 0
+        assert capsys.readouterr().out.startswith("kind=real-extent\np=2\n")
+        path = tmp_path / "m.manifest.json"
+        path.write_text(json.dumps({**_GOOD_MANIFEST, "parameters": {
+            "kind": "real-extent", "p": 1}}))
+        with pytest.raises(cli.ManifestError, match="argument --p"):
+            cli.cmd_rerun(argparse.Namespace(manifest=str(path), out_dir=None))
+        args = cli._parse_args(cli._ManifestParser, ["estimate", "--kind", "hyperbric-area"])
+        assert (args.kind, args.p) == ("hyperbric-area", 3)
+    assert built == [cli._Parser, cli._ManifestParser]
+    cli._parser.cache_clear()
+    assert build_parser() is not build_parser()
+
+
 def _parser_options() -> set[str]:
     ap = build_parser()
     parsers = [ap] + [sub for action in ap._actions

@@ -872,6 +872,20 @@ def _hyperbolic_inputs(case, rng):
     # Asymmetric in both axes, so a flipped or transposed read shows.
     xs = cell_centers(-0.41, 0.43, 103)
     ys = cell_centers(-0.37, 0.42, 97)
+    # Square windows whose grids transpose at odd p (a == b.T or a == -b.T):
+    # on asymmetric axes, which mirror neither way, and on render2d's
+    # symmetric hyperbrot window, whose quarter transposes.
+    if case == "square, equal axes":
+        return np.meshgrid(xs, xs, copy=False)
+    if case == "square, negated axes":  # render2d, y window the negated x window
+        xs = xs[:100]
+        return np.meshgrid(xs, (-xs[::-1])[::-1], copy=False)
+    if case == "square, symmetric view":
+        xs = cell_centers(-0.42, 0.42, 101)
+        return np.meshgrid(xs, xs[::-1], copy=False)
+    if case == "square, symmetric copies":
+        xs = cell_centers(-0.42, 0.42, 101)
+        return [g.copy() for g in np.meshgrid(xs, xs, copy=False)]
     if case == "meshgrid view":
         return np.meshgrid(xs, ys, copy=False)
     if case == "reversed-y view":  # as render2d builds it
@@ -890,26 +904,47 @@ def _hyperbolic_inputs(case, rng):
     return rng.choice(values, 4001), rng.choice(values, 4001)
 
 
+_SQUARE_CASES = ["square, equal axes", "square, negated axes", "square, symmetric view",
+                 "square, symmetric copies"]
 _HYPERBOLIC_CASES = ["meshgrid view", "reversed-y view", "3-D view", "contiguous",
-                     "strided columns", "signed zeros and duplicates"]
+                     "strided columns", "signed zeros and duplicates"] + _SQUARE_CASES
+
+
+def _recording_passes(monkeypatch):
+    """The (shape, square) of each block grid_counts_hyperbolic hands its
+    passes, recorded in the list returned."""
+    blocks = []
+    passes = dynamics._hyperbolic_counts
+
+    def recording(a, *args):
+        blocks.append((a.shape, args[-1]))
+        return passes(a, *args)
+
+    monkeypatch.setattr(dynamics, "_hyperbolic_counts", recording)
+    return blocks
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [37, 1000])
-@pytest.mark.parametrize("case", _HYPERBOLIC_CASES)
-def test_streamed_hyperbolic_matches_whole_grid(case, chunk, threads, rng, monkeypatch,
+@pytest.mark.parametrize("case, p", [pytest.param(case, 3, id=case)
+                                     for case in _HYPERBOLIC_CASES]
+                         + [pytest.param(case, p, id=f"{case}, p={p}")
+                            for case in _SQUARE_CASES for p in (2, 5)])
+def test_streamed_hyperbolic_matches_whole_grid(case, p, chunk, threads, rng, monkeypatch,
                                                 hyperbolic_whole_grid):
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)  # split small batches too
     monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    blocks = _recording_passes(monkeypatch)
     a, b = _hyperbolic_inputs(case, rng)
-    params = IterationParams(3, 300)
+    params = IterationParams(p, 300)
     counts, member = grid_counts_hyperbolic(a, b, params, threads=threads)
     ref_counts, ref_member = hyperbolic_whole_grid(a, b, params, threads=threads)
     assert counts.shape == member.shape == (a.size,)
     assert counts.dtype == np.uint32 and member.dtype == bool
     assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
     assert member.any() and not member.all()
+    assert [square for _, square in blocks] == [case in _SQUARE_CASES and p % 2 == 1]
 
 
 @pytest.mark.parametrize("chunk, sizes", [(None, (1000, 2000)), (1 << 12, (500, 1000))])
@@ -962,12 +997,69 @@ def test_streamed_hyperbolic_memory_is_flat_on_a_shifted_window(monkeypatch):
     assert extra[2, 2000] <= extra[1, 2000] + 2_000_000
 
 
+def test_transposed_hyperbolic_memory_is_flat_on_contiguous_inputs(monkeypatch):
+    # Contiguous copies have no zero strides to cut, so the mirror and
+    # transpose tests compare them in blocks: comparing the 1000^2 quarter
+    # whole would hold 8 MB more at 2000^2 than at 1000^2.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    blocks = _recording_passes(monkeypatch)
+    params = IterationParams(3, 8)
+    extra = {}
+    for threads in (1, 2):
+        for n in (1000, 2000):
+            xs = cell_centers(-0.4, 0.4, n)
+            a, b = (g.copy() for g in np.meshgrid(xs, xs, copy=False))
+            blocks.clear()
+            tracemalloc.start()
+            try:
+                grid_counts_hyperbolic(a, b, params, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert blocks == [((n // 2, n // 2), True)]
+            extra[threads, n] = peak - 5 * n * n
+        assert extra[threads, 2000] <= extra[threads, 1000] + 2_000_000, threads
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_hyperbric_area_passes_read_an_eighth_of_the_window(threads, monkeypatch):
+    # The default estimate --kind hyperbric-area window mirrors both ways
+    # at p = 3 and its quarter transposes, so each pass reads each row
+    # block's columns from its first row onward: about n^2/8 cells, where
+    # the quarter alone would be n^2/4.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    n = 2000
+    lo, hi = real_extent_closed_form(3)
+    half = max(abs(lo), abs(hi)) * 1.1
+    xs = cell_centers(-half, half, n)
+    a, b = np.meshgrid(xs, xs, copy=False)
+    read = {"distinct": 0, "gather": 0}
+    concatenate, searchsorted = np.concatenate, np.searchsorted
+
+    def joining(arrays, axis=0, **kwargs):
+        if axis is None:  # a block's two components, in the distinct pass
+            read["distinct"] += sum(x.size for x in arrays) // 2
+        return concatenate(arrays, axis=axis, **kwargs)
+
+    def searching(haystack, needles, *args, **kwargs):
+        read["gather"] += np.size(needles) / 2  # each component once
+        return searchsorted(haystack, needles, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", joining)
+    monkeypatch.setattr(np, "searchsorted", searching)
+    grid_counts_hyperbolic(a, b, IterationParams(3, 2000), threads=threads)
+    assert read["distinct"] == read["gather"]
+    assert n * n / 8 < read["gather"] < 1.1 * n * n / 8
+
+
 # --- mirrored hyperbolic path ----------------------------------------------------
 #
 # A 2-D input whose rows mirror (a[::-1] == a, b[::-1] == -b), or at odd p
 # whose columns mirror (a[:, ::-1] == -a, b[:, ::-1] == b), is iterated on
-# one block and the outputs filled by flipping it.  These tests pin it to
-# the whole-grid body.
+# one block and the outputs filled by flipping it.  At odd p a square block
+# that transposes (a == b.T or a == -b.T) is read from each row block's
+# first row onward and the rest filled from the transposes.  These tests pin
+# it to the whole-grid body.
 
 
 def _mirror_axis(n, case):
@@ -1002,34 +1094,57 @@ def test_mirrored_hyperbolic_matches_whole_grid(p, chunk, monkeypatch,
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     if chunk is not None:
         monkeypatch.setattr(dynamics, "_CHUNK", chunk)
-    blocks = []
-    passes = dynamics._hyperbolic_counts
-
-    def recording(a, *args):
-        blocks.append(a.shape)
-        return passes(a, *args)
-
-    monkeypatch.setattr(dynamics, "_hyperbolic_counts", recording)
+    blocks = _recording_passes(monkeypatch)
     params = IterationParams(p, 200)
     mirrors = {"symmetric", "-0.0 centre", "inf ends"}
     for xcase, ycase in _MIRROR_WINDOWS:
         for H in (1, 2, 7, 8):
             for W in (1, 2, 7, 8):
-                xs, ys = _mirror_axis(W, xcase), _mirror_axis(H, ycase)[::-1]
-                a, b = np.meshgrid(xs, ys, copy=False)
-                with np.errstate(all="ignore"):
-                    ref = hyperbolic_whole_grid(a, b, params)
-                # A NaN anywhere fails both mirrors' equality tests.
-                nan = "nan ends" in (xcase, ycase)
-                h = (H + 1) // 2 if ycase in mirrors and not nan else H
-                w = (W + 1) // 2 if xcase in mirrors and p % 2 and not nan else W
-                for x, y, threads in ((a, b, 1), (a, b, 2), (a.copy(), b.copy(), 2)):
-                    blocks.clear()
-                    counts, member = grid_counts_hyperbolic(x, y, params, threads=threads)
-                    case = (xcase, ycase, H, W, threads)
-                    assert blocks == [(h, w)], case
-                    assert np.array_equal(counts, ref[0]), case
-                    assert np.array_equal(member, ref[1]), case
+                xs = _mirror_axis(W, xcase)
+                # The y axis as render2d reads it (top row first) and, on a
+                # square window, as hyperbric-area does: the block transposes
+                # to b.T = -a or to b.T = a where the axes agree.
+                for ys in [_mirror_axis(H, ycase)[::-1]] + [_mirror_axis(H, ycase)] * (H == W):
+                    a, b = np.meshgrid(xs, ys, copy=False)
+                    with np.errstate(all="ignore"):
+                        ref = hyperbolic_whole_grid(a, b, params)
+                    # A NaN anywhere fails every equality test.
+                    nan = "nan ends" in (xcase, ycase)
+                    h = (H + 1) // 2 if ycase in mirrors and not nan else H
+                    w = (W + 1) // 2 if xcase in mirrors and p % 2 and not nan else W
+                    square = bool(p % 2 and h == w and (np.array_equal(xs[:w], ys[:h])
+                                                        or np.array_equal(xs[:w], -ys[:h])))
+                    for x, y, threads in ((a, b, 1), (a, b, 2), (a.copy(), b.copy(), 2)):
+                        blocks.clear()
+                        counts, member = grid_counts_hyperbolic(x, y, params,
+                                                                threads=threads)
+                        case = (xcase, ycase, H, W, ys[0], threads)
+                        assert blocks == [((h, w), square)], case
+                        assert np.array_equal(counts, ref[0]), case
+                        assert np.array_equal(member, ref[1]), case
+
+
+def test_transpose_test_reads_every_cell_where_one_input_repeats(monkeypatch,
+                                                                hyperbolic_whole_grid):
+    # a repeats one row (a zero stride) and b is a copy of a.T but for one
+    # cell, which escapes at once: the test may cut an axis to one entry
+    # only where both inputs repeat it.  Row blocks of two rows make the
+    # passes read part of the grid, so a wrong test shows in the output.
+    monkeypatch.setattr(dynamics, "_CHUNK", 18)
+    blocks = _recording_passes(monkeypatch)
+    params = IterationParams(3, 300)
+    a = np.broadcast_to(cell_centers(-0.42, 0.43, 9), (9, 9))
+    b = a.T.copy()
+    b[3, 5] = 5.0
+    counts, member = grid_counts_hyperbolic(a, b, params)
+    ref_counts, ref_member = hyperbolic_whole_grid(a, b, params)
+    assert blocks == [((9, 9), False)]
+    assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+    b[3, 5] = a[5, 3]
+    blocks.clear()
+    counts, member = grid_counts_hyperbolic(a, b, params)
+    assert blocks == [((9, 9), True)]
+    assert np.array_equal(counts, hyperbolic_whole_grid(a, b, params)[0])
 
 
 def test_hyperbolic_grid_too_large_for_memory_fails_at_once():

@@ -113,7 +113,8 @@ def test_traced_sample_slice_records_one_tricomplex_call(tracing, monkeypatch):
 def test_traced_hyperbric_area_records_one_hyperbolic_call(tracing, monkeypatch, tmp_path):
     # The hyperbric-area window is symmetric, so grid_counts_hyperbolic
     # iterates one block of it through a private helper (half the rows at
-    # even p, a quarter of the grid at odd p): the tracer records one grid
+    # even p; a quarter of the grid at odd p, of which the passes read about
+    # half, since it is square and transposes): the tracer records one grid
     # call, whose kernel points are the distinct component parameters of
     # the whole grid, and replays it to the same outputs.
     from mbkit import cli
@@ -122,7 +123,7 @@ def test_traced_hyperbric_area_records_one_hyperbolic_call(tracing, monkeypatch,
     passes = dynamics._hyperbolic_counts
 
     def recording(a, *args):
-        blocks.append(a.shape)
+        blocks.append((a.shape, args[-1]))
         return passes(a, *args)
 
     monkeypatch.setattr(dynamics, "_hyperbolic_counts", recording)
@@ -135,7 +136,7 @@ def test_traced_hyperbric_area_records_one_hyperbolic_call(tracing, monkeypatch,
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, spanned)
     name = "dynamics.grid_counts_hyperbolic"
-    for p, block in ((2, (51, 101)), (3, (51, 51))):
+    for p, block in ((2, ((51, 101), False)), (3, ((51, 51), True))):
         for threads in ("1", "2"):
             monkeypatch.setenv("MBK_THREADS", threads)
             tracer.grid_calls.clear()
