@@ -878,8 +878,8 @@ def _hyperbolic_inputs(case, rng):
     if case == "square, equal axes":
         return np.meshgrid(xs, xs, copy=False)
     if case == "square, negated axes":  # render2d, y window the negated x window
-        xs = xs[:100]
-        return np.meshgrid(xs, (-xs[::-1])[::-1], copy=False)
+        xs = cell_centers(-0.41, 0.43, 100)
+        return np.meshgrid(xs, cell_centers(-0.43, 0.41, 100)[::-1], copy=False)
     if case == "square, symmetric view":
         xs = cell_centers(-0.42, 0.42, 101)
         return np.meshgrid(xs, xs[::-1], copy=False)
@@ -935,6 +935,9 @@ def test_streamed_hyperbolic_matches_whole_grid(case, p, chunk, threads, rng, mo
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)  # split small batches too
     monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    # Outputs start at count 0, which no cell has, so a cell left unwritten
+    # shows whatever memory np.empty would have reused.
+    monkeypatch.setattr(np, "empty", np.zeros)
     blocks = _recording_passes(monkeypatch)
     a, b = _hyperbolic_inputs(case, rng)
     params = IterationParams(p, 300)
@@ -1094,6 +1097,7 @@ def test_mirrored_hyperbolic_matches_whole_grid(p, chunk, monkeypatch,
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
     if chunk is not None:
         monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+    monkeypatch.setattr(np, "empty", np.zeros)  # no cell holds count 0
     blocks = _recording_passes(monkeypatch)
     params = IterationParams(p, 200)
     mirrors = {"symmetric", "-0.0 centre", "inf ends"}
