@@ -284,6 +284,40 @@ def test_slices_report_is_pinned_at_other_seeds(seed, tmp_path, capsys):
     assert capsys.readouterr().out.count(": match") == 2
 
 
+# The algebra and dynamics reports at seeds the benchmark does not run, by
+# (suite, seed): (txt, json).  At seed 7 dynamics.hyperbolic_decomposition
+# fails with a six-step residual of 1.67e-12 against its 1e-12 bound, so
+# that command exits 1 (a failing verify still writes both reports).
+_SWEEP_REPORTS = {
+    ("algebra", 3): ("de5ec34015b2db9c4e41a12a9f6865bdf5fab29f9e14b657a032b4facb8c5884",
+                     "5431dbff06684a3e6f9a77e4771df417a21463f3fae8e04d3968f4dd71340252"),
+    ("algebra", 7): ("034ef4ccca319ec1a6b144d3e256924993797059054537b56f8d4045e7bf3980",
+                     "576403c81e49b723b9bde5250ffaacb82279af113daf8fdf0025d731b3aa1b72"),
+    ("dynamics", 3): ("5a1a8501c84ae3bc6c377a1237cf853d53c84341e3c1ccdef0d6760fbf97a9f1",
+                      "969ae2b6e4b9c4a179921c2275fd625e6243da704183e009e4f68373ffb5d1d9"),
+    ("dynamics", 7): ("ad7d1ef991067204ece27fa0f94dc4cee57fb635fa80c65686ca2245c7ef0f02",
+                      "822600ab50fc6bd73932bcce5e938488278963625875269d2c4e884a5a6fdf18"),
+}
+
+
+@pytest.mark.parametrize("suite, seed", list(_SWEEP_REPORTS))
+def test_sweep_reports_are_pinned_at_other_seeds(suite, seed, tmp_path, capsys):
+    failing = (suite, seed) == ("dynamics", 7)
+    assert main(["verify", "--suite", suite, "--seed", str(seed),
+                 "--out", str(tmp_path / suite)]) == (1 if failing else 0)
+    digests = tuple(hashlib.sha256((tmp_path / f"{suite}.{ext}").read_bytes()).hexdigest()
+                    for ext in ("txt", "json"))
+    assert digests == _SWEEP_REPORTS[(suite, seed)]
+    checks = json.loads((tmp_path / f"{suite}.json").read_text())["checks"]
+    failed = [(c["name"], c["max_residual"]) for c in checks if not c["passed"]]
+    assert failed == ([("dynamics.hyperbolic_decomposition", 1.6699908626074559e-12)]
+                      if failing else [])
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(tmp_path / f"{suite}.manifest.json"),
+                 "--out-dir", str(tmp_path / "redo")]) == 0
+    assert capsys.readouterr().out.count(": match") == 2
+
+
 # The render3d outputs at a seed whose windows are shifted by fractions of a
 # cell, which reference.json does not pin: Perplexbric 128^3 and Tetrabric
 # 96^3 as perfbench/run.py renders them at seed 3.
