@@ -195,17 +195,6 @@ def _chain_pow(a, m: int, one, mul):
     return r
 
 
-def _mul_recursive(a: Tricomplex, b: Tricomplex) -> Tricomplex:
-    """Pair-form product (zeta1*zeta3 - zeta2*zeta4) + (zeta1*zeta4 + zeta2*zeta3)*i3.
-
-    Independent oracle for tc_mul: multiplies through the bicomplex pair
-    representation instead of the flat table.
-    """
-    a1, a2 = split_pair(a)
-    b1, b2 = split_pair(b)
-    return join_pair(a1 * b1 - a2 * b2, a1 * b2 + a2 * b1)
-
-
 @dataclass(frozen=True)
 class Bicomplex:
     """Bicomplex number as 4 real coefficients on (1, i1, i2, j1)."""

@@ -59,19 +59,6 @@ def run_suites(names, seed: int = 0) -> dict[str, list[CheckResult]]:
 # --- algebra -------------------------------------------------------------------
 
 
-def _mul_with_table(a: Tricomplex, b: Tricomplex, table) -> Tricomplex:
-    out = [0.0] * 8
-    for i in range(8):
-        ai = a.x[i]
-        if ai == 0.0:
-            continue
-        row = table[i]
-        for j in range(8):
-            s, k = row[j]
-            out[k] += s * ai * b.x[j]
-    return Tricomplex(tuple(out))
-
-
 def _random_tricomplex(rng, scale=3.0) -> Tricomplex:
     return Tricomplex(tuple(rng.uniform(-scale, scale, 8)))
 
@@ -101,44 +88,8 @@ def algebra_suite(seed: int = 0, product_table=None) -> list[CheckResult]:
                     "64 ordered pairs", witness)
     )
 
-    # Table-driven product against the recursive pair product.
-    worst, witness = 0.0, None
-    for _ in range(2000):
-        a, b = _random_tricomplex(rng), _random_tricomplex(rng)
-        ref = hypercomplex._mul_recursive(a, b)
-        got = _mul_with_table(a, b, table)
-        res = norm3(got - ref) / max(1.0, norm3(a) * norm3(b))
-        if res > worst:
-            worst = res
-            if res > 1e-12:
-                witness = f"a={a.to_text()} b={b.to_text()}"
-    out.append(
-        CheckResult("algebra.table_vs_pair_product", worst <= 1e-12, worst,
-                    "2000 random pairs", witness)
-    )
-
-    # Ring axioms through the (possibly injected) table.
-    worst, witness = 0.0, None
-    for _ in range(2000):
-        a, b, c = (_random_tricomplex(rng) for _ in range(3))
-        scale = max(1.0, norm3(a) * norm3(b) * norm3(c))
-        res = max(
-            norm3(_mul_with_table(_mul_with_table(a, b, table), c, table)
-                  - _mul_with_table(a, _mul_with_table(b, c, table), table)) / scale,
-            norm3(_mul_with_table(a, b, table) - _mul_with_table(b, a, table))
-            / max(1.0, norm3(a) * norm3(b)),
-            norm3(_mul_with_table(a, b + c, table)
-                  - (_mul_with_table(a, b, table) + _mul_with_table(a, c, table)))
-            / max(1.0, norm3(a) * (norm3(b) + norm3(c))),
-        )
-        if res > worst:
-            worst = res
-            if res > 1e-12:
-                witness = f"a={a.to_text()} b={b.to_text()} c={c.to_text()}"
-    out.append(
-        CheckResult("algebra.ring_axioms", worst <= 1e-12, worst,
-                    "2000 random triples", witness)
-    )
+    out.append(_table_vs_pair_product(rng, table))
+    out.append(_ring_axioms(rng, table))
 
     # Idempotent homomorphism for +, *, and powers up to 16.
     A = rng.uniform(-3.0, 3.0, (8, n))
@@ -233,6 +184,90 @@ def algebra_suite(seed: int = 0, product_table=None) -> list[CheckResult]:
                     "56 spans, powers to 6", witness)
     )
     return out
+
+
+def _table_vs_pair_product(rng, table) -> CheckResult:
+    """Table-driven product against the recursive pair product."""
+    x = _uniform_columns(rng, -3.0, 3.0, 2000, 16)
+    a, b = x[:8], x[8:]
+    got, ref = _mul_with_table(a, b, table), _pair_product(a, b)
+    res = _norm3([g - r for g, r in zip(got, ref)]) / _max(1.0, _norm3(a) * _norm3(b))
+    worst, at = _worst(res, 1e-12)
+    witness = None if at is None else \
+        f"a={_tricomplex_at(a, at).to_text()} b={_tricomplex_at(b, at).to_text()}"
+    return CheckResult("algebra.table_vs_pair_product", worst <= 1e-12, worst,
+                       "2000 random pairs", witness)
+
+
+def _ring_axioms(rng, table) -> CheckResult:
+    """Ring axioms through the (possibly injected) table."""
+    x = _uniform_columns(rng, -3.0, 3.0, 2000, 24)
+    a, b, c = x[:8], x[8:16], x[16:]
+    na, nb, nc = _norm3(a), _norm3(b), _norm3(c)
+    ab = _mul_with_table(a, b, table)
+    assoc = [v - w for v, w in zip(_mul_with_table(ab, c, table),
+                                   _mul_with_table(a, _mul_with_table(b, c, table), table))]
+    comm = [v - w for v, w in zip(ab, _mul_with_table(b, a, table))]
+    dist = [v - (w + y) for v, w, y in zip(
+        _mul_with_table(a, [v + w for v, w in zip(b, c)], table), ab,
+        _mul_with_table(a, c, table))]
+    res = _max(_norm3(assoc) / _max(1.0, na * nb * nc),
+               _norm3(comm) / _max(1.0, na * nb),
+               _norm3(dist) / _max(1.0, na * (nb + nc)))
+    worst, at = _worst(res, 1e-12)
+    witness = None if at is None else (f"a={_tricomplex_at(a, at).to_text()} "
+                                       f"b={_tricomplex_at(b, at).to_text()} "
+                                       f"c={_tricomplex_at(c, at).to_text()}")
+    return CheckResult("algebra.ring_axioms", worst <= 1e-12, worst,
+                       "2000 random triples", witness)
+
+
+def _mul_with_table(a, b, table) -> list:
+    """Unit-table product of two tricomplex lanes (8 coefficient arrays each).
+
+    Each lane gets the floats of the scalar table loop, signed zeros
+    included: out[k] += (s * a_i) * b_j over the table in row order, from
+    0.0, skipping the terms of a zero a_i.
+    """
+    out = [np.zeros_like(a[0]) for _ in range(8)]
+    with np.errstate(over="ignore", invalid="ignore"):  # float arithmetic never raises
+        for i in range(8):
+            ai, keep = a[i], a[i] != 0.0
+            for j, (s, k) in enumerate(table[i]):
+                np.add(out[k], s * ai * b[j], out=out[k], where=keep)
+    return out
+
+
+def _pair_product(a, b) -> list:
+    """Pair-form product of tricomplex lanes, the independent check on the
+    table: (zeta1*zeta3 - zeta2*zeta4) + (zeta1*zeta4 + zeta2*zeta3)*i3 for
+    eta = zeta1 + zeta2*i3, with the Bicomplex product and add."""
+    a1, a2 = (a[0], a[1], a[2], a[5]), (a[3], a[6], a[7], a[4])
+    b1, b2 = (b[0], b[1], b[2], b[5]), (b[3], b[6], b[7], b[4])
+    z1 = [x - y for x, y in zip(_bicomplex_mul(a1, b1), _bicomplex_mul(a2, b2))]
+    z2 = [x + y for x, y in zip(_bicomplex_mul(a1, b2), _bicomplex_mul(a2, b1))]
+    return [z1[0], z1[1], z1[2], z2[0], z2[3], z1[3], z2[1], z2[2]]
+
+
+def _norm3(x):
+    """hypercomplex.norm3 on tricomplex lanes: squares summed left to right."""
+    acc = x[0] * x[0]
+    for v in x[1:]:
+        acc = acc + v * v
+    return np.sqrt(acc)
+
+
+def _worst(res: np.ndarray, tol: float):
+    """The scalar sweep `if res > worst: worst = res; if res > tol: witness`
+    from worst = 0.0, over res in order: (worst, index of the witness or None)."""
+    run = np.fmax.accumulate(np.fmax(res, 0.0))
+    prior = np.concatenate(([0.0], run[:-1]))
+    hits = np.flatnonzero((res > prior) & (res > tol))
+    return float(run[-1]), (int(hits[-1]) if hits.size else None)
+
+
+def _tricomplex_at(x, k: int) -> Tricomplex:
+    return Tricomplex(tuple(v[k] for v in x))
 
 
 # --- roots -----------------------------------------------------------------------
@@ -387,36 +422,8 @@ def dynamics_suite(seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("dynamics.divergence_amplification", ok, None,
                            f"{confirmed} escaping orbits", witness))
 
-    # Membership invariant under conjugation, negation and their composition.
-    params = dynamics.IterationParams(3, 500)
-    ok, witness = True, None
-    for _ in range(2000):
-        c = complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6))
-        r = dynamics.iterate_complex(c, params)
-        for c2 in (c.conjugate(), -c, -c.conjugate()):
-            r2 = dynamics.iterate_complex(c2, params)
-            if (r.escaped, r.iterations) != (r2.escaped, r2.iterations):
-                ok, witness = False, f"c={c} vs {c2}"
-    out.append(CheckResult("dynamics.mandelbric_symmetries", ok, None,
-                           "2000 parameters, p=3", witness))
-
-    # Real orbits are strictly monotone: ascending for c>0, descending for
-    # c<0 with odd p.  In floats a bounded orbit eventually lands exactly on
-    # its limit, so zero steps are allowed only once the orbit has settled.
-    ok, witness = True, None
-    for p in (2, 3, 5):
-        for _ in range(300):
-            c = float(rng.uniform(1e-6, 1.0))
-            for sign in (1.0, -1.0) if p % 2 == 1 else (1.0,):
-                diffs = sign * np.diff(np.asarray(dynamics.orbit_real(sign * c, p, 400)))
-                settled = np.flatnonzero(diffs <= 0.0)
-                strict_then_fixed = settled.size == 0 or (
-                    (diffs[settled[0]:] == 0.0).all() and (diffs[: settled[0]] > 0.0).all()
-                )
-                if not strict_then_fixed:
-                    ok, witness = False, f"p={p} c={sign*c}"
-    out.append(CheckResult("dynamics.monotone_real_orbits", ok, None,
-                           "p in {2,3,5}", witness))
+    out.append(_mandelbric_symmetries(rng))
+    out.append(_monotone_real_orbits(rng))
 
     # T of the hyperbolic orbit equals the two real component orbits.
     worst = _hyperbolic_decomposition_residual(rng, 10_000)
@@ -437,31 +444,9 @@ def dynamics_suite(seed: int = 0) -> list[CheckResult]:
                            worst <= 1e-12 and exact_ok, worst,
                            "10000 random + integer-exact orbits"))
 
-    # Hyperbolic direct and decomposed engines agree.
-    hp = dynamics.IterationParams(3, 500)
-    bad = 0
-    for _ in range(10_000):
-        c = Hyperbolic(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        ra = dynamics.iterate_hyperbolic(c, hp, "decomposed")
-        rb = dynamics.iterate_hyperbolic(c, hp, "direct")
-        if (ra.escaped, ra.iterations) != (rb.escaped, rb.iterations):
-            bad += 1
-    out.append(CheckResult("dynamics.hyperbolic_mode_agreement", bad == 0, float(bad),
-                           "10000 parameters"))
-
-    # Tricomplex membership is the cartesian product of the two bicomplex
-    # component memberships.
+    out.append(_hyperbolic_mode_agreement(rng))
     tp = dynamics.IterationParams(3, 400)
-    bad = 0
-    for _ in range(10_000):
-        c = Tricomplex(tuple(rng.uniform(-1.5, 1.5, 8)))
-        direct_member = not dynamics.iterate_tricomplex(c, tp, "direct").escaped
-        pair = to_idempotent(c)
-        both = _bicomplex_member(pair.u1, tp) and _bicomplex_member(pair.u2, tp)
-        if direct_member != both:
-            bad += 1
-    out.append(CheckResult("dynamics.cartesian_membership", bad == 0, float(bad),
-                           "10000 parameters, p=3"))
+    out.append(_cartesian_membership(rng, tp))
 
     # Sampled members stay in the closed discus / closed ball of the bound.
     ok, witness, members = True, None, 0
@@ -475,19 +460,7 @@ def dynamics_suite(seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("dynamics.discus_bound", ok and members > 50,
                            None, f"{members} sampled members", witness))
 
-    ok, witness, members = True, None, 0
-    bound = dynamics.escape_bound(3)
-    for _ in range(4000):
-        c = Bicomplex(tuple(rng.uniform(-0.9, 0.9, 4)))
-        if not _bicomplex_member(c, tp):
-            continue
-        members += 1
-        z1, z2 = c.complex_pair()
-        w1, w2 = z1 - z2 * 1j, z1 + z2 * 1j
-        if max(abs(w1), abs(w2), c.norm()) > bound + 1e-12:
-            ok, witness = False, str(c.z)
-    out.append(CheckResult("dynamics.bicomplex_inclusion", ok and members > 50,
-                           None, f"{members} sampled members", witness))
+    out.append(_bicomplex_inclusion(rng, tp))
 
     # Real-axis extents against the closed forms; theorem for p in {2,3},
     # conjecture consistency for p in {4,5,6}.
@@ -525,6 +498,84 @@ def dynamics_suite(seed: int = 0) -> list[CheckResult]:
     return out
 
 
+def _mandelbric_symmetries(rng) -> CheckResult:
+    """Membership invariant under conjugation, negation and their composition."""
+    params = dynamics.IterationParams(3, 500)
+    re, im = _uniform_columns(rng, -1.6, 1.6, 2000, 2)
+    # Per parameter c: c, c.conjugate(), -c, -c.conjugate().
+    stop = _complex_lanes(np.stack([re, re, -re, -re], axis=1).ravel(),
+                          np.stack([im, -im, -im, im], axis=1).ravel(), params)
+    stop = stop.reshape(-1, 4)
+    bad = np.flatnonzero(stop[:, 1:] != stop[:, :1])
+    witness = None
+    if bad.size:
+        k, j = divmod(int(bad[-1]), 3)
+        c = complex(re[k], im[k])
+        witness = f"c={c} vs {(c.conjugate(), -c, -c.conjugate())[j]}"
+    return CheckResult("dynamics.mandelbric_symmetries", witness is None, None,
+                       "2000 parameters, p=3", witness)
+
+
+def _monotone_real_orbits(rng) -> CheckResult:
+    """Real orbits are strictly monotone: ascending for c>0, descending for
+    c<0 with odd p.  In floats a bounded orbit eventually lands exactly on
+    its limit, so zero steps are allowed only once the orbit has settled."""
+    witness = None
+    for p in (2, 3, 5):
+        c = rng.uniform(1e-6, 1.0, 300)
+        signs = (1.0, -1.0) if p % 2 == 1 else (1.0,)
+        bad = np.flatnonzero(_unsettled_real_orbits(c, signs, p, 400))
+        if bad.size:
+            k, j = divmod(int(bad[-1]), len(signs))
+            witness = f"p={p} c={signs[j] * float(c[k])}"
+    return CheckResult("dynamics.monotone_real_orbits", witness is None, None,
+                       "p in {2,3,5}", witness)
+
+
+def _hyperbolic_mode_agreement(rng) -> CheckResult:
+    """Hyperbolic direct and decomposed engines agree."""
+    hp = dynamics.IterationParams(3, 500)
+    u, v = _uniform_columns(rng, -2.0, 2.0, 10_000, 2)
+    bad = np.count_nonzero(_hyperbolic_lanes(u, v, hp, "decomposed")
+                           != _hyperbolic_lanes(u, v, hp, "direct"))
+    return CheckResult("dynamics.hyperbolic_mode_agreement", bad == 0, float(bad),
+                       "10000 parameters")
+
+
+def _cartesian_membership(rng, tp: dynamics.IterationParams) -> CheckResult:
+    """Tricomplex membership is the cartesian product of the two bicomplex
+    component memberships."""
+    x = _uniform_columns(rng, -1.5, 1.5, 10_000, 8)
+    direct_member = np.fromiter(
+        (not dynamics.iterate_tricomplex(Tricomplex(c), tp, "direct").escaped
+         for c in zip(*x)), bool, count=10_000)
+    # Both idempotent components of hypercomplex.to_idempotent are members;
+    # the second is iterated only where the first is one.
+    both = _bicomplex_lanes((x[0] + x[7], x[1] + x[4], x[2] - x[3], x[5] - x[6]), tp) == 0
+    x = [v[both] for v in x]
+    both[both] = _bicomplex_lanes((x[0] - x[7], x[1] - x[4], x[2] + x[3], x[5] + x[6]), tp) == 0
+    bad = np.count_nonzero(direct_member != both)
+    return CheckResult("dynamics.cartesian_membership", bad == 0, float(bad),
+                       "10000 parameters, p=3")
+
+
+def _bicomplex_inclusion(rng, tp: dynamics.IterationParams) -> CheckResult:
+    """Sampled bicomplex members stay in the closed ball of the bound, and so
+    do their idempotent components."""
+    ok, witness = True, None
+    bound = dynamics.escape_bound(3)
+    x = _uniform_columns(rng, -0.9, 0.9, 4000, 4)
+    members = np.flatnonzero(_bicomplex_lanes(x, tp) == 0)
+    for k in members:
+        c = Bicomplex(tuple(v[k] for v in x))
+        z1, z2 = c.complex_pair()
+        w1, w2 = z1 - z2 * 1j, z1 + z2 * 1j
+        if max(abs(w1), abs(w2), c.norm()) > bound + 1e-12:
+            ok, witness = False, str(c.z)
+    return CheckResult("dynamics.bicomplex_inclusion", ok and members.size > 50,
+                       None, f"{members.size} sampled members", witness)
+
+
 def _hyperbolic_decomposition_residual(rng, n: int) -> float:
     """Worst relative gap between T of n random hyperbolic orbits and the
     two real component orbits, over six steps each.
@@ -532,23 +583,37 @@ def _hyperbolic_decomposition_residual(rng, n: int) -> float:
     An orbit stops once its components pass OVERFLOW_NORM^(1/p) / 1000, so
     the next float ** p cannot overflow.
     """
+    a, b = np.empty(n), np.empty(n)
+    ps = np.empty(n, dtype=np.int64)
+    # One sample at a time: integers() takes half words from the generator,
+    # so block draws would consume the stream in another order.
+    for k in range(n):
+        a[k], b[k] = rng.uniform(-1.0, 1.0, 2)
+        ps[k] = rng.integers(2, 5)
     worst = 0.0
-    for _ in range(n):
-        a, b = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-        p = int(rng.integers(2, 5))
+    for p in range(2, 5):
+        at = ps == p
         limit = dynamics.OVERFLOW_NORM ** (1.0 / p) * 1e-3
-        z = Hyperbolic(0.0, 0.0)
-        cm, cp = a - b, a + b
-        xm = xp_ = 0.0
-        for _m in range(6):
-            z = hyp_pow(z, p) + Hyperbolic(a, b)
-            xm = xm ** p + cm
-            xp_ = xp_ ** p + cp
-            t = hyp_T(z)
-            scale = max(1.0, abs(xm), abs(xp_))
-            worst = max(worst, abs(t[0] - xm) / scale, abs(t[1] - xp_) / scale)
-            if scale > limit:
-                break
+        chain = range(p - 1)
+
+        def step(s):
+            u, v, xm, xp_, a, b, cm, cp, worst = s
+            tu, tv = u, v
+            for _ in chain:  # hyp_pow, then + Hyperbolic(a, b)
+                tu, tv = tu * u + tv * v, tv * u + tu * v
+            u, v = tu + a, tv + b
+            # Python's float ** (libm pow), which np.power does not match.
+            xm = np.array([x ** p for x in xm.tolist()]) + cm
+            xp_ = np.array([x ** p for x in xp_.tolist()]) + cp
+            scale = _max(1.0, np.abs(xm), np.abs(xp_))
+            worst = _max(worst, np.abs((u - v) - xm) / scale, np.abs((u + v) - xp_) / scale)
+            return (u, v, xm, xp_, a, b, cm, cp, worst), ~(scale > limit)
+
+        zero = np.zeros(np.count_nonzero(at))
+        a_p, b_p = a[at], b[at]
+        _, lane_worst = _lanes(step, (zero, zero, zero, zero, a_p, b_p,
+                                      a_p - b_p, a_p + b_p, zero), 6)
+        worst = max(worst, float(lane_worst.max(initial=0.0)))
     return worst
 
 
@@ -558,9 +623,198 @@ def _random_annulus_complex(rng, r_lo: float, r_hi: float) -> complex:
     return complex(r * math.cos(t), r * math.sin(t))
 
 
-def _bicomplex_member(c: Bicomplex, params: dynamics.IterationParams) -> bool:
-    step = dynamics._bicomplex_step(c, params.p)
-    return not dynamics._escape_time(step, (0j, 0j), params).escaped
+# --- lanes -------------------------------------------------------------------------
+#
+# The sweeps above run their per-parameter iterations as numpy lanes: one
+# array per state component, one element per parameter.  Each lane step
+# replays the scalar engine's IEEE operations in the scalar order, complex
+# products written out in real arithmetic (numpy's complex multiply rounds
+# differently under some CPU dispatch), so every lane ends with the scalar
+# engine's floats bit for bit.  The scalar engines are the tests' oracles.
+
+# Rows of a staging draw: 8192 floats (64 KB), below glibc's 128 KB mmap
+# threshold, which a freed larger array would raise for the whole process.
+_DRAW_FLOATS = 1 << 13
+# Live lanes at most: 16 KB per state array.  Arrays the size of a whole
+# sweep, made at every step, leave the heap holding their pages afterwards.
+_POOL = 1 << 11
+
+
+def _uniform_columns(rng, lo: float, hi: float, n: int, width: int) -> list:
+    """n successive rng.uniform(lo, hi, width) draws, as width arrays of n."""
+    cols = [np.empty(n) for _ in range(width)]
+    rows = max(1, _DRAW_FLOATS // width)
+    for start in range(0, n, rows):
+        block = rng.uniform(lo, hi, (min(rows, n - start), width))
+        for col, values in zip(cols, block.T):
+            col[start:start + values.size] = values
+    return cols
+
+
+def _lanes(step, state: tuple, steps: int):
+    """Run step on every lane of state until the lane stops or has run
+    steps steps.
+
+    state is a tuple of equal-length arrays, per-lane constants included;
+    step(state) returns the next state and whether each lane goes on.  At
+    most _POOL lanes are live at once, the next lanes in order joining as
+    others stop, so every array a step makes stays small (see _DRAW_FLOATS)
+    and a few long-lived lanes share their steps with the rest.  Returns
+    (stop, last): the step at which each lane stopped (0 if it never did),
+    and the last array of each lane's final state.
+    """
+    n = state[0].size
+    stop = np.zeros(n, dtype=np.uint32)
+    last = np.empty_like(state[-1])
+    live, lane, age = tuple(x[:0] for x in state), np.arange(0), np.zeros(0, np.uint32)
+    start = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < n or lane.size:
+            if start < n and lane.size <= _POOL // 2:
+                end = min(n, start + _POOL - lane.size)
+                live = tuple(np.concatenate((x, y[start:end])) for x, y in zip(live, state))
+                lane = np.concatenate((lane, np.arange(start, end)))
+                age = np.concatenate((age, np.zeros(end - start, np.uint32)))
+                start = end
+            live, go = step(live)
+            age += 1
+            done = ~go | (age == steps)
+            if done.any():
+                stop[lane[~go]] = age[~go]
+                last[lane[done]] = live[-1][done]
+                live = tuple(x[~done] for x in live)
+                lane, age = lane[~done], age[~done]
+    return stop, last
+
+
+def _escape_lanes(step, state: tuple, params: dynamics.IterationParams) -> np.ndarray:
+    """dynamics._escape_time on lanes, step(state) returning the next state
+    and its squared norm: each lane's escape step, 0 for a member."""
+    lim = dynamics._escape_limit(params)
+
+    def go(s):
+        s, n2 = step(s)
+        return s, n2 <= lim
+
+    return _lanes(go, state, params.max_iter)[0]
+
+
+def _max(x, *rest):
+    """Python's max(x, *rest) elementwise: a later value wins only if greater."""
+    for y in rest:
+        x = np.where(y > x, y, x)
+    return x
+
+
+def _complex_mul(ar, ai, br, bi):
+    """Python's complex product (ar + ai*i) * (br + bi*i) in real arithmetic."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _bicomplex_mul(p, q):
+    """The bicomplex product of complex pairs (z1, z2) * (z3, z4) =
+    (z1*z3 - z2*z4, z1*z4 + z2*z3), each as (re1, im1, re2, im2)."""
+    r13, i13 = _complex_mul(p[0], p[1], q[0], q[1])
+    r24, i24 = _complex_mul(p[2], p[3], q[2], q[3])
+    r14, i14 = _complex_mul(p[0], p[1], q[2], q[3])
+    r23, i23 = _complex_mul(p[2], p[3], q[0], q[1])
+    return r13 - r24, i13 - i24, r14 + r23, i14 + i23
+
+
+def _complex_lanes(cr, ci, params: dynamics.IterationParams) -> np.ndarray:
+    """dynamics.iterate_complex per lane c = cr + ci*i: the escape step, 0
+    for a member."""
+    chain = range(params.p - 1)
+
+    def step(s):
+        zr, zi, cr, ci = s
+        tr, ti = zr, zi
+        for _ in chain:
+            tr, ti = _complex_mul(tr, ti, zr, zi)
+        zr, zi = tr + cr, ti + ci
+        return (zr, zi, cr, ci), zr * zr + zi * zi
+
+    zero = np.zeros_like(cr)
+    return _escape_lanes(step, (zero, zero, cr, ci), params)
+
+
+def _hyperbolic_lanes(u, v, params: dynamics.IterationParams, mode: str) -> np.ndarray:
+    """dynamics.iterate_hyperbolic per lane c = u + v*j in either mode: the
+    escape step, 0 for a member."""
+    chain = range(params.p - 1)
+
+    if mode == "decomposed":
+        def step(s):
+            xm, xp_, cm, cp = s
+            t = xm
+            for _ in chain:
+                t = t * xm
+            xm = t + cm
+            t = xp_
+            for _ in chain:
+                t = t * xp_
+            xp_ = t + cp
+            return (xm, xp_, cm, cp), _max(xm * xm, xp_ * xp_)
+
+        state = (u - v, u + v)
+    elif mode == "direct":
+        def step(s):
+            zu, zv, cu, cv = s
+            tu, tv = zu, zv
+            for _ in chain:  # hyp_diamond
+                tu, tv = tu * zu + tv * zv, tv * zu + tu * zv
+            zu, zv = tu + cu, tv + cv
+            tm, tp = zu - zv, zu + zv
+            return (zu, zv, cu, cv), _max(tm * tm, tp * tp)
+
+        state = (u, v)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    zero = np.zeros_like(u)
+    return _escape_lanes(step, (zero, zero) + state, params)
+
+
+def _bicomplex_lanes(c, params: dynamics.IterationParams) -> np.ndarray:
+    """dynamics._escape_time on dynamics._bicomplex_step per lane, c the
+    four coefficient arrays of Bicomplex.z: the escape step, 0 for a member."""
+    chain = range(params.p - 1)
+
+    def step(s):
+        z, c = s[:4], s[4:]
+        t = z
+        for _ in chain:
+            t = _bicomplex_mul(t, z)
+        z = tuple(x + y for x, y in zip(t, c))
+        return z + c, z[0] * z[0] + z[1] * z[1] + z[2] * z[2] + z[3] * z[3]
+
+    zero = np.zeros_like(c[0])
+    return _escape_lanes(step, (zero,) * 4 + tuple(c), params)
+
+
+def _unsettled_real_orbits(c, signs, p: int, n: int) -> np.ndarray:
+    """For each c and sign (sign fastest), whether the steps of
+    sign * orbit_real(sign * c, p, n) fail to be positive until the first
+    one that is not, and exactly zero from there on."""
+    signs = np.array(signs)
+    c = (c[:, None] * signs).ravel()
+    sign = np.resize(signs, c.size)
+    chain = range(p - 1)
+
+    def step(s):
+        x, c, sign, settled, bad = s
+        t = x
+        for _ in chain:
+            t = t * x
+        y = t + c
+        # A live x is finite, so the step y - x is never NaN.
+        d = sign * (y - x)
+        settled = settled | (d <= 0.0)
+        bad = bad | (settled & (d != 0.0))
+        return (y, c, sign, settled, bad), np.abs(y) < dynamics.OVERFLOW_NORM
+
+    flag = np.zeros(c.size, dtype=bool)
+    # The orbit's first value is 0.0**p + c = c; the lanes take its n - 1 steps.
+    return _lanes(step, (c, c, sign, flag, flag), n - 1)[1]
 
 
 # --- slices ------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbkit.hypercomplex import PRODUCT_TABLE
+from mbkit.hypercomplex import PRODUCT_TABLE, join_pair, split_pair
 
 
 @pytest.fixture
@@ -20,6 +20,19 @@ def table_mul():
             for j, (s, k) in enumerate(row):
                 out[k] += s * xa[i] * xb[j]
         return tuple(out)
+    return mul
+
+
+@pytest.fixture(scope="session")
+def pair_mul():
+    """Pair-form product (zeta1*zeta3 - zeta2*zeta4) + (zeta1*zeta4 +
+    zeta2*zeta3)*i3 of two Tricomplex values, multiplied through the
+    Bicomplex dataclass instead of the flat table.  The reference for tc_mul
+    and for the verify suites' pair-product lanes."""
+    def mul(a, b):
+        a1, a2 = split_pair(a)
+        b1, b2 = split_pair(b)
+        return join_pair(a1 * b1 - a2 * b2, a1 * b2 + a2 * b1)
     return mul
 
 

@@ -232,6 +232,28 @@ def test_reports_and_oracle_steps_are_pinned(label, tmp_path, monkeypatch, capsy
     assert sum(steps) == (want if label == "verify_dynamics" else 0)
 
 
+def test_dynamics_report_does_not_depend_on_cpu_dispatch(tmp_path):
+    # The verify lanes write complex products in real arithmetic, so the
+    # seed-0 dynamics report keeps its digests with numpy's AVX2 and
+    # AVX-512 dispatch switched off.  The variable acts on the child only.
+    root = Path(__file__).resolve().parents[1]
+    reference = json.loads((root / "perfbench" / "reference.json").read_text())["digests"]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    script = ("import sys\n"
+              "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+              "assert not f['X86_V3'], 'dispatch not disabled'\n"
+              "from mbkit.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    run = subprocess.run([sys.executable, "-c", script, "verify", "--suite", "dynamics",
+                          "--seed", "0", "--out", str(tmp_path / "verify_dynamics")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    for name in ("verify_dynamics.json", "verify_dynamics.txt"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == reference[name], name
+
+
 def test_slices_suite_grid_work_is_pinned(monkeypatch):
     # The slices suite's calls of grid_counts_tricomplex are the whole of
     # the verify commands' grid work, which a traced benchmark run gates:

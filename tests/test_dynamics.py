@@ -44,7 +44,7 @@ from mbkit.hypercomplex import (
 )
 from mbkit.roots import MANDELBRIC_REAL_BOUND, real_extent_closed_form
 from mbkit.slices import SliceSpec, cell_centers
-from mbkit.suites import _bicomplex_member
+from mbkit.suites import _bicomplex_lanes
 
 
 def test_params_validation():
@@ -315,17 +315,21 @@ def _bicomplex_member_reference(c, params):
     return True
 
 
+def _bicomplex_lane_members(values, params):
+    """Membership of each Bicomplex value through the suites' bicomplex lanes."""
+    columns = [np.array([c.z[k] for c in values]) for k in range(4)]
+    return (_bicomplex_lanes(columns, params) == 0).tolist()
+
+
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_bicomplex_member_matches_dataclass_loop(p, rng):
     params = IterationParams(p, 200)
     half = 0.45 * escape_bound(p)
-    members = 0
-    for _ in range(300):
-        c = Bicomplex(tuple(rng.uniform(-half, half, 4)))
-        got = _bicomplex_member(c, params)
-        assert got == _bicomplex_member_reference(c, params), c.z
-        members += got
-    assert 10 <= members <= 290
+    values = [Bicomplex(tuple(rng.uniform(-half, half, 4))) for _ in range(300)]
+    got = _bicomplex_lane_members(values, params)
+    for c, member in zip(values, got):
+        assert member == _bicomplex_member_reference(c, params), c.z
+    assert 10 <= sum(got) <= 290
 
 
 # --- scalar escape-time driver ----------------------------------------------------
@@ -481,9 +485,8 @@ def test_bicomplex_member_matches_every_step(p):
         values += [Bicomplex((c.real, c.imag, 0.0, 0.0)), Bicomplex((0.0, 0.0, c.real, 0.0))]
     for max_iter in _BUDGETS:
         params = IterationParams(p, max_iter)
-        for c in values:
-            assert _bicomplex_member(c, params) == _bicomplex_member_reference(c, params), \
-                (c, max_iter)
+        for c, member in zip(values, _bicomplex_lane_members(values, params)):
+            assert member == _bicomplex_member_reference(c, params), (c, max_iter)
 
 
 def test_escape_time_skips_whole_periods():
