@@ -283,30 +283,7 @@ def test_slices_suite_grid_work_is_pinned(monkeypatch):
     assert len(escapes) == want["compactions"]
 
 
-# The slices report at seeds the benchmark does not run, by seed: (txt, json).
-_SLICES_REPORTS = {
-    3: ("659efde49634abf99f4921c4437289063c67ba4c85ca94b84c964f9c55865f19",
-        "a0b266a869fc743e6927ed5ee430a58f311d52f648e392607b89ae1e23e0447b"),
-    7: ("99738cea094161fedb08e25a8b5dcc2441d2563964d528d7b982cb08f19b15bf",
-        "42cc904825a683c71e143020544b5d1c054d43f4016df86abc68a366d7def9a1"),
-}
-
-
-@pytest.mark.parametrize("seed", list(_SLICES_REPORTS))
-def test_slices_report_is_pinned_at_other_seeds(seed, tmp_path, capsys):
-    out = tmp_path / "slices"
-    assert main(["verify", "--suite", "slices", "--seed", str(seed),
-                 "--out", str(out)]) == 0
-    digests = tuple(hashlib.sha256((tmp_path / f"slices.{ext}").read_bytes()).hexdigest()
-                    for ext in ("txt", "json"))
-    assert digests == _SLICES_REPORTS[seed]
-    capsys.readouterr()
-    assert main(["rerun", "--manifest", str(tmp_path / "slices.manifest.json"),
-                 "--out-dir", str(tmp_path / "redo")]) == 0
-    assert capsys.readouterr().out.count(": match") == 2
-
-
-# The algebra and dynamics reports at seeds the benchmark does not run, by
+# The four suites' reports at seeds the benchmark does not run, by
 # (suite, seed): (txt, json).  At seed 7 dynamics.hyperbolic_decomposition
 # fails with a six-step residual of 1.67e-12 against its 1e-12 bound, so
 # that command exits 1 (a failing verify still writes both reports).
@@ -319,6 +296,14 @@ _SWEEP_REPORTS = {
                       "969ae2b6e4b9c4a179921c2275fd625e6243da704183e009e4f68373ffb5d1d9"),
     ("dynamics", 7): ("ad7d1ef991067204ece27fa0f94dc4cee57fb635fa80c65686ca2245c7ef0f02",
                       "822600ab50fc6bd73932bcce5e938488278963625875269d2c4e884a5a6fdf18"),
+    ("roots", 3): ("5ce33bfb1b837ec25edaaa9459f336cf2c7e823f0d3b79b0855cf9d24577aa0d",
+                   "61ad774869f89d69f717b2e724cb4c4bc2d0d5816f2ed49dcf58560568815f85"),
+    ("roots", 7): ("2bcedde557147c9f77364956af72fad04f909dead8a794d97181f76f610d8347",
+                   "38733a697a4ffc8b7d28947f0fe3fc409871e1846bcc95dc2760494bd8a73fae"),
+    ("slices", 3): ("659efde49634abf99f4921c4437289063c67ba4c85ca94b84c964f9c55865f19",
+                    "a0b266a869fc743e6927ed5ee430a58f311d52f648e392607b89ae1e23e0447b"),
+    ("slices", 7): ("99738cea094161fedb08e25a8b5dcc2441d2563964d528d7b982cb08f19b15bf",
+                    "42cc904825a683c71e143020544b5d1c054d43f4016df86abc68a366d7def9a1"),
 }
 
 
