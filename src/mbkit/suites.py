@@ -3,11 +3,15 @@
 Each check re-derives one of the library's structural guarantees from
 scratch (oracle recomputation, independent formulas, exhaustive small cases)
 and reports a pass/fail with the worst residual and a witness when it fails.
-All sampling is seeded, so a suite run is reproducible byte for byte.
+All sampling is seeded, so a suite run is reproducible byte for byte.  Each
+check is one function, and each suite calls its checks in report order on its
+one generator, so a check's samples depend on how many numbers the checks
+before it draw.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,150 +44,38 @@ class CheckResult:
     witness: str | None = None
 
 
-def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
-    if name == "algebra":
-        return algebra_suite(seed)
-    if name == "roots":
-        return roots_suite(seed)
-    if name == "dynamics":
-        return dynamics_suite(seed)
-    if name == "slices":
-        return slices_suite(seed)
-    raise ValueError(f"unknown suite {name!r}")
-
-
 def run_suites(names, seed: int = 0) -> dict[str, list[CheckResult]]:
-    return {name: run_suite(name, seed) for name in names}
+    # Looked up at each call, so a suite rebound on the module is the one run.
+    suites = {"algebra": algebra_suite, "roots": roots_suite,
+              "dynamics": dynamics_suite, "slices": slices_suite}
+    return {name: suites[name](seed) for name in names}
 
 
 # --- algebra -------------------------------------------------------------------
 
 
-def _random_tricomplex(rng, scale=3.0) -> Tricomplex:
-    return Tricomplex(tuple(rng.uniform(-scale, scale, 8)))
-
-
-def algebra_suite(seed: int = 0, product_table=None) -> list[CheckResult]:
-    """Ring structure, idempotent calculus and the hyperbolic isomorphism.
-
-    product_table overrides the unit table for the table-integrity checks;
-    a corrupted table must surface as a failing check with a witness.
-    """
-    table = PRODUCT_TABLE if product_table is None else product_table
+def algebra_suite(seed: int = 0) -> list[CheckResult]:
+    """Ring structure, idempotent calculus and the hyperbolic isomorphism."""
     rng = np.random.default_rng(seed)
-    n = 10_000
-    out = []
+    return [
+        _unit_table_symmetry(PRODUCT_TABLE),
+        _table_vs_pair_product(rng, PRODUCT_TABLE),
+        _ring_axioms(rng, PRODUCT_TABLE),
+        (homomorphism := _idempotent_homomorphism(rng))[0],
+        _idempotent_round_trip(rng),
+        _hyperbolic_T_isomorphism(),
+        homomorphism[1],  # the norm form, on the homomorphism's samples
+        _span_power_closure(rng),
+    ]
 
-    # Table symmetry over all 64 ordered pairs.
-    witness = None
-    for a in UnitIndex:
-        for b in UnitIndex:
-            if table[a][b] != table[b][a]:
-                witness = f"units ({a.label},{b.label}): {table[a][b]} vs {table[b][a]}"
-                break
-        if witness:
-            break
-    out.append(
-        CheckResult("algebra.unit_table_symmetry", witness is None, None,
-                    "64 ordered pairs", witness)
-    )
 
-    out.append(_table_vs_pair_product(rng, table))
-    out.append(_ring_axioms(rng, table))
-
-    # Idempotent homomorphism for +, *, and powers up to 16.
-    A = rng.uniform(-3.0, 3.0, (8, n))
-    B = rng.uniform(-3.0, 3.0, (8, n))
-    wa, wb = hypercomplex.to_complex4(A), hypercomplex.to_complex4(B)
-    scale = np.maximum(
-        1.0, np.sqrt(hypercomplex.norm_sq_batch(A) * hypercomplex.norm_sq_batch(B))
-    )
-    res_mul = np.abs(hypercomplex.to_complex4(hypercomplex.mul_batch(A, B)) - wa * wb).max(
-        axis=0
-    ) / scale
-    res_add = np.abs(hypercomplex.to_complex4(A + B) - (wa + wb)).max(axis=0)
-    worst = float(max(res_mul.max(), res_add.max()))
-    pow_worst = 0.0
-    P = rng.uniform(-1.2, 1.2, (8, 512))
-    wp = hypercomplex.to_complex4(P)
-    for m in range(17):
-        lhs = hypercomplex.to_complex4(hypercomplex.pow_batch(P, m))
-        rhs = wp ** m
-        denom = np.maximum(1.0, np.abs(rhs).max(axis=0))
-        pow_worst = max(pow_worst, float((np.abs(lhs - rhs).max(axis=0) / denom).max()))
-    worst = max(worst, pow_worst)
-    out.append(
-        CheckResult("algebra.idempotent_homomorphism", worst <= 1e-12, worst,
-                    f"{n} pairs, powers to 16")
-    )
-
-    # Round trip through the idempotent representation.
-    worst = 0.0
-    for _ in range(2000):
-        a = _random_tricomplex(rng)
-        worst = max(
-            worst,
-            norm3(from_idempotent(to_idempotent(a)) - a) / max(1.0, norm3(a)),
-        )
-    out.append(
-        CheckResult("algebra.idempotent_round_trip", worst <= 1e-15, worst,
-                    "2000 random values")
-    )
-
-    # T(a diamond b) == T(a) star T(b), exact on integer coefficients.
-    ok = True
-    witness = None
-    for ua in range(-3, 4):
-        for va in range(-3, 4):
-            a = Hyperbolic(float(ua), float(va))
-            for ub in range(-3, 4):
-                for vb in range(-3, 4):
-                    b = Hyperbolic(float(ub), float(vb))
-                    lhs = hyp_T(hyp_diamond(a, b))
-                    ta, tb = hyp_T(a), hyp_T(b)
-                    rhs = (ta[0] * tb[0], ta[1] * tb[1])
-                    if lhs != rhs:
-                        ok, witness = False, f"a=({ua},{va}) b=({ub},{vb})"
-    out.append(
-        CheckResult("algebra.hyperbolic_T_isomorphism", ok, None,
-                    "integer grid [-3,3]^4", witness)
-    )
-
-    # Norm consistency: 8-coefficient form vs idempotent component form.
-    n1 = hypercomplex.norm_sq_batch(A)
-    w = hypercomplex.to_complex4(A)
-    n2 = (np.abs(w) ** 2).sum(axis=0) / 4.0
-    worst = float((np.abs(n1 - n2) / np.maximum(1.0, n1)).max())
-    out.append(
-        CheckResult("algebra.norm_component_form", worst <= 1e-12, worst, f"{n} values")
-    )
-
-    # Power-closure behaviour of every 3-unit span matches the predicate.
-    ok, witness = True, None
-    for spec in slices.enumerate_slices():
-        kind = hypercomplex.span_closure_kind(spec.units)
-        span = set(spec.span4)
-        coeffs = rng.uniform(-2.0, 2.0, 3)
-        eta = slices.embed_slice_point(spec, coeffs)
-        even_escapes = False
-        for m in range(1, 7):
-            powm = hypercomplex.tc_pow(eta, m)
-            outside = math.sqrt(
-                sum(v * v for k, v in enumerate(powm.x) if UnitIndex(k) not in span)
-            )
-            inside_only = outside <= 1e-9 * max(1.0, norm3(powm))
-            if m % 2 == 1 or kind == hypercomplex.CLOSED_SUBALGEBRA:
-                if not inside_only:
-                    ok, witness = False, f"{spec} power {m} leaves its span"
-            elif not inside_only:
-                even_escapes = True
-        if kind == hypercomplex.ODD_POWER_CLOSED and not even_escapes:
-            ok, witness = False, f"{spec} expected even powers outside the span"
-    out.append(
-        CheckResult("algebra.span_power_closure", ok, None,
-                    "56 spans, powers to 6", witness)
-    )
-    return out
+def _unit_table_symmetry(table) -> CheckResult:
+    """Table symmetry over all 64 ordered pairs, witnessed by the first asymmetric one."""
+    witness = next((f"units ({a.label},{b.label}): {table[a][b]} vs {table[b][a]}"
+                    for a in UnitIndex for b in UnitIndex if table[a][b] != table[b][a]),
+                   None)
+    return CheckResult("algebra.unit_table_symmetry", witness is None, None,
+                       "64 ordered pairs", witness)
 
 
 def _table_vs_pair_product(rng, table) -> CheckResult:
@@ -220,6 +112,82 @@ def _ring_axioms(rng, table) -> CheckResult:
                                        f"c={_tricomplex_at(c, at).to_text()}")
     return CheckResult("algebra.ring_axioms", worst <= 1e-12, worst,
                        "2000 random triples", witness)
+
+
+def _idempotent_homomorphism(rng, n: int = 10_000) -> tuple[CheckResult, CheckResult]:
+    """The idempotent map is a homomorphism for +, * and powers up to 16; and,
+    on the same samples, the 8-coefficient norm equals its idempotent
+    component form."""
+    A = rng.uniform(-3.0, 3.0, (8, n))
+    B = rng.uniform(-3.0, 3.0, (8, n))
+    wa, wb = hypercomplex.to_complex4(A), hypercomplex.to_complex4(B)
+    scale = np.maximum(1.0, np.sqrt(hypercomplex.norm_sq_batch(A)
+                                    * hypercomplex.norm_sq_batch(B)))
+    res_mul = np.abs(hypercomplex.to_complex4(hypercomplex.mul_batch(A, B))
+                     - wa * wb).max(axis=0) / scale
+    res_add = np.abs(hypercomplex.to_complex4(A + B) - (wa + wb)).max(axis=0)
+    worst = float(max(res_mul.max(), res_add.max()))
+    P = rng.uniform(-1.2, 1.2, (8, 512))
+    wp = hypercomplex.to_complex4(P)
+    for m in range(17):
+        lhs = hypercomplex.to_complex4(hypercomplex.pow_batch(P, m))
+        rhs = wp ** m
+        denom = np.maximum(1.0, np.abs(rhs).max(axis=0))
+        worst = max(worst, float((np.abs(lhs - rhs).max(axis=0) / denom).max()))
+    n1 = hypercomplex.norm_sq_batch(A)
+    n2 = (np.abs(wa) ** 2).sum(axis=0) / 4.0
+    norm_worst = float((np.abs(n1 - n2) / np.maximum(1.0, n1)).max())
+    return (CheckResult("algebra.idempotent_homomorphism", worst <= 1e-12, worst,
+                        f"{n} pairs, powers to 16"),
+            CheckResult("algebra.norm_component_form", norm_worst <= 1e-12, norm_worst,
+                        f"{n} values"))
+
+
+def _idempotent_round_trip(rng) -> CheckResult:
+    """Round trip through the idempotent representation."""
+    worst = 0.0
+    for _ in range(2000):
+        a = Tricomplex(tuple(rng.uniform(-3.0, 3.0, 8)))
+        worst = max(worst, norm3(from_idempotent(to_idempotent(a)) - a) / max(1.0, norm3(a)))
+    return CheckResult("algebra.idempotent_round_trip", worst <= 1e-15, worst,
+                       "2000 random values")
+
+
+def _hyperbolic_T_isomorphism() -> CheckResult:
+    """T(a diamond b) == T(a) star T(b), exact on integer coefficients."""
+    witness = None
+    for ua, va, ub, vb in itertools.product(range(-3, 4), repeat=4):
+        a, b = Hyperbolic(float(ua), float(va)), Hyperbolic(float(ub), float(vb))
+        ta, tb = hyp_T(a), hyp_T(b)
+        if hyp_T(hyp_diamond(a, b)) != (ta[0] * tb[0], ta[1] * tb[1]):
+            witness = f"a=({ua},{va}) b=({ub},{vb})"
+    return CheckResult("algebra.hyperbolic_T_isomorphism", witness is None, None,
+                       "integer grid [-3,3]^4", witness)
+
+
+def _span_power_closure(rng) -> CheckResult:
+    """Power-closure behaviour of every 3-unit span matches the predicate."""
+    witness = None
+    for spec in slices.enumerate_slices():
+        kind = hypercomplex.span_closure_kind(spec.units)
+        span = set(spec.span4)
+        coeffs = rng.uniform(-2.0, 2.0, 3)
+        eta = slices.embed_slice_point(spec, coeffs)
+        even_escapes = False
+        for m in range(1, 7):
+            powm = hypercomplex.tc_pow(eta, m)
+            outside = math.sqrt(sum(v * v for k, v in enumerate(powm.x)
+                                    if UnitIndex(k) not in span))
+            inside_only = outside <= 1e-9 * max(1.0, norm3(powm))
+            if m % 2 == 1 or kind == hypercomplex.CLOSED_SUBALGEBRA:
+                if not inside_only:
+                    witness = f"{spec} power {m} leaves its span"
+            elif not inside_only:
+                even_escapes = True
+        if kind == hypercomplex.ODD_POWER_CLOSED and not even_escapes:
+            witness = f"{spec} expected even powers outside the span"
+    return CheckResult("algebra.span_power_closure", witness is None, None,
+                       "56 spans, powers to 6", witness)
 
 
 def _mul_with_table(a, b, table) -> list:
@@ -298,18 +266,22 @@ def _root_count_oracle(cc: roots.CubicCoeffs) -> tuple[int, bool]:
 
 def roots_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    n = 10_000
-    out = []
+    return [_discriminant_anchors(), *_random_cubics(rng), _attracting_root()]
 
-    anchors_ok = (
+
+def _discriminant_anchors() -> CheckResult:
+    ok = (
         roots.cubic_discriminant(roots.CubicCoeffs(0, 0, -1)) == 27.0
         and roots.cubic_discriminant(roots.CubicCoeffs(0, -1, 0)) == -4.0
         and abs(roots.cubic_discriminant(
             roots.CubicCoeffs(0, -1, roots.MANDELBRIC_REAL_BOUND))) <= 1e-9
     )
-    out.append(CheckResult("roots.discriminant_anchors", anchors_ok, None,
-                           "D = 27, -4, 0 cases"))
+    return CheckResult("roots.discriminant_anchors", ok, None, "D = 27, -4, 0 cases")
 
+
+def _random_cubics(rng, n: int = 10_000) -> list[CheckResult]:
+    """The discriminant, residual, Vieta and classification checks, on the
+    same n random cubics."""
     worst_d = worst_res = worst_vieta = 0.0
     cls_bad = 0
     witness = None
@@ -338,15 +310,15 @@ def roots_suite(seed: int = 0) -> list[CheckResult]:
         if rs.kind != expected:
             cls_bad += 1
             witness = witness or f"b,c,d={cc.b},{cc.c},{cc.d} got {rs.kind} vs {expected}"
-    out.append(CheckResult("roots.discriminant_consistency", worst_d <= 1e-9, worst_d,
-                           f"{n} random cubics"))
-    out.append(CheckResult("roots.residuals", worst_res <= 1e-9, worst_res,
-                           f"{n} random cubics"))
-    out.append(CheckResult("roots.vieta", worst_vieta <= 1e-8, worst_vieta,
-                           f"{n} random cubics"))
-    out.append(CheckResult("roots.classification_vs_oracle", cls_bad == 0,
-                           float(cls_bad), f"{n} random cubics", witness))
+    detail = f"{n} random cubics"
+    return [CheckResult("roots.discriminant_consistency", worst_d <= 1e-9, worst_d, detail),
+            CheckResult("roots.residuals", worst_res <= 1e-9, worst_res, detail),
+            CheckResult("roots.vieta", worst_vieta <= 1e-8, worst_vieta, detail),
+            CheckResult("roots.classification_vs_oracle", cls_bad == 0,
+                        float(cls_bad), detail, witness)]
 
+
+def _attracting_root() -> CheckResult:
     worst = 0.0
     for c in np.linspace(1e-8, roots.MANDELBRIC_REAL_BOUND, 211):
         a = roots.mandelbric_attracting_root(float(c))
@@ -355,9 +327,8 @@ def roots_suite(seed: int = 0) -> list[CheckResult]:
             worst = math.inf
     at_bound = roots.mandelbric_attracting_root(roots.MANDELBRIC_REAL_BOUND)
     worst = max(worst, abs(at_bound - 1.0 / math.sqrt(3.0)))
-    out.append(CheckResult("roots.attracting_root", worst <= 1e-9, worst,
-                           "211 points of (0, bound]"))
-    return out
+    return CheckResult("roots.attracting_root", worst <= 1e-9, worst,
+                       "211 points of (0, bound]")
 
 
 # --- dynamics ----------------------------------------------------------------------
@@ -378,10 +349,25 @@ def real_extent_check(p: int, tol: float = 1e-4):
 
 def dynamics_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    out = []
+    tp = dynamics.IterationParams(3, 400)
+    return [
+        _escape_lower_bound(rng),
+        _divergence_amplification(rng),
+        _mandelbric_symmetries(rng),
+        _monotone_real_orbits(rng),
+        _hyperbolic_decomposition(rng),
+        _hyperbolic_mode_agreement(rng),
+        _cartesian_membership(rng, tp),
+        _discus_bound(rng, tp),
+        _bicomplex_inclusion(rng, tp),
+        _real_axis_extents(),
+        _perplexbric_reduction(rng),
+    ]
 
-    # Orbit magnitude dominates |c| (|c|^(p-1) - 1)^(m-1) once |c|^(p-1) > 2.
-    ok, witness, samples = True, None, 0
+
+def _escape_lower_bound(rng) -> CheckResult:
+    """Orbit magnitude dominates |c| (|c|^(p-1) - 1)^(m-1) once |c|^(p-1) > 2."""
+    witness = None
     for p in range(2, 7):
         bound = dynamics.escape_bound(p)
         for _ in range(100):
@@ -391,14 +377,15 @@ def dynamics_suite(seed: int = 0) -> list[CheckResult]:
             for m, z in enumerate(dynamics.orbit_complex(c, p, 60), start=1):
                 lower = logs + (m - 1) * math.log(base)
                 if math.log(abs(z)) < lower - 1e-9:
-                    ok, witness = False, f"p={p} c={c} m={m}"
+                    witness = f"p={p} c={c} m={m}"
                     break
-            samples += 1
-    out.append(CheckResult("dynamics.escape_lower_bound", ok, None,
-                           f"{samples} parameters, p in 2..6", witness))
+    return CheckResult("dynamics.escape_lower_bound", witness is None, None,
+                       "500 parameters, p in 2..6", witness)
 
-    # Once an orbit passes the bound by delta, growth dominates (2p)^m delta.
-    ok, witness, confirmed = True, None, 0
+
+def _divergence_amplification(rng) -> CheckResult:
+    """Once an orbit passes the bound by delta, growth dominates (2p)^m delta."""
+    witness, confirmed = None, 0
     for p in range(2, 7):
         bound = dynamics.escape_bound(p)
         found = attempts = 0
@@ -416,86 +403,11 @@ def dynamics_suite(seed: int = 0) -> list[CheckResult]:
                 if lower > dynamics.OVERFLOW_NORM:
                     break
                 if abs(z) < lower * (1.0 - 1e-12):
-                    ok, witness = False, f"p={p} c={c} m={m}"
+                    witness = f"p={p} c={c} m={m}"
                     break
             confirmed += 1
-    out.append(CheckResult("dynamics.divergence_amplification", ok, None,
-                           f"{confirmed} escaping orbits", witness))
-
-    out.append(_mandelbric_symmetries(rng))
-    out.append(_monotone_real_orbits(rng))
-
-    # T of the hyperbolic orbit equals the two real component orbits.
-    worst = _hyperbolic_decomposition_residual(rng, 10_000)
-    exact_ok = True
-    # Integer-coefficient orbits match exactly while values fit in 53 bits
-    # (three cubing steps from |c| <= 4).
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            z = Hyperbolic(0.0, 0.0)
-            xm = xp_ = 0.0
-            for _m in range(3):
-                z = hyp_pow(z, 3) + Hyperbolic(float(a), float(b))
-                xm = xm ** 3 + (a - b)
-                xp_ = xp_ ** 3 + (a + b)
-                if hyp_T(z) != (xm, xp_):
-                    exact_ok = False
-    out.append(CheckResult("dynamics.hyperbolic_decomposition",
-                           worst <= 1e-12 and exact_ok, worst,
-                           "10000 random + integer-exact orbits"))
-
-    out.append(_hyperbolic_mode_agreement(rng))
-    tp = dynamics.IterationParams(3, 400)
-    out.append(_cartesian_membership(rng, tp))
-
-    # Sampled members stay in the closed discus / closed ball of the bound.
-    ok, witness, members = True, None, 0
-    for _ in range(4000):
-        c = Tricomplex(tuple(rng.uniform(-0.35, 0.35, 8)))
-        if dynamics.iterate_tricomplex(c, tp, "direct").escaped:
-            continue
-        members += 1
-        if not hypercomplex.in_discus(c.x, dynamics.escape_bound(3)):
-            ok, witness = False, c.to_text()
-    out.append(CheckResult("dynamics.discus_bound", ok and members > 50,
-                           None, f"{members} sampled members", witness))
-
-    out.append(_bicomplex_inclusion(rng, tp))
-
-    # Real-axis extents against the closed forms; theorem for p in {2,3},
-    # conjecture consistency for p in {4,5,6}.
-    ok, details = True, []
-    for p in range(2, 7):
-        _, _, good, proven = real_extent_check(p)
-        ok = ok and good
-        tag = "theorem" if proven else "conjecture consistent"
-        details.append(f"p={p}:{tag if good else 'MISMATCH'}")
-    out.append(CheckResult("dynamics.real_axis_extents", ok, None, " ".join(details)))
-
-    # l1-ball form of the all-j slice membership equals the two-square form
-    # and matches escape-time membership away from the boundary band.
-    ok, witness = True, None
-    for _ in range(10_000):
-        c1, c4, c6 = rng.uniform(-0.6, 0.6, 3)
-        if dynamics.member_perplexbric_analytic(c1, c4, c6) != \
-                dynamics.member_perplexbric_union_form(c1, c4, c6):
-            ok, witness = False, f"{c1},{c4},{c6}"
-    checked = 0
-    pp = dynamics.IterationParams(3, 2000)
-    while checked < 400:
-        c1, c4, c6 = rng.uniform(-0.5, 0.5, 3)
-        margin = abs(c1) + abs(c4) + abs(c6) - roots.MANDELBRIC_REAL_BOUND
-        if abs(margin) <= 1e-2:
-            continue
-        checked += 1
-        c = slices.embed_slice_point(slices.PRINCIPAL_SLICES["Perplexbric"],
-                                     (c1, c4, c6))
-        member = not dynamics.iterate_tricomplex(c, pp, "direct").escaped
-        if member != (margin <= 0):
-            ok, witness = False, f"{c1},{c4},{c6}"
-    out.append(CheckResult("dynamics.perplexbric_reduction", ok, None,
-                           "10000 algebraic + 400 escape-time samples", witness))
-    return out
+    return CheckResult("dynamics.divergence_amplification", witness is None, None,
+                       f"{confirmed} escaping orbits", witness)
 
 
 def _mandelbric_symmetries(rng) -> CheckResult:
@@ -532,6 +444,25 @@ def _monotone_real_orbits(rng) -> CheckResult:
                        "p in {2,3,5}", witness)
 
 
+def _hyperbolic_decomposition(rng) -> CheckResult:
+    """T of the hyperbolic orbit equals the two real component orbits."""
+    worst = _hyperbolic_decomposition_residual(rng, 10_000)
+    exact_ok = True
+    # Integer-coefficient orbits match exactly while values fit in 53 bits
+    # (three cubing steps from |c| <= 4).
+    for a, b in itertools.product(range(-2, 3), repeat=2):
+        z = Hyperbolic(0.0, 0.0)
+        xm = xp_ = 0.0
+        for _m in range(3):
+            z = hyp_pow(z, 3) + Hyperbolic(float(a), float(b))
+            xm = xm ** 3 + (a - b)
+            xp_ = xp_ ** 3 + (a + b)
+            if hyp_T(z) != (xm, xp_):
+                exact_ok = False
+    return CheckResult("dynamics.hyperbolic_decomposition", worst <= 1e-12 and exact_ok,
+                       worst, "10000 random + integer-exact orbits")
+
+
 def _hyperbolic_mode_agreement(rng) -> CheckResult:
     """Hyperbolic direct and decomposed engines agree."""
     hp = dynamics.IterationParams(3, 500)
@@ -559,10 +490,24 @@ def _cartesian_membership(rng, tp: dynamics.IterationParams) -> CheckResult:
                        "10000 parameters, p=3")
 
 
+def _discus_bound(rng, tp: dynamics.IterationParams) -> CheckResult:
+    """Sampled tricomplex members stay in the closed discus of the bound."""
+    witness, members = None, 0
+    for _ in range(4000):
+        c = Tricomplex(tuple(rng.uniform(-0.35, 0.35, 8)))
+        if dynamics.iterate_tricomplex(c, tp, "direct").escaped:
+            continue
+        members += 1
+        if not hypercomplex.in_discus(c.x, dynamics.escape_bound(3)):
+            witness = c.to_text()
+    return CheckResult("dynamics.discus_bound", witness is None and members > 50,
+                       None, f"{members} sampled members", witness)
+
+
 def _bicomplex_inclusion(rng, tp: dynamics.IterationParams) -> CheckResult:
     """Sampled bicomplex members stay in the closed ball of the bound, and so
     do their idempotent components."""
-    ok, witness = True, None
+    witness = None
     bound = dynamics.escape_bound(3)
     x = _uniform_columns(rng, -0.9, 0.9, 4000, 4)
     members = np.flatnonzero(_bicomplex_lanes(x, tp) == 0)
@@ -571,9 +516,47 @@ def _bicomplex_inclusion(rng, tp: dynamics.IterationParams) -> CheckResult:
         z1, z2 = c.complex_pair()
         w1, w2 = z1 - z2 * 1j, z1 + z2 * 1j
         if max(abs(w1), abs(w2), c.norm()) > bound + 1e-12:
-            ok, witness = False, str(c.z)
-    return CheckResult("dynamics.bicomplex_inclusion", ok and members.size > 50,
+            witness = str(c.z)
+    return CheckResult("dynamics.bicomplex_inclusion", witness is None and members.size > 50,
                        None, f"{members.size} sampled members", witness)
+
+
+def _real_axis_extents() -> CheckResult:
+    """Real-axis extents against the closed forms; theorem for p in {2,3},
+    conjecture consistency for p in {4,5,6}."""
+    ok, details = True, []
+    for p in range(2, 7):
+        _, _, good, proven = real_extent_check(p)
+        ok = ok and good
+        tag = "theorem" if proven else "conjecture consistent"
+        details.append(f"p={p}:{tag if good else 'MISMATCH'}")
+    return CheckResult("dynamics.real_axis_extents", ok, None, " ".join(details))
+
+
+def _perplexbric_reduction(rng) -> CheckResult:
+    """The l1-ball form of the all-j slice membership equals the two-square
+    form and matches escape-time membership away from the boundary band."""
+    witness = None
+    for _ in range(10_000):
+        c1, c4, c6 = rng.uniform(-0.6, 0.6, 3)
+        if dynamics.member_perplexbric_analytic(c1, c4, c6) != \
+                dynamics.member_perplexbric_union_form(c1, c4, c6):
+            witness = f"{c1},{c4},{c6}"
+    checked = 0
+    pp = dynamics.IterationParams(3, 2000)
+    while checked < 400:
+        c1, c4, c6 = rng.uniform(-0.5, 0.5, 3)
+        margin = abs(c1) + abs(c4) + abs(c6) - roots.MANDELBRIC_REAL_BOUND
+        if abs(margin) <= 1e-2:
+            continue
+        checked += 1
+        c = slices.embed_slice_point(slices.PRINCIPAL_SLICES["Perplexbric"],
+                                     (c1, c4, c6))
+        member = not dynamics.iterate_tricomplex(c, pp, "direct").escaped
+        if member != (margin <= 0):
+            witness = f"{c1},{c4},{c6}"
+    return CheckResult("dynamics.perplexbric_reduction", witness is None, None,
+                       "10000 algebraic + 400 escape-time samples", witness)
 
 
 def _hyperbolic_decomposition_residual(rng, n: int) -> float:
@@ -821,13 +804,23 @@ def _unsettled_real_orbits(c, signs, p: int, n: int) -> np.ndarray:
 
 
 def slices_suite(seed: int = 0) -> list[CheckResult]:
-    n_samples = 2000
-    out = []
     specs = slices.enumerate_slices()
-    out.append(CheckResult("slices.enumeration", len(specs) == 56, None,
-                           f"{len(specs)} slice spans"))
-
     catalog = slices.conjugacy_catalog(3)
+    return [
+        _enumeration(specs),
+        _catalog_residuals(catalog, seed),
+        _relation_closure(catalog, seed),
+        _four_principal_classes(specs),
+        _voxel_determinism(),
+        _prune_soundness(),
+    ]
+
+
+def _enumeration(specs) -> CheckResult:
+    return CheckResult("slices.enumeration", len(specs) == 56, None, f"{len(specs)} slice spans")
+
+
+def _catalog_residuals(catalog, seed: int, n_samples: int = 2000) -> CheckResult:
     worst, witness = 0.0, None
     for m in catalog:
         rep = slices.verify_conjugacy(m, 3, n_samples=n_samples, tol=1e-9, seed=seed)
@@ -835,11 +828,13 @@ def slices_suite(seed: int = 0) -> list[CheckResult]:
             worst = rep.max_residual
             if not rep.passed and rep.witness is not None:
                 witness = f"{m.source}->{m.target} eta={rep.witness[0].to_text()}"
-    out.append(CheckResult("slices.catalog_residuals", worst <= 1e-9, worst,
-                           f"{len(catalog)} maps x {n_samples} samples", witness))
+    return CheckResult("slices.catalog_residuals", worst <= 1e-9, worst,
+                       f"{len(catalog)} maps x {n_samples} samples", witness)
 
-    # Inverses and a bridge composition verify too (relation symmetry and
-    # transitivity, checked numerically).
+
+def _relation_closure(catalog, seed: int) -> CheckResult:
+    """Inverses and a bridge composition verify too (relation symmetry and
+    transitivity, checked numerically)."""
     worst = 0.0
     for m in catalog[:8]:
         worst = max(worst, slices.verify_conjugacy(m.inverse(), 3, 500,
@@ -849,9 +844,11 @@ def slices_suite(seed: int = 0) -> list[CheckResult]:
     second = next(m for m in catalog if m.source.canonical_key == key)
     comp = _compose_maps(catalog[0], second)
     worst = max(worst, slices.verify_conjugacy(comp, 3, 500, seed=seed).max_residual)
-    out.append(CheckResult("slices.relation_closure", worst <= 1e-9, worst,
-                           "inverses and a composition"))
+    return CheckResult("slices.relation_closure", worst <= 1e-9, worst,
+                       "inverses and a composition")
 
+
+def _four_principal_classes(specs) -> CheckResult:
     cl = slices.classify_principal(3)
     names = {name: cl.name_of(rep) for name, rep in slices.PRINCIPAL_SLICES.items()}
     ok = cl.class_count == 4 and all(v == k for k, v in names.items())
@@ -863,26 +860,29 @@ def slices_suite(seed: int = 0) -> list[CheckResult]:
     perp = cl.class_of(slices.PRINCIPAL_SLICES["Perplexbric"])
     ok = ok and slices.SliceSpec.of(UnitIndex.J1, UnitIndex.J2, UnitIndex.J3
                                     ).canonical_key in {s.canonical_key for s in perp}
-    out.append(CheckResult("slices.four_principal_classes", ok, None,
-                           f"{cl.class_count} classes, sizes "
-                           f"{sorted(len(c) for c in cl.classes)}"))
+    return CheckResult("slices.four_principal_classes", ok, None,
+                       f"{cl.class_count} classes, sizes "
+                       f"{sorted(len(c) for c in cl.classes)}")
 
-    # Voxel grids are deterministic and identical under any worker count.
-    spec = slices.PRINCIPAL_SLICES["Perplexbric"]
-    params = dynamics.IterationParams(3, 120)
+
+def _voxel_determinism() -> CheckResult:
+    """Voxel grids are deterministic and identical under any worker count."""
+    spec, params = slices.PRINCIPAL_SLICES["Perplexbric"], dynamics.IterationParams(3, 120)
     window = ((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5))
     g1 = slices.sample_slice(spec, window, (20, 20, 20), params)
     g2 = slices.sample_slice(spec, window, (20, 20, 20), params)
     g3 = slices.sample_slice(spec, window, (20, 20, 20), params, threads=3)
     same = (g1.cells.tobytes() == g2.cells.tobytes() == g3.cells.tobytes())
-    out.append(CheckResult("slices.voxel_determinism", same, None,
-                           "20^3 grid, 1 and 3 workers"))
+    return CheckResult("slices.voxel_determinism", same, None, "20^3 grid, 1 and 3 workers")
 
-    # The closed discus of the bound holds every member: no cell outside it
-    # is a member, and the engine counts the flat rows of the cells inside
-    # it as the whole window does.  On the all-j slice the two component
-    # norms differ, so the discus excludes cells that the combined-norm
-    # escape test would not kill at iteration 1.
+
+def _prune_soundness() -> CheckResult:
+    """The closed discus of the bound holds every member: no cell outside it
+    is a member, and the engine counts the flat rows of the cells inside it
+    as the whole window does.  On the all-j slice the two component norms
+    differ, so the discus excludes cells that the combined-norm escape test
+    would not kill at iteration 1."""
+    spec, params = slices.PRINCIPAL_SLICES["Perplexbric"], dynamics.IterationParams(3, 120)
     wide = ((-1.9, 1.9), (-1.9, 1.9), (-1.9, 1.9))
     g = slices.sample_slice(spec, wide, (22, 22, 22), params)
     axes = [slices.cell_centers(lo, hi, 22) for lo, hi in wide]
@@ -896,10 +896,8 @@ def slices_suite(seed: int = 0) -> list[CheckResult]:
     pruned = ~inside & (g.cells != 1)
     sound = pruned.any() and not g.member_mask()[~inside].any() and \
         np.array_equal(counts, g.cells[inside])
-    out.append(CheckResult("slices.prune_soundness", sound, None,
-                           f"{g.cells.size} cells audited, "
-                           f"{int(pruned.sum())} pruned"))
-    return out
+    return CheckResult("slices.prune_soundness", sound, None,
+                       f"{g.cells.size} cells audited, {int(pruned.sum())} pruned")
 
 
 def _compose_maps(first: slices.ConjugacyMap,

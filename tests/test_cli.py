@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import mbkit
-from mbkit import __version__, cli, dynamics, slices
+from mbkit import __version__, cli, dynamics, slices, suites
 from mbkit.cli import (
     _threads,
     build_parser,
@@ -27,7 +27,7 @@ from mbkit.cli import (
 )
 from mbkit.hypercomplex import PRODUCT_TABLE
 from mbkit.roots import MANDELBRIC_REAL_BOUND, escape_bound
-from mbkit.suites import algebra_suite, slices_suite
+from mbkit.suites import slices_suite
 
 
 def _read_pgm(path):
@@ -234,8 +234,8 @@ def test_reports_and_oracle_steps_are_pinned(label, tmp_path, monkeypatch, capsy
 
 def test_dynamics_report_does_not_depend_on_cpu_dispatch(tmp_path):
     # The verify lanes write complex products in real arithmetic, so the
-    # seed-0 dynamics report keeps its digests with numpy's AVX2 and
-    # AVX-512 dispatch switched off.  The variable acts on the child only.
+    # four seed-0 reports keep their digests with numpy's AVX2 and AVX-512
+    # dispatch switched off.  The variable acts on the child only.
     root = Path(__file__).resolve().parents[1]
     reference = json.loads((root / "perfbench" / "reference.json").read_text())["digests"]
     env = {**os.environ, "PYTHONPATH": str(root / "src"),
@@ -244,14 +244,16 @@ def test_dynamics_report_does_not_depend_on_cpu_dispatch(tmp_path):
               "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
               "assert not f['X86_V3'], 'dispatch not disabled'\n"
               "from mbkit.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
-    run = subprocess.run([sys.executable, "-c", script, "verify", "--suite", "dynamics",
-                          "--seed", "0", "--out", str(tmp_path / "verify_dynamics")],
+              "sys.exit(max(main(['verify', '--suite', suite, '--seed', '0',\n"
+              "                   '--out', f'{sys.argv[1]}/verify_{suite}'])\n"
+              "             for suite in ('algebra', 'roots', 'dynamics', 'slices')))\n")
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    for name in ("verify_dynamics.json", "verify_dynamics.txt"):
-        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest == reference[name], name
+    for suite in ("algebra", "roots", "dynamics", "slices"):
+        for name in (f"verify_{suite}.json", f"verify_{suite}.txt"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == reference[name], name
 
 
 def test_slices_suite_grid_work_is_pinned(monkeypatch):
@@ -396,13 +398,16 @@ def test_estimate_real_extent_below_float_spacing_stops_at_adjacent_floats(
 
 
 def test_corrupted_unit_table_fails_with_witness():
+    # Each of the three table checks fails on its own, with a witness.
     table = [list(row) for row in PRODUCT_TABLE]
     table[1][2] = (-1, 5)  # flip the sign of i1 * i2
     table = tuple(tuple(row) for row in table)
-    results = algebra_suite(seed=0, product_table=table)
-    failing = [r for r in results if not r.passed]
-    assert failing
-    assert any(r.witness for r in failing)
+    rng = np.random.default_rng(0)
+    results = [suites._unit_table_symmetry(table), suites._table_vs_pair_product(rng, table),
+               suites._ring_axioms(rng, table)]
+    assert not any(r.passed for r in results)
+    assert all(r.witness for r in results)
+    assert results[0].witness == "units (i1,i2): (-1, 5) vs (1, 5)"
 
 
 def _estimate(tmp_path, *options):
