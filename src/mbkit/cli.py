@@ -399,7 +399,9 @@ def _int_between(lo: int, hi: int | None = None):
     return parse
 
 
-_exponent = _int_between(2)
+# Each step forms z^p with p - 1 multiplications: at p = 2^32 - 1 one cell's
+# first step would take about two hours.
+_exponent = _int_between(2, 1024)
 _positive_int = _int_between(1)
 _max_iter = _int_between(1, MAX_ITER_LIMIT)
 

@@ -645,7 +645,7 @@ def grid_counts_hyperbolic(
     The component parameters a - b and a + b repeat heavily on lattice
     windows, so each distinct value is iterated once and results gathered
     back; this is exact (identical floats share identical orbits).  The
-    inputs are read twice: once to collect the distinct components, once to
+    inputs are read twice: once to sort out the distinct components, once to
     gather their results.  Each pass splits the rows along the first axis
     into one range per worker (min(threads, os.cpu_count()) of them, as in
     _ranges), so an input with a single such row runs on one worker, and
@@ -754,22 +754,22 @@ def _hyperbolic_counts(a, b, params: IterationParams, threads: int, counts, memb
             yield index, cm, cp
 
     # Sorting the values and searching them is much faster than the argsort
-    # behind return_inverse.  np.unique keeps one of 0.0 and -0.0; both find
-    # it, and their orbits are the same.  Each block's distinct values wait
-    # until they outnumber the range's merged set, so the merges sort each
-    # value O(log n) times even when few values repeat, and the waiting
-    # values never outgrow the distinct set.
+    # behind return_inverse.  _sorted_distinct keeps one of 0.0 and -0.0;
+    # both find it, and their orbits are the same.  Each block's distinct
+    # values wait until they outnumber the range's merged set, so the merges
+    # sort each value O(log n) times even when few values repeat, and the
+    # waiting values never outgrow the distinct set.
     def distinct(lo, hi):
         uniq, pieces, held = np.empty(0), [], 0
         for _, cm, cp in components(lo, hi):
-            pieces.append(np.unique(np.concatenate([cm, cp], axis=None)))
+            pieces.append(_sorted_distinct(np.concatenate([cm, cp], axis=None)))
             held += pieces[-1].size
             if held >= uniq.size:
-                uniq = np.unique(np.concatenate([uniq] + pieces))
+                uniq = _sorted_distinct(np.concatenate([uniq] + pieces))
                 pieces, held = [], 0
-        return np.unique(np.concatenate([uniq] + pieces))
+        return _sorted_distinct(np.concatenate([uniq] + pieces))
 
-    uniq = np.unique(np.concatenate([np.empty(0)] + _each_range(distinct, ranges)))
+    uniq = _sorted_distinct(np.concatenate([np.empty(0)] + _each_range(distinct, ranges)))
     counts_u, member_u = _run_blocks(uniq, params, threads)
     # Each run of equal outcomes over the sorted values is looked up by its
     # largest value: a component is one of uniq, so the first run end not
@@ -800,6 +800,19 @@ def _hyperbolic_counts(a, b, params: IterationParams, threads: int, counts, memb
     _each_range(gather, ranges)
     if square:
         _each_range(fill, ranges)
+
+
+def _sorted_distinct(v: np.ndarray) -> np.ndarray:
+    """np.unique(v) of a 1-D float array, sorting v in place, without the
+    masked-array test that imports numpy.ma: the first of each run of equal
+    values, and one NaN (NaNs sort last, each unequal to the one before)."""
+    v.sort()
+    keep = np.ones(v.size, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    v = v[keep]
+    if v.size and np.isnan(v[-1]):
+        v = v[:v.size + 1 - np.count_nonzero(np.isnan(v))]
+    return v
 
 
 # Steps of the distinct values' squared norms that grid_counts_tricomplex

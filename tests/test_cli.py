@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -15,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mbkit
 from mbkit import __version__, cli, dynamics, slices, suites
@@ -254,6 +257,29 @@ def test_dynamics_report_does_not_depend_on_cpu_dispatch(tmp_path):
         for name in (f"verify_{suite}.json", f"verify_{suite}.txt"):
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == reference[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ["render2d", "--set", "hyperbrot", "--res", "40", "--max-iter", "200"],
+    ["estimate", "--kind", "hyperbric-area", "--precision", "60"],
+    ["render3d", "--dims", "8", "--max-iter", "100"],
+    ["verify", "--suite", "algebra"],
+], ids=" ".join)
+def test_no_command_imports_numpy_ma(argv, tmp_path):
+    # numpy's np.unique without return_inverse imports numpy.ma (about
+    # 10 ms) to test for a masked array; no command needs it.  Each command
+    # runs in a fresh interpreter.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = ("import sys\n"
+              "from mbkit.cli import main\n"
+              "assert 'numpy.ma' not in sys.modules, 'imported with mbkit.cli'\n"
+              "code = main(sys.argv[1:])\n"
+              "assert 'numpy.ma' not in sys.modules, 'imported by the command'\n"
+              "sys.exit(code)\n")
+    run = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path / "x")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_slices_suite_grid_work_is_pinned(monkeypatch):
@@ -606,6 +632,8 @@ def test_parser_rejects_bad_window():
 
 @pytest.mark.parametrize("argv", [
     ["render2d", "--p", "1"],
+    ["render2d", "--p", "1025"],
+    ["estimate", "--kind", "real-extent", "--p", "4294967295"],
     ["render2d", "--res", "0"],
     ["render2d", "--res", "8,0"],
     ["render2d", "--res", "1,2,3"],
@@ -680,6 +708,17 @@ def test_max_iter_beyond_uint32_names_the_option(argv, tmp_path, capsys):
     assert line.startswith("mbkit: error: argument --max-iter: must be <= 4294967295")
     args = build_parser().parse_args([argv[0], "--max-iter", "4294967295", "--out", "x"])
     assert args.max_iter == 2 ** 32 - 1
+
+
+def test_p_above_1024_names_the_option(tmp_path, capsys):
+    # Every step forms z^p by p - 1 multiplications: at p = 2^32 - 1 a
+    # one-cell render with --max-iter 1 ran past any time budget.
+    with pytest.raises(SystemExit) as exc:
+        main(["render2d", "--p", "1025", "--res", "1", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    line = _assert_one_error_line(capsys.readouterr().err)
+    assert line == "mbkit: error: argument --p: must be <= 1024, got 1025"
+    assert build_parser().parse_args(["render2d", "--p", "1024", "--out", "x"]).p == 1024
 
 
 def test_repeated_slice_unit_error_shows_the_labels(tmp_path, capsys):
@@ -1235,3 +1274,97 @@ def test_only_verify_takes_a_seed():
 def test_write_pgm_validates(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "bad.pgm", np.zeros((4, 4), dtype=np.float64))
+
+
+# --- a property sweep over the hyperbolic commands ---------------------------------
+#
+# Command lines for render2d --set hyperbrot and estimate --kind
+# hyperbric-area, drawn from the parser's own actions: each option takes
+# one of its choices or one of the edge values of its type, or is left out.
+# The grid size (_grid's option) is always given, and its edge values are
+# tiny or beyond numpy's maximum array size, so cells x max_iter stays small
+# or the parser refuses the grid.  MBK_THREADS is drawn from a short list
+# that never asks for more than 64 workers.  Each command line runs in a
+# fresh interpreter with a time budget.
+
+# A valid value first, so that the simplest example runs.
+_EDGES = ["2", "1", "0", "-1", str(2 ** 32 - 1), str(2 ** 32), "nan", "inf", "-inf", ""]
+_SIZE_EDGES = ["3"] + _EDGES + ["3,2", "1,2"]
+_WINDOW_EDGES = ["-0.4:0.4,-0.4:0.4", "0.05:0.3,-0.3:-0.1", "1e300:1e301,-1:1",
+                 "0:0,-1:1", "1:-1,-1:1", "-1e308:1e308,-1:1", "1e308:1.7e308,0:1",
+                 "nan:1,-1:1", "-inf:inf,-1:1", "-1:1", "a:b,c:d", ""]
+_SWEEP_THREADS = [None, "1", "2", "3", "64", "0", "-1", "two", ""]
+_SWEPT = {"render2d": ("--set", "hyperbrot", "--res"),
+          "estimate": ("--kind", "hyperbric-area", "--precision")}
+_SWEEP_BUDGET_S = 30
+# Runs the command line after the output base, and reruns its manifest when
+# it exits 0.
+_SWEEP_CHILD = ("import sys\n"
+                "from mbkit.cli import main\n"
+                "out = sys.argv[1]\n"
+                "code = main(sys.argv[2:] + ['--out', out])\n"
+                "if code == 0:\n"
+                "    print('rerun exit', main(['rerun', '--manifest', out + '.manifest.json',\n"
+                "                              '--out-dir', out + '.redo']))\n"
+                "sys.exit(code)\n")
+
+
+def _swept_options(command) -> dict:
+    """The edge values drawn for each option of a swept command."""
+    option, _, size = _SWEPT[command]
+    swept = {}
+    for action in _subcommands()[command]._actions:
+        if isinstance(action, argparse._HelpAction) or action.dest == "out":
+            continue
+        name = action.option_strings[0]
+        if name != option:
+            swept[name] = (list(action.choices) if action.choices
+                           else _WINDOW_EDGES if action.type is cli._window2
+                           else _SIZE_EDGES if name == size else _EDGES)
+    return swept
+
+
+def _swept_argv(command):
+    """A strategy for one command line of a swept command."""
+    option, value, size = _SWEPT[command]
+    parts = [st.just([command, f"{option}={value}"])]
+    for name, values in _swept_options(command).items():
+        drawn = st.sampled_from([[f"{name}={v}"] for v in values])
+        parts.append(drawn if name == size else st.one_of(st.just([]), drawn))
+    return st.tuples(*parts).map(lambda picks: sum(picks, []))
+
+
+def test_swept_options_are_the_parsers():
+    # Every option of the two commands is drawn but --out, and the grid
+    # size is the one _grid names.
+    for command, (option, value, size) in _SWEPT.items():
+        options = {o for a in _subcommands()[command]._actions for o in a.option_strings}
+        assert set(_swept_options(command)) == options - {"-h", "--help", "--out", option}
+        args = cli._parse_args(cli._Parser, [command, f"{option}={value}", f"{size}=4",
+                                             "--out", "x"])
+        assert cli._grid(args)[0] == size
+
+
+@pytest.mark.parametrize("command", list(_SWEPT))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_swept_command_lines_exit_cleanly(command, data):
+    argv = data.draw(_swept_argv(command))
+    threads = data.draw(st.sampled_from(_SWEEP_THREADS))
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("MBK_THREADS", None)
+    if threads is not None:
+        env["MBK_THREADS"] = threads
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "x")
+        run = subprocess.run([sys.executable, "-c", _SWEEP_CHILD, out, *argv], env=env,
+                             capture_output=True, text=True, timeout=_SWEEP_BUDGET_S)
+    case = (argv, threads, run.stdout[-2000:], run.stderr[-2000:])
+    assert run.returncode in (0, 1, 2), case
+    assert "Traceback" not in run.stderr, case
+    if run.returncode == 2:
+        _assert_one_error_line(run.stderr)
+    if run.returncode == 0:
+        assert "rerun exit 0" in run.stdout and "MISMATCH" not in run.stdout, case
+        assert run.stdout.count(": match") == len(cli._OUTPUT_SUFFIXES[command]), case

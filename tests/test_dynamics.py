@@ -1290,6 +1290,99 @@ def test_hyperbolic_gather_searches_one_entry_per_run(monkeypatch):
         assert haystacks == [runs, runs], shift
 
 
+# --- distinct values by sorting ----------------------------------------------------
+#
+# The hyperbolic engine collects its distinct values with _sorted_distinct,
+# which np.unique (the oracle here) pins bit for bit: the same sort, the
+# first of each run of equal values, and one NaN.
+
+
+def _lattice_components():
+    xs = cell_centers(-0.4, 0.4, 60)
+    a, b = np.meshgrid(xs, xs[::-1])
+    return np.concatenate([(a - b).ravel(), (a + b).ravel()])
+
+
+_NAN = np.float64(np.nan)
+_NEG_NAN = -_NAN  # the sign bit set: a NaN with another bit pattern
+_DISTINCT_CASES = {
+    "empty": np.empty(0),
+    "one value": np.array([0.25]),
+    "one NaN": np.array([np.nan]),
+    "all equal": np.full(50, -0.125),
+    "all NaN": np.array([np.nan, _NEG_NAN, np.nan, np.nan]),
+    "several NaNs": np.array([1.0, np.nan, -2.0, _NEG_NAN, 1.0, np.nan, 0.5]),
+    "infinities": np.array([np.inf, -np.inf, 3.0, np.inf, -np.inf, -3.0]),
+    "infinities and NaNs": np.array([np.nan, np.inf, -np.inf, np.nan, np.inf, 0.0]),
+    "zeros": np.array([0.0, -0.0]),
+    "negative zero first": np.array([-0.0, 0.0]),
+    "zeros among values": np.array([0.1, -0.0, 0.0, -0.1, -0.0, 0.0, 0.1, -0.0]),
+    "sorted": np.repeat(np.arange(-20, 20) / 8, 3),
+    "reversed": np.repeat(np.arange(-20, 20) / 8, 3)[::-1].copy(),
+    "lattice": _lattice_components(),
+    "lattice reversed": _lattice_components()[::-1].copy(),
+}
+
+
+@pytest.mark.parametrize("case", list(_DISTINCT_CASES))
+def test_sorted_distinct_matches_unique_bit_for_bit(case):
+    v = _DISTINCT_CASES[case]
+    want = np.unique(v)
+    got = dynamics._sorted_distinct(v.copy())
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert np.count_nonzero(np.isnan(got)) == (np.isnan(v).any())
+    assert np.count_nonzero(got == 0.0) == (v == 0.0).any()
+    assert got.size == len(set(v[~np.isnan(v)].tolist())) + np.isnan(v).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-300, 2.0, np.inf, -np.inf,
+                                 float(np.nan), float(_NEG_NAN)]), max_size=40),
+       st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20))
+def test_sorted_distinct_matches_unique_on_drawn_values(pool, drawn):
+    v = np.array(pool + drawn, dtype=np.float64)
+    assert dynamics._sorted_distinct(v.copy()).tobytes() == np.unique(v).tobytes()
+
+
+def _edge_axis(n, case):
+    """n cell centres of a shifted window axis with NaN, infinite or
+    signed-zero entries, so whole rows or columns hold them."""
+    xs = cell_centers(-0.45, 0.45, n) + 0.3 * 0.9 / n
+    if case == "nan":
+        xs[1::4] = np.nan
+    elif case == "inf":
+        xs[::3] = np.inf
+        xs[1::3] = -np.inf
+    elif case == "zeros":
+        xs[::2] = 0.0
+        xs[1::4] = -0.0
+    return xs
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("xcase, ycase", [("nan", "plain"), ("plain", "nan"),
+                                          ("inf", "plain"), ("plain", "inf"),
+                                          ("zeros", "zeros"), ("nan", "inf"),
+                                          ("zeros", "nan"), ("inf", "zeros")])
+def test_hyperbolic_rows_of_nan_inf_and_signed_zeros_match_whole_grid(
+        xcase, ycase, threads, monkeypatch, hyperbolic_whole_grid):
+    # Blocks of a few rows hold several NaNs, infinities of both signs and
+    # zeros of both signs, each block's distinct values and their merges
+    # alike; every cell must come out as the whole-grid body gives it.
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(dynamics, "_MIN_BLOCK", 1)
+    monkeypatch.setattr(dynamics, "_CHUNK", 40)
+    monkeypatch.setattr(np, "empty", np.zeros)  # no cell holds count 0
+    params = IterationParams(3, 300)
+    xs, ys = _edge_axis(23, xcase), _edge_axis(19, ycase)[::-1]
+    for a, b in (np.meshgrid(xs, ys, copy=False), np.meshgrid(xs, ys)):
+        counts, member = grid_counts_hyperbolic(a, b, params, threads=threads)
+        with np.errstate(all="ignore"):
+            ref_counts, ref_member = hyperbolic_whole_grid(a, b, params, threads=threads)
+        assert np.array_equal(counts, ref_counts) and np.array_equal(member, ref_member)
+        assert member.any() and not member.all()
+
+
 @pytest.mark.parametrize("threads", [0, -1, 1.5, True])
 def test_grid_engines_check_threads(threads, monkeypatch):
     # A bad worker count is refused before any work: 0 used to divide by
