@@ -632,7 +632,6 @@ def test_parser_rejects_bad_window():
 
 @pytest.mark.parametrize("argv", [
     ["render2d", "--p", "1"],
-    ["render2d", "--p", "1025"],
     ["estimate", "--kind", "real-extent", "--p", "4294967295"],
     ["render2d", "--res", "0"],
     ["render2d", "--res", "8,0"],
